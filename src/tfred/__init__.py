@@ -22,6 +22,7 @@ from .reduction import (
     eigen_certificate,
     find_decomposition,
     nonstandard_reduce,
+    reduce_model,
     reduce_with,
     reduced_initial_value,
     slow_manifold_first_order,

@@ -25,36 +25,15 @@ from .builtin_models import BUILTINS, ModelSpec, load_builtin
 from .ltc import minimal_ltc_sets, preassigned_conditions
 from .matrices import ConsistencyError
 from .modelfile import load_model
-from .rational import RationalFunction, SymbolicError
-from .reduction import (
-    ReductionError,
-    StandardCaseError,
-    default_sample,
-    eigen_certificate,
-    eliminate_on_manifold,
-    fast_linear_integrals,
-    integral_level,
-    nonstandard_decomposition,
-    reduce_with,
-    reduced_initial_value,
-    scaled_initial_symbolic,
-    standard_decomposition,
-    standard_reduce,
-    transform_first_integral,
-)
+from .rational import SymbolicError
+from .reduction import InconsistentScalingError, ReductionError, reduce_extras, reduce_model
 from .sim import (
     IntegrationError,
     convergence_study,
     default_ladder,
     iv_inconsistency_demo,
 )
-from .systems import (
-    FULL_LTC,
-    Partition,
-    apply_scaling,
-    check_ltc,
-    linear_first_integrals,
-)
+from .systems import FULL_LTC, Partition, apply_scaling, check_ltc
 
 EXIT_OK = 0
 EXIT_INCONSISTENT = 2
@@ -205,49 +184,39 @@ def _render_rows(names, rows) -> list[str]:
     return [f"{n}' = {r.render()}" for n, r in zip(names, rows)]
 
 
+def _render_elimination(payload: dict, lines: list[str], key: str, title: str, elim) -> None:
+    payload[key] = {
+        "solved": [(n, e.render()) for n, e in elim.solved],
+        "rows": _render_rows(elim.states, elim.field),
+    }
+    lines.append(title)
+    for n, e in elim.solved:
+        lines.append(f"  {n} = {e.render()}")
+    for row in _render_rows(elim.states, elim.field):
+        lines.append("  " + row)
+
+
 def cmd_reduce(args) -> int:
     spec = load_spec(args)
-    sys = spec.system
     fast = pick_fast(spec, args)
-    part = Partition.from_fast(sys, fast)
-    verdict = check_ltc(sys, part)
-    if verdict.status != FULL_LTC:
-        print(f"consistency check failed: {verdict}", file=_sys.stderr)
-        return EXIT_INCONSISTENT
-
-    mode = args.mode
-    payload: dict = {"command": "reduce", "model": spec.name, "fast": fast, "seed": args.seed}
-    lines = [f"model: {spec.name}", f"fast set: {{{', '.join(fast)}}}"]
-    sample = default_sample(sys.ctx, seed=args.seed)
-
-    scaled = apply_scaling(sys, part)
     try:
-        red = None
-        dec = None
-        used_mode = None
-        if mode in ("auto", "standard"):
-            try:
-                red = standard_reduce(sys, part)
-                dec = standard_decomposition(sys, part)
-                used_mode = "standard"
-            except StandardCaseError:
-                if mode == "standard":
-                    raise
-        if red is None:
-            ssample = default_sample(scaled.system.ctx, seed=args.seed)
-            dec = nonstandard_decomposition(scaled, ssample, seed=args.seed)
-            red = reduce_with(dec, scaled.system.grade(1))
-            red.initial_values = dict(scaled.system.initial_values)
-            used_mode = "nonstandard"
+        red = reduce_model(spec.system, fast, args.mode, args.seed)
+    except InconsistentScalingError as exc:
+        print(f"consistency check failed: {exc.verdict}", file=_sys.stderr)
+        return EXIT_INCONSISTENT
     except (ReductionError, ConsistencyError) as exc:
         print(f"reduction refused: {exc}", file=_sys.stderr)
         return EXIT_REFUSED
+    cert = reduce_extras(red, spec.system, n_samples=args.samples, seed=args.seed)
 
-    payload["mode"] = used_mode
-    lines.append(f"mode: {used_mode}")
+    dec = red.decomposition
+    payload: dict = {"command": "reduce", "model": spec.name, "fast": fast, "seed": args.seed}
+    lines = [f"model: {spec.name}", f"fast set: {{{', '.join(fast)}}}"]
+    payload["mode"] = dec.mode
+    lines.append(f"mode: {dec.mode}")
     payload["mu"] = [m.render() for m in dec.mu]
     payload["P"] = [[v.render() for v in row] for row in dec.P.entries]
-    if len(sys.states) <= 6:
+    if len(spec.system.states) <= 6:
         payload["Q"] = [[v.render() for v in row] for row in dec.projection().entries]
     lines.append("factor mu: " + "; ".join(m.render() for m in dec.mu))
     payload["manifold"] = [m.render() for m in red.manifold.equations]
@@ -260,86 +229,41 @@ def cmd_reduce(args) -> int:
     for row in _render_rows(red.states, red.field):
         lines.append("  " + row)
 
-    # transported linear first integrals, conservation-level relations
-    extra_relations = []
-    if used_mode == "nonstandard":
-        transported = []
-        for w in linear_first_integrals(sys):
-            phi = sys.ctx.zero()
-            for wi, name in zip(w, sys.states):
-                if wi:
-                    phi = phi + sys.ctx.sym(name) * wi
-            try:
-                ti = transform_first_integral(RationalFunction.of(phi), sys, scaled)
-            except ReductionError:
-                continue
-            ti.level = integral_level(ti, scaled)
-            transported.append(ti)
-            # only level sets that constrain the scaled fast variables help
-            # the manifold elimination; slow-variable laws stay informational
-            if not set(ti.rf.num.symbols_used()).isdisjoint(scaled.fast_star):
-                extra_relations.append(ti.rf - ti.level)
+    if dec.mode == "nonstandard":
         payload["transported_integrals"] = [
             {"order": t.order, "integral": t.rf.render(), "level": t.level.render()}
-            for t in transported
+            for t in red.transported_integrals
         ]
-        for t in transported:
+        for t in red.transported_integrals:
             lines.append(
                 f"transported integral (order {t.order}): {t.rf.render()} = {t.level.render()}"
             )
-        try:
-            elim = eliminate_on_manifold(red, [], list(scaled.fast_star))
-            payload["eliminated"] = {
-                "solved": [(n, e.render()) for n, e in elim.solved],
-                "rows": _render_rows(elim.states, elim.field),
-            }
-            lines.append("eliminated form (on the manifold):")
-            for n, e in elim.solved:
-                lines.append(f"  {n} = {e.render()}")
-            for row in _render_rows(elim.states, elim.field):
-                lines.append("  " + row)
-            leftover = [n for n in scaled.fast_star if n in elim.states]
-            if extra_relations and leftover:
-                elim2 = eliminate_on_manifold(red, extra_relations, list(scaled.fast_star))
-                if len(elim2.states) < len(elim.states):
-                    payload["eliminated_conserved"] = {
-                        "solved": [(n, e.render()) for n, e in elim2.solved],
-                        "rows": _render_rows(elim2.states, elim2.field),
-                    }
-                    lines.append("eliminated form (with conservation laws):")
-                    for n, e in elim2.solved:
-                        lines.append(f"  {n} = {e.render()}")
-                    for row in _render_rows(elim2.states, elim2.field):
-                        lines.append("  " + row)
-        except ReductionError as exc:
-            payload["eliminated"] = None
-            lines.append(f"(no eliminated form: {exc})")
-        # reduced initial value from the fast-flow first integrals
-        try:
-            integrals = fast_linear_integrals(scaled.system)
-            if len(integrals) + dec.r == len(scaled.system.states):
-                z0 = scaled_initial_symbolic(scaled)
-                sol = reduced_initial_value(
-                    integrals, list(dec.mu), z0, list(scaled.system.states)
-                )
-                payload["reduced_initial_value"] = {
-                    n: sol[n].render() for n in scaled.system.states
-                }
-                lines.append("reduced initial value:")
-                for n in scaled.system.states:
-                    lines.append(f"  {n}(0) = {sol[n].render()}")
-        except ReductionError as exc:
-            payload["reduced_initial_value"] = None
-            lines.append(f"(no reduced initial value: {exc})")
-    else:
-        payload["qss"] = {n: e.render() for n, e in red.eliminated.solved} if red.eliminated else None
         if red.eliminated:
-            lines.append("fast-variable expressions (first order):")
-            for n, e in red.eliminated.solved:
-                lines.append(f"  {n}_scaled = {e.render()}")
+            _render_elimination(
+                payload, lines, "eliminated", "eliminated form (on the manifold):", red.eliminated
+            )
+        if red.eliminated_conserved:
+            _render_elimination(
+                payload, lines, "eliminated_conserved",
+                "eliminated form (with conservation laws):", red.eliminated_conserved,
+            )
+        if "elimination" in red.errors:
+            payload["eliminated"] = None
+            lines.append(f"(no eliminated form: {red.errors['elimination']})")
+        if "initial_value" in red.errors:
+            payload["reduced_initial_value"] = None
+            lines.append(f"(no reduced initial value: {red.errors['initial_value']})")
+        else:
+            payload["reduced_initial_value"] = {n: v.render() for n, v in red.initial_values.items()}
+            lines.append("reduced initial value:")
+            for n, v in red.initial_values.items():
+                lines.append(f"  {n}(0) = {v.render()}")
+    else:
+        payload["qss"] = {n: e.render() for n, e in red.eliminated.solved}
+        lines.append("fast-variable expressions (first order):")
+        for n, e in red.eliminated.solved:
+            lines.append(f"  {n}_scaled = {e.render()}")
 
-    fast_unknowns = list(scaled.fast_star) if used_mode == "nonstandard" else list(part.fast)
-    cert = eigen_certificate(dec, n_samples=args.samples, seed=args.seed, solve_for=fast_unknowns)
     payload["certificate"] = cert.to_json()
     lines.append(
         f"eigenvalue certificate: {cert.verdict} "
@@ -353,45 +277,29 @@ def cmd_reduce(args) -> int:
 
 def cmd_converge(args) -> int:
     spec = load_spec(args)
-    sys = spec.system
     fast = pick_fast(spec, args)
-    part = Partition.from_fast(sys, fast)
-    params = {p.name: Fraction(1) for p in sys.ctx.params}
+    params = {p.name: Fraction(1) for p in spec.system.ctx.params}
     params.update(parse_assignments(args.set or ""))
     ladder = parse_ladder(args.ladder) if args.ladder else default_ladder()
     try:
-        scaled = apply_scaling(sys, part)
-        try:
-            red = standard_reduce(sys, part)
-            red_names = list(red.states)
-            z0red = {}
-            for n in red_names:
-                iv = sys.initial_values[n]
-                base = params[iv.base] if isinstance(iv.base, str) else Fraction(iv.base)
-                z0red[n] = float(base) * (0.0 if iv.order > 0 else 1.0)
-            rows = red.field
-        except StandardCaseError:
-            ssample = default_sample(scaled.system.ctx, seed=args.seed)
-            dec = nonstandard_decomposition(scaled, ssample, seed=args.seed)
-            red = reduce_with(dec, scaled.system.grade(1))
-            red_names = list(scaled.system.states)
-            integrals = fast_linear_integrals(scaled.system)
-            z0 = scaled_initial_symbolic(scaled)
-            sol = reduced_initial_value(integrals, list(dec.mu), z0, red_names)
-            envp = {k: Fraction(v) for k, v in params.items()}
-            envp["eps"] = Fraction(0)
-            z0red = {n: float(sol[n].eval(envp)) for n in red_names}
-            rows = red.field
+        red = reduce_model(spec.system, fast, seed=args.seed)
+        if "initial_value" in red.errors:
+            raise ReductionError(red.errors["initial_value"])
+        at_limit = dict(params, eps=Fraction(0))
+        z0red = {n: float(v.eval(at_limit)) for n, v in red.initial_values.items()}
         report = convergence_study(
-            scaled.system,
-            rows,
-            red_names,
+            red.scaled.system,
+            red.field,
+            list(red.states),
             z0red,
             params,
             ladder=ladder,
             t1=args.t1,
             t2=args.t2,
         )
+    except InconsistentScalingError as exc:
+        print(f"consistency check failed: {exc.verdict}", file=_sys.stderr)
+        return EXIT_INCONSISTENT
     except (ReductionError, ConsistencyError) as exc:
         print(f"reduction failed: {exc}", file=_sys.stderr)
         return EXIT_REFUSED

@@ -71,10 +71,6 @@ class RFMatrix:
     def column(ctx: Context, vec: Sequence) -> "RFMatrix":
         return RFMatrix(ctx, [[v] for v in vec])
 
-    @staticmethod
-    def from_rows(ctx: Context, rows: Sequence[Sequence]) -> "RFMatrix":
-        return RFMatrix(ctx, rows)
-
     def __getitem__(self, ij: tuple[int, int]) -> RationalFunction:
         i, j = ij
         return self.entries[i][j]
@@ -129,9 +125,6 @@ class RFMatrix:
         col = RFMatrix.column(self.ctx, vec)
         return (self @ col).col(0)
 
-    def transpose(self) -> "RFMatrix":
-        return RFMatrix(self.ctx, [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
     def map(self, fn: Callable[[RationalFunction], RationalFunction]) -> "RFMatrix":
         return RFMatrix(self.ctx, [[fn(v) for v in row] for row in self.entries])
 
@@ -168,106 +161,80 @@ class RFMatrix:
 # ---------------------------------------------------------------------------
 
 
-def fraction_rank(m: list[list[Fraction]]) -> int:
-    """Rank of a Fraction matrix by plain Gaussian elimination."""
-    m = [row[:] for row in m]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    rank = 0
-    for c in range(cols):
-        piv = None
-        for r in range(rank, rows):
-            if m[r][c] != 0:
-                piv = r
-                break
+def fraction_echelon(a: list[list[Fraction]], ncols: int) -> tuple[list[int], int]:
+    """Forward Gaussian elimination of a Fraction matrix, in place.
+
+    Pivots are searched in the first ``ncols`` columns; entries to their right
+    (an augmented column) are carried along.  Returns the pivot column of each
+    echelon row, in row order, and the sign of the row permutation applied.
+    """
+    rows = len(a)
+    width = len(a[0]) if rows else 0
+    pivots: list[int] = []
+    sign = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == rows:
+            break
+        piv = next((rr for rr in range(r, rows) if a[rr][c] != 0), None)
         if piv is None:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][c]
-        for r in range(rank + 1, rows):
-            if m[r][c] != 0:
-                f = m[r][c] / pv
-                for cc in range(c, cols):
-                    m[r][cc] -= f * m[rank][cc]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        pv = a[r][c]
+        for rr in range(r + 1, rows):
+            if a[rr][c] != 0:
+                f = a[rr][c] / pv
+                for cc in range(c, width):
+                    a[rr][cc] -= f * a[r][cc]
+        pivots.append(c)
+    return pivots, sign
+
+
+def _back_substitute(a: list[list[Fraction]], pivots: list[int], x: list[Fraction]) -> list[Fraction]:
+    """Fill the pivot entries of x so that every echelon row has a . x = 0.
+
+    Non-pivot entries of x are kept as given; the result is unique.
+    """
+    for pr in range(len(pivots) - 1, -1, -1):
+        pc = pivots[pr]
+        s = Fraction(0)
+        for cc in range(pc + 1, len(x)):
+            s -= a[pr][cc] * x[cc]
+        x[pc] = s / a[pr][pc]
+    return x
+
+
+def fraction_rank(m: list[list[Fraction]]) -> int:
+    """Rank of a Fraction matrix by plain Gaussian elimination."""
+    return len(fraction_echelon([row[:] for row in m], len(m[0]) if m else 0)[0])
 
 
 def fraction_nullspace(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the right nullspace of a Fraction matrix (RREF-based)."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
+    """Basis of the right nullspace: one vector per free column, set to 1."""
+    cols = len(m[0]) if m else 0
     a = [row[:] for row in m]
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        piv = None
-        for rr in range(r, rows):
-            if a[rr][c] != 0:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pv = a[r][c]
-        a[r] = [v / pv for v in a[r]]
-        for rr in range(rows):
-            if rr != r and a[rr][c] != 0:
-                f = a[rr][c]
-                a[rr] = [v - f * w for v, w in zip(a[rr], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
+    pivots, _ = fraction_echelon(a, cols)
     basis = []
-    free = [c for c in range(cols) if c not in pivots]
-    for fc in free:
-        vec = [Fraction(0)] * cols
-        vec[fc] = Fraction(1)
-        for pr, pc in enumerate(pivots):
-            vec[pc] = -a[pr][fc]
-        basis.append(vec)
+    for fc in range(cols):
+        if fc not in pivots:
+            vec = [Fraction(0)] * cols
+            vec[fc] = Fraction(1)
+            basis.append(_back_substitute(a, pivots, vec))
     return basis
 
 
 def fraction_solve(m: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
     """One solution of m x = b over Fractions, free variables set to 0."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    a = [m[i][:] + [b[i]] for i in range(rows)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(cols):
-        piv = None
-        for rr in range(r, rows):
-            if a[rr][c] != 0:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pv = a[r][c]
-        for rr in range(r + 1, rows):
-            if a[rr][c] != 0:
-                f = a[rr][c] / pv
-                for cc in range(c, cols + 1):
-                    a[rr][cc] -= f * a[r][cc]
-        pivots.append((r, c))
-        r += 1
-        if r == rows:
-            break
-    for rr in range(r, rows):
-        if a[rr][cols] != 0:
-            return None
-    x = [Fraction(0)] * cols
-    for pr, pc in reversed(pivots):
-        s = a[pr][cols]
-        for cc in range(pc + 1, cols):
-            s -= a[pr][cc] * x[cc]
-        x[pc] = s / a[pr][pc]
-    return x
+    cols = len(m[0]) if m else 0
+    a = [m[i][:] + [b[i]] for i in range(len(m))]
+    pivots, _ = fraction_echelon(a, cols)
+    if any(row[cols] != 0 for row in a[len(pivots):]):
+        return None
+    # [m | b] . (x, -1) = 0
+    x = _back_substitute(a, pivots, [Fraction(0)] * cols + [Fraction(-1)])
+    return x[:cols]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 Coefficient = Union[int, Fraction, str]
 
@@ -122,11 +122,6 @@ class Context:
         if not rf.den.is_one():
             raise ValueError(f"expected a polynomial, got denominator {rf.den}")
         return rf.num
-
-    def with_states(self, states: Sequence[str], params: Sequence[str] | None = None) -> "Context":
-        """New context with the given state names (parameters kept by default)."""
-        pnames = [p.name for p in self.params] if params is None else list(params)
-        return Context(states, pnames, eps=self.eps.name)
 
     def __repr__(self):
         return f"Context(states={[s.name for s in self.states]}, params={[p.name for p in self.params]})"
@@ -535,14 +530,6 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_polynomial(self) -> bool:
-        return self.den.is_one()
-
-    def as_polynomial(self) -> Polynomial:
-        if not self.den.is_one():
-            raise ValueError(f"{self} is not a polynomial")
-        return self.num
-
     # -- arithmetic ----------------------------------------------------------
 
     def _coerce_other(self, other) -> "RationalFunction":
@@ -888,10 +875,3 @@ class _Parser:
         if tok in self.ctx.index:
             return RationalFunction.of(self.ctx.sym(tok))
         raise ValueError(f"unknown symbol {tok!r}")
-
-
-PolyVector = list  # list[Polynomial]; alias used for readability in signatures
-
-
-def poly_vector(ctx: Context, exprs: Iterable[str]) -> list[Polynomial]:
-    return [ctx.parse_poly(s) for s in exprs]

@@ -38,11 +38,14 @@ from .stability import is_hurwitz_stable, max_real_part
 from .systems import (
     FULL_LTC,
     GradedSystem,
-    InitialValue,
+    LtcVerdict,
     Partition,
     ScaledSystem,
+    apply_scaling,
     check_ltc,
+    linear_first_integrals,
     star_name,
+    translate_poly,
 )
 
 
@@ -60,6 +63,20 @@ class StandardCaseError(ReductionError):
 
 class NonstandardError(ReductionError):
     """The rank-deficient route failed (no w with g1 = G*w, or bad rank)."""
+
+
+class InconsistentScalingError(ReductionError):
+    """The partition is not fully consistent (fullLTC); no reduction exists."""
+
+    def __init__(self, verdict: LtcVerdict):
+        super().__init__(f"system is not fully consistent for this partition: {verdict}")
+        self.verdict = verdict
+
+
+def _require_full_ltc(sys: GradedSystem, part: Partition) -> None:
+    verdict = check_ltc(sys, part)
+    if verdict.status != FULL_LTC:
+        raise InconsistentScalingError(verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +172,8 @@ def standard_decomposition(sys: GradedSystem, part: Partition) -> Decomposition:
     h0 factors through the fast variables (Hadamard), P stacks the factor
     matrix rows in state order, and Dmu is the fast-coordinate selection.
     """
-    verdict = check_ltc(sys, part)
-    if verdict.status != FULL_LTC:
-        raise ReductionError(f"system is not fully consistent for this partition: {verdict}")
-    h0 = sys.grade(0)
-    M = hadamard_factor(h0, list(part.fast))
+    _require_full_ltc(sys, part)
+    M = hadamard_factor(sys.grade(0), list(part.fast))
     mu = [RationalFunction.of(sys.ctx.sym(n)) for n in part.fast]
     return Decomposition(sys.ctx, tuple(sys.states), M, mu, "standard")
 
@@ -403,7 +417,13 @@ class EliminatedForm:
 
 @dataclass
 class ReducedSystem:
-    """Slow-time limit field on the critical manifold."""
+    """Slow-time limit field on the critical manifold.
+
+    ``reduce_model`` also fills ``scaled`` (the scaled full system),
+    ``initial_values`` (the reduced initial value in the limit eps -> 0) and
+    ``errors`` (stage name -> why an optional stage produced nothing);
+    ``reduce_extras`` fills the transported integrals and eliminated forms.
+    """
 
     states: tuple[str, ...]
     field: list[RationalFunction]
@@ -411,7 +431,10 @@ class ReducedSystem:
     decomposition: "Decomposition | None" = None
     transported_integrals: list[TransportedIntegral] = field(default_factory=list)
     eliminated: "EliminatedForm | None" = None
-    initial_values: dict[str, InitialValue] = field(default_factory=dict)
+    initial_values: dict[str, RationalFunction] = field(default_factory=dict)
+    scaled: "ScaledSystem | None" = None
+    eliminated_conserved: "EliminatedForm | None" = None
+    errors: dict[str, str] = field(default_factory=dict)
 
     def row(self, name: str) -> RationalFunction:
         return self.field[self.states.index(name)]
@@ -419,13 +442,8 @@ class ReducedSystem:
 
 def reduce_with(dec: Decomposition, h1: Sequence[Polynomial]) -> ReducedSystem:
     """q = h1 - P*gamma with (Dmu P) gamma = Dmu h1; equals Q*h1 without forming Q."""
-    ctx = dec.ctx
-    h1_rf = [RationalFunction.coerce(ctx, p) for p in h1]
-    rhs = dec.dmu().mul_vector(h1_rf)
-    gamma = linear_solve(dec.dmup(), rhs)
-    if isinstance(gamma, NoSolution):
-        raise ReductionError("Dmu*P is singular over the rational-function field; reduction refused")
-    pg = dec.P.mul_vector(gamma)
+    h1_rf = [RationalFunction.coerce(dec.ctx, p) for p in h1]
+    pg = dec.P.mul_vector(first_order_correction(dec, h1_rf))
     q = [a - b for a, b in zip(h1_rf, pg)]
     return ReducedSystem(dec.states, q, dec.manifold(), dec)
 
@@ -435,18 +453,16 @@ def standard_reduce(sys: GradedSystem, part: Partition) -> ReducedSystem:
 
     Returns the r-dimensional slow field
     f1(x,0) - F0(x,0) G0(x,0)^(-1) g1(x,0) together with the first-order
-    manifold data y* = -G0(x,0)^(-1) g1(x,0).  Refuses (StandardCaseError)
-    when G0(x,0) is singular.
+    manifold data y* = -G0(x,0)^(-1) g1(x,0), and the standard decomposition
+    whose P supplies F0 and G0.  Refuses (StandardCaseError) when G0(x,0) is
+    singular.
     """
-    verdict = check_ltc(sys, part)
-    if verdict.status != FULL_LTC:
-        raise ReductionError(f"system is not fully consistent for this partition: {verdict}")
+    dec = standard_decomposition(sys, part)
     ctx = sys.ctx
-    h0 = sys.grade(0)
     h1 = sys.grade(1)
     fast = list(part.fast)
     at_zero = {n: 0 for n in fast}
-    M = hadamard_factor(h0, fast)
+    M = dec.P
     F0 = RFMatrix(ctx, [
         [M.entries[sys.state_index(x)][j].subs(at_zero) for j in range(len(fast))]
         for x in part.slow
@@ -471,12 +487,10 @@ def standard_reduce(sys: GradedSystem, part: Partition) -> ReducedSystem:
     manifold_eqs = tuple(
         RationalFunction.of(ctx.sym(n)) - expr for n, expr in zip(part.fast, qss)
     )
-    red = ReducedSystem(tuple(part.slow), reduced, CriticalManifold(manifold_eqs, part.r))
+    red = ReducedSystem(tuple(part.slow), reduced, CriticalManifold(manifold_eqs, part.r), dec)
     red.eliminated = EliminatedForm(
         [(n, expr) for n, expr in zip(part.fast, qss)], tuple(part.slow), reduced
     )
-    ivs = {n: sys.initial_values[n] for n in part.slow}
-    red.initial_values = ivs
     return red
 
 
@@ -484,20 +498,7 @@ def nonstandard_reduce(
     scaled: ScaledSystem, sample: Mapping[str, Fraction], seed: int = 0
 ) -> ReducedSystem:
     dec = nonstandard_decomposition(scaled, sample, seed=seed)
-    red = reduce_with(dec, scaled.system.grade(1))
-    red.initial_values = dict(scaled.system.initial_values)
-    return red
-
-
-def general_reduce(
-    scaled: ScaledSystem, sample: Mapping[str, Fraction]
-) -> ReducedSystem:
-    """Greedy decomposition route on a scaled, fully consistent system."""
-    sys = scaled.system
-    dec = find_decomposition(sys.grade(0), sample)
-    red = reduce_with(dec, sys.grade(1))
-    red.initial_values = dict(sys.initial_values)
-    return red
+    return reduce_with(dec, scaled.system.grade(1))
 
 
 # ---------------------------------------------------------------------------
@@ -507,24 +508,19 @@ def general_reduce(
 
 def slow_manifold_first_order(dec: Decomposition, h1: Sequence[Polynomial]) -> list[RationalFunction]:
     """Defining equations mu + eps*(Dmu P)^(-1) Dmu h1 of the first-order manifold."""
-    ctx = dec.ctx
-    h1_rf = [RationalFunction.coerce(ctx, p) for p in h1]
-    rhs = dec.dmu().mul_vector(h1_rf)
-    psi = linear_solve(dec.dmup(), rhs)
-    if isinstance(psi, NoSolution):
-        raise ReductionError("Dmu*P singular; no first-order manifold")
-    eps = RationalFunction.of(ctx.sym(ctx.eps.name))
-    return [m + eps * p for m, p in zip(dec.mu, psi)]
+    eps = RationalFunction.of(dec.ctx.sym(dec.ctx.eps.name))
+    return [m + eps * p for m, p in zip(dec.mu, first_order_correction(dec, h1))]
 
 
 def first_order_correction(dec: Decomposition, h1: Sequence[Polynomial]) -> list[RationalFunction]:
-    """The order-eps coefficient Psi0 of the first-order manifold equations."""
-    ctx = dec.ctx
-    h1_rf = [RationalFunction.coerce(ctx, p) for p in h1]
-    rhs = dec.dmu().mul_vector(h1_rf)
-    psi = linear_solve(dec.dmup(), rhs)
+    """The order-eps coefficient Psi0 of the first-order manifold equations.
+
+    Psi0 solves (Dmu P) Psi0 = Dmu h1; it is also the gamma of ``reduce_with``.
+    """
+    h1_rf = [RationalFunction.coerce(dec.ctx, p) for p in h1]
+    psi = linear_solve(dec.dmup(), dec.dmu().mul_vector(h1_rf))
     if isinstance(psi, NoSolution):
-        raise ReductionError("Dmu*P singular; no first-order manifold")
+        raise ReductionError("Dmu*P is singular over the rational-function field")
     return psi
 
 
@@ -588,8 +584,10 @@ def eigen_certificate(
     M = dec.dmup()
     degree = M.rows
     points: list[dict[str, Fraction]] = []
+    rejected = 0
     if sample_points is not None:
-        points = [dict(p) for p in sample_points]
+        points = [dict(p) for p in sample_points if _on_manifold(dec.mu, p)]
+        rejected = len(sample_points) - len(points)
     else:
         unknowns = list(solve_for) if solve_for is not None else [n for n in dec.states]
         solved = solve_equations_linear(
@@ -606,32 +604,10 @@ def eigen_certificate(
                         pt[name] = expr.eval(pt)
                 except ZeroDivisionError:
                     continue
-            ok = True
-            for m in dec.mu:
-                try:
-                    if m.eval(pt) != 0:
-                        ok = False
-                        break
-                except ZeroDivisionError:
-                    ok = False
-                    break
-            if ok:
+            if _on_manifold(dec.mu, pt):
                 points.append(pt)
     samples: list[EigenSample] = []
-    rejected = 0
     for pt in points:
-        on_manifold = True
-        for m in dec.mu:
-            try:
-                if m.eval(pt) != 0:
-                    on_manifold = False
-                    break
-            except ZeroDivisionError:
-                on_manifold = False
-                break
-        if not on_manifold:
-            rejected += 1
-            continue
         try:
             exact = M.eval(pt)
         except ZeroDivisionError:
@@ -650,6 +626,14 @@ def eigen_certificate(
     method = "routh_hurwitz_exact+numeric" if degree <= 4 else "numeric_sampling"
     verdict = "pass" if ok else "fail"
     return EigenCertificate(M, verdict, margin, samples, method, rejected)
+
+
+def _on_manifold(mu: Sequence[RationalFunction], pt: Mapping[str, Fraction]) -> bool:
+    """Every manifold equation vanishes exactly at the point (and is defined there)."""
+    try:
+        return all(m.eval(pt) == 0 for m in mu)
+    except ZeroDivisionError:
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -845,8 +829,6 @@ def transform_first_integral(
         raise ReductionError(
             f"not a first integral; Lie derivative residue: {lie.render()}"
         )
-    from .systems import translate_poly
-
     sctx = scaled.system.ctx
     rename = {n: star_name(n) for n in scaled.partition.fast}
     num = translate_poly(phi.num, sctx, rename)
@@ -858,19 +840,21 @@ def transform_first_integral(
     return TransportedIntegral(order, lead)
 
 
-def fast_linear_integrals(sys: GradedSystem) -> list[RationalFunction]:
-    """Linear first integrals of the lowest-grade (fast) flow, as functions."""
-    from .systems import linear_first_integrals
-
-    g0_only = GradedSystem(sys.ctx, [sys.grade(0)], sys.initial_values, 0)
+def linear_integral_forms(sys: GradedSystem) -> list[RationalFunction]:
+    """Linear first integrals w.z of every grade of the system, as functions."""
     out = []
-    for w in linear_first_integrals(g0_only):
+    for w in linear_first_integrals(sys):
         acc = sys.ctx.zero()
         for wi, name in zip(w, sys.states):
             if wi:
                 acc = acc + sys.ctx.sym(name) * wi
         out.append(RationalFunction.of(acc))
     return out
+
+
+def fast_linear_integrals(sys: GradedSystem) -> list[RationalFunction]:
+    """Linear first integrals of the lowest-grade (fast) flow, as functions."""
+    return linear_integral_forms(GradedSystem(sys.ctx, [sys.grade(0)], sys.initial_values, 0))
 
 
 def integral_level(ti: TransportedIntegral, scaled: ScaledSystem) -> RationalFunction:
@@ -881,10 +865,14 @@ def integral_level(ti: TransportedIntegral, scaled: ScaledSystem) -> RationalFun
 
 def scaled_initial_symbolic(scaled: ScaledSystem) -> dict[str, RationalFunction]:
     """Initial point of the scaled system in the limit: order-0 bases survive."""
-    ctx = scaled.system.ctx
+    return _initial_limit(scaled.system, scaled.system.states)
+
+
+def _initial_limit(sys: GradedSystem, names: Sequence[str]) -> dict[str, RationalFunction]:
+    ctx = sys.ctx
     out: dict[str, RationalFunction] = {}
-    for name in scaled.system.states:
-        iv = scaled.system.initial_values[name]
+    for name in names:
+        iv = sys.initial_values[name]
         if iv.order < 0 and not iv.is_zero():
             raise ReductionError(
                 f"initial value of {name} has negative eps-order; scaling is inconsistent"
@@ -987,3 +975,106 @@ def _newton_initial_value(eqs, point, states, tol, max_iter):
             raise ReductionError(f"Newton fallback failed: {exc}")
         x = x + step
     raise ReductionError("Newton fallback did not converge")
+
+
+# ---------------------------------------------------------------------------
+# Pipeline
+# ---------------------------------------------------------------------------
+
+
+def reduce_model(
+    system: GradedSystem, fast: Sequence[str], mode: str = "auto", seed: int = 0
+) -> ReducedSystem:
+    """Consistency check, route choice, reduction and reduced initial value.
+
+    ``mode`` "auto" takes the standard route (mu = fast variables) when the
+    fast-block matrix G0(x,0) is invertible and the rank-deficient route on
+    the scaled system otherwise; "standard" and "nonstandard" force one
+    route.  Raises InconsistentScalingError when the partition is not fully
+    consistent, and ReductionError when the chosen route is refused.  A
+    failed reduced initial value is recorded in ``errors["initial_value"]``.
+    """
+    if mode not in ("auto", "standard", "nonstandard"):
+        raise ValueError(f"unknown reduction mode {mode!r}")
+    part = Partition.from_fast(system, fast)
+    red = None
+    if mode == "nonstandard":
+        _require_full_ltc(system, part)
+    else:
+        # standard_decomposition checks consistency on this route
+        try:
+            red = standard_reduce(system, part)
+        except StandardCaseError:
+            if mode == "standard":
+                raise
+    scaled = apply_scaling(system, part)
+    if red is None:
+        ssample = default_sample(scaled.system.ctx, seed=seed)
+        red = nonstandard_reduce(scaled, ssample, seed=seed)
+    red.scaled = scaled
+    try:
+        red.initial_values = _reduced_start(red)
+    except ReductionError as exc:
+        red.errors["initial_value"] = str(exc)
+    return red
+
+
+def _reduced_start(red: ReducedSystem) -> dict[str, RationalFunction]:
+    """Reduced initial value at eps -> 0.
+
+    Standard route: the slow initial values.  Nonstandard route: the manifold
+    meets the level sets of the fast flow's linear first integrals through
+    the scaled initial point, which fixes one point when the integrals and
+    the manifold codimension together number the states.
+    """
+    dec, scaled = red.decomposition, red.scaled
+    if dec.mode == "standard":
+        return _initial_limit(scaled.system, red.states)
+    integrals = fast_linear_integrals(scaled.system)
+    if len(integrals) + dec.r != dec.n:
+        raise ReductionError(
+            f"{len(integrals)} linear first integrals of the fast flow and {dec.r} manifold "
+            f"equations do not fix one point among {dec.n} states"
+        )
+    z0 = scaled_initial_symbolic(scaled)
+    sol = reduced_initial_value(integrals, list(dec.mu), z0, list(dec.states))
+    return {n: sol[n] for n in dec.states}
+
+
+def reduce_extras(
+    red: ReducedSystem, system: GradedSystem, n_samples: int = 25, seed: int = 0
+) -> EigenCertificate:
+    """Report-only stages on a ``reduce_model`` result; returns the certificate.
+
+    On the nonstandard route, fills the transported linear first integrals of
+    ``system`` (the unscaled model) and the eliminated forms: the manifold
+    solved for the scaled fast variables and, when that leaves some of them,
+    the form with the conservation levels added.  A failed elimination is
+    recorded in ``errors["elimination"]``.
+    """
+    scaled = red.scaled
+    if red.decomposition.mode == "standard":
+        fast = list(scaled.partition.fast)
+    else:
+        fast = list(scaled.fast_star)
+        extra_relations = []
+        for phi in linear_integral_forms(system):
+            try:
+                ti = transform_first_integral(phi, system, scaled)
+            except ReductionError:
+                continue
+            ti.level = integral_level(ti, scaled)
+            red.transported_integrals.append(ti)
+            # only level sets that constrain the scaled fast variables help the
+            # manifold elimination; slow-variable laws stay informational
+            if not set(ti.rf.num.symbols_used()).isdisjoint(fast):
+                extra_relations.append(ti.rf - ti.level)
+        try:
+            red.eliminated = eliminate_on_manifold(red, [], fast)
+            if extra_relations and any(n in red.eliminated.states for n in fast):
+                conserved = eliminate_on_manifold(red, extra_relations, fast)
+                if len(conserved.states) < len(red.eliminated.states):
+                    red.eliminated_conserved = conserved
+        except ReductionError as exc:
+            red.errors["elimination"] = str(exc)
+    return eigen_certificate(red.decomposition, n_samples=n_samples, seed=seed, solve_for=fast)

@@ -71,6 +71,18 @@ def _poly_expr(p: Polynomial, state_pos: Mapping[str, int], env: Mapping[str, fl
     return parts
 
 
+def _float_env(params: Mapping[str, object]) -> dict[str, float]:
+    return {k: float(Fraction(str(v))) if not isinstance(v, (int, float, Fraction)) else float(v) for k, v in params.items()}
+
+
+def _compile_field(exprs: Sequence[str]) -> Callable[[float, np.ndarray], np.ndarray]:
+    """Compile one python expression per row into a vector field (t, z) -> dz."""
+    src = "def _field(t, z):\n    return np.array([" + ", ".join(exprs) + "], dtype=float)\n"
+    namespace: dict = {"np": np}
+    exec(src, namespace)
+    return namespace["_field"]
+
+
 def compile_rows(
     rows: Sequence[RationalFunction | Polynomial],
     state_names: Sequence[str],
@@ -81,7 +93,7 @@ def compile_rows(
 
     Parameter values (and eps, when given) are folded into the coefficients.
     """
-    env = {k: float(Fraction(str(v))) if not isinstance(v, (int, float, Fraction)) else float(v) for k, v in params.items()}
+    env = _float_env(params)
     if eps is not None:
         env.setdefault("eps", float(eps))
     pos = {n: i for i, n in enumerate(state_names)}
@@ -96,10 +108,7 @@ def compile_rows(
             den_parts = _poly_expr(rf.den, pos, env, 1.0)
             den = " + ".join(den_parts) if den_parts else "0.0"
             exprs.append(f"({num})/({den})")
-    src = "def _field(t, z):\n    return np.array([" + ", ".join(exprs) + "], dtype=float)\n"
-    namespace: dict = {"np": np}
-    exec(src, namespace)
-    return namespace["_field"]
+    return _compile_field(exprs)
 
 
 def compile_system(
@@ -116,7 +125,7 @@ def compile_system(
     if time not in ("slow", "fast"):
         raise ValueError("time must be 'slow' or 'fast'")
     shift = -1 if time == "slow" else 0
-    env = {k: float(Fraction(str(v))) if not isinstance(v, (int, float, Fraction)) else float(v) for k, v in params.items()}
+    env = _float_env(params)
     pos = {n: i for i, n in enumerate(sys.states)}
     row_parts: list[list[str]] = [[] for _ in sys.states]
     for order, g in zip(sys.orders(), sys.grades):
@@ -124,10 +133,7 @@ def compile_system(
         for i, p in enumerate(g):
             row_parts[i].extend(_poly_expr(p, pos, env, weight))
     exprs = ["(" + (" + ".join(parts) if parts else "0.0") + ")" for parts in row_parts]
-    src = "def _field(t, z):\n    return np.array([" + ", ".join(exprs) + "], dtype=float)\n"
-    namespace: dict = {"np": np}
-    exec(src, namespace)
-    return namespace["_field"]
+    return _compile_field(exprs)
 
 
 def numeric_initial_state(
@@ -202,17 +208,17 @@ class Trajectory:
         return self.states[:, self.names.index(name)]
 
     def write_csv(self, path: str):
-        with open(path, "w") as fh:
-            fh.write("tau," + ",".join(self.names) + "\n")
-            for t, row in zip(self.taus, self.states):
-                fh.write(f"{t:.12g}," + ",".join(f"{v:.12g}" for v in row) + "\n")
+        self._write_columns(path, ",", "")
 
     def write_dat(self, path: str):
         """Whitespace-separated columns with a '#' header (plotting tools)."""
+        self._write_columns(path, " ", "# ")
+
+    def _write_columns(self, path: str, sep: str, header_prefix: str):
         with open(path, "w") as fh:
-            fh.write("# tau " + " ".join(self.names) + "\n")
+            fh.write(f"{header_prefix}tau{sep}" + sep.join(self.names) + "\n")
             for t, row in zip(self.taus, self.states):
-                fh.write(f"{t:.12g} " + " ".join(f"{v:.12g}" for v in row) + "\n")
+                fh.write(f"{t:.12g}{sep}" + sep.join(f"{v:.12g}" for v in row) + "\n")
 
 
 def integrate(

@@ -14,6 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .matrices import fraction_echelon
+
 
 def hurwitz_minors(coeffs: Sequence[Fraction]) -> list[Fraction]:
     """Leading principal minors of the Hurwitz matrix of a monic polynomial.
@@ -39,27 +41,14 @@ def hurwitz_minors(coeffs: Sequence[Fraction]) -> list[Fraction]:
 
 
 def _det_fraction(m: list[list[Fraction]]) -> Fraction:
-    m = [row[:] for row in m]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if m[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c] != 0:
-                f = m[r][c] * inv
-                for cc in range(c, n):
-                    m[r][cc] -= f * m[c][cc]
+    a = [row[:] for row in m]
+    n = len(a)
+    pivots, sign = fraction_echelon(a, n)
+    if len(pivots) < n:
+        return Fraction(0)
+    det = Fraction(sign)
+    for k in range(n):
+        det *= a[k][k]
     return det
 
 

@@ -153,27 +153,10 @@ class GradedSystem:
                 out[i] = out[i] + w * p
         return out
 
-    def map_grades(self, fn) -> "GradedSystem":
-        return GradedSystem(
-            self.ctx,
-            [[fn(p) for p in g] for g in self.grades],
-            self.initial_values,
-            self.lowest_order,
-        )
-
     def with_initial_values(self, ivs: Mapping[str, InitialValue]) -> "GradedSystem":
         merged = dict(self.initial_values)
         merged.update(ivs)
         return GradedSystem(self.ctx, self.grades, merged, self.lowest_order)
-
-    def initial_point(self, eps_value: Fraction, params: Mapping[str, Fraction]) -> dict[str, Fraction]:
-        """Numeric initial state for a concrete eps and parameter assignment."""
-        out = {}
-        for name in self.states:
-            iv = self.initial_values[name]
-            base = params[iv.base] if isinstance(iv.base, str) else iv.base
-            out[name] = Q(base) * (Q(eps_value) ** iv.order)
-        return out
 
     def render(self) -> str:
         lines = []
@@ -260,9 +243,6 @@ INCONSISTENT = "inconsistent"
 class LtcVerdict:
     status: str
     witness: "tuple[str, Polynomial] | None" = None
-
-    def is_locally_consistent(self) -> bool:
-        return self.status in (FULL_LTC, CONSISTENT_ONLY)
 
     def __str__(self):
         if self.witness is None:

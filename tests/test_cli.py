@@ -71,6 +71,30 @@ def test_check_iv_inconsistent_model_file(tmp_path, capsys):
     assert payload["initial_value_consistent"] is False
 
 
+def test_converge_inconsistent_partition_exit_two(capsys):
+    code = main(["converge", "--builtin", "mm3d", "--fast", "s", "--ladder", "1e-1,5e-2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("consistency check failed: inconsistent")
+
+
+def test_reduce_standard_route_factors_once(capsys, monkeypatch):
+    from tfred import reduction
+
+    calls = []
+    original = reduction.hadamard_factor
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(reduction, "hadamard_factor", counting)
+    code, payload = run_json(capsys, "reduce", "--builtin", "mm2d")
+    assert code == 0
+    assert payload["mode"] == "standard"
+    assert len(calls) == 1
+
+
 def test_unknown_builtin_is_an_error(capsys):
     code = main(["check", "--builtin", "nope"])
     assert code != 0
@@ -153,6 +177,40 @@ def test_golden_transport_binding(capsys):
         assert_symbolic(ctx, erows[state], want)
     for state, want in g["reduced_initial_value"].items():
         assert_symbolic(ctx, payload["reduced_initial_value"][state], want)
+
+
+def _rows(lines):
+    return {r.split("'")[0].strip(): r.split("=", 1)[1] for r in lines}
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["chain3", "chain3_slowk4", "mm3d_deg", "mm_diffusion", "transport_binding_slow", "linex"],
+)
+def test_golden_reduce(capsys, name):
+    g = golden(name)
+    code, payload = run_json(capsys, "reduce", "--builtin", name)
+    assert code == g["exit_code"]
+    assert payload["mode"] == g["mode"]
+    assert payload["manifold_dimension"] == g["manifold_dimension"]
+    assert payload["certificate"]["verdict"] == g["certificate_verdict"]
+    ctx = scaled_ctx(name)
+
+    def same(got: dict, want: dict):
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            assert_symbolic(ctx, got[key], value)
+
+    same(_rows(payload["reduced"]), g["reduced"])
+    for key in ("qss", "reduced_initial_value", "eliminated", "eliminated_conserved"):
+        assert (key in payload) == (key in g), key
+        if g.get(key) is None:
+            assert payload.get(key) is None
+        elif key.startswith("eliminated"):
+            same(dict(payload[key]["solved"]), g[key]["solved"])
+            same(_rows(payload[key]["rows"]), g[key]["rows"])
+        else:
+            same(payload[key], g[key])
 
 
 # -- other commands ------------------------------------------------------------------

@@ -13,6 +13,9 @@ from tfred.matrices import (
     RankError,
     char_poly,
     determinant,
+    fraction_nullspace,
+    fraction_rank,
+    fraction_solve,
     hadamard_factor,
     invert,
     jacobian,
@@ -266,3 +269,54 @@ def test_jacobian(mm):
     assert J.entries[0][0] == mm.parse("k1*e_star")
     assert J.entries[0][1] == mm.parse("k1*s")
     assert J.entries[0][2] == mm.parse("-(km1 + k2)")
+
+
+# -- exact Fraction kernels ----------------------------------------------------------
+
+
+def _fraction_det_oracle(m):
+    if len(m) == 1:
+        return m[0][0]
+    return sum(
+        (-1) ** j * m[0][j] * _fraction_det_oracle([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(len(m))
+    )
+
+
+def _random_fraction_matrix(rng, rows, cols):
+    # low-rank products and sparse entries so that free columns occur often
+    k = rng.randint(0, min(rows, cols))
+    a = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(k)] for _ in range(rows)]
+    b = [[Fraction(rng.choice([0, 0, 1, -2, 3])) for _ in range(cols)] for _ in range(k)]
+    return [[sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(cols)] for i in range(rows)]
+
+
+def test_fraction_kernels_on_random_matrices():
+    from tfred.stability import _det_fraction
+
+    rng = random.Random(3)
+    for _ in range(200):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        m = _random_fraction_matrix(rng, rows, cols)
+        before = [row[:] for row in m]
+        rank = fraction_rank(m)
+        null = fraction_nullspace(m)
+        assert rank + len(null) == cols
+        # a column is free when it adds nothing to the rank of the columns before it
+        free = [
+            c for c in range(cols)
+            if fraction_rank([row[: c + 1] for row in m]) == fraction_rank([row[:c] for row in m])
+        ]
+        for k, v in enumerate(null):
+            assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in m)
+            # the unique basis: 1 on its own free column, 0 on the others
+            assert [v[c] for c in free] == [Fraction(int(j == k)) for j in range(len(free))]
+        x0 = [Fraction(rng.randint(-2, 2)) for _ in range(cols)]
+        b = [sum((a * x for a, x in zip(row, x0)), Fraction(0)) for row in m]
+        x = fraction_solve(m, b)
+        assert [sum((a * xi for a, xi in zip(row, x)), Fraction(0)) for row in m] == b
+        assert all(x[c] == 0 for c in free)
+        assert fraction_solve(m + [[Fraction(0)] * cols], b + [Fraction(1)]) is None
+        if rows == cols:
+            assert _det_fraction(m) == _fraction_det_oracle(m)
+        assert m == before

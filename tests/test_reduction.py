@@ -31,7 +31,6 @@ from tfred.reduction import (
     fast_integrals_approx,
     find_decomposition,
     first_order_correction,
-    general_reduce,
     integral_level,
     lie_derivative,
     nonstandard_decomposition,
