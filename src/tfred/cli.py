@@ -26,7 +26,13 @@ from .ltc import minimal_ltc_sets, preassigned_conditions
 from .matrices import ConsistencyError
 from .modelfile import load_model
 from .rational import SymbolicError
-from .reduction import InconsistentScalingError, ReductionError, reduce_extras, reduce_model
+from .reduction import (
+    InconsistentScalingError,
+    ReductionError,
+    eigen_certificate,
+    reduce_extras,
+    reduce_model,
+)
 from .sim import (
     IntegrationError,
     convergence_study,
@@ -286,7 +292,17 @@ def cmd_converge(args) -> int:
         if "initial_value" in red.errors:
             raise ReductionError(red.errors["initial_value"])
         at_limit = dict(params, eps=Fraction(0))
-        z0red = {n: float(v.eval(at_limit)) for n, v in red.initial_values.items()}
+        iv = {n: v.eval(at_limit) for n, v in red.initial_values.items()}
+        # the fast block must attract at the start of the reduced flow; on
+        # the standard route the fast variables sit at 0 there
+        start = {**at_limit, **{n: Fraction(0) for n in red.decomposition.states}, **iv}
+        cert = eigen_certificate(red.decomposition, sample_points=[start])
+        if cert.verdict == "fail":
+            raise ReductionError(
+                f"eigenvalue certificate fails at the chosen parameters "
+                f"(margin {cert.nu_margin:.6g}); the fast block does not attract"
+            )
+        z0red = {n: float(v) for n, v in iv.items()}
         report = convergence_study(
             red.scaled.system,
             red.field,

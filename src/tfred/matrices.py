@@ -30,13 +30,19 @@ class RankError(SymbolicError):
 
 
 class NoSolution:
-    """Marker result for inconsistent linear systems; carries the bad row."""
+    """Marker result for a linear system without a (unique) solution.
 
-    def __init__(self, row: int):
+    ``row`` is the original index of an inconsistent row and ``col`` the first
+    inconsistent right-hand column; both are None when the system is
+    consistent but its coefficient columns are dependent.
+    """
+
+    def __init__(self, row: "int | None", col: "int | None" = None):
         self.row = row
+        self.col = col
 
     def __repr__(self):
-        return f"NoSolution(row={self.row})"
+        return f"NoSolution(row={self.row}, col={self.col})"
 
 
 class RFMatrix:
@@ -243,33 +249,48 @@ def fraction_solve(m: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]
 
 
 def _clear_row_denominators(
-    ctx: Context, row: list[RationalFunction]
-) -> list[Polynomial]:
-    """Scale a row by the product of its denominators; returns polynomials."""
+    ctx: Context, row: list[RationalFunction], ncols: int
+) -> tuple[list[Polynomial], Polynomial]:
+    """Scale a row by a common multiple of its denominators.
+
+    The multiplier is the product of the denominators of the first ``ncols``
+    entries times that of the right-hand entries after them, where a
+    right-hand denominator already dividing the right-hand product so far is
+    skipped.  Returns the polynomial row and the multiplier.
+    """
     mult = ctx.one()
-    for v in row:
+    for v in row[:ncols]:
         if not v.den.is_one():
             mult = mult * v.den
+    rhs = ctx.one()
+    for v in row[ncols:]:
+        if not v.den.is_one() and rhs.exact_divide(v.den) is None:
+            rhs = rhs * v.den
+    mult = mult * rhs
     out = []
     for v in row:
         q = mult.exact_divide(v.den)
-        # product of the *other* denominators; exact by construction
+        # exact by construction
         assert q is not None
         out.append(v.num * q)
-    return out
+    return out, mult
 
 
-def _bareiss(rows: list[list[Polynomial]], ncols: int) -> tuple[list[list[Polynomial]], list[int], list[int]]:
+def _bareiss(
+    rows: list[list[Polynomial]], ncols: int
+) -> tuple[list[list[Polynomial]], list[int], list[int], int]:
     """Fraction-free forward elimination.
 
-    Returns (echelon rows, pivot column list, row permutation applied), where
-    echelon rows keep polynomial entries and each elimination step divides by
-    the previous pivot exactly (Bareiss).
+    Returns (echelon rows, pivot column list, row permutation applied, sign of
+    that permutation), where echelon rows keep polynomial entries and each
+    elimination step divides by the previous pivot exactly (Bareiss).  Rows
+    below the pivot block are zero in the first ``ncols`` columns.
     """
     a = [row[:] for row in rows]
     nrows = len(a)
     perm = list(range(nrows))
     pivots: list[int] = []
+    sign = 1
     prev = None  # previous pivot polynomial
     r = 0
     for c in range(ncols):
@@ -283,8 +304,10 @@ def _bareiss(rows: list[list[Polynomial]], ncols: int) -> tuple[list[list[Polyno
                     piv = rr
         if piv is None:
             continue
-        a[r], a[piv] = a[piv], a[r]
-        perm[r], perm[piv] = perm[piv], perm[r]
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            perm[r], perm[piv] = perm[piv], perm[r]
+            sign = -sign
         pv = a[r][c]
         for rr in range(r + 1, nrows):
             if all(a[rr][j].is_zero() for j in range(c, len(a[rr]))):
@@ -306,57 +329,64 @@ def _bareiss(rows: list[list[Polynomial]], ncols: int) -> tuple[list[list[Polyno
         r += 1
         if r == nrows:
             break
-    return a, pivots, perm
+    return a, pivots, perm, sign
+
+
+def _solve(M: RFMatrix, B: RFMatrix, unique: bool) -> "RFMatrix | NoSolution":
+    """M X = B by one fraction-free elimination of [M | B].
+
+    Each row of [M | B] is cleared of denominators once and every column of B
+    is back-substituted through the same echelon form.  An inconsistent
+    column gives NoSolution naming the first such column and the (original)
+    index of an offending row.  Free variables are set to zero, unless
+    ``unique`` asks for NoSolution when the columns of M are dependent.
+    """
+    ctx = M.ctx
+    if B.rows != M.rows:
+        raise ValueError("right-hand side length mismatch")
+    n = M.cols
+    aug = [_clear_row_denominators(ctx, M.row(i) + B.row(i), n)[0] for i in range(M.rows)]
+    ech, pivots, perm, _ = _bareiss(aug, n)
+    # rows below the pivot block are zero in M's columns: any nonzero
+    # right-hand entry there is an inconsistency
+    for j in range(n, n + B.cols):
+        for rr in range(len(pivots), len(ech)):
+            if not ech[rr][j].is_zero():
+                return NoSolution(perm[rr], j - n)
+    if unique and len(pivots) < n:
+        return NoSolution(None)
+    X: list[list[RationalFunction]] = []
+    for j in range(n, n + B.cols):
+        x = [RationalFunction.of(ctx.zero()) for _ in range(n)]
+        for pr in range(len(pivots) - 1, -1, -1):
+            pc = pivots[pr]
+            s = RationalFunction.of(ech[pr][j])
+            for cc in range(pc + 1, n):
+                if not ech[pr][cc].is_zero() and not x[cc].is_zero():
+                    s = s - RationalFunction.of(ech[pr][cc]) * x[cc]
+            x[pc] = s / RationalFunction.of(ech[pr][pc])
+        X.append(x)
+    return RFMatrix(ctx, [[X[j][i] for j in range(B.cols)] for i in range(n)])
 
 
 def linear_solve(M: RFMatrix, b: Sequence) -> "list[RationalFunction] | NoSolution":
-    """Exact solution of M x = b over the rational-function field.
+    """One solution of M x = b over the rational-function field.
 
-    Rows are cleared of denominators, then eliminated fraction-free.  On an
-    inconsistent system returns NoSolution carrying the (original) index of the
-    offending row.  Underdetermined systems get free variables set to zero.
+    On an inconsistent system returns NoSolution carrying the (original) index
+    of the offending row.  Underdetermined systems get free variables set to
+    zero.
     """
-    ctx = M.ctx
-    bvec = [RationalFunction.coerce(ctx, v) for v in b]
-    if len(bvec) != M.rows:
-        raise ValueError("right-hand side length mismatch")
-    aug = []
-    for i in range(M.rows):
-        aug.append(_clear_row_denominators(ctx, M.row(i) + [bvec[i]]))
-    ech, pivots, perm = _bareiss(aug, M.cols)
-    nrows = len(ech)
-    # consistency: zero coefficient row with nonzero rhs
-    for rr in range(len(pivots), nrows):
-        if all(ech[rr][c].is_zero() for c in range(M.cols)) and not ech[rr][M.cols].is_zero():
-            return NoSolution(perm[rr])
-    x: list[RationalFunction] = [RationalFunction.of(ctx.zero()) for _ in range(M.cols)]
-    for pr in range(len(pivots) - 1, -1, -1):
-        pc = pivots[pr]
-        s = RationalFunction.of(ech[pr][M.cols])
-        for cc in range(pc + 1, M.cols):
-            if not ech[pr][cc].is_zero() and not x[cc].is_zero():
-                s = s - RationalFunction.of(ech[pr][cc]) * x[cc]
-        x[pc] = s / RationalFunction.of(ech[pr][pc])
-    # rows below the pivot block that are not identically zero must also vanish
-    for rr in range(len(pivots), nrows):
-        residual = RationalFunction.of(ech[rr][M.cols])
-        for cc in range(M.cols):
-            if not ech[rr][cc].is_zero() and not x[cc].is_zero():
-                residual = residual - RationalFunction.of(ech[rr][cc]) * x[cc]
-        if not residual.is_zero():
-            return NoSolution(perm[rr])
-    return x
+    x = _solve(M, RFMatrix.column(M.ctx, b), unique=False)
+    return x if isinstance(x, NoSolution) else x.col(0)
 
 
 def solve_matrix(M: RFMatrix, B: RFMatrix) -> "RFMatrix | NoSolution":
-    """Solve M X = B column by column."""
-    cols = []
-    for j in range(B.cols):
-        x = linear_solve(M, B.col(j))
-        if isinstance(x, NoSolution):
-            return x
-        cols.append(x)
-    return RFMatrix(M.ctx, [[cols[j][i] for j in range(B.cols)] for i in range(M.cols)])
+    """The unique X with M X = B, from one elimination for all columns of B.
+
+    NoSolution when the system is inconsistent or the columns of M are
+    dependent (for square M: when M is singular).
+    """
+    return _solve(M, B, unique=True)
 
 
 def invert(M: RFMatrix) -> RFMatrix:
@@ -365,9 +395,6 @@ def invert(M: RFMatrix) -> RFMatrix:
         raise ValueError("inverse of non-square matrix")
     X = solve_matrix(M, RFMatrix.identity(M.ctx, M.rows))
     if isinstance(X, NoSolution):
-        raise SymbolicError("matrix is singular over the rational-function field")
-    # verify (an underdetermined solve with free vars could slip through)
-    if not (M @ X - RFMatrix.identity(M.ctx, M.rows)).is_zero():
         raise SymbolicError("matrix is singular over the rational-function field")
     return X
 
@@ -380,41 +407,16 @@ def determinant(M: RFMatrix) -> RationalFunction:
     if n == 0:
         return RationalFunction.of(M.ctx.one())
     rows = []
-    scale = RationalFunction.of(M.ctx.one())
+    scale = M.ctx.one()
     for i in range(n):
-        cleared = _clear_row_denominators(M.ctx, M.row(i))
-        # account for the row scaling
-        mult = M.ctx.one()
-        for v in M.row(i):
-            if not v.den.is_one():
-                mult = mult * v.den
-        scale = scale * RationalFunction.of(mult)
+        cleared, mult = _clear_row_denominators(M.ctx, M.row(i), n)
+        scale = scale * mult
         rows.append(cleared)
-    ech, pivots, perm = _bareiss(rows, n)
+    ech, pivots, _, sign = _bareiss(rows, n)
     if len(pivots) < n:
         return RationalFunction.of(M.ctx.zero())
-    det = RationalFunction.of(ech[n - 1][n - 1])
     # Bareiss: last pivot equals the determinant of the cleared matrix
-    sign = _perm_sign(perm)
-    det = det * sign
-    return det / scale
-
-
-def _perm_sign(perm: list[int]) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    return RationalFunction.of(ech[n - 1][n - 1]) * sign / RationalFunction.of(scale)
 
 
 # ---------------------------------------------------------------------------
@@ -485,23 +487,19 @@ def rank_and_factor(
         if len(selected) == total_rank:
             break
     G = RFMatrix(M.ctx, [[M.entries[i][j] for j in selected] for i in range(M.rows)])
-    rcols: list[list[RationalFunction]] = []
-    for j in range(M.cols):
-        if j in selected:
-            unit = [
-                RationalFunction.of(M.ctx.one() if selected[k] == j else M.ctx.zero())
-                for k in range(total_rank)
-            ]
-            rcols.append(unit)
-        else:
-            x = linear_solve(G, M.col(j))
-            if isinstance(x, NoSolution):
-                raise RankError(
-                    f"column {j} is not in the span of the selected columns symbolically; "
-                    "rank may not be locally constant -- try a different sample"
-                )
-            rcols.append(x)
-    R = RFMatrix(M.ctx, [[rcols[j][i] for j in range(M.cols)] for i in range(total_rank)])
+    others = [j for j in range(M.cols) if j not in selected]
+    if others:
+        X = solve_matrix(G, RFMatrix(M.ctx, [[M.entries[i][j] for j in others] for i in range(M.rows)]))
+        if isinstance(X, NoSolution):
+            raise RankError(
+                f"column {others[X.col]} is not in the span of the selected columns symbolically; "
+                "rank may not be locally constant -- try a different sample"
+            )
+    one, zero = RationalFunction.of(M.ctx.one()), RationalFunction.of(M.ctx.zero())
+    R = RFMatrix(M.ctx, [
+        [X[k, others.index(j)] if j in others else one if selected[k] == j else zero for j in range(M.cols)]
+        for k in range(total_rank)
+    ])
     if not (G @ R - M).is_zero():
         raise RankError("symbolic verification of the rank factorization failed; try a different sample")
     return total_rank, G, R

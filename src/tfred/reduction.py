@@ -25,7 +25,6 @@ from .matrices import (
     NoSolution,
     RFMatrix,
     RankError,
-    determinant,
     fraction_solve,
     hadamard_factor,
     jacobian,
@@ -290,7 +289,6 @@ def _solve_p_row(
         # vanish at the sample (smoothness near the working point)
         quot = RationalFunction.of(target) / RationalFunction.of(mu[0])
         try:
-            quot.den.eval(sample)
             ok = quot.den.eval(sample) != 0
         except ZeroDivisionError:
             ok = False
@@ -471,15 +469,15 @@ def standard_reduce(sys: GradedSystem, part: Partition) -> ReducedSystem:
         [M.entries[sys.state_index(y)][j].subs(at_zero) for j in range(len(fast))]
         for y in part.fast
     ])
-    if determinant(G0).is_zero():
+    f1 = [RationalFunction.of(h1[sys.state_index(x)].subs(at_zero)) for x in part.slow]
+    g1 = [RationalFunction.of(h1[sys.state_index(y)].subs(at_zero)) for y in part.fast]
+    # one elimination of [G0 | g1]: no unique solution means G0 is singular
+    U = solve_matrix(G0, RFMatrix.column(ctx, g1))
+    if isinstance(U, NoSolution):
         raise StandardCaseError(
             "G0(x,0) is singular; the scaling needs the rank-deficient (nonstandard) route"
         )
-    f1 = [RationalFunction.of(h1[sys.state_index(x)].subs(at_zero)) for x in part.slow]
-    g1 = [RationalFunction.of(h1[sys.state_index(y)].subs(at_zero)) for y in part.fast]
-    u = linear_solve(G0, g1)
-    if isinstance(u, NoSolution):
-        raise StandardCaseError("G0(x,0) is singular; use the nonstandard route")
+    u = U.col(0)
     corr = F0.mul_vector(u)
     reduced = [a - b for a, b in zip(f1, corr)]
     # first-order manifold: y*_j = -(G0^-1 g1)_j
@@ -518,10 +516,10 @@ def first_order_correction(dec: Decomposition, h1: Sequence[Polynomial]) -> list
     Psi0 solves (Dmu P) Psi0 = Dmu h1; it is also the gamma of ``reduce_with``.
     """
     h1_rf = [RationalFunction.coerce(dec.ctx, p) for p in h1]
-    psi = linear_solve(dec.dmup(), dec.dmu().mul_vector(h1_rf))
+    psi = solve_matrix(dec.dmup(), RFMatrix.column(dec.ctx, dec.dmu().mul_vector(h1_rf)))
     if isinstance(psi, NoSolution):
         raise ReductionError("Dmu*P is singular over the rational-function field")
-    return psi
+    return psi.col(0)
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +580,6 @@ def eigen_certificate(
     """
     ctx = dec.ctx
     M = dec.dmup()
-    degree = M.rows
     points: list[dict[str, Fraction]] = []
     rejected = 0
     if sample_points is not None:
@@ -623,9 +620,8 @@ def eigen_certificate(
     worst = max(s.max_real_part for s in samples)
     margin = -worst
     ok = worst <= -nu_min and all(s.hurwitz_ok is not False for s in samples)
-    method = "routh_hurwitz_exact+numeric" if degree <= 4 else "numeric_sampling"
     verdict = "pass" if ok else "fail"
-    return EigenCertificate(M, verdict, margin, samples, method, rejected)
+    return EigenCertificate(M, verdict, margin, samples, "routh_hurwitz_exact+numeric", rejected)
 
 
 def _on_manifold(mu: Sequence[RationalFunction], pt: Mapping[str, Fraction]) -> bool:
@@ -891,10 +887,10 @@ def fast_integrals_approx(
     """x - F0(x,y) G0(x,y)^(-1) y: first integrals of the fast flow to second order."""
     ctx = F0.ctx
     yvec = [RationalFunction.of(ctx.sym(n)) for n in fast]
-    u = linear_solve(G0, yvec)
+    u = solve_matrix(G0, RFMatrix.column(ctx, yvec))
     if isinstance(u, NoSolution):
         raise ReductionError("G0 is singular over the rational-function field")
-    corr = F0.mul_vector(u)
+    corr = F0.mul_vector(u.col(0))
     return [RationalFunction.of(ctx.sym(n)) - ci for n, ci in zip(slow, corr)]
 
 

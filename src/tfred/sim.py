@@ -432,6 +432,12 @@ def convergence_study(
     verdict = "converges" if decreasing else "inconclusive"
     if failures:
         verdict = "partial: " + verdict
+    if errors and not any(errors):
+        # both flows sit at rest on the grid: the ladder compared nothing
+        verdict = "stationary"
+        failures.append(
+            "nothing was compared: every sup error is 0 (full and reduced flows are stationary)"
+        )
     return ConvergenceReport(used, errors, per_state, order, (t1, t2), observed, verdict, failures)
 
 

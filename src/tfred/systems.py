@@ -311,9 +311,7 @@ class ScaledSystem:
         return [g[self.system.state_index(n)] for n in self.partition.slow]
 
 
-def apply_scaling(
-    sys: GradedSystem, part: Partition, require_iv_consistent: bool = False
-) -> ScaledSystem:
+def apply_scaling(sys: GradedSystem, part: Partition) -> ScaledSystem:
     """Substitute y = eps*y_star for the fast block and divide its rows by eps.
 
     Inconsistent scalings are allowed; they come back with laurent_flag = -1.
@@ -358,8 +356,6 @@ def apply_scaling(
     flag = scaled_sys.lowest_order
     if flag >= 0:
         flag = 0
-    if require_iv_consistent and not iv_ok:
-        raise ModelError("scaling is not initial-value consistent")
     return ScaledSystem(scaled_sys, part, flag, iv_ok, tuple(sys.states))
 
 

@@ -95,6 +95,55 @@ def test_reduce_standard_route_factors_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_reduce_eliminates_each_matrix_once(capsys, monkeypatch):
+    # one fraction-free elimination per matrix: G0 on the standard route,
+    # Dmu*P for all columns of the projection, G for all columns of R
+    from tfred import matrices
+    from tfred.builtin_models import BUILTINS
+
+    calls = []
+    original = matrices._bareiss
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(matrices, "_bareiss", counting)
+    counts = {}
+    for name in sorted(BUILTINS):
+        calls.clear()
+        main(["reduce", "--builtin", name])
+        counts[name] = len(calls)
+    capsys.readouterr()
+    assert counts == {
+        "chain3": 2, "chain3_slowk4": 5, "inhibitor": 5, "linex": 2, "mm2d": 2,
+        "mm3d": 5, "mm3d_deg": 5, "mm_diffusion": 4, "transport_binding": 4,
+        "transport_binding_slow": 4,
+    }
+    assert sum(counts.values()) == 38
+
+
+def test_converge_refuses_a_repelling_fast_block(capsys):
+    # every parameter is 1, so linex's fast block y' = c*y repels; reduce
+    # refuses the same model, and converge must not integrate it
+    code = main(["converge", "--builtin", "linex", "--ladder", "1e-1,5e-2", "--t2", "1.0"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("reduction failed: eigenvalue certificate fails")
+
+
+def test_converge_at_an_equilibrium_is_stationary(capsys):
+    # all-1 parameters start transport_binding at a homogeneous equilibrium
+    code, payload = run_json(
+        capsys, "converge", "--builtin", "transport_binding", "--ladder", "1e-1,5e-2", "--t2", "0.5"
+    )
+    assert code == 4
+    assert payload["sup_errors"] == [0.0, 0.0]
+    assert payload["verdict"] == "stationary"
+    assert payload["failures"][-1].startswith("nothing was compared")
+
+
 def test_unknown_builtin_is_an_error(capsys):
     code = main(["check", "--builtin", "nope"])
     assert code != 0

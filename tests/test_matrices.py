@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from tfred.rational import Context, RationalFunction
+from tfred.stability import is_hurwitz_stable
 from tfred.matrices import (
     ConsistencyError,
     NoSolution,
@@ -156,6 +157,40 @@ def test_solve_matrix_multiple_rhs(mm):
     assert (M @ X - B).is_zero()
 
 
+def _random_rf(rng, ctx):
+    # affine numerator over a few symbols; sometimes a one-symbol denominator
+    p = ctx.const(rng.randint(-2, 2))
+    for _ in range(rng.randint(0, 2)):
+        p = p + ctx.sym(rng.choice(["s", "k1", "km1", "k2"])) * rng.randint(-2, 2)
+    den = ctx.sym(rng.choice(["k1", "k2"])) if rng.random() < 0.2 else ctx.one()
+    return RationalFunction(p, den)
+
+
+def test_solve_matrix_on_random_systems(mm):
+    # one elimination for all columns gives the per-column solutions when M
+    # is invertible, and no solution at all when M is square and singular
+    rng = random.Random(5)
+    singular = 0
+    for _ in range(200):
+        n, k = rng.randint(1, 3), rng.randint(1, 4)
+        M = RFMatrix(mm, [[_random_rf(rng, mm) for _ in range(n)] for _ in range(n)])
+        if rng.random() < 0.3 and n > 1:
+            # a dependent last row keeps every consistent right-hand side consistent
+            M = RFMatrix(mm, M.entries[:-1] + [[a + b for a, b in zip(M.entries[0], M.entries[-2])]])
+        X0 = RFMatrix(mm, [[_random_rf(rng, mm) for _ in range(k)] for _ in range(n)])
+        B = M @ X0
+        X = solve_matrix(M, B)
+        if determinant(M).is_zero():
+            singular += 1
+            assert isinstance(X, NoSolution)
+            continue
+        assert not isinstance(X, NoSolution)
+        for j in range(k):
+            assert X.col(j) == linear_solve(M, B.col(j))
+        assert X == X0
+    assert singular > 20
+
+
 # -- rank_and_factor -----------------------------------------------------------
 
 
@@ -280,6 +315,7 @@ def _fraction_det_oracle(m):
     return sum(
         (-1) ** j * m[0][j] * _fraction_det_oracle([row[:j] + row[j + 1 :] for row in m[1:]])
         for j in range(len(m))
+        if m[0][j]
     )
 
 
@@ -292,8 +328,6 @@ def _random_fraction_matrix(rng, rows, cols):
 
 
 def test_fraction_kernels_on_random_matrices():
-    from tfred.stability import _det_fraction
-
     rng = random.Random(3)
     for _ in range(200):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
@@ -317,6 +351,27 @@ def test_fraction_kernels_on_random_matrices():
         assert [sum((a * xi for a, xi in zip(row, x)), Fraction(0)) for row in m] == b
         assert all(x[c] == 0 for c in free)
         assert fraction_solve(m + [[Fraction(0)] * cols], b + [Fraction(1)]) is None
-        if rows == cols:
-            assert _det_fraction(m) == _fraction_det_oracle(m)
         assert m == before
+
+
+def _hurwitz_minors_oracle(coeffs):
+    """Leading principal minors of the Hurwitz matrix, each by Laplace expansion."""
+    n = len(coeffs) - 1
+    H = [
+        [coeffs[k] if 0 <= (k := 2 * j - i + 1) <= n else Fraction(0) for j in range(n)]
+        for i in range(n)
+    ]
+    return [_fraction_det_oracle([row[:m] for row in H[:m]]) for m in range(1, n + 1)]
+
+
+def test_routh_test_agrees_with_hurwitz_minors():
+    rng = random.Random(11)
+    stable = 0
+    for _ in range(500):
+        n = rng.randint(1, 7)
+        coeffs = [Fraction(1)] + [Fraction(rng.choice([-1, 0, 1, 2, 3, 4, 5, 6, 8, 12])) for _ in range(n)]
+        want = all(m > 0 for m in _hurwitz_minors_oracle(coeffs))
+        assert is_hurwitz_stable(coeffs) == want, coeffs
+        stable += want
+    # both outcomes occur often enough for the comparison to mean something
+    assert 50 < stable < 450
