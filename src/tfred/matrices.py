@@ -18,6 +18,7 @@ from .rational import (
     Polynomial,
     RationalFunction,
     SymbolicError,
+    _div,
 )
 
 
@@ -150,7 +151,8 @@ class RFMatrix:
     # -- evaluation --------------------------------------------------------------
 
     def eval(self, point: Mapping[str, object]) -> list[list[Fraction]]:
-        return [[v.eval(point) for v in row] for row in self.entries]  # type: ignore[arg-type]
+        vals = self.ctx.point_values(point)  # type: ignore[arg-type]
+        return [[v.eval_at(vals) for v in row] for row in self.entries]
 
     def rank_at(self, point: Mapping[str, object]) -> int:
         return fraction_rank(self.eval(point))
@@ -191,7 +193,7 @@ def fraction_echelon(a: list[list[Fraction]], ncols: int) -> tuple[list[int], in
         pv = a[r][c]
         for rr in range(r + 1, rows):
             if a[rr][c] != 0:
-                f = a[rr][c] / pv
+                f = _div(a[rr][c], pv)
                 for cc in range(c, width):
                     a[rr][cc] -= f * a[r][cc]
         pivots.append(c)
@@ -205,10 +207,10 @@ def _back_substitute(a: list[list[Fraction]], pivots: list[int], x: list[Fractio
     """
     for pr in range(len(pivots) - 1, -1, -1):
         pc = pivots[pr]
-        s = Fraction(0)
+        s = 0
         for cc in range(pc + 1, len(x)):
             s -= a[pr][cc] * x[cc]
-        x[pc] = s / a[pr][pc]
+        x[pc] = _div(s, a[pr][pc])
     return x
 
 
@@ -225,8 +227,8 @@ def fraction_nullspace(m: list[list[Fraction]]) -> list[list[Fraction]]:
     basis = []
     for fc in range(cols):
         if fc not in pivots:
-            vec = [Fraction(0)] * cols
-            vec[fc] = Fraction(1)
+            vec = [0] * cols
+            vec[fc] = 1
             basis.append(_back_substitute(a, pivots, vec))
     return basis
 
@@ -239,7 +241,7 @@ def fraction_solve(m: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]
     if any(row[cols] != 0 for row in a[len(pivots):]):
         return None
     # [m | b] . (x, -1) = 0
-    x = _back_substitute(a, pivots, [Fraction(0)] * cols + [Fraction(-1)])
+    x = _back_substitute(a, pivots, [0] * cols + [-1])
     return x[:cols]
 
 
@@ -452,7 +454,7 @@ def hadamard_factor(v: Sequence[Polynomial], yvars: Sequence[str]) -> RFMatrix:
                 if e[gi] > 0:
                     ne = list(e)
                     ne[gi] -= 1
-                    cols[pos][tuple(ne)] = cols[pos].get(tuple(ne), Fraction(0)) + c
+                    cols[pos][tuple(ne)] = cols[pos].get(tuple(ne), 0) + c
                     break
             else:
                 raise ConsistencyError(

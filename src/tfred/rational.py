@@ -1,6 +1,8 @@
 """Exact multivariate polynomial and rational-function arithmetic over the rationals.
 
-All coefficients are ``fractions.Fraction``; there is no floating point in this
+Every coefficient is an ``int`` when it is integral and a ``fractions.Fraction``
+otherwise (never an integral Fraction, never a float); :func:`Q` and
+:func:`_div` keep that invariant, and there is no floating point in this
 layer.  Polynomials live in a shared :class:`Context` (symbol table) that fixes
 the variable order; terms are keyed by exponent tuples and compared in graded
 lexicographic order, so equal polynomials have identical canonical renderings.
@@ -13,8 +15,11 @@ cross-multiplication, never by representation.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import add, sub
 from typing import Mapping, Sequence, Union
 
 Coefficient = Union[int, Fraction, str]
@@ -32,11 +37,35 @@ class SubstitutionError(SymbolicError):
     """A substitution made a denominator vanish identically."""
 
 
-def Q(x: Coefficient) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to an exact Fraction."""
-    if isinstance(x, Fraction):
+def Q(x: Coefficient) -> "int | Fraction":
+    """Coerce ints, Fractions and 'p/q' strings to an exact coefficient.
+
+    Integral values come back as ``int``; a non-integral Fraction comes back
+    as it is.
+    """
+    if x.__class__ is int:
         return x
-    return Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _div(a: "int | Fraction", b: "int | Fraction") -> "int | Fraction":
+    """Exact quotient of two coefficients: an int when it is integral."""
+    if a.__class__ is int and b.__class__ is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b
+    return q.numerator if q.denominator == 1 else q
+
+
+def _clean(terms: dict) -> dict:
+    """Drop zero coefficients and turn integral Fractions into ints."""
+    return {
+        e: c if c.__class__ is int or c.denominator != 1 else c.numerator
+        for e, c in terms.items()
+        if c
+    }
 
 
 @dataclass(frozen=True)
@@ -80,7 +109,7 @@ class Context:
         self.eps: Symbol = syms[-1]
         self._zero = Polynomial(self, {})
         nvars = len(syms)
-        self._one = Polynomial(self, {(0,) * nvars: Fraction(1)})
+        self._one = Polynomial(self, {(0,) * nvars: 1})
 
     @property
     def nvars(self) -> int:
@@ -102,10 +131,21 @@ class Context:
         i = self.index[name]
         expo = [0] * self.nvars
         expo[i] = 1
-        return Polynomial(self, {tuple(expo): Fraction(1)})
+        return Polynomial(self, {tuple(expo): 1})
 
     def symbol(self, name: str) -> Symbol:
         return self.symbols[self.index[name]]
+
+    def point_values(self, point: Mapping[str, Coefficient]) -> list:
+        """Exact values of a point by symbol index (None where unbound).
+
+        Convert a point once and evaluate any number of polynomials at it with
+        :meth:`Polynomial.eval_at`.
+        """
+        vals: list = [None] * len(self.symbols)
+        for name, v in point.items():
+            vals[self.index[name]] = Q(v)
+        return vals
 
     def state_index(self, name: str) -> int:
         """Position of a state among the states (not the global symbol index)."""
@@ -127,29 +167,38 @@ class Context:
         return f"Context(states={[s.name for s in self.states]}, params={[p.name for p in self.params]})"
 
 
-def _grlex_key(expo: tuple[int, ...]) -> tuple:
-    return (sum(expo), expo)
+def _grlex_first(terms) -> tuple[int, ...]:
+    """The graded-lex largest exponent among ``terms`` (compared in C)."""
+    return max(zip(map(sum, terms), terms))[1]
+
+
+def _grlex_last(terms) -> tuple[int, ...]:
+    """The graded-lex smallest exponent among ``terms``."""
+    return min(zip(map(sum, terms), terms))[1]
 
 
 class Polynomial:
     """Sparse multivariate polynomial with exact rational coefficients.
 
     ``terms`` maps exponent tuples (one entry per context symbol) to nonzero
-    Fractions.  Instances are immutable by convention: no method mutates
-    ``terms`` after construction.
+    coefficients, each an ``int`` when integral and a non-integral
+    ``Fraction`` otherwise.  Instances are immutable by convention: no method
+    mutates ``terms`` after construction.
     """
 
     __slots__ = ("ctx", "terms")
 
-    def __init__(self, ctx: Context, terms: dict[tuple[int, ...], Fraction]):
+    def __init__(self, ctx: Context, terms: dict[tuple[int, ...], "int | Fraction"]):
         self.ctx = ctx
-        self.terms = {e: c for e, c in terms.items() if c != 0}
-
-    # -- constructors ------------------------------------------------------
+        self.terms = _clean(terms)
 
     @staticmethod
-    def monomial(ctx: Context, expo: tuple[int, ...], coeff: Coefficient) -> "Polynomial":
-        return Polynomial(ctx, {expo: Q(coeff)})
+    def _of(ctx: Context, terms: dict) -> "Polynomial":
+        """Wrap terms that already hold the invariant (no zeros, no integral Fractions)."""
+        p = object.__new__(Polynomial)
+        p.ctx = ctx
+        p.terms = terms
+        return p
 
     # -- predicates --------------------------------------------------------
 
@@ -157,14 +206,15 @@ class Polynomial:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {(0,) * self.ctx.nvars: Fraction(1)}
+        return self.terms == self.ctx._one.terms
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        t = self.terms
+        return not t or (len(t) == 1 and not any(next(iter(t))))
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> "int | Fraction":
         if self.is_zero():
-            return Fraction(0)
+            return 0
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
         return next(iter(self.terms.values()))
@@ -180,29 +230,39 @@ class Polynomial:
             return self.ctx.const(other)
         return NotImplemented  # type: ignore[return-value]
 
+    def _merge(self, items) -> "Polynomial":
+        """self plus the (exponent, coefficient) pairs, merged into a copy of self's terms."""
+        out = dict(self.terms)
+        for e, c in items:
+            s = out.get(e)
+            if s is None:
+                out[e] = c
+                continue
+            s += c
+            if not s:
+                del out[e]
+            elif s.__class__ is int or s.denominator != 1:
+                out[e] = s
+            else:
+                out[e] = s.numerator
+        return Polynomial._of(self.ctx, out)
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return Polynomial(self.ctx, out)
+        return self._merge(other.terms.items())
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.ctx, {e: -c for e, c in self.terms.items()})
+        return Polynomial._of(self.ctx, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return self._merge((e, -c) for e, c in other.terms.items())
 
     def __rsub__(self, other):
         return (-self) + other
@@ -215,16 +275,20 @@ class Polynomial:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return self.ctx.zero()
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict = {}
+        get = out.get
+        b_items = list(other.terms.items())
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
+            for e2, c2 in b_items:
+                e = tuple(map(add, e1, e2))
+                s = get(e, 0) + c1 * c2
+                # a cancelled term that comes back goes to the end: compiled
+                # float fields sum the terms in this order
+                if s:
                     out[e] = s
-        return Polynomial(self.ctx, out)
+                else:
+                    del out[e]
+        return Polynomial._of(self.ctx, _clean(out))
 
     __rmul__ = __mul__
 
@@ -261,7 +325,7 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         if self.is_zero():
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.terms))
 
     def degree_in(self, name: str) -> int:
         i = self.ctx.index[name]
@@ -284,33 +348,30 @@ class Polynomial:
                     used.add(self.ctx.symbols[i].name)
         return used
 
-    def leading(self) -> tuple[tuple[int, ...], Fraction]:
+    def leading(self) -> tuple[tuple[int, ...], "int | Fraction"]:
         """Leading term in graded lexicographic order."""
         if self.is_zero():
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=_grlex_key)
+        e = _grlex_first(self.terms)
         return e, self.terms[e]
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], "int | Fraction"]]:
+        keys = sorted(zip(map(sum, self.terms), self.terms), reverse=True)
+        return [(e, self.terms[e]) for _, e in keys]
 
     # -- calculus ----------------------------------------------------------
 
     def diff(self, name: str) -> "Polynomial":
         i = self.ctx.index[name]
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict = {}
         for e, c in self.terms.items():
             k = e[i]
             if k == 0:
                 continue
             ne = list(e)
             ne[i] = k - 1
-            ne_t = tuple(ne)
-            s = out.get(ne_t, Fraction(0)) + c * k
-            if s == 0:
-                out.pop(ne_t, None)
-            else:
-                out[ne_t] = s
+            # distinct exponents stay distinct after lowering one entry
+            out[tuple(ne)] = c * k
         return Polynomial(self.ctx, out)
 
     # -- substitution and evaluation ----------------------------------------
@@ -337,7 +398,7 @@ class Polynomial:
                 if key not in pow_cache:
                     pow_cache[key] = val ** k
                 factor = factor * pow_cache[key]
-            term = Polynomial.monomial(self.ctx, tuple(rest), 1)
+            term = Polynomial._of(self.ctx, {tuple(rest): 1})
             total = total + term * factor
         return total
 
@@ -361,37 +422,40 @@ class Polynomial:
                 if key not in pow_cache:
                     pow_cache[key] = val ** k
                 factor = factor * pow_cache[key]
-            term = RationalFunction.of(Polynomial.monomial(self.ctx, tuple(rest), 1))
+            term = RationalFunction.of(Polynomial._of(self.ctx, {tuple(rest): 1}))
             total = total + term * factor
         return total
 
-    def eval(self, point: Mapping[str, Coefficient]) -> Fraction:
+    def eval(self, point: Mapping[str, Coefficient]) -> "int | Fraction":
         """Exact evaluation; every symbol occurring in the polynomial must be bound."""
-        vals: dict[int, Fraction] = {self.ctx.index[n]: Q(v) for n, v in point.items()}
-        total = Fraction(0)
+        return self.eval_at(self.ctx.point_values(point))
+
+    def eval_at(self, vals: Sequence) -> "int | Fraction":
+        """Exact evaluation at values from :meth:`Context.point_values`."""
+        total = 0
+        positions = range(len(vals))
         for e, c in self.terms.items():
-            prod = c
-            for i, k in enumerate(e):
-                if k == 0:
-                    continue
-                if i not in vals:
+            for i in compress(positions, e):
+                v = vals[i]
+                if v is None:
                     raise SymbolicError(f"unbound symbol {self.ctx.symbols[i].name} in evaluation")
-                prod *= vals[i] ** k
-            total += prod
-        return total
+                k = e[i]
+                c = c * (v if k == 1 else v ** k)
+            total += c
+        return Q(total)
 
     # -- epsilon grading -----------------------------------------------------
 
     def eps_coefficients(self) -> dict[int, "Polynomial"]:
         """Split into {k: coefficient of eps^k}, each coefficient eps-free."""
         i = self.ctx.index[self.ctx.eps.name]
-        out: dict[int, dict[tuple[int, ...], Fraction]] = {}
+        out: dict[int, dict] = {}
         for e, c in self.terms.items():
             k = e[i]
             ne = list(e)
             ne[i] = 0
             out.setdefault(k, {})[tuple(ne)] = c
-        return {k: Polynomial(self.ctx, t) for k, t in out.items()}
+        return {k: Polynomial._of(self.ctx, t) for k, t in out.items()}
 
     def eps_free(self) -> bool:
         i = self.ctx.index[self.ctx.eps.name]
@@ -400,41 +464,75 @@ class Polynomial:
     # -- division -----------------------------------------------------------
 
     def exact_divide(self, divisor: "Polynomial") -> "Polynomial | None":
-        """Return self/divisor when the division is exact, else None."""
+        """Return self/divisor when the division is exact, else None.
+
+        The remainder is one dict updated in place, with its exponents also
+        grouped by total degree (each degree summed once), so the graded-lex
+        leading term is the largest exponent of the top degree group.
+        """
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return self.ctx.zero()
+        ctx = self.ctx
         if divisor.is_constant():
-            inv = 1 / divisor.constant_value()
-            return Polynomial(self.ctx, {e: c * inv for e, c in self.terms.items()})
-        lead_e, lead_c = divisor.leading()
-        quotient: dict[tuple[int, ...], Fraction] = {}
-        rem = self
-        # Graded lex is multiplicative, so exactness shows up term by term.
-        while not rem.is_zero():
-            re, rc = rem.leading()
-            qe = tuple(a - b for a, b in zip(re, lead_e))
-            if any(k < 0 for k in qe):
+            d = divisor.constant_value()
+            return Polynomial._of(ctx, {e: _div(c, d) for e, c in self.terms.items()})
+        terms, dterms = self.terms, divisor.terms
+        lead_e = _grlex_first(dterms)
+        # Graded lex is multiplicative, so an exact quotient's leading and
+        # trailing terms times the divisor's give those of self.
+        if min(map(sub, _grlex_first(terms), lead_e)) < 0:
+            return None
+        if min(map(sub, _grlex_last(terms), _grlex_last(dterms))) < 0:
+            return None
+        lead_c = dterms[lead_e]
+        lead_d = sum(lead_e)
+        rest = [(e, c, sum(e)) for e, c in dterms.items() if e != lead_e]
+        rem = dict(terms)
+        # the remainder's exponents by total degree, each summed once
+        by_deg: defaultdict[int, set] = defaultdict(set)
+        for e in terms:
+            by_deg[sum(e)].add(e)
+        deg = max(by_deg)
+        quotient = {}
+        while rem:
+            bucket = by_deg.get(deg)
+            if not bucket:
+                deg -= 1
+                continue
+            e = max(bucket)
+            bucket.remove(e)
+            qe = tuple(map(sub, e, lead_e))
+            if min(qe) < 0:
                 return None
-            qc = rc / lead_c
+            qc = _div(rem.pop(e), lead_c)
             quotient[qe] = qc
-            rem = rem - Polynomial.monomial(self.ctx, qe, qc) * divisor
-        return Polynomial(self.ctx, quotient)
+            qd = deg - lead_d
+            for de, dc, dd in rest:
+                t = tuple(map(add, qe, de))
+                v = rem.get(t)
+                if v is None:
+                    rem[t] = -qc * dc
+                    by_deg[qd + dd].add(t)
+                else:
+                    v -= qc * dc
+                    if v:
+                        rem[t] = v
+                    else:
+                        del rem[t]
+                        by_deg[qd + dd].remove(t)
+        return Polynomial._of(ctx, quotient)
 
     def monomial_content(self) -> tuple[int, ...]:
         """Componentwise minimum exponent over all terms (zero poly: all zeros)."""
         if self.is_zero():
             return (0,) * self.ctx.nvars
-        mins = None
-        for e in self.terms:
-            mins = e if mins is None else tuple(min(a, b) for a, b in zip(mins, e))
-        return mins  # type: ignore[return-value]
+        return tuple(map(min, zip(*self.terms)))
 
     def shift_down(self, content: tuple[int, ...]) -> "Polynomial":
-        return Polynomial(
-            self.ctx,
-            {tuple(a - b for a, b in zip(e, content)): c for e, c in self.terms.items()},
+        return Polynomial._of(
+            self.ctx, {tuple(map(sub, e, content)): c for e, c in self.terms.items()}
         )
 
     # -- rendering -----------------------------------------------------------
@@ -655,11 +753,15 @@ class RationalFunction:
             )
         return num / den
 
-    def eval(self, point: Mapping[str, Coefficient]) -> Fraction:
-        d = self.den.eval(point)
+    def eval(self, point: Mapping[str, Coefficient]) -> "int | Fraction":
+        return self.eval_at(self.ctx.point_values(point))
+
+    def eval_at(self, vals: Sequence) -> "int | Fraction":
+        """Exact value at values from :meth:`Context.point_values`."""
+        d = self.den.eval_at(vals)
         if d == 0:
             raise ZeroDivisionError(f"denominator {self.den.render()} vanishes at sample point")
-        return self.num.eval(point) / d
+        return _div(self.num.eval_at(vals), d)
 
     def evalf(self, point: Mapping[str, float]) -> float:
         num = 0.0
@@ -723,13 +825,15 @@ def _reduce_pair(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomi
     ctx = num.ctx
     if num.is_zero():
         return ctx.zero(), ctx.one()
+    if den.is_one():
+        return num, den
     # monomial content
-    cn = num.monomial_content()
     cd = den.monomial_content()
-    common = tuple(min(a, b) for a, b in zip(cn, cd))
-    if any(common):
-        num = num.shift_down(common)
-        den = den.shift_down(common)
+    if any(cd):
+        common = tuple(map(min, num.monomial_content(), cd))
+        if any(common):
+            num = num.shift_down(common)
+            den = den.shift_down(common)
     # exact syntactic factor cancellation
     if not den.is_constant() and len(num.terms) * len(den.terms) <= _CANCEL_TERM_LIMIT:
         q = num.exact_divide(den)
@@ -743,9 +847,8 @@ def _reduce_pair(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomi
     # normalise the denominator's leading coefficient to 1
     _, lc = den.leading()
     if lc != 1:
-        inv = 1 / lc
-        num = Polynomial(ctx, {e: c * inv for e, c in num.terms.items()})
-        den = Polynomial(ctx, {e: c * inv for e, c in den.terms.items()})
+        num = Polynomial._of(ctx, {e: _div(c, lc) for e, c in num.terms.items()})
+        den = Polynomial._of(ctx, {e: _div(c, lc) for e, c in den.terms.items()})
     return num, den
 
 

@@ -32,7 +32,7 @@ from .matrices import (
     rank_and_factor,
     solve_matrix,
 )
-from .rational import Context, Polynomial, Q, RationalFunction, SymbolicError
+from .rational import Context, Polynomial, Q, RationalFunction, SymbolicError, _div
 from .stability import is_hurwitz_stable, max_real_part
 from .systems import (
     FULL_LTC,
@@ -626,8 +626,11 @@ def eigen_certificate(
 
 def _on_manifold(mu: Sequence[RationalFunction], pt: Mapping[str, Fraction]) -> bool:
     """Every manifold equation vanishes exactly at the point (and is defined there)."""
+    if not mu:
+        return True
+    vals = mu[0].ctx.point_values(pt)
     try:
-        return all(m.eval(pt) == 0 for m in mu)
+        return all(m.eval_at(vals) == 0 for m in mu)
     except ZeroDivisionError:
         return False
 
@@ -638,22 +641,51 @@ def _on_manifold(mu: Sequence[RationalFunction], pt: Mapping[str, Fraction]) -> 
 
 
 def _fraction_char_poly(m: list[list[Fraction]]) -> list[Fraction]:
-    """Monic characteristic polynomial of an exact numeric matrix."""
+    """Monic characteristic polynomial [1, c1, ..., cn] of an exact numeric matrix.
+
+    O(n^3): a similarity transform to upper Hessenberg form by Gaussian
+    elimination below the subdiagonal, then the recurrence for the
+    characteristic polynomials of its leading principal blocks.
+    """
     n = len(m)
-    coeffs = [Fraction(1)]
-    mk = [row[:] for row in m]
-    for k in range(1, n + 1):
-        tr = sum(mk[i][i] for i in range(n))
-        ck = -tr / k
-        coeffs.append(ck)
-        if k < n:
-            for i in range(n):
-                mk[i][i] += ck
-            mk = [
-                [sum(m[i][t] * mk[t][j] for t in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
-    return coeffs
+    h = [row[:] for row in m]
+    for k in range(1, n - 1):
+        piv = next((i for i in range(k, n) if h[i][k - 1] != 0), None)
+        if piv is None:
+            continue
+        if piv != k:
+            h[k], h[piv] = h[piv], h[k]
+            for row in h:
+                row[k], row[piv] = row[piv], row[k]
+        pv = h[k][k - 1]
+        hk = h[k]
+        for i in range(k + 1, n):
+            hi = h[i]
+            if hi[k - 1] == 0:
+                continue
+            u = _div(hi[k - 1], pv)
+            # row i -= u * row k, then column k += u * column i (the inverse)
+            for j in range(k - 1, n):
+                hi[j] -= u * hk[j]
+            for row in h:
+                row[k] += u * row[i]
+    # p[j] is det(x I - H[:j, :j]), stored as coefficients in rising degree
+    p: list[list] = [[1]]
+    for j in range(n):
+        nxt = [0] + p[j]
+        hjj = h[j][j]
+        for d in range(j + 1):
+            nxt[d] -= hjj * p[j][d]
+        t = 1
+        for i in range(j - 1, -1, -1):
+            t *= h[i + 1][i]
+            if t == 0:
+                break
+            c = t * h[i][j]
+            for d in range(i + 1):
+                nxt[d] -= c * p[i][d]
+        p.append(nxt)
+    return [Q(c) for c in reversed(p[n])]
 
 
 def cancel_common_factors(

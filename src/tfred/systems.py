@@ -445,7 +445,7 @@ def eliminate_with_integral(
     for n, wi in w.items():
         if n != state:
             repl = repl - new_ctx.sym(n) * wi
-    repl = repl * (1 / w[state])
+    repl = repl.exact_divide(new_ctx.const(w[state]))
     keep_rows = []
     new_ivs = {}
     for name in new_states:

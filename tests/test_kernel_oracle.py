@@ -1,0 +1,148 @@
+"""Differential test of the exact kernel against sympy (a test-only oracle).
+
+Random polynomials in two to four symbols go through tfred's products, sums,
+differences, exact division, substitution and linear solves, and every result
+is compared with sympy's ``expand`` / ``cancel`` on the same input.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+sympy = pytest.importorskip("sympy")
+
+from tfred.matrices import NoSolution, RFMatrix, linear_solve, solve_matrix  # noqa: E402
+from tfred.rational import Context, Polynomial, RationalFunction  # noqa: E402
+
+NAMES = ["x", "y", "a", "b"]
+CTX = Context(["x", "y"], ["a", "b"])
+SYMS = {n: sympy.Symbol(n) for n in NAMES + ["eps"]}
+
+coeffs = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+)
+
+
+@st.composite
+def polys(draw, max_terms=5, max_deg=3):
+    """A polynomial over 2-4 of the context's symbols."""
+    used = draw(st.integers(2, 4))
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        expo = [draw(st.integers(0, max_deg)) if i < used else 0 for i in range(CTX.nvars)]
+        terms[tuple(expo)] = Fraction(draw(coeffs))
+    return Polynomial(CTX, terms)
+
+
+def nonzero_polys(**kw):
+    return polys(**kw).filter(lambda p: not p.is_zero())
+
+
+def to_sympy(v):
+    if isinstance(v, RationalFunction):
+        return to_sympy(v.num) / to_sympy(v.den)
+    total = sympy.Integer(0)
+    for e, c in v.terms.items():
+        c = Fraction(c)
+        mono = sympy.Rational(c.numerator, c.denominator)
+        for sym, k in zip(CTX.symbols, e):
+            mono *= SYMS[sym.name] ** k
+        total += mono
+    return total
+
+
+def same(v, expr) -> bool:
+    return sympy.cancel(to_sympy(v) - expr) == 0
+
+
+def poly_equals(p: Polynomial, expr) -> bool:
+    return sympy.expand(to_sympy(p) - expr) == 0
+
+
+FAST = settings(max_examples=60, deadline=None)
+
+
+@FAST
+@given(polys(), polys())
+def test_ring_operations_match_sympy(p, q):
+    sp, sq = to_sympy(p), to_sympy(q)
+    assert poly_equals(p * q, sp * sq)
+    assert poly_equals(p + q, sp + sq)
+    assert poly_equals(p - q, sp - sq)
+    assert poly_equals(p ** 2, sp ** 2)
+
+
+@FAST
+@given(polys(), nonzero_polys(max_terms=3, max_deg=2))
+def test_exact_divide_recovers_the_cofactor(p, d):
+    q = (p * d).exact_divide(d)
+    assert q is not None
+    assert poly_equals(q, to_sympy(p))
+
+
+@FAST
+@given(nonzero_polys(), nonzero_polys(max_terms=3, max_deg=2))
+def test_exact_divide_is_none_exactly_when_sympy_leaves_a_remainder(p, d):
+    gens = [SYMS[n] for n in NAMES]
+    _, rem = sympy.div(to_sympy(p), to_sympy(d), *gens, domain="QQ")
+    q = p.exact_divide(d)
+    if rem == 0:
+        assert q is not None and poly_equals(q * d, to_sympy(p))
+    else:
+        assert q is None
+
+
+@FAST
+@given(polys(), polys(max_terms=3, max_deg=2), polys(max_terms=3, max_deg=2))
+def test_subs_matches_sympy(p, u, v):
+    got = p.subs({"x": u, "a": v})
+    want = to_sympy(p).subs({SYMS["x"]: to_sympy(u), SYMS["a"]: to_sympy(v)}, simultaneous=True)
+    assert poly_equals(got, sympy.expand(want))
+
+
+@FAST
+@given(polys(max_deg=2), polys(max_terms=3, max_deg=2), nonzero_polys(max_terms=3, max_deg=1))
+def test_subs_rf_matches_sympy(p, u, d):
+    r = RationalFunction(u, d)
+    got = p.subs_rf({"y": r, "b": 3})
+    want = to_sympy(p).subs({SYMS["y"]: to_sympy(r), SYMS["b"]: 3}, simultaneous=True)
+    assert same(got, want)
+
+
+def _matrix(entries, n):
+    return [entries[i * n:(i + 1) * n] for i in range(n)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(polys(max_terms=2, max_deg=1), min_size=n * n, max_size=n * n),
+        st.lists(polys(max_terms=2, max_deg=1), min_size=n, max_size=n),
+    )
+))
+def test_solves_match_sympy(case):
+    n, entries, rhs = case
+    rows = _matrix(entries, n)
+    M = RFMatrix(CTX, rows)
+    SM = sympy.Matrix([[to_sympy(v) for v in row] for row in rows])
+    Sb = sympy.Matrix([to_sympy(v) for v in rhs])
+    X = solve_matrix(M, RFMatrix.column(CTX, rhs))
+    det = sympy.expand(SM.det(method="berkowitz"))
+    if det == 0:
+        assert isinstance(X, NoSolution)
+        return
+    # Cramer's rule: every determinant is an expanded polynomial
+    want = []
+    for i in range(n):
+        Mi = SM.copy()
+        Mi[:, i] = Sb
+        want.append(sympy.expand(Mi.det(method="berkowitz")) / det)
+    assert not isinstance(X, NoSolution)
+    x = linear_solve(M, rhs)
+    for i in range(n):
+        assert same(X[i, 0], want[i])
+        assert same(x[i], want[i])

@@ -1,19 +1,25 @@
-"""Print the output of 210 CLI cases, for comparing two checkouts byte for byte.
+"""Print the output of 213 CLI cases, for comparing two checkouts byte for byte.
 
 Usage: python tools/output_check.py <src-dir>
 
 <src-dir> is the ``src`` directory of a checkout.  The cases are every builtin
 x {check, ltc, conditions, reduce, converge on a short ladder} x {text, json}
 x --seed {0, 7}, plus ``reduce --mode standard|nonstandard`` on mm2d and mm3d
-and the inconsistent partition ``--fast s`` of mm3d.  Each case prints its
-argv, exit code, stdout and stderr.  Compare two checkouts with
+and the inconsistent partition ``--fast s`` of mm3d, plus ``reduce --model
+... --format json`` on transport_binding(N) model files for N = 2, 3, 5 (the
+benchmark's model shape, written to a temporary directory that is printed as
+``<tmp>``).  Each case prints its argv, exit code, stdout and stderr.  Compare
+two checkouts with
 
     diff <(python tools/output_check.py OLD/src) <(python tools/output_check.py src)
 """
 
 import contextlib
 import io
+import json
 import sys
+import tempfile
+from pathlib import Path
 
 sys.path.insert(0, sys.argv[1])
 
@@ -27,10 +33,46 @@ cases = [[*c, "--builtin", b, "--format", f, "--seed", s]
 cases += [["reduce", "--builtin", b, "--mode", m, "--format", f]
           for b in ("mm2d", "mm3d") for m in ("standard", "nonstandard") for f in ("text", "json")]
 cases += [[c, "--builtin", "mm3d", "--fast", "s"] for c in ("reduce", "converge")]
+
+
+def transport_model(N: int) -> dict:
+    """transport_binding(N) as a model file, built through the `transport` section."""
+    comps = range(1, N + 1)
+    return {
+        "name": f"transport_binding_N{N}",
+        "species": ["s", "p", "c"],
+        "reactions": [
+            {"reactants": {"s": 1, "p": 1}, "products": {"c": 1}, "rate": "k1"},
+            {"reactants": {"c": 1}, "products": {"s": 1, "p": 1}, "rate": "km1"},
+        ],
+        "parameters": ["k1", "km1"] + [f"{x}0_{a}" for x in "spc" for a in comps],
+        "transport": {
+            "N": N,
+            "species": {
+                "s": {"kind": "laplacian", "eps_order": 0, "rate": "delta_s"},
+                "p": {"kind": "laplacian", "eps_order": 1, "rate": "delta_p"},
+                "c": {"kind": "laplacian", "eps_order": 1, "rate": "delta_c"},
+            },
+        },
+        "initial_values": {
+            f"{x}{a}": {"base": f"{x}0_{a}", "eps_order": 0 if x == "p" else 1}
+            for x in "spc"
+            for a in comps
+        },
+        "fast": [f"s{a}" for a in comps] + [f"c{a}" for a in comps],
+    }
+
+
+tmp = tempfile.TemporaryDirectory()
+for N in (2, 3, 5):
+    path = Path(tmp.name) / f"transport_binding_N{N}.json"
+    path.write_text(json.dumps(transport_model(N)))
+    cases.append(["reduce", "--model", str(path), "--format", "json"])
 for argv in cases:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    print("###", " ".join(argv), "exit", code)
-    print(out.getvalue(), end="")
-    print("stderr:", err.getvalue())
+    print("###", " ".join(argv).replace(tmp.name, "<tmp>"), "exit", code)
+    print(out.getvalue().replace(tmp.name, "<tmp>"), end="")
+    print("stderr:", err.getvalue().replace(tmp.name, "<tmp>"))
+tmp.cleanup()
