@@ -6,6 +6,12 @@ Dormand-Prince 5(4) pair, and compared on a common grid via cubic Hermite
 dense output.  Full systems are integrated in slow time, so the fast block
 carries a 1/eps factor and the explicit stepper simply takes small steps;
 the ladder bottoms out where that stays feasible.
+
+A field is a callable ``f(t, z)`` that takes a sequence of python floats and
+returns a list of them, one per state.  The stepper works on python floats
+throughout and builds numpy arrays only for the finished ``Trajectory``.  A
+compiled field returns a row of ``nan`` at a pole or where a power overflows,
+so the stepper rejects the step just as it does any other non-finite stage.
 """
 
 from __future__ import annotations
@@ -44,8 +50,11 @@ class EvaluationError(IntegrationError):
 # -- field compilation -------------------------------------------------------
 
 
+Field = Callable[[float, Sequence[float]], Sequence[float]]
+
+
 def _poly_expr(p: Polynomial, state_pos: Mapping[str, int], env: Mapping[str, float], weight: float) -> list[str]:
-    """Terms of a polynomial as python expressions in z[...], constants folded."""
+    """Terms of a polynomial as python expressions in the state locals _z0, _z1, ..., constants folded."""
     ctx = p.ctx
     parts: list[str] = []
     for e, c in p.terms.items():
@@ -56,7 +65,7 @@ def _poly_expr(p: Polynomial, state_pos: Mapping[str, int], env: Mapping[str, fl
                 continue
             name = ctx.symbols[i].name
             if name in state_pos:
-                z = f"z[{state_pos[name]}]"
+                z = f"_z{state_pos[name]}"
                 factors.append(z if k == 1 else f"{z}**{k}")
             else:
                 if name not in env:
@@ -75,10 +84,23 @@ def _float_env(params: Mapping[str, object]) -> dict[str, float]:
     return {k: float(Fraction(str(v))) if not isinstance(v, (int, float, Fraction)) else float(v) for k, v in params.items()}
 
 
-def _compile_field(exprs: Sequence[str]) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Compile one python expression per row into a vector field (t, z) -> dz."""
-    src = "def _field(t, z):\n    return np.array([" + ", ".join(exprs) + "], dtype=float)\n"
-    namespace: dict = {"np": np}
+def _compile_field(exprs: Sequence[str], n_states: int) -> Field:
+    """Compile one python expression per row into a vector field (t, z) -> dz.
+
+    The state is unpacked into the locals _z0, _z1, ... once per call.  Python
+    floats raise where numpy would return inf or nan, so a division by zero or
+    an overflowing power returns a row of nan instead.
+    """
+    unpack = "".join(f"_z{i}, " for i in range(n_states))
+    src = (
+        "def _field(t, z):\n"
+        + (f"    {unpack}= z\n" if n_states else "")
+        + "    try:\n"
+        + "        return [" + ", ".join(exprs) + "]\n"
+        + "    except (ZeroDivisionError, OverflowError):\n"
+        + "        return [" + ", ".join(["nan"] * len(exprs)) + "]\n"
+    )
+    namespace: dict = {"nan": math.nan}
     exec(src, namespace)
     return namespace["_field"]
 
@@ -88,7 +110,7 @@ def compile_rows(
     state_names: Sequence[str],
     params: Mapping[str, object],
     eps: "float | None" = None,
-) -> Callable[[float, np.ndarray], np.ndarray]:
+) -> Field:
     """Compile rational-function rows into a float vector field z -> dz.
 
     Parameter values (and eps, when given) are folded into the coefficients.
@@ -108,7 +130,7 @@ def compile_rows(
             den_parts = _poly_expr(rf.den, pos, env, 1.0)
             den = " + ".join(den_parts) if den_parts else "0.0"
             exprs.append(f"({num})/({den})")
-    return _compile_field(exprs)
+    return _compile_field(exprs, len(state_names))
 
 
 def compile_system(
@@ -116,7 +138,7 @@ def compile_system(
     params: Mapping[str, object],
     eps: float,
     time: str = "slow",
-) -> Callable[[float, np.ndarray], np.ndarray]:
+) -> Field:
     """Numeric field of a graded system at a concrete eps value.
 
     ``time`` "slow" divides the field by eps (the usual comparison frame);
@@ -133,7 +155,7 @@ def compile_system(
         for i, p in enumerate(g):
             row_parts[i].extend(_poly_expr(p, pos, env, weight))
     exprs = ["(" + (" + ".join(parts) if parts else "0.0") + ")" for parts in row_parts]
-    return _compile_field(exprs)
+    return _compile_field(exprs, len(sys.states))
 
 
 def numeric_initial_state(
@@ -150,19 +172,103 @@ def numeric_initial_state(
 
 # -- Dormand-Prince 5(4) ------------------------------------------------------
 
-_DP_C = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0]
-# difference between the 5th and embedded 4th order weights
-_DP_E = [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
+# Butcher tableau (Hairer-Norsett-Wanner, Solving ODEs I, Table II.5.2)
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+# 5th order weights (b2 = b7 = 0); the 7th stage is evaluated at (t+h, ynew): FSAL
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+# difference between the 5th and embedded 4th order weights (e2 = 0)
+_E1, _E3, _E4, _E5, _E6, _E7 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
+
+
+def _pairwise_sum(v: Sequence[float]) -> float:
+    """Sum of floats in numpy's pairwise order, bit for bit equal to ``np.sum``.
+
+    Below 8 terms a left fold; up to 128, eight strided accumulators combined
+    as a tree plus a fold over the tail; above, halves cut at a multiple of 8.
+    """
+    n = len(v)
+    if n < 8:
+        s = 0.0
+        for x in v:
+            s += x
+        return s
+    if n <= 128:
+        m = n - n % 8
+        r0, r1, r2, r3, r4, r5, r6, r7 = v[:8]
+        for i in range(8, m, 8):
+            r0 += v[i]
+            r1 += v[i + 1]
+            r2 += v[i + 2]
+            r3 += v[i + 3]
+            r4 += v[i + 4]
+            r5 += v[i + 5]
+            r6 += v[i + 6]
+            r7 += v[i + 7]
+        # numpy adds its sum to the identity 0.0, which turns a -0.0 into 0.0
+        s = 0.0 + (((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
+        for x in v[m:]:
+            s += x
+        return s
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(v[:half]) + _pairwise_sum(v[half:])
+
+
+def _rms(q: Sequence[float]) -> float:
+    """sqrt(mean(q**2)), rounded as numpy rounds it."""
+    return math.sqrt(_pairwise_sum([v * v for v in q]) / len(q))
+
+
+def _dp_step(f: Field, t: float, h: float, y: list[float], k1: Sequence[float]):
+    """One Dormand-Prince step: (ynew, k7, error vector), or None at a non-finite stage.
+
+    Each stage input is y + (h*a1)*k1 + (h*a2)*k2 + ..., summed left to right
+    with the zero weights skipped; the error vector starts from 0.0.
+    """
+    isfinite = math.isfinite
+    x1 = h * _A21
+    k2 = f(t + _C2 * h, [v + x1 * p for v, p in zip(y, k1)])
+    if not all(map(isfinite, k2)):
+        return None
+    x1, x2 = h * _A31, h * _A32
+    k3 = f(t + _C3 * h, [v + x1 * p + x2 * q for v, p, q in zip(y, k1, k2)])
+    if not all(map(isfinite, k3)):
+        return None
+    x1, x2, x3 = h * _A41, h * _A42, h * _A43
+    k4 = f(t + _C4 * h, [v + x1 * p + x2 * q + x3 * r for v, p, q, r in zip(y, k1, k2, k3)])
+    if not all(map(isfinite, k4)):
+        return None
+    x1, x2, x3, x4 = h * _A51, h * _A52, h * _A53, h * _A54
+    k5 = f(
+        t + _C5 * h,
+        [v + x1 * p + x2 * q + x3 * r + x4 * s for v, p, q, r, s in zip(y, k1, k2, k3, k4)],
+    )
+    if not all(map(isfinite, k5)):
+        return None
+    x1, x2, x3, x4, x5 = h * _A61, h * _A62, h * _A63, h * _A64, h * _A65
+    k6 = f(
+        t + h,  # c6 = c7 = 1
+        [v + x1 * p + x2 * q + x3 * r + x4 * s + x5 * u for v, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)],
+    )
+    if not all(map(isfinite, k6)):
+        return None
+    # the 7th stage row is the 5th order weights, so its input is ynew
+    x1, x3, x4, x5, x6 = h * _B1, h * _B3, h * _B4, h * _B5, h * _B6
+    ynew = [v + x1 * p + x3 * r + x4 * s + x5 * u + x6 * w for v, p, r, s, u, w in zip(y, k1, k3, k4, k5, k6)]
+    k7 = f(t + h, ynew)
+    if not all(map(isfinite, k7)):
+        return None
+    x1, x3, x4, x5, x6, x7 = h * _E1, h * _E3, h * _E4, h * _E5, h * _E6, h * _E7
+    err = [
+        0.0 + x1 * p + x3 * r + x4 * s + x5 * u + x6 * w + x7 * g
+        for p, r, s, u, w, g in zip(k1, k3, k4, k5, k6, k7)
+    ]
+    return ynew, k7, err
 
 
 @dataclass
@@ -185,21 +291,23 @@ class Trajectory:
     def sample(self, grid: Sequence[float]) -> np.ndarray:
         """Cubic Hermite interpolation on the accepted intervals."""
         grid = np.asarray(grid, dtype=float)
-        out = np.empty((len(grid), self.states.shape[1]))
         idx = np.searchsorted(self.taus, grid, side="right") - 1
         idx = np.clip(idx, 0, len(self.taus) - 2)
-        for row, (g, i) in enumerate(zip(grid, idx)):
-            t0, t1 = self.taus[i], self.taus[i + 1]
+        taus, states, derivs = self.taus, self.states, self.derivs
+        rows = []
+        for g, i in zip(grid.tolist(), idx.tolist()):
+            t0, t1 = float(taus[i]), float(taus[i + 1])
             h = t1 - t0
             th = (g - t0) / h if h > 0 else 0.0
-            y0, y1 = self.states[i], self.states[i + 1]
-            f0, f1 = self.derivs[i], self.derivs[i + 1]
             h00 = 2 * th**3 - 3 * th**2 + 1
             h10 = th**3 - 2 * th**2 + th
             h01 = -2 * th**3 + 3 * th**2
             h11 = th**3 - th**2
-            out[row] = h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
-        return out
+            x10, x11 = h10 * h, h11 * h
+            y0, f0 = states[i].tolist(), derivs[i].tolist()
+            y1, f1 = states[i + 1].tolist(), derivs[i + 1].tolist()
+            rows.append([h00 * a + x10 * b + h01 * c + x11 * d for a, b, c, d in zip(y0, f0, y1, f1)])
+        return np.array(rows, dtype=float).reshape(len(rows), states.shape[1])
 
     def final(self) -> np.ndarray:
         return self.states[-1]
@@ -222,7 +330,7 @@ class Trajectory:
 
 
 def integrate(
-    f: Callable[[float, np.ndarray], np.ndarray],
+    f: Field,
     z0: Sequence[float],
     t_span: tuple[float, float],
     rtol: float = 1e-8,
@@ -234,32 +342,32 @@ def integrate(
 ) -> Trajectory:
     """Adaptive embedded Runge-Kutta 5(4) with per-component error control.
 
-    ``h_fixed`` disables adaptivity (every step accepted at that size); used
-    for order measurements.
+    ``f(t, z)`` takes the state as a list of floats and returns the derivative
+    as a sequence of floats; a non-finite entry (a compiled field gives nan at
+    a pole or an overflow) rejects the step and quarters it.  ``atol`` must be
+    positive wherever a component can be zero.  ``h_fixed`` disables
+    adaptivity (every step accepted at that size); used for order
+    measurements.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 <= t0:
         raise ValueError("need t1 > t0")
-    y = np.array(z0, dtype=float)
-    n = len(y)
-    f0 = f(t0, y)
-    if not np.all(np.isfinite(f0)):
+    y = [float(v) for v in z0]
+    fcur = f(t0, y)
+    if not all(map(math.isfinite, fcur)):
         raise EvaluationError(t0)
-    scale = atol + rtol * np.abs(y)
-    d0 = np.sqrt(np.mean((y / scale) ** 2))
-    d1 = np.sqrt(np.mean((f0 / scale) ** 2))
+    d0 = _rms([v / (atol + rtol * abs(v)) for v in y])
+    d1 = _rms([d / (atol + rtol * abs(v)) for d, v in zip(fcur, y)])
     h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
     h = min(h, (t1 - t0) / 10)
     if h_fixed is not None:
         h = float(h_fixed)
 
     taus = [t0]
-    states = [y.copy()]
-    derivs = [f0.copy()]
+    states = [y]
+    derivs = [fcur]
     stats = IntegratorStats()
     t = t0
-    fcur = f0
-    k = [np.zeros(n) for _ in range(7)]
     while t < t1:
         if stats.steps + stats.rejected > max_steps:
             raise IntegrationError("step budget exhausted")
@@ -268,42 +376,22 @@ def integrate(
         if h < step_floor:
             raise StiffnessError(t)
         h = min(h, t1 - t)
-        k[0] = fcur
-        failed = False
-        for i in range(1, 7):
-            yi = y.copy()
-            ai = _DP_A[i]
-            for j in range(i):
-                if ai[j]:
-                    yi = yi + h * ai[j] * k[j]
-            k[i] = f(t + _DP_C[i] * h, yi)
-            if not np.all(np.isfinite(k[i])):
-                failed = True
-                break
-        if failed:
+        step = _dp_step(f, t, h, y, fcur)
+        if step is None:
             stats.rejected += 1
             h *= 0.25
             if h < step_floor:
                 raise EvaluationError(t)
             continue
-        ynew = y.copy()
-        for i in range(7):
-            if _DP_B5[i]:
-                ynew = ynew + h * _DP_B5[i] * k[i]
-        err = np.zeros(n)
-        for i in range(7):
-            if _DP_E[i]:
-                err = err + h * _DP_E[i] * k[i]
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(ynew))
-        err_norm = np.sqrt(np.mean((err / scale) ** 2))
+        ynew, k7, err = step
+        err_norm = _rms([e / (atol + rtol * max(abs(a), abs(b))) for e, a, b in zip(err, y, ynew)])
         if err_norm <= 1.0 or h_fixed is not None:
             t = t + h
             y = ynew
-            fcur = k[6] if np.all(np.isfinite(k[6])) else f(t, y)
-            # the 7th stage is evaluated at (t+h, ynew): FSAL reuse
+            fcur = k7
             taus.append(t)
-            states.append(y.copy())
-            derivs.append(fcur.copy())
+            states.append(y)
+            derivs.append(fcur)
             stats.steps += 1
             stats.min_step = min(stats.min_step, h)
         else:
@@ -313,10 +401,11 @@ def integrate(
             h = h * min(5.0, max(0.2, factor))
         else:
             h = float(h_fixed)
-    if not np.all(np.isfinite(np.array(states))):
+    state_arr = np.array(states, dtype=float)
+    if not np.all(np.isfinite(state_arr)):
         raise EvaluationError(t)
     return Trajectory(
-        np.array(taus), np.array(states), np.array(derivs), tuple(names), stats
+        np.array(taus), state_arr, np.array(derivs, dtype=float), tuple(names), stats
     )
 
 
@@ -491,7 +580,7 @@ def iv_inconsistency_demo(
     x_red = x0 * math.exp(a * tau_eval)
     for eps in ladder:
         def f(t, z, eps=eps):
-            return np.array([a * z[0] + b * z[1], (c / eps) * z[1]])
+            return [a * z[0] + b * z[1], (c / eps) * z[1]]
 
         ystar0 = y0 if consistent else y0 / eps
         traj = integrate(f, [x0, ystar0], (0.0, tau_eval), rtol, atol, names=("x", "y_star"))

@@ -399,7 +399,7 @@ def test_model_file_with_transport(tmp_path):
 def test_trajectory_dat_export(tmp_path):
     from tfred.sim import integrate
 
-    traj = integrate(lambda t, z: -z, [1.0], (0.0, 0.5), names=("u",))
+    traj = integrate(lambda t, z: [-v for v in z], [1.0], (0.0, 0.5), names=("u",))
     path = tmp_path / "traj.dat"
     traj.write_dat(str(path))
     lines = path.read_text().strip().splitlines()

@@ -32,7 +32,7 @@ from tfred.systems import Partition, apply_scaling
 
 
 def test_exponential_decay_accuracy():
-    traj = integrate(lambda t, z: -z, [1.0], (0.0, 1.0), rtol=1e-10, atol=1e-12)
+    traj = integrate(lambda t, z: [-v for v in z], [1.0], (0.0, 1.0), rtol=1e-10, atol=1e-12)
     assert abs(traj.final()[0] - math.exp(-1)) < 1e-8
 
 
@@ -51,7 +51,7 @@ def test_fixed_step_order_five():
     # halving a fixed step shrinks global error by about 2^5 for a 5th order pair
     errs = []
     for h in (0.1, 0.05):
-        traj = integrate(lambda t, z: -z, [1.0], (0.0, 1.0), h_fixed=h)
+        traj = integrate(lambda t, z: [-v for v in z], [1.0], (0.0, 1.0), h_fixed=h)
         errs.append(abs(traj.final()[0] - math.exp(-1)))
     ratio = errs[0] / errs[1]
     assert ratio > 2**4, f"observed order ratio {ratio}"
@@ -60,7 +60,7 @@ def test_fixed_step_order_five():
 def test_tolerance_tightening_reduces_error():
     errs = []
     for rtol in (1e-6, 1e-10):
-        traj = integrate(lambda t, z: -z, [1.0], (0.0, 1.0), rtol=rtol, atol=rtol * 1e-2)
+        traj = integrate(lambda t, z: [-v for v in z], [1.0], (0.0, 1.0), rtol=rtol, atol=rtol * 1e-2)
         errs.append(abs(traj.final()[0] - math.exp(-1)))
     assert errs[1] < errs[0] / 16
 
@@ -84,6 +84,22 @@ def test_stiffness_error_carries_location():
 
     with pytest.raises((StiffnessError, EvaluationError)) as err:
         integrate(nasty, [0.0], (0.0, 1.0), rtol=1e-8, atol=1e-10, step_floor=1e-10)
+    assert err.value.tau == pytest.approx(0.5, abs=0.1)
+
+
+def test_compiled_pole_gives_nonfinite_row():
+    ctx = linex().system.ctx
+    field = compile_rows([ctx.parse("1/(x - 1)")], ["x"], {})
+    row = field(0.0, [1.0])
+    assert len(row) == 1 and not math.isfinite(row[0])
+
+
+def test_compiled_pole_error_carries_location():
+    # x' = 1/(1 - x) from x = 0 reaches its pole x = 1 at tau = 1/2
+    ctx = linex().system.ctx
+    field = compile_rows([ctx.parse("1/(1 - x)")], ["x"], {})
+    with pytest.raises((StiffnessError, EvaluationError)) as err:
+        integrate(field, [0.0], (0.0, 1.0), rtol=1e-8, atol=1e-10, step_floor=1e-10)
     assert err.value.tau == pytest.approx(0.5, abs=0.1)
 
 
@@ -177,7 +193,7 @@ def test_fit_order_recovers_slope():
 
 
 def test_csv_export(tmp_path):
-    traj = integrate(lambda t, z: -z, [1.0], (0.0, 1.0), names=("u",))
+    traj = integrate(lambda t, z: [-v for v in z], [1.0], (0.0, 1.0), names=("u",))
     path = tmp_path / "traj.csv"
     traj.write_csv(str(path))
     lines = path.read_text().strip().splitlines()

@@ -1,4 +1,4 @@
-"""Print the output of 213 CLI cases, for comparing two checkouts byte for byte.
+"""Print the output of 218 CLI cases, for comparing two checkouts byte for byte.
 
 Usage: python tools/output_check.py <src-dir>
 
@@ -8,7 +8,10 @@ x --seed {0, 7}, plus ``reduce --mode standard|nonstandard`` on mm2d and mm3d
 and the inconsistent partition ``--fast s`` of mm3d, plus ``reduce --model
 ... --format json`` on transport_binding(N) model files for N = 2, 3, 5 (the
 benchmark's model shape, written to a temporary directory that is printed as
-``<tmp>``).  Each case prints its argv, exit code, stdout and stderr.  Compare
+``<tmp>``), plus the benchmark's ladder jobs: ``converge`` on mm2d and mm3d
+down to eps = 7.8e-4, on transport_binding with fixed heterogeneous
+parameters down to 3.125e-3, and ``demo-linex`` with and without
+``--consistent``.  Each case prints its argv, exit code, stdout and stderr.  Compare
 two checkouts with
 
     diff <(python tools/output_check.py OLD/src) <(python tools/output_check.py src)
@@ -33,6 +36,19 @@ cases = [[*c, "--builtin", b, "--format", f, "--seed", s]
 cases += [["reduce", "--builtin", b, "--mode", m, "--format", f]
           for b in ("mm2d", "mm3d") for m in ("standard", "nonstandard") for f in ("text", "json")]
 cases += [[c, "--builtin", "mm3d", "--fast", "s"] for c in ("reduce", "converge")]
+# Deep ladders: the explicit stepper takes thousands of steps per rung here.
+# Unequal rates and initial levels keep the transport study off its
+# homogeneous equilibrium, so its sup errors are not all 0.
+TRANSPORT_SET = ",".join(
+    ["k1=1.1000", "km1=0.9000", "delta_s=1.2000", "delta_p=0.8500", "delta_c=1.0500"]
+    + [f"{x}0_{a}={v:.4f}" for x, vs in zip("spc", ((0.6, 1.9, 1.2, 0.8), (1.5, 0.7, 1.1, 1.8), (0.9, 1.3, 0.55, 1.6)))
+       for a, v in enumerate(vs, 1)]
+)
+cases += [["converge", "--builtin", b, "--seed", "0", "--ladder", "1e-1:7.8e-4:half", "--format", "json"]
+          for b in ("mm2d", "mm3d")]
+cases.append(["converge", "--builtin", "transport_binding", "--seed", "0", "--ladder", "1e-1:3.125e-3:half",
+              "--t1", "0.5", "--set", TRANSPORT_SET, "--format", "json"])
+cases += [["demo-linex", "--format", "json", *flag] for flag in ([], ["--consistent"])]
 
 
 def transport_model(N: int) -> dict:
