@@ -1,11 +1,16 @@
 """Matrices over the rational-function field, with fraction-free elimination.
 
-Linear solves clear per-row denominators and then run Bareiss elimination over
-the polynomial ring, so intermediate expression swell stays controlled and
-every division is exact.  On top of that sit the structural factorizations the
-reduction machinery needs: writing a vector field that vanishes on a coordinate
-subspace as a matrix times the vanishing variables, and rank factorization of a
-singular matrix guided by evaluation at a sample point.
+A linear solve splits the matrix into independent blocks (rows and columns
+joined by nonzero entries), orders each block's rows and columns sparsest
+first, clears per-row denominators and runs one Bareiss elimination over the
+polynomial ring.  Back-substitution is fraction-free as well: every solution
+entry of a block is one polynomial over one common denominator, the block's
+last pivot, so expression swell stays controlled, every division is exact and
+no rational-function arithmetic runs in the back-substitution.  On top of
+that sit the structural factorizations the reduction machinery needs: writing
+a vector field that vanishes on a coordinate subspace as a matrix times the
+vanishing variables, and rank factorization of a singular matrix guided by
+evaluation at a sample point.
 """
 
 from __future__ import annotations
@@ -28,6 +33,10 @@ class ConsistencyError(SymbolicError):
 
 class RankError(SymbolicError):
     """Rank factorization could not be verified at/near the sample point."""
+
+
+class BackSubstitutionError(SymbolicError):
+    """A fraction-free back-substitution met a pivot that does not divide exactly."""
 
 
 class NoSolution:
@@ -334,41 +343,136 @@ def _bareiss(
     return a, pivots, perm, sign
 
 
-def _solve(M: RFMatrix, B: RFMatrix, unique: bool) -> "RFMatrix | NoSolution":
-    """M X = B by one fraction-free elimination of [M | B].
+def _blocks(M: RFMatrix) -> list[tuple[list[int], list[int]]]:
+    """The independent blocks of M: rows and columns joined by nonzero entries.
 
-    Each row of [M | B] is cleared of denominators once and every column of B
-    is back-substituted through the same echelon form.  An inconsistent
-    column gives NoSolution naming the first such column and the (original)
-    index of an offending row.  Free variables are set to zero, unless
-    ``unique`` asks for NoSolution when the columns of M are dependent.
+    Union-find over rows and columns; each block is (row indices, column
+    indices), in ascending order, and blocks come in order of their smallest
+    row (or, for an all-zero column, column).  An all-zero row is a block
+    without columns, an all-zero column one without rows.
+    """
+    m = M.rows
+    parent = list(range(m + M.cols))
+
+    def find(k: int) -> int:
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    for i, row in enumerate(M.entries):
+        for j, v in enumerate(row):
+            if not v.is_zero():
+                a, b = find(i), find(m + j)
+                if a != b:
+                    parent[max(a, b)] = min(a, b)
+    groups: dict[int, tuple[list[int], list[int]]] = {}
+    for k in range(len(parent)):
+        rows, cols = groups.setdefault(find(k), ([], []))
+        if k < m:
+            rows.append(k)
+        else:
+            cols.append(k - m)
+    return list(groups.values())
+
+
+def _fraction_free_back_substitute(
+    ech: list[list[Polynomial]], pivots: list[int], ncols: int
+) -> tuple[Polynomial, list[list[Polynomial]]]:
+    """Solve a Bareiss echelon form over one common denominator.
+
+    ``ech`` holds fraction-free echelon rows of [A | B] with A's ``ncols``
+    columns first; ``pivots`` are the pivot columns of its leading rows.  With
+    free variables at zero, the last pivot d is the determinant of the pivot
+    block, so y = d x is polynomial and each step divides by its pivot exactly
+    (Nakos, Turner and Williams 1997).  Returns d and, per pivot row, the
+    numerators y over all right-hand columns.  A pivot that does not divide
+    exactly means ``ech`` was no Bareiss echelon form and raises
+    BackSubstitutionError.
+    """
+    r = len(pivots)
+    d = ech[r - 1][pivots[r - 1]]
+    Y = [None] * (r - 1) + [ech[r - 1][ncols:]]
+    for pr in range(r - 2, -1, -1):
+        row = ech[pr]
+        later = [(row[pivots[k]], Y[k]) for k in range(pr + 1, r) if not row[pivots[k]].is_zero()]
+        ys = []
+        for j in range(len(row) - ncols):
+            s = d * row[ncols + j]
+            for a, y in later:
+                if not y[j].is_zero():
+                    s = s - a * y[j]
+            q = s.exact_divide(row[pivots[pr]])
+            if q is None:
+                raise BackSubstitutionError(
+                    f"pivot of echelon row {pr} does not divide its back-substitution numerator exactly"
+                )
+            ys.append(q)
+        Y[pr] = ys
+    return d, Y
+
+
+def _solve(M: RFMatrix, B: RFMatrix, unique: bool) -> "RFMatrix | NoSolution":
+    """M X = B with one common denominator per independent block of M.
+
+    M splits into blocks of rows and columns joined by nonzero entries
+    (``_blocks``).  An all-zero row only checks its right-hand entries, and an
+    all-zero column is a free variable.  Each other block orders its rows and
+    columns sparsest first (ties by index), clears the denominators of every
+    row of [M | B] once and runs one ``_bareiss``; every column of B is then
+    back-substituted fraction-free over the block's last pivot d, so each
+    entry of X is one polynomial over d and the back-substitution runs in
+    polynomial arithmetic only.  An inconsistent system gives NoSolution
+    naming the first inconsistent right-hand column over all blocks and the
+    smallest original index of an offending row in it.  Free variables are
+    set to zero, unless ``unique`` asks for NoSolution(None) when the columns
+    of M are dependent.
     """
     ctx = M.ctx
     if B.rows != M.rows:
         raise ValueError("right-hand side length mismatch")
-    n = M.cols
-    aug = [_clear_row_denominators(ctx, M.row(i) + B.row(i), n)[0] for i in range(M.rows)]
-    ech, pivots, perm, _ = _bareiss(aug, n)
-    # rows below the pivot block are zero in M's columns: any nonzero
-    # right-hand entry there is an inconsistency
-    for j in range(n, n + B.cols):
-        for rr in range(len(pivots), len(ech)):
-            if not ech[rr][j].is_zero():
-                return NoSolution(perm[rr], j - n)
-    if unique and len(pivots) < n:
+    nnz_row = [sum(not v.is_zero() for v in row) for row in M.entries]
+    nnz_col = [sum(not row[j].is_zero() for row in M.entries) for j in range(M.cols)]
+    bad: list[tuple[int, int]] = []  # (right-hand column, original row)
+    free = False
+    solved = []
+    for rows, cols in _blocks(M):
+        if not cols:
+            bad += [(j, i) for i in rows for j, v in enumerate(B.entries[i]) if not v.is_zero()]
+            continue
+        if not rows:
+            free = True
+            continue
+        rows.sort(key=lambda i: (nnz_row[i], i))
+        cols.sort(key=lambda j: (nnz_col[j], j))
+        w = len(cols)
+        aug = [
+            _clear_row_denominators(ctx, [M.entries[i][j] for j in cols] + B.entries[i], w)[0]
+            for i in rows
+        ]
+        ech, pivots, perm, _ = _bareiss(aug, w)
+        # rows below the pivot block are zero in M's columns: any nonzero
+        # right-hand entry there is an inconsistency
+        bad += [
+            (j, rows[perm[rr]])
+            for rr in range(len(pivots), len(ech))
+            for j, v in enumerate(ech[rr][w:])
+            if not v.is_zero()
+        ]
+        free = free or len(pivots) < w
+        solved.append((cols, ech, pivots))
+    if bad:
+        col, row = min(bad)
+        return NoSolution(row, col)
+    if unique and free:
         return NoSolution(None)
-    X: list[list[RationalFunction]] = []
-    for j in range(n, n + B.cols):
-        x = [RationalFunction.of(ctx.zero()) for _ in range(n)]
-        for pr in range(len(pivots) - 1, -1, -1):
-            pc = pivots[pr]
-            s = RationalFunction.of(ech[pr][j])
-            for cc in range(pc + 1, n):
-                if not ech[pr][cc].is_zero() and not x[cc].is_zero():
-                    s = s - RationalFunction.of(ech[pr][cc]) * x[cc]
-            x[pc] = s / RationalFunction.of(ech[pr][pc])
-        X.append(x)
-    return RFMatrix(ctx, [[X[j][i] for j in range(B.cols)] for i in range(n)])
+    zero = RationalFunction.of(ctx.zero())
+    X = [[zero] * B.cols for _ in range(M.cols)]
+    for cols, ech, pivots in solved:
+        d, Y = _fraction_free_back_substitute(ech, pivots, len(cols))
+        for pc, y in zip(pivots, Y):
+            X[cols[pc]] = [RationalFunction(v, d) for v in y]
+    return RFMatrix(ctx, X)
 
 
 def linear_solve(M: RFMatrix, b: Sequence) -> "list[RationalFunction] | NoSolution":

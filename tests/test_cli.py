@@ -96,31 +96,48 @@ def test_reduce_standard_route_factors_once(capsys, monkeypatch):
 
 
 def test_reduce_eliminates_each_matrix_once(capsys, monkeypatch):
-    # one fraction-free elimination per matrix: G0 on the standard route,
-    # Dmu*P for all columns of the projection, G for all columns of R
+    # one exact solve per matrix: G0 on the standard route, Dmu*P for all
+    # columns of the projection, G for all columns of R; and within a solve
+    # one fraction-free elimination per independent block of the matrix
     from tfred import matrices
     from tfred.builtin_models import BUILTINS
 
-    calls = []
-    original = matrices._bareiss
+    solves, eliminations, blocks = [], [], []
+    solve, bareiss = matrices._solve, matrices._bareiss
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting_solve(M, B, unique):
+        solves.append(M)
+        blocks.append(sum(1 for rows, cols in matrices._blocks(M) if rows and cols))
+        return solve(M, B, unique)
 
-    monkeypatch.setattr(matrices, "_bareiss", counting)
-    counts = {}
+    def counting_bareiss(*args, **kwargs):
+        eliminations.append(args)
+        return bareiss(*args, **kwargs)
+
+    monkeypatch.setattr(matrices, "_solve", counting_solve)
+    monkeypatch.setattr(matrices, "_bareiss", counting_bareiss)
+    solve_counts, bareiss_counts = {}, {}
     for name in sorted(BUILTINS):
-        calls.clear()
+        solves.clear()
+        eliminations.clear()
+        blocks.clear()
         main(["reduce", "--builtin", name])
-        counts[name] = len(calls)
+        solve_counts[name] = len(solves)
+        bareiss_counts[name] = len(eliminations)
+        assert len(eliminations) == sum(blocks), name
     capsys.readouterr()
-    assert counts == {
+    assert solve_counts == {
         "chain3": 2, "chain3_slowk4": 5, "inhibitor": 5, "linex": 2, "mm2d": 2,
         "mm3d": 5, "mm3d_deg": 5, "mm_diffusion": 4, "transport_binding": 4,
         "transport_binding_slow": 4,
     }
-    assert sum(counts.values()) == 38
+    assert sum(solve_counts.values()) == 38
+    # mm_diffusion's diagonal G and transport_binding_slow's split into blocks
+    assert bareiss_counts == {
+        "chain3": 2, "chain3_slowk4": 5, "inhibitor": 5, "linex": 2, "mm2d": 2,
+        "mm3d": 5, "mm3d_deg": 5, "mm_diffusion": 16, "transport_binding": 4,
+        "transport_binding_slow": 12,
+    }
 
 
 def test_converge_refuses_a_repelling_fast_block(capsys):

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from tfred.rational import Context, RationalFunction
+from tfred.rational import Context, RationalFunction, SymbolicError
 from tfred.stability import is_hurwitz_stable
 from tfred.matrices import (
+    BackSubstitutionError,
     ConsistencyError,
     NoSolution,
     RFMatrix,
@@ -23,6 +24,7 @@ from tfred.matrices import (
     linear_solve,
     rank_and_factor,
     solve_matrix,
+    _fraction_free_back_substitute,
 )
 
 
@@ -189,6 +191,172 @@ def test_solve_matrix_on_random_systems(mm):
             assert X.col(j) == linear_solve(M, B.col(j))
         assert X == X0
     assert singular > 20
+
+
+# -- independent blocks, sparse order and NoSolution ------------------------------
+
+SHAPES = ["block", "arrow", "permuted", "zero_rows", "zero_cols", "tall", "wide"]
+
+
+def _nonzero_rf(rng, ctx):
+    v = _random_rf(rng, ctx)
+    while v.is_zero():
+        v = _random_rf(rng, ctx)
+    return v
+
+
+def _structured_matrix(rng, ctx, shape, dependent):
+    """A seeded matrix of at most 6x6 entries with the named sparsity structure.
+
+    Block shapes fill diagonal blocks of random sizes; "permuted" shuffles the
+    rows and columns of one, and "zero_rows" / "zero_cols" clear one or two
+    rows or columns of one.  "arrow" is a diagonal plus one dense row and
+    column; "tall" and "wide" are rectangular with random zeros.  With
+    ``dependent`` a row is replaced by the sum of one or two others, so that
+    nonzero blocks are singular too.
+    """
+    n = rng.randint(2, 6)
+    rows = rng.randint(1, n - 1) if shape == "wide" else n
+    cols = rng.randint(1, n - 1) if shape == "tall" else n
+    if shape in ("tall", "wide"):
+        cells = [(i, j) for i in range(rows) for j in range(cols) if rng.random() < 0.6]
+    elif shape == "arrow":
+        h = rng.randrange(n)
+        cells = [(i, j) for i in range(n) for j in range(n) if i == j or h in (i, j)]
+    else:
+        cells, start = [], 0
+        while start < n:
+            size = rng.randint(1, min(3, n - start))
+            cells += [(i, j) for i in range(start, start + size) for j in range(start, start + size)]
+            start += size
+    zero = RationalFunction.of(ctx.zero())
+    M = [[zero] * cols for _ in range(rows)]
+    for i, j in cells:
+        M[i][j] = _nonzero_rf(rng, ctx)
+    if shape == "permuted":
+        rp, cp = rng.sample(range(n), n), rng.sample(range(n), n)
+        M = [[M[rp[i]][cp[j]] for j in range(n)] for i in range(n)]
+    elif shape == "zero_rows":
+        for i in rng.sample(range(n), rng.randint(1, 2)):
+            M[i] = [zero] * n
+    elif shape == "zero_cols":
+        for j in rng.sample(range(n), rng.randint(1, 2)):
+            for row in M:
+                row[j] = zero
+    if dependent and rows > 1:
+        t, *others = rng.sample(range(rows), min(rows, 3))
+        M[t] = [sum((M[a][j] for a in others[: rng.randint(1, len(others))]), zero) for j in range(cols)]
+    return M
+
+
+def _offending(a, b, r):
+    """Row r of the numeric system a x = b is inconsistent with rows that determine it.
+
+    That is, some linearly independent rows T of a span row r of a, but the
+    rows T of [a | b] do not span row r of [a | b].
+    """
+    others = [i for i in range(len(a)) if i != r]
+    for mask in range(1 << len(others)):
+        T = [i for bit, i in enumerate(others) if mask >> bit & 1]
+        sub = [a[i] for i in T]
+        if (
+            fraction_rank(sub) == len(T) == fraction_rank(sub + [a[r]])
+            and fraction_rank([a[i] + [b[i]] for i in T + [r]]) > len(T)
+        ):
+            return True
+    return False
+
+
+def _structured_cases(mm, shape, count):
+    """(M, X0, B = M X0, M at a random point) for seeded structured systems."""
+    rng = random.Random(SHAPES.index(shape))
+    for case in range(count):
+        M = RFMatrix(mm, _structured_matrix(rng, mm, shape, dependent=case % 2 == 1 and shape != "zero_rows"))
+        k = rng.randint(1, 4)
+        X0 = RFMatrix(mm, [[_random_rf(rng, mm) for _ in range(k)] for _ in range(M.cols)])
+        point = {name: Fraction(rng.randint(1, 10**6), rng.randint(1, 10**3)) for name in ("s", "e_star", "c_star", "k1", "km1", "k2", "eps")}
+        yield rng, M, X0, M @ X0, point
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_structured_solves_and_no_solution(mm, shape):
+    # the generic rank at a random point is the independent oracle for which
+    # systems are consistent and which columns of M are dependent
+    inconsistent = 0
+    for rng, M, X0, B, point in _structured_cases(mm, shape, 16):
+        a = M.eval(point)
+        rank = fraction_rank(a)
+        X = solve_matrix(M, B)
+        if rank == M.cols:
+            assert X == X0
+        else:
+            assert isinstance(X, NoSolution) and (X.row, X.col) == (None, None)
+        for j in range(B.cols):
+            x = linear_solve(M, B.col(j))
+            assert M.mul_vector(x) == B.col(j)
+            # free variables at 0: the solution uses independent columns only
+            support = [c for c in range(M.cols) if not x[c].is_zero()]
+            assert fraction_rank([[row[c] for c in support] for row in a]) == len(support)
+        # perturb the right-hand side in one row or in every row, in some
+        # columns; on "zero_rows" only in zero rows
+        zero_rows = [i for i in range(M.rows) if all(v.is_zero() for v in M.entries[i])]
+        rows = zero_rows if shape == "zero_rows" else list(range(M.rows))
+        entries = [row[:] for row in B.entries]
+        for i in rows if rng.random() < 0.5 else [rng.choice(rows)]:
+            for j in rng.sample(range(B.cols), rng.randint(1, B.cols)):
+                entries[i][j] = entries[i][j] + _nonzero_rf(rng, mm)
+        Bbad = RFMatrix(mm, entries)
+        b = Bbad.eval(point)
+        bad = [j for j in range(B.cols) if fraction_rank([r + [b[i][j]] for i, r in enumerate(a)]) > rank]
+        X = solve_matrix(M, Bbad)
+        if not bad:
+            assert not isinstance(X, NoSolution) or X.row is None
+            continue
+        inconsistent += 1
+        col = [row[bad[0]] for row in b]
+        assert isinstance(X, NoSolution) and X.col == bad[0]
+        assert _offending(a, col, X.row)
+        if shape == "zero_rows":
+            assert X.row == min(i for i in zero_rows if not Bbad.entries[i][bad[0]].is_zero())
+        x = linear_solve(M, Bbad.col(bad[0]))
+        assert isinstance(x, NoSolution) and x.col == 0 and _offending(a, col, x.row)
+    assert inconsistent >= 3
+
+
+def test_structured_square_solves_match_cramer(mm):
+    pytest.importorskip("sympy")
+    from test_kernel_oracle import cramer, same
+
+    compared = 0
+    for shape in ("block", "arrow", "permuted"):
+        for _, M, _, B, _ in _structured_cases(mm, shape, 6):
+            X = solve_matrix(M, B)
+            for j in range(B.cols):
+                want = cramer(M, B.col(j))
+                if want is None:
+                    assert isinstance(X, NoSolution)
+                    break
+                compared += 1
+                assert all(same(X[i, j], want[i]) for i in range(M.cols))
+    assert compared >= 10
+
+
+def test_rank_error_names_the_column_outside_the_span(mm):
+    # at k1 = 1 every entry is 1, so column 2 alone is selected; column 0
+    # equals it symbolically, column 1 does not
+    M = RFMatrix(mm, [[mm.one(), mm.one(), mm.one()], [mm.parse("k1"), mm.one(), mm.parse("k1")]])
+    with pytest.raises(RankError, match="column 1 is not in the span"):
+        rank_and_factor(M, {**_positive_sample(), "k1": Fraction(1)})
+
+
+def test_inexact_pivot_division_raises():
+    # [[k1, 1 | 0], [0, km1 | 1]] is no Bareiss echelon form: the last pivot
+    # km1 times x0 = -1/(k1*km1) is not a polynomial
+    ctx = Context(["s"], ["k1", "km1"])
+    ech = [[ctx.sym("k1"), ctx.one(), ctx.zero()], [ctx.zero(), ctx.sym("km1"), ctx.one()]]
+    assert issubclass(BackSubstitutionError, SymbolicError)
+    with pytest.raises(BackSubstitutionError, match="echelon row 0"):
+        _fraction_free_back_substitute(ech, [0, 1], 2)
 
 
 # -- rank_and_factor -----------------------------------------------------------

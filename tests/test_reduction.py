@@ -17,6 +17,7 @@ from tfred.builtin_models import (
     mm_diffusion,
     transport_binding,
 )
+from tfred.modelfile import model_from_dict
 from tfred.matrices import RFMatrix, hadamard_factor, jacobian, fraction_nullspace
 from tfred.rational import Context, RationalFunction
 from tfred.reduction import (
@@ -35,6 +36,7 @@ from tfred.reduction import (
     lie_derivative,
     nonstandard_decomposition,
     nonstandard_reduce,
+    reduce_model,
     reduce_with,
     reduced_initial_value,
     scaled_initial_symbolic,
@@ -358,6 +360,40 @@ def test_chain3_slowk4_reduces_to_frozen_substrate():
     elim = eliminate_on_manifold(red, [], None)
     assert "s" in elim.states
     assert elim.field[list(elim.states).index("s")].is_zero()
+
+
+def _transport_model_file(N):
+    """transport_binding(N) as a model file, built through the `transport` section."""
+    comps = range(1, N + 1)
+    return {
+        "name": f"transport_binding_N{N}",
+        "species": ["s", "p", "c"],
+        "reactions": [
+            {"reactants": {"s": 1, "p": 1}, "products": {"c": 1}, "rate": "k1"},
+            {"reactants": {"c": 1}, "products": {"s": 1, "p": 1}, "rate": "km1"},
+        ],
+        "parameters": ["k1", "km1"] + [f"{x}0_{a}" for x in "spc" for a in comps],
+        "transport": {
+            "N": N,
+            "species": {
+                x: {"kind": "laplacian", "eps_order": int(x != "s"), "rate": f"delta_{x}"} for x in "spc"
+            },
+        },
+        "initial_values": {
+            f"{x}{a}": {"base": f"{x}0_{a}", "eps_order": int(x != "p")} for x in "spc" for a in comps
+        },
+        "fast": [f"s{a}" for a in comps] + [f"c{a}" for a in comps],
+    }
+
+
+def test_transport_binding_7_reduced_rows_stay_small():
+    # expression size, not time: with one common denominator per exact solve
+    # the largest reduced row has 47 numerator and 8 denominator terms
+    spec = model_from_dict(_transport_model_file(7))
+    red = reduce_model(spec.system, list(spec.fast))
+    assert red.decomposition.mode == "nonstandard"
+    assert max(len(row.num.terms) for row in red.field) <= 100
+    assert max(len(row.den.terms) for row in red.field) <= 20
 
 
 # -- slow manifold first order -------------------------------------------------------
