@@ -1,6 +1,6 @@
 """Degenerate scalings and singular-perturbation reductions of polynomial ODE models."""
 
-from .rational import Context, Polynomial, RationalFunction, Symbol, differentiate, substitute
+from .rational import Context, Polynomial, RationalFunction, Symbol
 from .matrices import RFMatrix, char_poly, hadamard_factor, linear_solve, rank_and_factor
 from .systems import (
     GradedSystem,

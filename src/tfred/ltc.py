@@ -150,17 +150,13 @@ def _maximal_independent_sets(vertices: Sequence[str], edges: set[frozenset[str]
     return results
 
 
-def minimal_ltc_sets(
-    rows: Sequence[Polynomial],
-    degree_cap: int = 2,
-    subset_guard: int = SUBSET_GUARD,
-) -> LtcReport:
+def minimal_ltc_sets(rows: Sequence[Polynomial]) -> LtcReport:
     """All minimal admissible fast sets of the given lowest-order field.
 
-    Fields of state-degree <= degree_cap (cap fixed at 2) use the maximal
-    complement extension inside the candidate slow set; otherwise subsets of
-    the candidate slow set are enumerated largest first, pruned by the
-    superset monotonicity, and guarded by ``subset_guard`` predicate calls.
+    Fields of state-degree <= 2 use the maximal complement extension inside
+    the candidate slow set; otherwise subsets of the candidate slow set are
+    enumerated largest first, pruned by the superset monotonicity, and
+    guarded by ``SUBSET_GUARD`` predicate calls.
     """
     if not rows:
         raise ModelError("empty system")
@@ -172,7 +168,7 @@ def minimal_ltc_sets(
     checked = 0
     degree = max((p.state_degree() for p in rows), default=0)
 
-    if degree <= min(degree_cap, 2):
+    if degree <= 2:
         edges = _conflict_pairs(rows, S)
         complements = _maximal_independent_sets(S, edges)
         minimal = []
@@ -202,7 +198,7 @@ def minimal_ltc_sets(
             if not J or len(J) == len(state_names):
                 continue
             checked += 1
-            if checked > subset_guard:
+            if checked > SUBSET_GUARD:
                 complete = False
                 break
             if is_ltc_set(rows, J):
@@ -218,7 +214,6 @@ def minimal_ltc_sets(
 def preassigned_conditions(
     rows: Sequence[Polynomial],
     J: Iterable[str],
-    nonnegative_params: bool = True,
     scope: str = "local",
 ) -> ParameterConditions:
     """Parameter conditions making a pre-assigned fast set J admissible.
@@ -300,7 +295,7 @@ def preassigned_conditions(
                     piece_params = []
                     break
                 piece_params.append(ctx.symbols[on[0]].name)
-            if piece_params and (len(pieces) == 1 or nonnegative_params):
+            if piece_params:
                 for name in piece_params:
                     assignment[name] = Fraction(0)
             else:

@@ -327,12 +327,15 @@ def _bareiss(
                 pv * a[rr][cc] - a[rr][c] * a[r][cc] for cc in range(c, len(a[rr]))
             ]
             if prev is not None:
-                # Bareiss step: the division is exact on full-rank paths; on
-                # rank-deficient ones fall back to the undivided row (still a
-                # valid row operation, merely larger).
-                divided = [u.exact_divide(prev) for u in updated]
-                if all(d is not None for d in divided):
-                    updated = divided  # type: ignore[assignment]
+                # Bareiss step: by Sylvester's identity the previous pivot
+                # divides every updated entry exactly
+                divided = []
+                for u in updated:
+                    q = u.exact_divide(prev)
+                    if q is None:
+                        raise SymbolicError("Bareiss step: the previous pivot does not divide exactly")
+                    divided.append(q)
+                updated = divided
             for off, val in enumerate(updated):
                 a[rr][c + off] = val
         prev = pv
@@ -579,19 +582,13 @@ def rank_and_factor(
     them).  The identity M = G R is verified symbolically; failure raises
     RankError suggesting a different sample.
     """
-    numeric = M.eval(sample)
-    total_rank = fraction_rank(numeric)
+    # the pivot columns of M with its columns reversed are the columns
+    # independent of those to their right
+    pivots, _ = fraction_echelon([row[::-1] for row in M.eval(sample)], M.cols)
+    total_rank = len(pivots)
     if total_rank == 0:
         raise RankError("matrix vanishes at the sample point; pick a different sample")
-    selected: list[int] = []
-    current: list[list[Fraction]] = []
-    for j in range(M.cols - 1, -1, -1):
-        cand = current + [[numeric[i][j] for i in range(M.rows)]]
-        if fraction_rank(cand) > len(current):
-            selected.insert(0, j)
-            current = cand
-        if len(selected) == total_rank:
-            break
+    selected = [M.cols - 1 - p for p in reversed(pivots)]
     G = RFMatrix(M.ctx, [[M.entries[i][j] for j in selected] for i in range(M.rows)])
     others = [j for j in range(M.cols) if j not in selected]
     if others:

@@ -100,26 +100,3 @@ def model_from_dict(data: Mapping, name: str = "model") -> ModelSpec:
         sys = raw_system(ctx, rows, ivs)
         return ModelSpec(name, sys, fast, data.get("description", ""))
     raise ModelError("model file needs either 'reactions' or 'raw_system'")
-
-
-def model_to_dict(spec: ModelSpec) -> dict:
-    """Raw-system serialization (always valid, whatever built the system)."""
-    sys = spec.system
-    return {
-        "name": spec.name,
-        "description": spec.description,
-        "states": list(sys.states),
-        "parameters": [p.name for p in sys.ctx.params],
-        "raw_system": [p.render() for p in sys.flatten()],
-        "initial_values": {
-            n: {"base": iv.base_text(), "eps_order": iv.order}
-            for n, iv in sys.initial_values.items()
-        },
-        "fast": list(spec.fast),
-    }
-
-
-def save_model(spec: ModelSpec, path: str):
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(spec), fh, indent=2)
-        fh.write("\n")

@@ -78,25 +78,6 @@ def compile_network(net: ReactionNetwork, ctx: Context | None = None) -> GradedS
     return GradedSystem(ctx, grades, dict(net.initial_values))
 
 
-def reaction_flux_at(net: ReactionNetwork, point: Mapping[str, Fraction]) -> dict[str, Fraction]:
-    """Independent flux-summation evaluation of the network's net rates.
-
-    Used as a cross-check oracle against the compiled polynomial field; eps is
-    taken at the value bound in ``point``.
-    """
-    eps = Q(point.get("eps", 1))  # type: ignore[arg-type]
-    out = {sp: Fraction(0) for sp in net.species}
-    for r in net.reactions:
-        v = Q(point[r.rate]) * eps ** r.eps_order
-        for sp, k in r.reactants.items():
-            v *= Q(point[sp]) ** k
-        for sp in net.species:
-            delta = r.products.get(sp, 0) - r.reactants.get(sp, 0)
-            if delta:
-                out[sp] += delta * v
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Reaction-transport systems
 # ---------------------------------------------------------------------------

@@ -852,22 +852,6 @@ def _reduce_pair(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomi
     return num, den
 
 
-def differentiate(p: "Polynomial | RationalFunction", name: str) -> RationalFunction:
-    """Exact partial derivative, returned as a rational function."""
-    if isinstance(p, Polynomial):
-        return RationalFunction.of(p.diff(name))
-    return p.diff(name)
-
-
-def substitute(p: "Polynomial | RationalFunction", bindings: Mapping[str, object]) -> RationalFunction:
-    """Simultaneous exact substitution, returned as a rational function."""
-    if isinstance(p, Polynomial):
-        rf = RationalFunction.of(p)
-    else:
-        rf = p
-    return rf.subs(bindings)  # type: ignore[arg-type]
-
-
 # ---------------------------------------------------------------------------
 # Expression parser
 # ---------------------------------------------------------------------------

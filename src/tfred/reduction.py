@@ -25,6 +25,7 @@ from .matrices import (
     NoSolution,
     RFMatrix,
     RankError,
+    fraction_echelon,
     fraction_solve,
     hadamard_factor,
     jacobian,
@@ -46,6 +47,18 @@ from .systems import (
     star_name,
     translate_poly,
 )
+
+
+# Highest degree of the polynomial coefficients find_decomposition tries for P.
+MAX_POLY_DEGREE = 4
+# Sample points the nonstandard route tries for its rank factorization.
+RANK_RETRIES = 5
+# Least distance of the fast block's eigenvalues from the imaginary axis.
+NU_MIN = 1e-9
+# Residual tolerance and iteration budget of the Newton fallback for a
+# reduced initial value.
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 100
 
 
 class ReductionError(SymbolicError):
@@ -156,11 +169,11 @@ class CriticalManifold:
     dimension: int
 
 
-def default_sample(ctx: Context, seed: int = 0, lo: int = 1, hi: int = 9) -> dict[str, Fraction]:
+def default_sample(ctx: Context, seed: int = 0) -> dict[str, Fraction]:
     """Random rational point in the open positive orthant, small entries."""
     rng = random.Random(seed)
     return {
-        sym.name: Fraction(rng.randint(lo, hi), rng.randint(1, 4))
+        sym.name: Fraction(rng.randint(1, 9), rng.randint(1, 4))
         for sym in ctx.symbols
     }
 
@@ -177,16 +190,12 @@ def standard_decomposition(sys: GradedSystem, part: Partition) -> Decomposition:
     return Decomposition(sys.ctx, tuple(sys.states), M, mu, "standard")
 
 
-def find_decomposition(
-    h0: Sequence[Polynomial],
-    sample: Mapping[str, Fraction],
-    max_poly_degree: int = 4,
-) -> Decomposition:
+def find_decomposition(h0: Sequence[Polynomial], sample: Mapping[str, Fraction]) -> Decomposition:
     """Greedy product form: mu = functionally independent entries of h0.
 
     The rank r of Dh0 at the sample must be < n.  P is solved row by row,
     first over constant coefficients (exact linear algebra on coefficient
-    vectors), then over polynomial coefficients up to ``max_poly_degree``, and
+    vectors), then over polynomial coefficients up to ``MAX_POLY_DEGREE``, and
     for r = 1 by direct cancellation; failing that, DecompositionError points
     at the user-supplied route.
     """
@@ -196,23 +205,14 @@ def find_decomposition(
     states = tuple(s.name for s in ctx.states)
     n = len(states)
     J = jacobian(h0, list(states))
-    Jnum = J.eval(sample)
-    from .matrices import fraction_rank
-
-    r = fraction_rank(Jnum)
+    # the first rows of Dh0 independent of those above them at the sample:
+    # the pivot columns of its transpose
+    chosen, _ = fraction_echelon([list(col) for col in zip(*J.eval(sample))], len(h0))
+    r = len(chosen)
     if r >= n:
         raise ReductionError(f"rank Dh0 = {r} is not smaller than n = {n} at the sample")
     if r == 0:
         raise ReductionError("field has rank 0 at the sample; nothing to reduce onto")
-    chosen: list[int] = []
-    rows: list[list[Fraction]] = []
-    for i in range(n):
-        cand = rows + [Jnum[i]]
-        if fraction_rank(cand) > len(rows):
-            chosen.append(i)
-            rows = cand
-        if len(chosen) == r:
-            break
     mu_polys = [h0[i] for i in chosen]
     P_rows: list[list[RationalFunction]] = []
     for i in range(n):
@@ -224,7 +224,7 @@ def find_decomposition(
                 ]
             )
             continue
-        row = _solve_p_row(ctx, h0[i], mu_polys, sample, max_poly_degree)
+        row = _solve_p_row(ctx, h0[i], mu_polys, sample)
         if row is None:
             raise DecompositionError(
                 f"no P row found for entry {i} ({states[i]}); supply (P, mu) explicitly"
@@ -245,7 +245,6 @@ def _solve_p_row(
     target: Polynomial,
     mu: list[Polynomial],
     sample: Mapping[str, Fraction],
-    max_poly_degree: int,
 ) -> "list[RationalFunction] | None":
     r = len(mu)
     if target.is_zero():
@@ -263,7 +262,7 @@ def _solve_p_row(
         if acc == target:
             return [RationalFunction.of(ctx.const(c)) for c in x]
     # polynomial coefficients over a shared monomial basis
-    basis = _monomials_up_to(ctx, max(0, min(max_poly_degree, target.total_degree())))
+    basis = _monomials_up_to(ctx, min(MAX_POLY_DEGREE, target.total_degree()))
     unknown_cols: list[Polynomial] = []
     col_index: list[tuple[int, int]] = []
     for j, m in enumerate(mu):
@@ -316,7 +315,7 @@ def _monomials_up_to(ctx: Context, degree: int) -> list[Polynomial]:
 
 
 def nonstandard_decomposition(
-    scaled: ScaledSystem, sample: Mapping[str, Fraction], retries: int = 5, seed: int = 0
+    scaled: ScaledSystem, sample: Mapping[str, Fraction], seed: int = 0
 ) -> Decomposition:
     """Rank-factorization route for scaled systems with singular fast-block matrix.
 
@@ -345,7 +344,7 @@ def nonstandard_decomposition(
     lastexc: Exception | None = None
     rng = random.Random(seed)
     pt = dict(sample)
-    for _ in range(max(1, retries)):
+    for _ in range(RANK_RETRIES):
         try:
             s1, G, R = rank_and_factor(A0, pt)
             break
@@ -565,8 +564,6 @@ def eigen_certificate(
     sample_points: "Sequence[Mapping[str, Fraction]] | None" = None,
     n_samples: int = 25,
     seed: int = 0,
-    nu_min: float = 1e-9,
-    box: tuple[int, int] = (1, 9),
     solve_for: "Sequence[str] | None" = None,
 ) -> EigenCertificate:
     """Sample-based stability certificate for Dmu*P on the critical manifold.
@@ -576,7 +573,7 @@ def eigen_certificate(
     restricts which states may be solved for, typically the scaled fast
     variables).  Each sample is checked to satisfy the manifold equations
     exactly; the verdict is "pass" only if every sample has eigenvalues with
-    real part at most -nu_min and the exact sign test agrees.
+    real part at most -NU_MIN and the exact sign test agrees.
     """
     ctx = dec.ctx
     M = dec.dmup()
@@ -594,7 +591,7 @@ def eigen_certificate(
         tries = 0
         while len(points) < n_samples and tries < 50 * n_samples:
             tries += 1
-            pt = default_sample(ctx, seed=rng.randint(0, 10**9), lo=box[0], hi=box[1])
+            pt = default_sample(ctx, seed=rng.randint(0, 10**9))
             if solved is not None:
                 try:
                     for name, expr in solved:
@@ -619,7 +616,7 @@ def eigen_certificate(
         return EigenCertificate(M, "indeterminate", float("nan"), [], "no admissible samples", rejected)
     worst = max(s.max_real_part for s in samples)
     margin = -worst
-    ok = worst <= -nu_min and all(s.hurwitz_ok is not False for s in samples)
+    ok = worst <= -NU_MIN and all(s.hurwitz_ok is not False for s in samples)
     verdict = "pass" if ok else "fail"
     return EigenCertificate(M, verdict, margin, samples, "routh_hurwitz_exact+numeric", rejected)
 
@@ -913,19 +910,6 @@ def _initial_limit(sys: GradedSystem, names: Sequence[str]) -> dict[str, Rationa
     return out
 
 
-def fast_integrals_approx(
-    F0: RFMatrix, G0: RFMatrix, slow: Sequence[str], fast: Sequence[str]
-) -> list[RationalFunction]:
-    """x - F0(x,y) G0(x,y)^(-1) y: first integrals of the fast flow to second order."""
-    ctx = F0.ctx
-    yvec = [RationalFunction.of(ctx.sym(n)) for n in fast]
-    u = solve_matrix(G0, RFMatrix.column(ctx, yvec))
-    if isinstance(u, NoSolution):
-        raise ReductionError("G0 is singular over the rational-function field")
-    corr = F0.mul_vector(u.col(0))
-    return [RationalFunction.of(ctx.sym(n)) - ci for n, ci in zip(slow, corr)]
-
-
 # ---------------------------------------------------------------------------
 # Reduced initial values
 # ---------------------------------------------------------------------------
@@ -936,8 +920,6 @@ def reduced_initial_value(
     manifold_eqs: Sequence[RationalFunction],
     z0: Mapping[str, "RationalFunction | Fraction | int"],
     states: Sequence[str],
-    newton_tol: float = 1e-12,
-    newton_max_iter: int = 100,
 ) -> dict[str, RationalFunction]:
     """Intersect the manifold with the integral level sets through z0.
 
@@ -964,10 +946,10 @@ def reduced_initial_value(
         residuals = [e.subs(out) for e in eqs]
         if all(r.is_zero() for r in residuals):
             return out
-    return _newton_initial_value(eqs, point, states, newton_tol, newton_max_iter)
+    return _newton_initial_value(eqs, point, states)
 
 
-def _newton_initial_value(eqs, point, states, tol, max_iter):
+def _newton_initial_value(eqs, point, states):
     import numpy as np
 
     ctx = eqs[0].ctx
@@ -990,11 +972,11 @@ def _newton_initial_value(eqs, point, states, tol, max_iter):
     x = np.array([numeric_env[n] for n in names], dtype=float)
     env = dict(numeric_env)
     env.setdefault(ctx.eps.name, 0.0)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         for i, n in enumerate(names):
             env[n] = float(x[i])
         F = np.array([e.evalf(env) for e in eqs], dtype=float)
-        if np.max(np.abs(F)) < tol:
+        if np.max(np.abs(F)) < NEWTON_TOL:
             return {n: RationalFunction.of(ctx.const(Fraction(float(x[i])).limit_denominator(10**12))) for i, n in enumerate(names)}
         Jn = np.array([[v.evalf(env) for v in row] for row in J], dtype=float)
         try:

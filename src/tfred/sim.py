@@ -109,15 +109,12 @@ def compile_rows(
     rows: Sequence[RationalFunction | Polynomial],
     state_names: Sequence[str],
     params: Mapping[str, object],
-    eps: "float | None" = None,
 ) -> Field:
     """Compile rational-function rows into a float vector field z -> dz.
 
-    Parameter values (and eps, when given) are folded into the coefficients.
+    Parameter values are folded into the coefficients.
     """
     env = _float_env(params)
-    if eps is not None:
-        env.setdefault("eps", float(eps))
     pos = {n: i for i, n in enumerate(state_names)}
     exprs: list[str] = []
     for row in rows:
@@ -133,25 +130,17 @@ def compile_rows(
     return _compile_field(exprs, len(state_names))
 
 
-def compile_system(
-    sys: GradedSystem,
-    params: Mapping[str, object],
-    eps: float,
-    time: str = "slow",
-) -> Field:
-    """Numeric field of a graded system at a concrete eps value.
+def compile_system(sys: GradedSystem, params: Mapping[str, object], eps: float) -> Field:
+    """Numeric slow-time field of a graded system at a concrete eps value.
 
-    ``time`` "slow" divides the field by eps (the usual comparison frame);
-    "fast" leaves it as compiled.
+    The field is divided by eps, the frame in which the full and the reduced
+    flow are compared.
     """
-    if time not in ("slow", "fast"):
-        raise ValueError("time must be 'slow' or 'fast'")
-    shift = -1 if time == "slow" else 0
     env = _float_env(params)
     pos = {n: i for i, n in enumerate(sys.states)}
     row_parts: list[list[str]] = [[] for _ in sys.states]
     for order, g in zip(sys.orders(), sys.grades):
-        weight = float(eps) ** (order + shift)
+        weight = float(eps) ** (order - 1)
         for i, p in enumerate(g):
             row_parts[i].extend(_poly_expr(p, pos, env, weight))
     exprs = ["(" + (" + ".join(parts) if parts else "0.0") + ")" for parts in row_parts]
@@ -271,6 +260,9 @@ def _dp_step(f: Field, t: float, h: float, y: list[float], k1: Sequence[float]):
     return ynew, k7, err
 
 
+MAX_STEPS = 5_000_000  # accepted plus rejected steps before integrate gives up
+
+
 @dataclass
 class IntegratorStats:
     steps: int = 0
@@ -336,7 +328,6 @@ def integrate(
     rtol: float = 1e-8,
     atol: float = 1e-10,
     names: Sequence[str] = (),
-    max_steps: int = 5_000_000,
     step_floor: float = 1e-12,
     h_fixed: "float | None" = None,
 ) -> Trajectory:
@@ -369,7 +360,7 @@ def integrate(
     stats = IntegratorStats()
     t = t0
     while t < t1:
-        if stats.steps + stats.rejected > max_steps:
+        if stats.steps + stats.rejected > MAX_STEPS:
             raise IntegrationError("step budget exhausted")
         if t1 - t <= step_floor:
             break  # endpoint reached up to float residue
@@ -413,6 +404,7 @@ def integrate(
 
 
 EPS_FLOOR = 1e-4  # smallest eps the explicit stepper is expected to handle
+GRID_POINTS = 201  # points of the comparison grid in [t1, t2]
 
 
 def default_ladder(start: float = 1e-1, stop: float = 1e-4, factor: float = 2.0) -> list[float]:
@@ -470,29 +462,24 @@ def convergence_study(
     ladder: Sequence[float] | None = None,
     t1: float = 0.1,
     t2: float = 2.0,
-    observed: Sequence[str] | None = None,
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
-    grid_points: int = 201,
 ) -> ConvergenceReport:
     """Sup-norm distance between the full slow-time flow and the reduced flow.
 
     The full system is integrated per ladder value with initial data scaled by
     the stored eps-orders; both trajectories are compared on a common dense
-    grid inside [t1, t2], away from the initial layer.
+    grid inside [t1, t2], away from the initial layer, in every reduced state
+    that is also a state of the full system.
     """
     ladder = list(ladder) if ladder is not None else default_ladder()
     if any(a <= b for a, b in zip(ladder, ladder[1:])):
         raise ValueError("ladder must be strictly decreasing")
     floor_failures = [f"eps={e:g}: below the eps floor {EPS_FLOOR:g}" for e in ladder if e < EPS_FLOOR]
     ladder = [e for e in ladder if e >= EPS_FLOOR]
-    observed = tuple(observed) if observed is not None else tuple(
-        n for n in reduced_names if n in full.states
-    )
+    observed = tuple(n for n in reduced_names if n in full.states)
     red_field = compile_rows(reduced_rows, list(reduced_names), params)
     red_y0 = np.array([float(reduced_z0[n]) for n in reduced_names])
-    red_traj = integrate(red_field, red_y0, (0.0, t2), rtol, atol, names=reduced_names)
-    grid = np.linspace(t1, t2, grid_points)
+    red_traj = integrate(red_field, red_y0, (0.0, t2), names=reduced_names)
+    grid = np.linspace(t1, t2, GRID_POINTS)
     red_vals = red_traj.sample(grid)
     red_cols = {n: red_vals[:, list(reduced_names).index(n)] for n in observed}
 
@@ -501,9 +488,9 @@ def convergence_study(
     failures: list[str] = list(floor_failures)
     for eps in ladder:
         try:
-            field_fn = compile_system(full, params, eps, time="slow")
+            field_fn = compile_system(full, params, eps)
             z0 = numeric_initial_state(full, params, eps)
-            traj = integrate(field_fn, z0, (0.0, t2), rtol, atol, names=full.states)
+            traj = integrate(field_fn, z0, (0.0, t2), names=full.states)
             vals = traj.sample(grid)
             worst = 0.0
             for n in observed:
@@ -562,8 +549,6 @@ def iv_inconsistency_demo(
     ladder: Sequence[float] | None = None,
     tau_eval: float = 1.0,
     consistent: bool = False,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
 ) -> IvDemoReport:
     """Observe x(tau) - x0*exp(a*tau) for the linear slow/fast pair.
 
@@ -583,7 +568,7 @@ def iv_inconsistency_demo(
             return [a * z[0] + b * z[1], (c / eps) * z[1]]
 
         ystar0 = y0 if consistent else y0 / eps
-        traj = integrate(f, [x0, ystar0], (0.0, tau_eval), rtol, atol, names=("x", "y_star"))
+        traj = integrate(f, [x0, ystar0], (0.0, tau_eval), 1e-10, 1e-12, names=("x", "y_star"))
         discrepancies.append(float(traj.final()[0] - x_red))
     # linear-in-eps extrapolation on the smallest ladder entries
     tail = min(4, len(ladder))

@@ -431,13 +431,11 @@ def eliminate_with_integral(
     w = {n: Q(v) for n, v in weights.items()}  # type: ignore[arg-type]
     if state not in w or w[state] == 0:
         raise ModelError(f"eliminated state {state} needs nonzero weight")
-    # verify the conservation law grade by grade
-    for g in sys.grades:
-        acc = sys.ctx.zero()
-        for n, wi in w.items():
-            acc = acc + g[sys.state_index(n)] * wi
-        if not acc.is_zero():
-            raise ModelError("weights are not a linear first integral of the system")
+    unknown = sorted(set(w) - set(sys.states))
+    if unknown:
+        raise ModelError(f"weights name unknown states {unknown}")
+    if not is_first_integral(sys, [w.get(n, 0) for n in sys.states]):
+        raise ModelError("weights are not a linear first integral of the system")
     new_states = [n for n in sys.states if n != state]
     new_ctx = Context(new_states, [p.name for p in sys.ctx.params], eps=sys.ctx.eps.name)
     # state = (level - sum_{i != state} w_i z_i) / w_state
@@ -450,33 +448,12 @@ def eliminate_with_integral(
     new_ivs = {}
     for name in new_states:
         p = sys.flatten()[sys.state_index(name)]
-        q = translate_poly_drop(p, new_ctx, state, repl)
-        keep_rows.append(q)
+        keep_rows.append(_expand_into(p, new_ctx, {state: repl}))
         new_ivs[name] = sys.initial_values[name]
     out = raw_system(new_ctx, keep_rows, new_ivs)
     if level_order:
         out = grade_parameter(out, level, level_order)
     return out
-
-
-def translate_poly_drop(
-    p: Polynomial, new_ctx: Context, dropped: str, replacement: Polynomial
-) -> Polynomial:
-    """Translate into a context missing one symbol, substituting for it."""
-    old = p.ctx
-    total = new_ctx.zero()
-    drop_i = old.index[dropped]
-    for e, c in p.terms.items():
-        ne = [0] * new_ctx.nvars
-        for i, k in enumerate(e):
-            if k and i != drop_i:
-                name = old.symbols[i].name
-                ne[new_ctx.index[name]] += k
-        mono = Polynomial(new_ctx, {tuple(ne): c})
-        if e[drop_i]:
-            mono = mono * replacement ** e[drop_i]
-        total = total + mono
-    return total
 
 
 def linear_change_of_states(
@@ -543,21 +520,27 @@ def linear_change_of_states(
     return raw_system(new_ctx, new_rows, new_ivs)
 
 
-def _expand_into(p: Polynomial, new_ctx: Context, state_map: Mapping[str, Polynomial]) -> Polynomial:
-    """Rebuild p over new_ctx replacing old states via state_map (params kept)."""
+def _expand_into(p: Polynomial, new_ctx: Context, images: Mapping[str, Polynomial]) -> Polynomial:
+    """Rebuild p over new_ctx, each symbol named in ``images`` replaced by its image.
+
+    Every other symbol of p keeps its name and must exist in new_ctx.  A term
+    is its monomial in the kept symbols times the powers of the images, taken
+    in symbol order.
+    """
     old = p.ctx
+    pos = [None if s.name in images else new_ctx.index[s.name] for s in old.symbols]
+    image = [images.get(s.name) for s in old.symbols]
     total = new_ctx.zero()
     for e, c in p.terms.items():
-        factor = new_ctx.const(c)
+        ne = [0] * new_ctx.nvars
         for i, k in enumerate(e):
-            if not k:
-                continue
-            name = old.symbols[i].name
-            if name in state_map:
-                factor = factor * state_map[name] ** k
-            else:
-                factor = factor * new_ctx.sym(name) ** k
-        total = total + factor
+            if k and pos[i] is not None:
+                ne[pos[i]] += k
+        term = Polynomial(new_ctx, {tuple(ne): c})
+        for i, k in enumerate(e):
+            if k and pos[i] is None:
+                term = term * image[i] ** k
+        total = total + term
     return total
 
 

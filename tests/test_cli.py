@@ -7,7 +7,7 @@ import pytest
 
 from tfred.builtin_models import load_builtin
 from tfred.cli import main
-from tfred.modelfile import load_model, model_from_dict, save_model
+from tfred.modelfile import load_model, model_from_dict
 from tfred.systems import Partition, apply_scaling
 
 
@@ -345,20 +345,6 @@ def test_out_directory_written(tmp_path, capsys):
 
 
 # -- model files ------------------------------------------------------------------------
-
-
-def test_model_file_round_trip(tmp_path):
-    spec = load_builtin("mm3d")
-    path = tmp_path / "mm3d.json"
-    save_model(spec, str(path))
-    back = load_model(str(path))
-    assert tuple(back.system.states) == tuple(spec.system.states)
-    # symbolic equality row by row after re-parsing
-    ctx = back.system.ctx
-    for i in range(3):
-        orig = spec.system.flatten()[i].render()
-        assert ctx.parse(back.system.flatten()[i].render()) == ctx.parse(orig)
-    assert back.system.initial_values == spec.system.initial_values
 
 
 def test_model_rational_literals_exact():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tfred import ltc
 from tfred.rational import Context
 from tfred.ltc import (
     LtcReport,
@@ -136,10 +137,11 @@ def test_minimal_sets_cubic_field_uses_fallback():
     assert report.complete
 
 
-def test_fallback_guard_reports_incomplete():
+def test_fallback_guard_reports_incomplete(monkeypatch):
+    monkeypatch.setattr(ltc, "SUBSET_GUARD", 1)
     ctx = Context(["x", "y", "z", "w"])
     rows = [ctx.parse_poly("x*y*z*w")] * 4
-    report = minimal_ltc_sets(rows, subset_guard=1)
+    report = minimal_ltc_sets(rows)
     assert not report.complete
 
 

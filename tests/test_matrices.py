@@ -26,6 +26,7 @@ from tfred.matrices import (
     solve_matrix,
     _fraction_free_back_substitute,
 )
+from tfred.reduction import ReductionError, default_sample, find_decomposition
 
 
 @pytest.fixture
@@ -414,6 +415,91 @@ def test_rank_and_factor_recovers_rank_one_product(mm):
 def test_rank_and_factor_rejects_zero_matrix(mm):
     with pytest.raises(RankError):
         rank_and_factor(RFMatrix.zero(mm, 2, 2), _positive_sample())
+
+
+# -- independent columns and rows, against the greedy rank loop -------------------
+
+
+def greedy_independent(vectors, reverse=False):
+    """Indices of the vectors that raise the rank, scanned in order (or from the end).
+
+    The selection loop that ``rank_and_factor`` and ``find_decomposition``
+    used before they read the pivots of one elimination: one ``fraction_rank``
+    call per candidate.
+    """
+    order = range(len(vectors) - 1, -1, -1) if reverse else range(len(vectors))
+    chosen, current = [], []
+    for j in order:
+        cand = current + [list(vectors[j])]
+        if fraction_rank(cand) > len(current):
+            chosen.append(j)
+            current = cand
+    return sorted(chosen)
+
+
+SELECTION_CASES = {
+    # (rank relative to the shape, number of all-zero columns)
+    "full_rank": (None, 0),
+    "rank_deficient": (-1, 0),
+    "zero_columns": (-1, 2),
+}
+
+
+def random_columns(rng, m, n, case):
+    """n integer columns of length m with the case's rank and zero columns."""
+    shift, zero_cols = SELECTION_CASES[case]
+    nonzero = n - zero_cols
+    full = min(m, nonzero)
+    r = full if shift is None else max(1, full + shift)
+    while True:
+        basis = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(r)]
+        cols = [
+            [sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(m)]
+            for coeffs in ([rng.choice([-1, 0, 0, 1, 2]) for _ in range(r)] for _ in range(nonzero))
+        ]
+        if fraction_rank([list(row) for row in zip(*cols)]) == r:
+            break
+    for _ in range(zero_cols):
+        cols.insert(rng.randint(0, len(cols)), [0] * m)
+    return cols, r
+
+
+@pytest.mark.parametrize("case", sorted(SELECTION_CASES))
+def test_rank_and_factor_selects_the_greedy_columns(case):
+    rng = random.Random(f"rank_and_factor/{case}")
+    ctx = Context(["x"], ["a", "b"])
+    sample = {"x": Fraction(1), "a": Fraction(3, 2), "b": Fraction(2)}
+    for _ in range(12):
+        m, n = rng.randint(2, 5), rng.randint(3, 6)
+        cols, r = random_columns(rng, m, n, case)
+        # scaling row i by a + (i+1)*b keeps the column dependencies exact
+        scale = [ctx.sym("a") + ctx.sym("b") * (i + 1) for i in range(m)]
+        M = RFMatrix(ctx, [[scale[i] * cols[j][i] for j in range(n)] for i in range(m)])
+        s1, G, R = rank_and_factor(M, sample)
+        selected = greedy_independent(cols, reverse=True)
+        assert s1 == len(selected) == r
+        assert G == RFMatrix(ctx, [[M[i, j] for j in selected] for i in range(m)])
+        for k, j in enumerate(selected):
+            assert R.col(j) == [RationalFunction.of(ctx.one() if kk == k else ctx.zero()) for kk in range(r)]
+
+
+@pytest.mark.parametrize("case", sorted(SELECTION_CASES))
+def test_find_decomposition_selects_the_greedy_rows(case):
+    rng = random.Random(f"find_decomposition/{case}")
+    for _ in range(12):
+        n = rng.randint(3, 5)
+        ctx = Context([f"z{i}" for i in range(n)], ["a"])
+        zs = [ctx.sym(f"z{i}") for i in range(n)]
+        # the rows of Dh0 are the columns drawn here, so the zero-column
+        # case has entries of h0 that vanish
+        rows, r = random_columns(rng, n, n, case)
+        h0 = [sum((zs[j] * c for j, c in enumerate(row) if c), ctx.zero()) for row in rows]
+        if r == n:
+            with pytest.raises(ReductionError):
+                find_decomposition(h0, default_sample(ctx, 3))
+            continue
+        dec = find_decomposition(h0, default_sample(ctx, 3))
+        assert dec.mu == [RationalFunction.of(h0[i]) for i in greedy_independent(rows)]
 
 
 # -- char_poly ------------------------------------------------------------------

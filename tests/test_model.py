@@ -15,7 +15,6 @@ from tfred.networks import (
     build_transport_system,
     compile_network,
     neumann_laplacian,
-    reaction_flux_at,
 )
 from tfred.systems import (
     CONSISTENT_ONLY,
@@ -23,11 +22,13 @@ from tfred.systems import (
     INCONSISTENT,
     GradedSystem,
     InitialValue,
+    ModelError,
     Partition,
     TO_FAST,
     TO_SLOW,
     apply_scaling,
     check_ltc,
+    eliminate_with_integral,
     epsilon_grade,
     grade_parameter,
     is_first_integral,
@@ -39,6 +40,25 @@ from tfred.systems import (
     translate_poly,
 )
 from conftest import mm_network
+
+
+def reaction_flux_at(net: ReactionNetwork, point) -> dict[str, Fraction]:
+    """Independent flux-summation evaluation of the network's net rates.
+
+    A cross-check oracle for the compiled polynomial field; eps is taken at
+    the value bound in ``point``.
+    """
+    eps = Fraction(point.get("eps", 1))
+    out = {sp: Fraction(0) for sp in net.species}
+    for r in net.reactions:
+        v = Fraction(point[r.rate]) * eps ** r.eps_order
+        for sp, k in r.reactants.items():
+            v *= Fraction(point[sp]) ** k
+        for sp in net.species:
+            delta = r.products.get(sp, 0) - r.reactants.get(sp, 0)
+            if delta:
+                out[sp] += delta * v
+    return out
 
 
 # -- compile_network -----------------------------------------------------------
@@ -407,3 +427,29 @@ def test_elimination_produces_reduced_2d(mm2d):
     assert mm2d.grade(1)[0] == ctx.parse_poly("-k1*e0*s")
     assert mm2d.grade(0)[1] == ctx.parse_poly("-(k1*s + km1 + k2)*c")
     assert mm2d.grade(1)[1] == ctx.parse_poly("k1*e0*s")
+
+
+def test_elimination_refuses_zero_weight_on_eliminated_state(mm3d):
+    for weights in ({"e": 0, "c": 1}, {"c": 1}):
+        with pytest.raises(ModelError, match="needs nonzero weight"):
+            eliminate_with_integral(mm3d, weights, "e", "e0")
+
+
+def test_elimination_refuses_weights_that_are_no_first_integral(mm3d):
+    # s + c is not conserved: c -> e at rate k2 drains it
+    with pytest.raises(ModelError, match="not a linear first integral"):
+        eliminate_with_integral(mm3d, {"s": 1, "c": 1}, "s", "s0")
+    # with k2 slow, s + c is conserved by the fast grade but not by the slow one
+    net = mm_network()
+    slow_k2 = ReactionNetwork(
+        species=net.species,
+        reactions=[Reaction(r.reactants, r.products, r.rate, int(r.rate == "k2")) for r in net.reactions],
+        extra_params=["e0", "s0"],
+    )
+    sys = compile_network(slow_k2)
+    assert is_first_integral(GradedSystem(sys.ctx, [sys.grade(0)], sys.initial_values, 0), [1, 0, 1])
+    with pytest.raises(ModelError, match="not a linear first integral"):
+        eliminate_with_integral(sys, {"s": 1, "c": 1}, "s", "s0")
+    # a weight on a name that is no state is refused as well
+    with pytest.raises(ModelError, match="unknown states"):
+        eliminate_with_integral(mm3d, {"e": 1, "c": 1, "q": 1}, "e", "e0")

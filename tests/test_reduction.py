@@ -29,7 +29,6 @@ from tfred.reduction import (
     default_sample,
     eigen_certificate,
     eliminate_on_manifold,
-    fast_integrals_approx,
     find_decomposition,
     first_order_correction,
     integral_level,
@@ -553,62 +552,13 @@ def test_transported_integral_is_integral_of_reduced_field(mm3d_scaled):
 def test_fast_integrals_linex_level_set():
     spec = linex()
     ctx = spec.system.ctx
-    F0 = RFMatrix(ctx, [[ctx.sym("b")]])
-    G0 = RFMatrix(ctx, [[ctx.sym("c")]])
-    psi = fast_integrals_approx(F0, G0, ["x"], ["y"])
-    assert psi[0] == ctx.parse("x - b*y/c")
+    # x - b*y/c: first integral of the fast flow x' = b*y, y' = c*y
+    psi = [ctx.parse("x - b*y/c")]
     # level set through (x0, y0) meets y = 0 at x0 - b*y0/c
     z0 = {"x": ctx.parse("x0"), "y": ctx.parse("y0")}
     out = reduced_initial_value(psi, [RationalFunction.of(ctx.sym("y"))], z0, ["x", "y"])
     assert out["y"].is_zero()
     assert out["x"] == ctx.parse("x0 - b*y0/c")
-
-
-def test_fast_integrals_zero_f0_exact():
-    ctx = Context(["x", "y"], ["c"])
-    F0 = RFMatrix(ctx, [[ctx.zero()]])
-    G0 = RFMatrix(ctx, [[ctx.sym("c")]])
-    psi = fast_integrals_approx(F0, G0, ["x"], ["y"])
-    assert psi[0] == ctx.parse("x")
-
-
-def test_fast_integrals_lie_derivative_second_order():
-    # random 2 slow + 1 fast system: Lie derivative vanishes to second order in y
-    rng = random.Random(8)
-    ctx = Context(["x1", "x2", "y"], ["a", "b"])
-    for _ in range(5):
-        def rpoly():
-            p = ctx.zero()
-            for _ in range(rng.randint(1, 3)):
-                term = ctx.const(rng.randint(-3, 3))
-                for nm in ("x1", "x2", "y", "a"):
-                    if rng.random() < 0.4:
-                        term = term * ctx.sym(nm)
-                p = p + term
-            return p
-
-        F0 = RFMatrix(ctx, [[rpoly()], [rpoly()]])
-        entry = rpoly() + ctx.const(rng.randint(1, 3))
-        if entry.is_zero():
-            continue
-        G0 = RFMatrix(ctx, [[entry]])
-        psi = fast_integrals_approx(F0, G0, ["x1", "x2"], ["y"])
-        field = F0.mul_vector([RationalFunction.of(ctx.sym("y"))]) + G0.mul_vector(
-            [RationalFunction.of(ctx.sym("y"))]
-        )
-        fast_field = [
-            F0.entries[0][0] * ctx.sym("y"),
-            F0.entries[1][0] * ctx.sym("y"),
-            G0.entries[0][0] * ctx.sym("y"),
-        ]
-        for p in psi:
-            lie = lie_derivative(p, [RationalFunction.coerce(ctx, f) for f in fast_field], ["x1", "x2", "y"])
-            if lie.is_zero():
-                continue
-            # order in y: substitute y -> eps*y and read off the eps valuation
-            sub = lie.subs({"y": ctx.sym("eps") * ctx.sym("y")})
-            val = min(sub.num.eps_coefficients()) - min(sub.den.eps_coefficients())
-            assert val >= 2
 
 
 def test_reduced_initial_value_already_on_manifold(mm3d_scaled):

@@ -70,7 +70,7 @@ def test_mm_full_system_conserves_total_enzyme():
     scaled = apply_scaling(spec.system, Partition.from_fast(spec.system, ["e", "c"]))
     params = {"k1": 1, "km1": 1, "k2": 1, "e0": 1, "s0": 1}
     eps = 1e-2
-    field = compile_system(scaled.system, params, eps, time="slow")
+    field = compile_system(scaled.system, params, eps)
     z0 = numeric_initial_state(scaled.system, params, eps)
     traj = integrate(field, z0, (0.0, 2.0), rtol=1e-10, atol=1e-12, names=scaled.system.states)
     total = traj.column("e_star") + traj.column("c_star")

@@ -217,7 +217,7 @@ def reduced():
 def test_full_slow_field_matches_numpy_stepper(monkeypatch, reduced, model, eps):
     red, params, _ = reduced[model]
     system = red.scaled.system
-    field, oracle = both_fields(monkeypatch, compile_system, system, params, eps, time="slow")
+    field, oracle = both_fields(monkeypatch, compile_system, system, params, eps)
     z0 = numeric_initial_state(system, params, eps)
     traj = assert_same_run(field, oracle, z0, (0.0, 2.0), GRID)
     assert traj.stats.steps > (1000 if eps < 1e-2 else 10)
@@ -233,7 +233,7 @@ def test_reduced_field_matches_numpy_stepper(monkeypatch, reduced, model):
 def test_fixed_step_matches_numpy_stepper(monkeypatch, reduced):
     red, params, _ = reduced["mm3d"]
     system = red.scaled.system
-    field, oracle = both_fields(monkeypatch, compile_system, system, params, 1e-1, time="slow")
+    field, oracle = both_fields(monkeypatch, compile_system, system, params, 1e-1)
     z0 = numeric_initial_state(system, params, 1e-1)
     assert_same_run(field, oracle, z0, (0.0, 1.0), GRID[:50], h_fixed=3e-3)
 
