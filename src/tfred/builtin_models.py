@@ -249,13 +249,13 @@ def binding_transport_network() -> ReactionNetwork:
     )
 
 
-def transport_binding(N: int = 4) -> ModelSpec:
-    """Compartmental bimolecular binding with fast transport of s only."""
+def _binding_with_transport(N: int, s_order: int, name: str, description: str) -> ModelSpec:
+    """The binding network in N compartments; s is transported at eps-order s_order."""
     net = binding_transport_network()
     tspec = TransportSpec(
         N,
         {
-            "s": SpeciesTransport(LAPLACIAN, 0, rate="delta_s"),
+            "s": SpeciesTransport(LAPLACIAN, s_order, rate="delta_s"),
             "p": SpeciesTransport(LAPLACIAN, 1, rate="delta_p"),
             "c": SpeciesTransport(LAPLACIAN, 1, rate="delta_c"),
         },
@@ -276,47 +276,17 @@ def transport_binding(N: int = 4) -> ModelSpec:
         ivs[f"c{a}"] = InitialValue(f"c0_{a}", 1)
     sys = sys.with_initial_values(ivs)
     fast = tuple(f"s{a}" for a in range(1, N + 1)) + tuple(f"c{a}" for a in range(1, N + 1))
-    return ModelSpec(
-        "transport_binding",
-        sys,
-        fast,
-        f"{N}-compartment binding network, fast substrate transport",
-    )
+    return ModelSpec(name, sys, fast, f"{N}-compartment binding network, {description}")
+
+
+def transport_binding(N: int = 4) -> ModelSpec:
+    """Compartmental bimolecular binding with fast transport of s only."""
+    return _binding_with_transport(N, 0, "transport_binding", "fast substrate transport")
 
 
 def transport_binding_slow(N: int = 3) -> ModelSpec:
     """Same network with slow transport of every species."""
-    net = binding_transport_network()
-    tspec = TransportSpec(
-        N,
-        {
-            "s": SpeciesTransport(LAPLACIAN, 1, rate="delta_s"),
-            "p": SpeciesTransport(LAPLACIAN, 1, rate="delta_p"),
-            "c": SpeciesTransport(LAPLACIAN, 1, rate="delta_c"),
-        },
-    )
-    extra = (
-        [f"s0_{a}" for a in range(1, N + 1)]
-        + [f"p0_{a}" for a in range(1, N + 1)]
-        + [f"c0_{a}" for a in range(1, N + 1)]
-    )
-    net = ReactionNetwork(
-        species=net.species, reactions=net.reactions, extra_params=extra
-    )
-    sys = build_transport_system(net, tspec)
-    ivs = {}
-    for a in range(1, N + 1):
-        ivs[f"s{a}"] = InitialValue(f"s0_{a}", 1)
-        ivs[f"p{a}"] = InitialValue(f"p0_{a}", 0)
-        ivs[f"c{a}"] = InitialValue(f"c0_{a}", 1)
-    sys = sys.with_initial_values(ivs)
-    fast = tuple(f"s{a}" for a in range(1, N + 1)) + tuple(f"c{a}" for a in range(1, N + 1))
-    return ModelSpec(
-        "transport_binding_slow",
-        sys,
-        fast,
-        f"{N}-compartment binding network, slow transport everywhere",
-    )
+    return _binding_with_transport(N, 1, "transport_binding_slow", "slow transport everywhere")
 
 
 def linex() -> ModelSpec:

@@ -590,7 +590,8 @@ def rank_and_factor(
         raise RankError("matrix vanishes at the sample point; pick a different sample")
     selected = [M.cols - 1 - p for p in reversed(pivots)]
     G = RFMatrix(M.ctx, [[M.entries[i][j] for j in selected] for i in range(M.rows)])
-    others = [j for j in range(M.cols) if j not in selected]
+    chosen = set(selected)
+    others = [j for j in range(M.cols) if j not in chosen]
     if others:
         X = solve_matrix(G, RFMatrix(M.ctx, [[M.entries[i][j] for j in others] for i in range(M.rows)]))
         if isinstance(X, NoSolution):
@@ -599,8 +600,9 @@ def rank_and_factor(
                 "rank may not be locally constant -- try a different sample"
             )
     one, zero = RationalFunction.of(M.ctx.one()), RationalFunction.of(M.ctx.zero())
+    other_col = {j: c for c, j in enumerate(others)}
     R = RFMatrix(M.ctx, [
-        [X[k, others.index(j)] if j in others else one if selected[k] == j else zero for j in range(M.cols)]
+        [X[k, other_col[j]] if j in other_col else one if selected[k] == j else zero for j in range(M.cols)]
         for k in range(total_rank)
     ])
     if not (G @ R - M).is_zero():

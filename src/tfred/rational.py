@@ -11,6 +11,14 @@ Rational functions are kept lightly reduced: common monomial content is
 cancelled, exact polynomial division is attempted in both directions, and the
 denominator is normalised to leading coefficient one.  Equality is decided by
 cross-multiplication, never by representation.
+
+Every substitution goes through :func:`substitute`, which rebuilds a polynomial
+over a target context (the same one or another) with the named symbols replaced
+by images there, and returns a (num, den) pair: the terms, in the polynomial's
+own order, over one common denominator (each distinct image denominator to the
+highest power any term needs), with the powers of those denominators that the
+numerator shares divided out.  :meth:`Polynomial.subs`,
+:meth:`Polynomial.subs_rf` and :meth:`RationalFunction.subs` wrap it.
 """
 
 from __future__ import annotations
@@ -18,8 +26,9 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import compress
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Mapping, Sequence, Union
 
 Coefficient = Union[int, Fraction, str]
@@ -378,53 +387,11 @@ class Polynomial:
 
     def subs(self, bindings: Mapping[str, "Polynomial | Coefficient"]) -> "Polynomial":
         """Simultaneous substitution with polynomial (or constant) values."""
-        binds: dict[int, Polynomial] = {}
-        for name, val in bindings.items():
-            i = self.ctx.index[name]
-            binds[i] = val if isinstance(val, Polynomial) else self.ctx.const(val)
-        if not binds:
-            return self
-        total = self.ctx.zero()
-        pow_cache: dict[tuple[int, int], Polynomial] = {}
-        for e, c in self.terms.items():
-            rest = list(e)
-            factor = self.ctx.const(c)
-            for i, val in binds.items():
-                k = e[i]
-                if k == 0:
-                    continue
-                rest[i] = 0
-                key = (i, k)
-                if key not in pow_cache:
-                    pow_cache[key] = val ** k
-                factor = factor * pow_cache[key]
-            term = Polynomial._of(self.ctx, {tuple(rest): 1})
-            total = total + term * factor
-        return total
+        return substitute(self, self.ctx, bindings)[0]
 
     def subs_rf(self, bindings: Mapping[str, "RationalFunction | Polynomial | Coefficient"]) -> "RationalFunction":
         """Simultaneous substitution allowing rational-function values."""
-        binds: dict[int, RationalFunction] = {}
-        for name, val in bindings.items():
-            i = self.ctx.index[name]
-            binds[i] = RationalFunction.coerce(self.ctx, val)
-        total = RationalFunction.of(self.ctx.zero())
-        pow_cache: dict[tuple[int, int], RationalFunction] = {}
-        for e, c in self.terms.items():
-            rest = list(e)
-            factor = RationalFunction.of(self.ctx.const(c))
-            for i, val in binds.items():
-                k = e[i]
-                if k == 0:
-                    continue
-                rest[i] = 0
-                key = (i, k)
-                if key not in pow_cache:
-                    pow_cache[key] = val ** k
-                factor = factor * pow_cache[key]
-            term = RationalFunction.of(Polynomial._of(self.ctx, {tuple(rest): 1}))
-            total = total + term * factor
-        return total
+        return RationalFunction(*substitute(self, self.ctx, bindings))
 
     def eval(self, point: Mapping[str, Coefficient]) -> "int | Fraction":
         """Exact evaluation; every symbol occurring in the polynomial must be bound."""
@@ -849,6 +816,102 @@ def _reduce_pair(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomi
     if lc != 1:
         num = Polynomial._of(ctx, {e: _div(c, lc) for e, c in num.terms.items()})
         den = Polynomial._of(ctx, {e: _div(c, lc) for e, c in den.terms.items()})
+    return num, den
+
+
+def substitute(
+    p: Polynomial, ctx: Context, images: Mapping[str, "RationalFunction | Polynomial | Coefficient"]
+) -> tuple[Polynomial, Polynomial]:
+    """p with the symbols named in ``images`` replaced, as a (num, den) pair over ctx.
+
+    The images live in ctx; every other symbol of p keeps its name and must
+    exist in ctx.  Each term goes over one common denominator: every distinct
+    image denominator, raised to the highest total power its images reach in
+    any term.  The terms are summed into one dict in p's order, and the powers
+    of the image denominators that the numerator shares are then divided out.
+    """
+    one = ctx.one()
+    bound = []  # (index in p's context, image numerator)
+    dens: list[Polynomial] = []  # the distinct image denominators other than 1
+    groups: list[list[int]] = []  # per denominator, the indices in p's context over it
+    for name, v in images.items():
+        if isinstance(v, RationalFunction):
+            num, den = v.num, v.den
+        else:
+            num, den = (v if isinstance(v, Polynomial) else ctx.const(v)), one
+        if num.ctx is not ctx:
+            raise SymbolicError(f"image of {name} lives in another context")
+        i = p.ctx.index[name]
+        bound.append((i, num))
+        if not den.is_one():
+            if den not in dens:
+                dens.append(den)
+                groups.append([])
+            groups[dens.index(den)].append(i)
+    skip = {i for i, _ in bound}
+    for i, sym in enumerate(p.ctx.symbols):
+        if i not in skip and sym.name not in ctx.index:
+            raise SymbolicError(f"symbol {sym.name} missing from the target context")
+    # for each symbol of ctx, the index of its kept namesake in p (-1: none)
+    src = [p.ctx.index.get(sym.name, -1) for sym in ctx.symbols]
+    src = [-1 if i in skip else i for i in src]
+    top = [max((sum(e[i] for i in idx) for e in p.terms), default=0) for idx in groups]
+    powers: dict = {}
+
+    def power(base: Polynomial, k: int) -> Polynomial:
+        if k == 1:
+            return base
+        key = (id(base), k)
+        if key not in powers:
+            powers[key] = base ** k
+        return powers[key]
+
+    zero_e = (0,) * ctx.nvars
+    out: dict = {}
+    for e, c in p.terms.items():
+        kept = tuple(map((e + (0,)).__getitem__, src))
+        factors = [power(num, e[i]) for i, num in bound if e[i]]
+        for d, idx, m in zip(dens, groups, top):
+            k = m - sum(e[i] for i in idx)
+            if k:
+                factors.append(power(d, k))
+        for fe, fc in reduce(mul, factors).terms.items() if factors else ((zero_e, 1),):
+            t = tuple(map(add, kept, fe))
+            v = out.get(t, 0) + c * fc
+            # a cancelled term that comes back goes to the end: compiled
+            # float fields sum the terms in this order
+            if v:
+                out[t] = v
+            else:
+                del out[t]
+    den = reduce(mul, (power(d, m) for d, m in zip(dens, top) if m), one)
+    return cancel_common_factors((Polynomial._of(ctx, _clean(out)), den), dens)
+
+
+def cancel_common_factors(
+    pair: tuple[Polynomial, Polynomial], candidates: Sequence[Polynomial]
+) -> tuple[Polynomial, Polynomial]:
+    """Strip factors shared by numerator and denominator, by trial division.
+
+    A cheap substitute for multivariate gcd: only the supplied candidate
+    factors (typically denominators met during an elimination) are tried.
+    """
+    num, den = pair
+    changed = True
+    while changed:
+        changed = False
+        for f in candidates:
+            if f.is_constant() or f.is_zero():
+                continue
+            while True:
+                qn = num.exact_divide(f)
+                if qn is None:
+                    break
+                qd = den.exact_divide(f)
+                if qd is None:
+                    break
+                num, den = qn, qd
+                changed = True
     return num, den
 
 

@@ -33,7 +33,16 @@ from .matrices import (
     rank_and_factor,
     solve_matrix,
 )
-from .rational import Context, Polynomial, Q, RationalFunction, SymbolicError, _div
+from .rational import (
+    Context,
+    Polynomial,
+    Q,
+    RationalFunction,
+    SymbolicError,
+    _div,
+    cancel_common_factors,
+    substitute,
+)
 from .stability import is_hurwitz_stable, max_real_part
 from .systems import (
     FULL_LTC,
@@ -45,7 +54,6 @@ from .systems import (
     check_ltc,
     linear_first_integrals,
     star_name,
-    translate_poly,
 )
 
 
@@ -685,35 +693,6 @@ def _fraction_char_poly(m: list[list[Fraction]]) -> list[Fraction]:
     return [Q(c) for c in reversed(p[n])]
 
 
-def cancel_common_factors(
-    rf: RationalFunction, candidates: Sequence[Polynomial]
-) -> RationalFunction:
-    """Strip factors shared by numerator and denominator, by trial division.
-
-    A cheap substitute for multivariate gcd: only the supplied candidate
-    factors (typically denominators met during an elimination) are tried.
-    """
-    num, den = rf.num, rf.den
-    changed = True
-    while changed:
-        changed = False
-        for f in candidates:
-            if f.is_constant() or f.is_zero():
-                continue
-            while True:
-                qn = num.exact_divide(f)
-                if qn is None:
-                    break
-                qd = den.exact_divide(f)
-                if qd is None:
-                    break
-                num, den = qn, qd
-                changed = True
-    if num is rf.num:
-        return rf
-    return RationalFunction(num, den)
-
-
 def solve_equations_linear(
     equations: Sequence[RationalFunction],
     unknowns: Sequence[str],
@@ -792,7 +771,8 @@ def solve_equations_linear(
         needed = {n: e for n, e in later.items() if n in expr.num.symbols_used() | expr.den.symbols_used()}
         if needed:
             expr = expr.subs(needed)
-        solved[k] = (name, cancel_common_factors(expr, candidates))
+        num, den = cancel_common_factors((expr.num, expr.den), candidates)
+        solved[k] = (name, expr if num is expr.num else RationalFunction(num, den))
     return solved
 
 
@@ -823,7 +803,8 @@ def eliminate_on_manifold(
     rows = []
     for n in keep:
         row = red.field[red.states.index(n)].subs(sub)
-        rows.append(cancel_common_factors(row, candidates))
+        num, den = cancel_common_factors((row.num, row.den), candidates)
+        rows.append(row if num is row.num else RationalFunction(num, den))
     return EliminatedForm(solved, keep, rows)
 
 
@@ -855,13 +836,10 @@ def transform_first_integral(
             f"not a first integral; Lie derivative residue: {lie.render()}"
         )
     sctx = scaled.system.ctx
-    rename = {n: star_name(n) for n in scaled.partition.fast}
-    num = translate_poly(phi.num, sctx, rename)
-    den = translate_poly(phi.den, sctx, rename)
     eps = sctx.sym(sctx.eps.name)
-    bind = {star_name(n): eps * sctx.sym(star_name(n)) for n in scaled.partition.fast}
-    transported = RationalFunction(num, den).subs(bind)
-    order, lead = transported.eps_expansion()
+    images = {n: eps * sctx.sym(star_name(n)) for n in scaled.partition.fast}
+    num, den = (substitute(q, sctx, images)[0] for q in (phi.num, phi.den))
+    order, lead = RationalFunction(num, den).eps_expansion()
     return TransportedIntegral(order, lead)
 
 

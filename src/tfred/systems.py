@@ -11,7 +11,7 @@ so that smallness of initial data is a structural property.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -22,6 +22,7 @@ from .rational import (
     Q,
     RationalFunction,
     SymbolicError,
+    substitute,
 )
 
 STAR_SUFFIX = "_star"
@@ -40,29 +41,6 @@ class InitialValue:
 
     def is_zero(self) -> bool:
         return not isinstance(self.base, str) and self.base == 0
-
-    def base_text(self) -> str:
-        return self.base if isinstance(self.base, str) else str(self.base)
-
-
-def translate_poly(p: Polynomial, new_ctx: Context, name_map: Mapping[str, str] | None = None) -> Polynomial:
-    """Rebuild a polynomial over another context, optionally renaming symbols."""
-    name_map = name_map or {}
-    old = p.ctx
-    pos: list[int] = []
-    for sym in old.symbols:
-        target = name_map.get(sym.name, sym.name)
-        if target not in new_ctx.index:
-            raise ModelError(f"symbol {target} missing from target context")
-        pos.append(new_ctx.index[target])
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for e, c in p.terms.items():
-        ne = [0] * new_ctx.nvars
-        for i, k in enumerate(e):
-            if k:
-                ne[pos[i]] += k
-        terms[tuple(ne)] = terms.get(tuple(ne), Fraction(0)) + c
-    return Polynomial(new_ctx, terms)
 
 
 class GradedSystem:
@@ -318,17 +296,16 @@ def apply_scaling(sys: GradedSystem, part: Partition) -> ScaledSystem:
     """
     if sys.is_laurent():
         raise ModelError("cannot scale a Laurent system")
-    name_map = {n: star_name(n) for n in part.fast}
-    new_states = [name_map.get(n, n) for n in sys.states]
+    new_states = [star_name(n) if n in part.fast else n for n in sys.states]
     new_ctx = Context(new_states, [p.name for p in sys.ctx.params], eps=sys.ctx.eps.name)
     eps = new_ctx.sym(new_ctx.eps.name)
-    bindings = {star_name(n): eps * new_ctx.sym(star_name(n)) for n in part.fast}
+    images = {n: eps * new_ctx.sym(star_name(n)) for n in part.fast}
 
     per_order: dict[int, list[Polynomial]] = {}
     fast_idx = {sys.state_index(n) for n in part.fast}
     for order, g in zip(sys.orders(), sys.grades):
         for i, p in enumerate(g):
-            q = translate_poly(p, new_ctx, name_map).subs(bindings)
+            q = substitute(p, new_ctx, images)[0]
             shift = -1 if i in fast_idx else 0
             for k, coeff in q.eps_coefficients().items():
                 tgt = order + k + shift
@@ -392,7 +369,7 @@ def epsilon_grade(
     """
     eps = ctx.sym(ctx.eps.name)
     bindings: dict[str, Polynomial] = {}
-    for name in set(pivot) | set(direction):
+    for name in dict.fromkeys([*pivot, *direction]):
         base = Q(pivot.get(name, 0))  # type: ignore[arg-type]
         rho = direction.get(name, 0)
         if isinstance(rho, str):
@@ -444,12 +421,9 @@ def eliminate_with_integral(
         if n != state:
             repl = repl - new_ctx.sym(n) * wi
     repl = repl.exact_divide(new_ctx.const(w[state]))
-    keep_rows = []
-    new_ivs = {}
-    for name in new_states:
-        p = sys.flatten()[sys.state_index(name)]
-        keep_rows.append(_expand_into(p, new_ctx, {state: repl}))
-        new_ivs[name] = sys.initial_values[name]
+    rows = sys.flatten()
+    keep_rows = [substitute(rows[sys.state_index(name)], new_ctx, {state: repl})[0] for name in new_states]
+    new_ivs = {name: sys.initial_values[name] for name in new_states}
     out = raw_system(new_ctx, keep_rows, new_ivs)
     if level_order:
         out = grade_parameter(out, level, level_order)
@@ -484,7 +458,7 @@ def linear_change_of_states(
                 expr = expr + new_ctx.sym(nn) * Binv[i][j]
         subs_map[old_name] = expr
     rows_old = sys.flatten()
-    substituted = [_expand_into(p, new_ctx, subs_map) for p in rows_old]
+    substituted = [substitute(p, new_ctx, subs_map)[0] for p in rows_old]
     new_rows = []
     for i in range(n):
         acc = new_ctx.zero()
@@ -518,30 +492,6 @@ def linear_change_of_states(
             total = sum(coeff * iv.base for coeff, iv in contribs)
             new_ivs[nn] = InitialValue(total, orders.pop())
     return raw_system(new_ctx, new_rows, new_ivs)
-
-
-def _expand_into(p: Polynomial, new_ctx: Context, images: Mapping[str, Polynomial]) -> Polynomial:
-    """Rebuild p over new_ctx, each symbol named in ``images`` replaced by its image.
-
-    Every other symbol of p keeps its name and must exist in new_ctx.  A term
-    is its monomial in the kept symbols times the powers of the images, taken
-    in symbol order.
-    """
-    old = p.ctx
-    pos = [None if s.name in images else new_ctx.index[s.name] for s in old.symbols]
-    image = [images.get(s.name) for s in old.symbols]
-    total = new_ctx.zero()
-    for e, c in p.terms.items():
-        ne = [0] * new_ctx.nvars
-        for i, k in enumerate(e):
-            if k and pos[i] is not None:
-                ne[pos[i]] += k
-        term = Polynomial(new_ctx, {tuple(ne): c})
-        for i, k in enumerate(e):
-            if k and pos[i] is None:
-                term = term * image[i] ** k
-        total = total + term
-    return total
 
 
 # ---------------------------------------------------------------------------

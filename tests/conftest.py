@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from tfred.networks import Reaction, ReactionNetwork, compile_network
-from tfred.systems import InitialValue, Partition, eliminate_with_integral
+from tfred.systems import InitialValue, eliminate_with_integral
 
 
 def mm_network(extra_params=("e0", "s0")):

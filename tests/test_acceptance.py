@@ -11,9 +11,6 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-import pytest
-
 from tfred.builtin_models import (
     chain3,
     chain3_slowk4,

@@ -113,6 +113,24 @@ def test_subs_rf_matches_sympy(p, u, d):
     assert same(got, want)
 
 
+@FAST
+@given(
+    polys(max_deg=2),
+    polys(max_terms=3, max_deg=2),
+    polys(max_terms=3, max_deg=2),
+    nonzero_polys(max_terms=3, max_deg=1),
+    nonzero_polys(max_terms=2, max_deg=1),
+    st.booleans(),
+)
+def test_subs_rf_over_grouped_denominators_matches_sympy(p, u, v, d, f, nested):
+    """Two images over one shared denominator d, or over d and d*f (d divides d*f)."""
+    r = RationalFunction(u, d)
+    s = RationalFunction(v, d * f if nested else d)
+    got = p.subs_rf({"x": r, "a": s})
+    want = to_sympy(p).subs({SYMS["x"]: to_sympy(r), SYMS["a"]: to_sympy(s)}, simultaneous=True)
+    assert same(got, want)
+
+
 def _matrix(entries, n):
     return [entries[i * n:(i + 1) * n] for i in range(n)]
 

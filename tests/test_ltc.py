@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from tfred import ltc
 from tfred.rational import Context
 from tfred.ltc import (
-    LtcReport,
     candidate_slow_set,
     is_ltc_set,
     minimal_ltc_sets,
@@ -19,8 +18,6 @@ from tfred.ltc import (
 )
 from tfred.networks import Reaction, ReactionNetwork, compile_network
 from tfred.systems import Partition, check_ltc, raw_system, FULL_LTC
-
-from conftest import mm_network
 
 
 def brute_force_minimal(rows, state_names):

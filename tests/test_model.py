@@ -1,11 +1,16 @@
 """Graded systems: network compilation, scalings, rescaling, first integrals, transport."""
 
+import os
 import random
+import subprocess
 from fractions import Fraction
+from pathlib import Path
+from sys import executable
 
 import pytest
 
-from tfred.rational import Context, RationalFunction
+import tfred
+from tfred.rational import Context, RationalFunction, substitute
 from tfred.networks import (
     LAPLACIAN,
     Reaction,
@@ -37,7 +42,6 @@ from tfred.systems import (
     raw_system,
     star_name,
     time_rescale,
-    translate_poly,
 )
 from conftest import mm_network
 
@@ -137,6 +141,28 @@ def test_epsilon_grade_quadratic_dependence_substitution_oracle():
     assert not sys.grade(2)[0].is_zero()
 
 
+def test_epsilon_grade_term_order_does_not_follow_string_hashing():
+    # compiled float fields sum a row's terms in dict order, so that order must
+    # be the same in every interpreter, whatever its hash seed
+    code = (
+        "from tfred.rational import Context\n"
+        "from tfred.systems import epsilon_grade\n"
+        "ctx = Context(['x', 'y'], ['a', 'b'])\n"
+        "rows = [ctx.parse_poly('a*b*x*y + a^2*x'), ctx.parse_poly('b*y')]\n"
+        "sys = epsilon_grade(ctx, rows, {'a': 1, 'b': 2}, {'a': 'a', 'b': 'b'})\n"
+        "print([list(p.terms) for g in sys.grades for p in g])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(tfred.__file__).parent.parent)}
+    orders = {
+        subprocess.run(
+            [executable, "-c", code], env={**env, "PYTHONHASHSEED": str(seed)},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in range(6)
+    }
+    assert len(orders) == 1
+
+
 def test_grade_parameter_roundtrip(mm3d):
     sys = grade_parameter(mm3d, "k2", 1)
     eps = mm3d.ctx.sym("eps")
@@ -222,19 +248,16 @@ def test_scaling_iv_certificate_flags_order_zero_data(mm3d):
 def test_scaling_roundtrip_identity(mm3d):
     part = Partition.from_fast(mm3d, ["e", "c"])
     scaled = apply_scaling(mm3d, part)
-    sctx = scaled.system.ctx
     octx = mm3d.ctx
     eps = RationalFunction.of(octx.sym("eps"))
     back = {star_name(n): octx.sym(n) / eps for n in part.fast}
     flat_scaled = scaled.system.flatten_rf()
     flat_orig = mm3d.flatten_rf()
     for i, name in enumerate(mm3d.states):
-        # translate scaled row back to original symbols, undo the substitution
+        # undo the substitution: y_star -> y/eps, back over the original symbols
         row = flat_scaled[i]
-        num = translate_poly(row.num, octx, {star_name(n): n for n in part.fast})
-        den = translate_poly(row.den, octx, {star_name(n): n for n in part.fast})
-        restored = RationalFunction(num, den).subs(
-            {n: octx.sym(n) / eps for n in part.fast}
+        restored = RationalFunction(*substitute(row.num, octx, back)) / RationalFunction(
+            *substitute(row.den, octx, back)
         )
         if name in part.fast:
             restored = restored * eps

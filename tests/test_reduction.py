@@ -14,15 +14,11 @@ from tfred.builtin_models import (
     mm2d,
     mm3d,
     mm3d_deg,
-    mm_diffusion,
-    transport_binding,
 )
 from tfred.modelfile import model_from_dict
-from tfred.matrices import RFMatrix, hadamard_factor, jacobian, fraction_nullspace
+from tfred.matrices import RFMatrix, jacobian, fraction_nullspace
 from tfred.rational import Context, RationalFunction
 from tfred.reduction import (
-    DecompositionError,
-    EigenCertificate,
     NonstandardError,
     ReductionError,
     StandardCaseError,
@@ -44,13 +40,7 @@ from tfred.reduction import (
     standard_reduce,
     transform_first_integral,
 )
-from tfred.systems import (
-    GradedSystem,
-    Partition,
-    apply_scaling,
-    linear_first_integrals,
-    raw_system,
-)
+from tfred.systems import Partition, apply_scaling, raw_system
 
 
 def sample_for(ctx, seed=1):

@@ -1,7 +1,6 @@
 """Integrator accuracy, conservation, convergence ladders, and the demo harness."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tfred.rational import Context, Polynomial, Q, RationalFunction, SubstitutionError
+from tfred.rational import Context, SubstitutionError, SymbolicError, substitute
 
 
 @pytest.fixture
@@ -56,6 +56,30 @@ def test_substitute_identity_and_zero(mm):
     assert p.subs({"s": mm.sym("s")}) == p
     assert mm.parse_poly("s + e").subs({"e": 0}) == mm.sym("s")
     assert mm.parse("(s + e)/c").subs({"s": mm.parse("c")}) == mm.parse("(c + e)/c")
+
+
+def test_substitution_keeps_one_common_denominator(mm):
+    # b*s^2 + s with s -> e/b is (b*e^2 + b*e)/b^2 over the common denominator;
+    # trial division by b leaves (e^2 + e)/b
+    b = mm.parse_poly("k1 + k2")
+    p = b * mm.sym("s") ** 2 + mm.sym("s")
+    image = mm.sym("e") / b
+    num, den = substitute(p, mm, {"s": image})
+    assert (num.terms, den.terms) == (mm.parse_poly("e^2 + e").terms, b.terms)
+    got = p.subs_rf({"s": image})
+    assert (got.num.terms, got.den.terms) == (num.terms, den.terms)
+
+
+def test_substitute_into_another_context(mm):
+    # s is replaced, every other symbol keeps its name in the target context
+    small = Context(["e", "c"], ["k1", "km1", "k2"])
+    p = mm.parse_poly("k1*s*e - km1*c")
+    num, den = substitute(p, small, {"s": small.parse("c/(k1 + k2)")})
+    assert num / den == small.parse("(k1*c*e - km1*c*(k1 + k2))/(k1 + k2)")
+    with pytest.raises(SymbolicError):
+        substitute(p, small, {"e": small.sym("c")})
+    with pytest.raises(SymbolicError):
+        substitute(p, small, {"s": mm.sym("e")})
 
 
 def test_substitution_reports_vanishing_denominator(mm):
