@@ -20,6 +20,7 @@ import json
 import os
 import sys as _sys
 from fractions import Fraction
+from functools import cache
 
 from .builtin_models import BUILTINS, ModelSpec, load_builtin
 from .ltc import minimal_ltc_sets, preassigned_conditions
@@ -383,7 +384,9 @@ def add_model_args(p):
     p.add_argument("--out", help="directory for report files")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing leaves no state in it."""
     ap = argparse.ArgumentParser(
         prog="tfred",
         description="degenerate scalings and singular-perturbation reductions of polynomial ODE models",

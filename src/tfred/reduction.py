@@ -19,6 +19,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Mapping, Sequence
 
 from .matrices import (
@@ -39,7 +41,6 @@ from .rational import (
     Q,
     RationalFunction,
     SymbolicError,
-    _div,
     cancel_common_factors,
     substitute,
 )
@@ -585,10 +586,14 @@ def eigen_certificate(
     """
     ctx = dec.ctx
     M = dec.dmup()
-    points: list[dict[str, Fraction]] = []
+    # each point with its values by symbol index, converted once
+    points: list[tuple[dict[str, Fraction], list]] = []
     rejected = 0
     if sample_points is not None:
-        points = [dict(p) for p in sample_points if _on_manifold(dec.mu, p)]
+        for p in sample_points:
+            vals = ctx.point_values(p)
+            if _on_manifold(dec.mu, vals):
+                points.append((dict(p), vals))
         rejected = len(sample_points) - len(points)
     else:
         unknowns = list(solve_for) if solve_for is not None else [n for n in dec.states]
@@ -600,18 +605,19 @@ def eigen_certificate(
         while len(points) < n_samples and tries < 50 * n_samples:
             tries += 1
             pt = default_sample(ctx, seed=rng.randint(0, 10**9))
+            vals = ctx.point_values(pt)
             if solved is not None:
                 try:
                     for name, expr in solved:
-                        pt[name] = expr.eval(pt)
+                        pt[name] = vals[ctx.index[name]] = expr.eval_at(vals)
                 except ZeroDivisionError:
                     continue
-            if _on_manifold(dec.mu, pt):
-                points.append(pt)
+            if _on_manifold(dec.mu, vals):
+                points.append((pt, vals))
     samples: list[EigenSample] = []
-    for pt in points:
+    for pt, vals in points:
         try:
-            exact = M.eval(pt)
+            exact = M.eval_at(vals)
         except ZeroDivisionError:
             rejected += 1
             continue
@@ -629,11 +635,11 @@ def eigen_certificate(
     return EigenCertificate(M, verdict, margin, samples, "routh_hurwitz_exact+numeric", rejected)
 
 
-def _on_manifold(mu: Sequence[RationalFunction], pt: Mapping[str, Fraction]) -> bool:
-    """Every manifold equation vanishes exactly at the point (and is defined there)."""
-    if not mu:
-        return True
-    vals = mu[0].ctx.point_values(pt)
+def _on_manifold(mu: Sequence[RationalFunction], vals: Sequence) -> bool:
+    """Every manifold equation vanishes exactly at the point (and is defined there).
+
+    ``vals`` are the point's values from :meth:`Context.point_values`.
+    """
     try:
         return all(m.eval_at(vals) == 0 for m in mu)
     except ZeroDivisionError:
@@ -648,49 +654,60 @@ def _on_manifold(mu: Sequence[RationalFunction], pt: Mapping[str, Fraction]) -> 
 def _fraction_char_poly(m: list[list[Fraction]]) -> list[Fraction]:
     """Monic characteristic polynomial [1, c1, ..., cn] of an exact numeric matrix.
 
-    O(n^3): a similarity transform to upper Hessenberg form by Gaussian
-    elimination below the subdiagonal, then the recurrence for the
-    characteristic polynomials of its leading principal blocks.
+    Division-free, after Berkowitz (1984), on integers.  m is cleared once to
+    B = D*m, D the lcm of its denominators.  Bordering the leading block B_k
+    with column c, row r and corner a multiplies the coefficient vector of its
+    characteristic polynomial by the lower triangular Toeplitz matrix with
+    first column (1, -a, -r c, -r B_k c, ..., -r B_k^(k-1) c).  That is
+    O(n^4) integer products, less those with a zero entry of B, which are
+    skipped.  B's coefficients are D^k c_k.
     """
     n = len(m)
-    h = [row[:] for row in m]
-    for k in range(1, n - 1):
-        piv = next((i for i in range(k, n) if h[i][k - 1] != 0), None)
-        if piv is None:
-            continue
-        if piv != k:
-            h[k], h[piv] = h[piv], h[k]
-            for row in h:
-                row[k], row[piv] = row[piv], row[k]
-        pv = h[k][k - 1]
-        hk = h[k]
-        for i in range(k + 1, n):
-            hi = h[i]
-            if hi[k - 1] == 0:
-                continue
-            u = _div(hi[k - 1], pv)
-            # row i -= u * row k, then column k += u * column i (the inverse)
-            for j in range(k - 1, n):
-                hi[j] -= u * hk[j]
-            for row in h:
-                row[k] += u * row[i]
-    # p[j] is det(x I - H[:j, :j]), stored as coefficients in rising degree
-    p: list[list] = [[1]]
-    for j in range(n):
-        nxt = [0] + p[j]
-        hjj = h[j][j]
-        for d in range(j + 1):
-            nxt[d] -= hjj * p[j][d]
-        t = 1
-        for i in range(j - 1, -1, -1):
-            t *= h[i + 1][i]
-            if t == 0:
-                break
-            c = t * h[i][j]
-            for d in range(i + 1):
-                nxt[d] -= c * p[i][d]
-        p.append(nxt)
-    return [Q(c) for c in reversed(p[n])]
+    if not n:
+        return [1]
+    fracs = [v for row in m for v in row if v.__class__ is not int]
+    d = lcm(*[v.denominator for v in fracs]) if fracs else 1
+    b = [[v.numerator * (d // v.denominator) for v in row] for row in m] if fracs else m
+    a = b[0][0]
+    p = [1, -a]
+    # cols[i], vals[i]: the nonzero entries of row i of the leading block B_k
+    cols = [[0] if a else []]
+    vals = [[a] if a else []]
+    for k in range(1, n):
+        bk = b[k]
+        a = bk[k]
+        rc = [j for j in range(k) if bk[j]]
+        c = [b[i][k] for i in range(k)]
+        if rc and any(c):
+            rv = [bk[j] for j in rc]
+            q = [1, -a]
+            v = c
+            for t in range(k):
+                q.append(-sum(map(mul, rv, map(v.__getitem__, rc))))
+                if t < k - 1:
+                    get = v.__getitem__
+                    v = [sum(map(mul, vi, map(get, ci))) for ci, vi in zip(cols, vals)]
+            rq = q[::-1]
+            p = [sum(map(mul, rq[k + 1 - i:], p)) for i in range(k + 2)]
+        else:
+            # r B_k^t c = 0 for every t: p times (x - a)
+            p = [x - a * y for x, y in zip(p + [0], [0] + p)]
+        if k + 1 < n:
+            for i in range(k):
+                if c[i]:
+                    cols[i].append(k)
+                    vals[i].append(c[i])
+            if a:
+                rc.append(k)
+            cols.append(rc)
+            vals.append([bk[j] for j in rc])
+    if d == 1:
+        return p
+    out, dk = [1], 1
+    for x in p[1:]:
+        dk *= d
+        out.append(Fraction(x, dk) if x % dk else x // dk)
+    return out
 
 
 def solve_equations_linear(

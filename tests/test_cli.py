@@ -419,6 +419,16 @@ def test_reduce_report_is_deterministic_given_seed(capsys):
     assert runs[0] == runs[1]
 
 
+def test_parsed_options_do_not_leak_between_calls(capsys):
+    # the parser is built once per process; each call parses afresh
+    code, payload = run_json(capsys, "reduce", "--builtin", "mm2d", "--samples", "5")
+    assert code == 0
+    assert len(payload["certificate"]["samples"]) == 5
+    code, payload = run_json(capsys, "reduce", "--builtin", "mm2d")
+    assert code == 0
+    assert len(payload["certificate"]["samples"]) == 25
+
+
 def test_reduce_report_contains_projection_for_small_systems(capsys):
     code, payload = run_json(capsys, "reduce", "--builtin", "mm3d")
     assert code == 0

@@ -2,7 +2,9 @@
 
 Random polynomials in two to four symbols go through tfred's products, sums,
 differences, exact division, substitution and linear solves, and every result
-is compared with sympy's ``expand`` / ``cancel`` on the same input.
+is compared with sympy's ``expand`` / ``cancel`` on the same input.  The
+certificate's characteristic polynomials of transport_binding(8) are compared
+with sympy's ``DomainMatrix.charpoly`` over QQ.
 """
 
 from fractions import Fraction
@@ -14,6 +16,8 @@ from hypothesis import strategies as st
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
+from tfred import reduction  # noqa: E402
+from tfred.builtin_models import transport_binding  # noqa: E402
 from tfred.matrices import NoSolution, RFMatrix, linear_solve, solve_matrix  # noqa: E402
 from tfred.rational import Context, Polynomial, RationalFunction  # noqa: E402
 
@@ -170,3 +174,25 @@ def test_solves_match_sympy(case):
     for i in range(n):
         assert same(X[i, 0], want[i])
         assert same(x[i], want[i])
+
+
+def test_certificate_char_polys_of_transport_binding_8_match_sympy(monkeypatch):
+    # n = 15: too large for the O(n^4) Fraction oracle of test_exact_kernel
+    spec = transport_binding(8)
+    red = reduction.reduce_model(spec.system, list(spec.fast))
+    char_poly = reduction._fraction_char_poly
+    seen = []
+
+    def recording(m):
+        seen.append([row[:] for row in m])
+        return char_poly(m)
+
+    monkeypatch.setattr(reduction, "_fraction_char_poly", recording)
+    cert = reduction.reduce_extras(red, spec.system)
+    assert cert.verdict == "pass"
+    assert len(seen) == 25 and {len(m) for m in seen} == {15}
+    QQ = sympy.QQ
+    for m in seen:
+        A = DomainMatrix([[QQ(v.numerator, v.denominator) for v in row] for row in m], (15, 15), QQ)
+        want = [Fraction(int(c.numerator), int(c.denominator)) for c in A.charpoly()]
+        assert char_poly(m) == want

@@ -629,3 +629,54 @@ def test_routh_test_agrees_with_hurwitz_minors():
         stable += want
     # both outcomes occur often enough for the comparison to mean something
     assert 50 < stable < 450
+
+
+def _poly_product(*factors):
+    out = [Fraction(1)]
+    for f in factors:
+        out = [
+            sum((out[i - j] * f[j] for j in range(len(f)) if 0 <= i - j < len(out)), Fraction(0))
+            for i in range(len(out) + len(f) - 1)
+        ]
+    return out
+
+
+def test_integer_routh_test_on_rational_coefficients():
+    # non-integral coefficients are cleared to integers before the Routh array
+    rng = random.Random(23)
+
+    def positive():
+        return Fraction(rng.randint(1, 30), rng.randint(2, 12))
+
+    stable = cases = 0
+    for case in range(400):
+        if case % 2:
+            n = rng.randint(1, 7)
+            coeffs = [Fraction(1)] + [Fraction(rng.randint(-4, 30), rng.randint(2, 12)) for _ in range(n)]
+        else:
+            # left-half-plane factors, then one coefficient nudged: near the boundary
+            factors = [[1, positive()] if rng.random() < 0.4 else [1, positive(), positive()]
+                       for _ in range(rng.randint(1, 3))]
+            coeffs = _poly_product(*factors)
+            k = rng.randint(1, len(coeffs) - 1)
+            coeffs[k] += Fraction(rng.randint(-3, 3), rng.randint(2, 12))
+        if all(c.denominator == 1 for c in coeffs):
+            continue
+        want = all(m > 0 for m in _hurwitz_minors_oracle(coeffs))
+        assert is_hurwitz_stable(coeffs) == want, coeffs
+        stable += want
+        cases += 1
+    assert cases > 350
+    assert 50 < stable < cases - 50
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    boundary = [
+        [1, 0, 1],  # x^2 + 1
+        [1, 1, 1, 1],  # x^3 + x^2 + x + 1: a zero first-column entry
+        [1, third, third ** 2, third ** 3],  # its roots times 1/3
+        [1, half, 2 * half ** 2, half ** 3, half ** 4],  # (x^2 + 1/4)(x^2 + x/2 + 1/4)
+        _poly_product([1, 0, Fraction(1, 5)], [1, Fraction(3, 2), Fraction(7, 4), Fraction(1, 3)]),
+    ]
+    for coeffs in boundary:
+        coeffs = [Fraction(c) for c in coeffs]
+        assert not all(m > 0 for m in _hurwitz_minors_oracle(coeffs)), coeffs
+        assert is_hurwitz_stable(coeffs) is False, coeffs

@@ -1,4 +1,4 @@
-"""Print the output of 220 CLI cases, for comparing two checkouts byte for byte.
+"""Print the output of 221 CLI cases, for comparing two checkouts byte for byte.
 
 Usage: python tools/output_check.py <src-dir>
 
@@ -6,7 +6,7 @@ Usage: python tools/output_check.py <src-dir>
 x {check, ltc, conditions, reduce, converge on a short ladder} x {text, json}
 x --seed {0, 7}, plus ``reduce --mode standard|nonstandard`` on mm2d and mm3d
 and the inconsistent partition ``--fast s`` of mm3d, plus ``reduce --model
-... --format json`` on transport_binding(N) model files for N = 2, 3, 5, 7, 8 (the
+... --format json`` on transport_binding(N) model files for N = 2, 3, 5, 7, 8, 10 (the
 benchmark's model shape, written to a temporary directory that is printed as
 ``<tmp>``), plus the benchmark's ladder jobs: ``converge`` on mm2d and mm3d
 down to eps = 7.8e-4, on transport_binding with fixed heterogeneous
@@ -80,7 +80,7 @@ def transport_model(N: int) -> dict:
 
 
 tmp = tempfile.TemporaryDirectory()
-for N in (2, 3, 5, 7, 8):
+for N in (2, 3, 5, 7, 8, 10):
     path = Path(tmp.name) / f"transport_binding_N{N}.json"
     path.write_text(json.dumps(transport_model(N)))
     cases.append(["reduce", "--model", str(path), "--format", "json"])
