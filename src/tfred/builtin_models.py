@@ -1,7 +1,7 @@
 """Built-in benchmark models: the worked enzyme and transport systems.
 
 Each builder returns a ModelSpec bundling the graded system, the default fast
-set for its reduction, and any conservation relations used for elimination.
+set for its reduction, and a description.
 These are the systems exercised by the golden tests and the validation suite.
 
 Naming: km<i> denotes a reverse rate constant, e0/s0 are initial totals
@@ -11,7 +11,7 @@ transport rates, and <name>_star states are the rescaled fast variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -40,8 +40,6 @@ class ModelSpec:
     system: GradedSystem
     fast: tuple[str, ...]
     description: str
-    conservation: "list[tuple[dict[str, int], str]]" = field(default_factory=list)
-    # (weights, level parameter) pairs valid for the unscaled system
 
 
 def mm3d() -> ModelSpec:
@@ -64,7 +62,6 @@ def mm3d() -> ModelSpec:
         compile_network(net),
         ("e", "c"),
         "three-species substrate/enzyme/complex system, small total enzyme",
-        conservation=[({"e": 1, "c": 1}, "e0")],
     )
 
 
@@ -156,7 +153,6 @@ def chain3_slowk4() -> ModelSpec:
         compile_network(slow_net),
         ("e", "c1", "c2", "c3"),
         "chain with slow final conversion; scaling route required",
-        conservation=[({"e": 1, "c1": 1, "c2": 1, "c3": 1}, "e0")],
     )
 
 
@@ -185,7 +181,6 @@ def inhibitor() -> ModelSpec:
         raw_system(ctx, rows, ivs),
         ("e", "c1", "c2"),
         "binding with inhibitor and slow inhibitor degradation",
-        conservation=[],
     )
 
 

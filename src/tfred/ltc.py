@@ -58,9 +58,6 @@ class ParameterConditions:
     solved: "dict[str, Fraction] | None"
     feasible: bool = True
 
-    def is_trivial(self) -> bool:
-        return not self.conditions
-
 
 def _state_part(ctx: Context, expo: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(expo[ctx.index[s.name]] for s in ctx.states)

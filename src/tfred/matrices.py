@@ -79,11 +79,6 @@ class RFMatrix:
         return RFMatrix(ctx, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @staticmethod
-    def zero(ctx: Context, rows: int, cols: int) -> "RFMatrix":
-        z = ctx.zero()
-        return RFMatrix(ctx, [[z] * cols for _ in range(rows)])
-
-    @staticmethod
     def column(ctx: Context, vec: Sequence) -> "RFMatrix":
         return RFMatrix(ctx, [[v] for v in vec])
 
@@ -115,9 +110,6 @@ class RFMatrix:
             self.ctx,
             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
         )
-
-    def __neg__(self) -> "RFMatrix":
-        return RFMatrix(self.ctx, [[-v for v in row] for row in self.entries])
 
     def __matmul__(self, other: "RFMatrix") -> "RFMatrix":
         if self.cols != other.rows:
@@ -165,12 +157,6 @@ class RFMatrix:
     def eval_at(self, vals: Sequence) -> list[list[Fraction]]:
         """Exact entries at values from :meth:`Context.point_values`."""
         return [[v.eval_at(vals) for v in row] for row in self.entries]
-
-    def rank_at(self, point: Mapping[str, object]) -> int:
-        return fraction_rank(self.eval(point))
-
-    def render(self) -> str:
-        return "\n".join("[" + ", ".join(v.render() for v in row) + "]" for row in self.entries)
 
     def __repr__(self):
         return f"RFMatrix({self.rows}x{self.cols})"

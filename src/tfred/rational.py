@@ -156,13 +156,6 @@ class Context:
             vals[self.index[name]] = Q(v)
         return vals
 
-    def state_index(self, name: str) -> int:
-        """Position of a state among the states (not the global symbol index)."""
-        sym = self.symbol(name)
-        if sym.kind != STATE:
-            raise ValueError(f"{name} is not a state")
-        return self.states.index(sym)
-
     def parse(self, text: str) -> "RationalFunction":
         return _Parser(self, text).parse()
 
@@ -272,9 +265,6 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         return self._merge((e, -c) for e, c in other.terms.items())
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, RationalFunction):
@@ -549,12 +539,6 @@ def _render_coeff(c: Fraction, standalone: bool) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-# Cap on exact-division attempts during rational-function normalisation;
-# beyond this the cancellation is skipped (correctness is unaffected since
-# equality uses cross-multiplication).
-_CANCEL_TERM_LIMIT = 2000
-
-
 class RationalFunction:
     """Quotient of two polynomials over the same context.
 
@@ -634,9 +618,6 @@ class RationalFunction:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce_other(other)
         if other is NotImplemented:
@@ -672,12 +653,6 @@ class RationalFunction:
             raise ZeroDivisionError("division by zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
 
-    def __rtruediv__(self, other):
-        other = self._coerce_other(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise ValueError("rational function powers must be integers")
@@ -691,12 +666,6 @@ class RationalFunction:
         if not isinstance(other, RationalFunction):
             return NotImplemented
         return (self.num * other.den) == (other.num * self.den)
-
-    def __hash__(self):
-        # Weak but consistent: equal RFs reduce monomial content identically
-        # only in simple cases, so hash on the zero/nonzero distinction plus
-        # context identity.  RFs are not meant for hashing-heavy use.
-        return hash((id(self.ctx), self.num.is_zero()))
 
     # -- calculus -------------------------------------------------------------
 
@@ -730,23 +699,6 @@ class RationalFunction:
             raise ZeroDivisionError(f"denominator {self.den.render()} vanishes at sample point")
         return _div(self.num.eval_at(vals), d)
 
-    def evalf(self, point: Mapping[str, float]) -> float:
-        num = 0.0
-        den = 0.0
-        for poly, acc in ((self.num, "n"), (self.den, "d")):
-            total = 0.0
-            for e, c in poly.terms.items():
-                prod = float(c)
-                for i, k in enumerate(e):
-                    if k:
-                        prod *= point[poly.ctx.symbols[i].name] ** k
-                total += prod
-            if acc == "n":
-                num = total
-            else:
-                den = total
-        return num / den
-
     # -- epsilon structure ------------------------------------------------------
 
     def eps_expansion(self) -> tuple[int, "RationalFunction"]:
@@ -764,9 +716,6 @@ class RationalFunction:
         vd = min(den_parts)
         lead = RationalFunction(num_parts[vn], den_parts[vd])
         return (vn - vd, lead)
-
-    def eps_free(self) -> bool:
-        return self.num.eps_free() and self.den.eps_free()
 
     # -- rendering ---------------------------------------------------------------
 
@@ -802,7 +751,7 @@ def _reduce_pair(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomi
             num = num.shift_down(common)
             den = den.shift_down(common)
     # exact syntactic factor cancellation
-    if not den.is_constant() and len(num.terms) * len(den.terms) <= _CANCEL_TERM_LIMIT:
+    if not den.is_constant():
         q = num.exact_divide(den)
         if q is not None:
             num, den = q, ctx.one()

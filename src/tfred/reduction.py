@@ -64,10 +64,6 @@ MAX_POLY_DEGREE = 4
 RANK_RETRIES = 5
 # Least distance of the fast block's eigenvalues from the imaginary axis.
 NU_MIN = 1e-9
-# Residual tolerance and iteration budget of the Newton fallback for a
-# reduced initial value.
-NEWTON_TOL = 1e-12
-NEWTON_MAX_ITER = 100
 
 
 class ReductionError(SymbolicError):
@@ -118,7 +114,6 @@ class Decomposition:
     P: RFMatrix
     mu: list[RationalFunction]
     mode: str
-    sample: Mapping[str, Fraction] | None = None
     rank_data: "tuple[int, RFMatrix, RFMatrix, list[RationalFunction]] | None" = None
     _dmu: RFMatrix | None = field(default=None, repr=False)
     _dmup: RFMatrix | None = field(default=None, repr=False)
@@ -241,7 +236,7 @@ def find_decomposition(h0: Sequence[Polynomial], sample: Mapping[str, Fraction])
         P_rows.append(row)
     P = RFMatrix(ctx, P_rows)
     mu = [RationalFunction.of(p) for p in mu_polys]
-    dec = Decomposition(ctx, states, P, mu, "general", sample=dict(sample))
+    dec = Decomposition(ctx, states, P, mu, "general")
     prod = P.mul_vector(mu)
     for got, want in zip(prod, h0):
         if got != RationalFunction.of(want):
@@ -391,7 +386,6 @@ def nonstandard_decomposition(
         P,
         mu_vec,
         "nonstandard",
-        sample=pt,
         rank_data=(s1, G, R, w),
     )
     return dec
@@ -408,7 +402,6 @@ class TransportedIntegral:
 
     order: int
     rf: RationalFunction
-    constant_on_manifold: "bool | None" = None
     level: "RationalFunction | None" = None
 
 
@@ -573,16 +566,16 @@ def eigen_certificate(
     sample_points: "Sequence[Mapping[str, Fraction]] | None" = None,
     n_samples: int = 25,
     seed: int = 0,
-    solve_for: "Sequence[str] | None" = None,
+    solved: "Sequence[tuple[str, RationalFunction]] | None" = None,
 ) -> EigenCertificate:
     """Sample-based stability certificate for Dmu*P on the critical manifold.
 
     Generated samples draw the free symbols from the positive orthant and get
-    the dependent ones from the solved manifold relations (``solve_for``
-    restricts which states may be solved for, typically the scaled fast
-    variables).  Each sample is checked to satisfy the manifold equations
-    exactly; the verdict is "pass" only if every sample has eigenvalues with
-    real part at most -NU_MIN and the exact sign test agrees.
+    the dependent ones from ``solved``, the manifold relations as returned by
+    :func:`solve_equations_linear` (None: no relations).  Each sample is
+    checked to satisfy the manifold equations exactly; the verdict is "pass"
+    only if every sample has eigenvalues with real part at most -NU_MIN and
+    the exact sign test agrees.
     """
     ctx = dec.ctx
     M = dec.dmup()
@@ -596,10 +589,6 @@ def eigen_certificate(
                 points.append((dict(p), vals))
         rejected = len(sample_points) - len(points)
     else:
-        unknowns = list(solve_for) if solve_for is not None else [n for n in dec.states]
-        solved = solve_equations_linear(
-            list(dec.mu), unknowns, allow_underdetermined=True
-        )
         rng = random.Random(seed)
         tries = 0
         while len(points) < n_samples and tries < 50 * n_samples:
@@ -918,8 +907,8 @@ def reduced_initial_value(
 ) -> dict[str, RationalFunction]:
     """Intersect the manifold with the integral level sets through z0.
 
-    Exact sequential solve first; if that fails and all data are numeric, a
-    Newton iteration from z0 refines a float solution.  The number of
+    The intersection is solved exactly, by sequential linear elimination, or
+    refused with ReductionError; there is no numeric fallback.  The number of
     independent integrals plus the manifold codimension should equal the state
     count; surplus equations must vanish on the solution.
     """
@@ -941,45 +930,9 @@ def reduced_initial_value(
         residuals = [e.subs(out) for e in eqs]
         if all(r.is_zero() for r in residuals):
             return out
-    return _newton_initial_value(eqs, point, states)
-
-
-def _newton_initial_value(eqs, point, states):
-    import numpy as np
-
-    ctx = eqs[0].ctx
-    numeric_env: dict[str, float] = {}
-    for sym in ctx.symbols:
-        if sym.name in point:
-            val = point[sym.name]
-            if not val.num.is_constant() or not val.den.is_constant():
-                raise ReductionError(
-                    "exact solve failed and the initial data are symbolic; cannot fall back to Newton"
-                )
-            numeric_env[sym.name] = float(val.eval({}))
-    free_params = [s.name for s in ctx.params if s.name not in numeric_env]
-    if free_params:
-        raise ReductionError(
-            f"exact solve failed; Newton fallback needs numeric parameters, missing {free_params}"
-        )
-    names = list(states)
-    J = [[e.diff(n) for n in names] for e in eqs]
-    x = np.array([numeric_env[n] for n in names], dtype=float)
-    env = dict(numeric_env)
-    env.setdefault(ctx.eps.name, 0.0)
-    for _ in range(NEWTON_MAX_ITER):
-        for i, n in enumerate(names):
-            env[n] = float(x[i])
-        F = np.array([e.evalf(env) for e in eqs], dtype=float)
-        if np.max(np.abs(F)) < NEWTON_TOL:
-            return {n: RationalFunction.of(ctx.const(Fraction(float(x[i])).limit_denominator(10**12))) for i, n in enumerate(names)}
-        Jn = np.array([[v.evalf(env) for v in row] for row in J], dtype=float)
-        try:
-            step, *_ = np.linalg.lstsq(Jn, -F, rcond=None)
-        except np.linalg.LinAlgError as exc:
-            raise ReductionError(f"Newton fallback failed: {exc}")
-        x = x + step
-    raise ReductionError("Newton fallback did not converge")
+    raise ReductionError(
+        "the manifold and the integral level sets have no exact sequential linear solution"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1058,8 +1011,12 @@ def reduce_extras(
     recorded in ``errors["elimination"]``.
     """
     scaled = red.scaled
-    if red.decomposition.mode == "standard":
-        fast = list(scaled.partition.fast)
+    dec = red.decomposition
+    if dec.mode == "standard":
+        # the manifold is y = 0
+        solved = solve_equations_linear(
+            list(dec.mu), list(scaled.partition.fast), allow_underdetermined=True
+        )
     else:
         fast = list(scaled.fast_star)
         extra_relations = []
@@ -1082,4 +1039,5 @@ def reduce_extras(
                     red.eliminated_conserved = conserved
         except ReductionError as exc:
             red.errors["elimination"] = str(exc)
-    return eigen_certificate(red.decomposition, n_samples=n_samples, seed=seed, solve_for=fast)
+        solved = red.eliminated.solved if red.eliminated is not None else None
+    return eigen_certificate(dec, n_samples=n_samples, seed=seed, solved=solved)

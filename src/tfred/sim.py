@@ -304,22 +304,6 @@ class Trajectory:
     def final(self) -> np.ndarray:
         return self.states[-1]
 
-    def column(self, name: str) -> np.ndarray:
-        return self.states[:, self.names.index(name)]
-
-    def write_csv(self, path: str):
-        self._write_columns(path, ",", "")
-
-    def write_dat(self, path: str):
-        """Whitespace-separated columns with a '#' header (plotting tools)."""
-        self._write_columns(path, " ", "# ")
-
-    def _write_columns(self, path: str, sep: str, header_prefix: str):
-        with open(path, "w") as fh:
-            fh.write(f"{header_prefix}tau{sep}" + sep.join(self.names) + "\n")
-            for t, row in zip(self.taus, self.states):
-                fh.write(f"{t:.12g}{sep}" + sep.join(f"{v:.12g}" for v in row) + "\n")
-
 
 def integrate(
     f: Field,

@@ -136,22 +136,6 @@ class GradedSystem:
         merged.update(ivs)
         return GradedSystem(self.ctx, self.grades, merged, self.lowest_order)
 
-    def render(self) -> str:
-        lines = []
-        for i, name in enumerate(self.states):
-            parts = []
-            for order, g in zip(self.orders(), self.grades):
-                p = g[i]
-                if p.is_zero():
-                    continue
-                body = p.render()
-                if order == 0:
-                    parts.append(f"({body})" if len(p.terms) > 1 and parts else body)
-                else:
-                    parts.append(f"eps^{order}*({body})" if order != 1 else f"eps*({body})")
-            lines.append(f"d{name}/dt = " + (" + ".join(parts) if parts else "0"))
-        return "\n".join(lines)
-
     def __repr__(self):
         return f"GradedSystem(states={list(self.states)}, orders={self.orders()})"
 
@@ -206,10 +190,6 @@ class Partition:
     @property
     def r(self) -> int:
         return len(self.slow)
-
-    @property
-    def s(self) -> int:
-        return len(self.fast)
 
 
 FULL_LTC = "fullLTC"
@@ -274,7 +254,6 @@ class ScaledSystem:
     partition: Partition
     laurent_flag: int
     iv_consistent: bool
-    source_states: tuple[str, ...]
 
     @property
     def fast_star(self) -> tuple[str, ...]:
@@ -333,7 +312,7 @@ def apply_scaling(sys: GradedSystem, part: Partition) -> ScaledSystem:
     flag = scaled_sys.lowest_order
     if flag >= 0:
         flag = 0
-    return ScaledSystem(scaled_sys, part, flag, iv_ok, tuple(sys.states))
+    return ScaledSystem(scaled_sys, part, flag, iv_ok)
 
 
 TO_SLOW = "toSlow"

@@ -399,17 +399,6 @@ def test_model_file_with_transport(tmp_path):
     assert sys.initial_values["s1"].order == 1
 
 
-def test_trajectory_dat_export(tmp_path):
-    from tfred.sim import integrate
-
-    traj = integrate(lambda t, z: [-v for v in z], [1.0], (0.0, 0.5), names=("u",))
-    path = tmp_path / "traj.dat"
-    traj.write_dat(str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "# tau u"
-    assert len(lines) == len(traj.taus) + 1
-
-
 def test_reduce_report_is_deterministic_given_seed(capsys):
     runs = []
     for _ in range(2):

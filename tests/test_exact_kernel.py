@@ -84,6 +84,17 @@ def test_rational_function_normalisation_stays_exact(ctx):
     assert type(rf.eval({"x": 8, "y": 3})) is int
 
 
+def test_cancellation_of_an_exact_factor_has_no_size_cap():
+    # 12 denominator terms times the ~1000 terms of d*q: far above any cap
+    # on the term product, and still cancelled
+    big = Context([f"x{i}" for i in range(1, 7)], ["a", "b", "c", "d", "f"])
+    d = big.parse_poly("a + b + c + d + f + x1 + x2 + x3 + x4 + x5 + x6 + 1")
+    q = big.parse_poly("x1 + x2 + x3 + x4 + x5 + 2") ** 4
+    rf = RationalFunction(d * q, d)
+    assert rf.num.terms == q.terms
+    assert rf.den.is_one()
+
+
 def test_context_constants_are_ints(ctx):
     assert ctx.one().terms == {(0, 0, 0, 0): 1}
     assert type(ctx.one().terms[(0, 0, 0, 0)]) is int
@@ -139,7 +150,7 @@ def faddeev_leverrier(m):
     mk = [row[:] for row in m]
     for k in range(1, n + 1):
         tr = sum(mk[i][i] for i in range(n))
-        ck = -tr / k
+        ck = Fraction(-tr, k)
         coeffs.append(ck)
         if k < n:
             for i in range(n):
@@ -188,6 +199,10 @@ def _random_matrix(rng, n, kind):
 
 
 def test_char_poly_agrees_with_faddeev_leverrier():
+    # the oracle itself is exact on an int matrix: no float coefficients
+    oracle = faddeev_leverrier([[1, 2], [3, 7]])
+    assert oracle == [1, -8, 1]
+    assert all(type(c) is Fraction for c in oracle)
     rng = random.Random(17)
     kinds = ["dense", "sparse", "zero_column", "block", "hessenberg_gap", "swap", "integer"]
     for case in range(500):

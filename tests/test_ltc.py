@@ -219,7 +219,7 @@ def test_preassigned_case_iv_se(mm_rows):
 def test_preassigned_cases_v_vi_no_conditions(mm_rows):
     for J in (["s", "c"], ["e", "c"]):
         out = preassigned_conditions(mm_rows, J)
-        assert out.is_trivial()
+        assert not out.conditions
         assert out.solved == {}
 
 

@@ -408,13 +408,13 @@ def test_rank_and_factor_recovers_rank_one_product(mm):
     s1, Gt, R = rank_and_factor(M, _positive_sample())
     assert s1 == 1
     assert (Gt @ R - M).is_zero()
-    assert Gt.rank_at(_positive_sample()) == 1
-    assert R.rank_at(_positive_sample()) == 1
+    assert fraction_rank(Gt.eval(_positive_sample())) == 1
+    assert fraction_rank(R.eval(_positive_sample())) == 1
 
 
 def test_rank_and_factor_rejects_zero_matrix(mm):
     with pytest.raises(RankError):
-        rank_and_factor(RFMatrix.zero(mm, 2, 2), _positive_sample())
+        rank_and_factor(RFMatrix(mm, [[0, 0], [0, 0]]), _positive_sample())
 
 
 # -- independent columns and rows, against the greedy rank loop -------------------

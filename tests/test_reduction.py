@@ -36,6 +36,7 @@ from tfred.reduction import (
     reduced_initial_value,
     scaled_initial_symbolic,
     slow_manifold_first_order,
+    solve_equations_linear,
     standard_decomposition,
     standard_reduce,
     transform_first_integral,
@@ -448,7 +449,8 @@ def test_first_order_manifold_invariance_identity(mm3d_scaled):
 def test_eigen_certificate_mm_passes(mm3d_scaled):
     sys = mm3d_scaled.system
     dec = find_decomposition(sys.grade(0), sample_for(sys.ctx))
-    cert = eigen_certificate(dec, n_samples=10, seed=3)
+    solved = solve_equations_linear(list(dec.mu), list(sys.states), allow_underdetermined=True)
+    cert = eigen_certificate(dec, n_samples=10, seed=3, solved=solved)
     assert cert.verdict == "pass"
     assert cert.nu_margin > 0
     assert all(s.hurwitz_ok for s in cert.samples)
@@ -589,6 +591,16 @@ def test_reduced_initial_value_mm3d_symbolic(mm3d_scaled):
     assert out["s"] == ctx.parse("s0")
     assert out["e_star"] == ctx.parse("(km1 + k2)*e0 / (k1*s0 + km1 + k2)")
     assert out["c_star"] == ctx.parse("k1*s0*e0 / (k1*s0 + km1 + k2)")
+
+
+def test_reduced_initial_value_is_exact_or_refused():
+    # x + y = 3 meets x*y = 1 at irrational points: no exact linear solve
+    # exists, and no float approximation may pass for an exact value
+    ctx = Context(["x", "y"])
+    with pytest.raises(ReductionError):
+        reduced_initial_value(
+            [ctx.parse("x + y")], [ctx.parse("x*y - 1")], {"x": 0, "y": 3}, ["x", "y"]
+        )
 
 
 # -- property suite over random consistent systems --------------------------------------

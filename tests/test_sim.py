@@ -72,7 +72,8 @@ def test_mm_full_system_conserves_total_enzyme():
     field = compile_system(scaled.system, params, eps)
     z0 = numeric_initial_state(scaled.system, params, eps)
     traj = integrate(field, z0, (0.0, 2.0), rtol=1e-10, atol=1e-12, names=scaled.system.states)
-    total = traj.column("e_star") + traj.column("c_star")
+    i, j = traj.names.index("e_star"), traj.names.index("c_star")
+    total = traj.states[:, i] + traj.states[:, j]
     drift = np.max(np.abs(total - total[0]))
     assert drift < 1e-9
 
@@ -189,12 +190,3 @@ def test_fit_order_recovers_slope():
     ladder = [0.1, 0.05, 0.025, 0.0125]
     errors = [3 * e**1.5 for e in ladder]
     assert abs(fit_order(ladder, errors) - 1.5) < 1e-6
-
-
-def test_csv_export(tmp_path):
-    traj = integrate(lambda t, z: [-v for v in z], [1.0], (0.0, 1.0), names=("u",))
-    path = tmp_path / "traj.csv"
-    traj.write_csv(str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "tau,u"
-    assert len(lines) == len(traj.taus) + 1
