@@ -9,8 +9,8 @@ Commands
   demo-linex initial-value inconsistency demonstration
   list       available builtin models
 
-Models come from --builtin NAME or --model FILE (JSON).  All sampling is
-seeded (--seed) for reproducible reports.
+Models come from --builtin NAME or --model FILE (JSON).  Certificate samples
+are seeded (--seed) for reproducible reports.  Exit 5 is tfred's own fault.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import cache
 
 from .builtin_models import BUILTINS, ModelSpec, load_builtin
 from .ltc import minimal_ltc_sets, preassigned_conditions
-from .matrices import ConsistencyError
+from .matrices import ConsistencyError, EliminationError
 from .modelfile import load_model
 from .rational import SymbolicError
 from .reduction import (
@@ -46,6 +46,7 @@ EXIT_OK = 0
 EXIT_INCONSISTENT = 2
 EXIT_REFUSED = 3
 EXIT_NUMERIC = 4
+EXIT_INTERNAL = 5
 
 
 def load_spec(args) -> ModelSpec:
@@ -207,7 +208,7 @@ def cmd_reduce(args) -> int:
     spec = load_spec(args)
     fast = pick_fast(spec, args)
     try:
-        red = reduce_model(spec.system, fast, args.mode, args.seed)
+        red = reduce_model(spec.system, fast, args.mode)
     except InconsistentScalingError as exc:
         print(f"consistency check failed: {exc.verdict}", file=_sys.stderr)
         return EXIT_INCONSISTENT
@@ -289,7 +290,7 @@ def cmd_converge(args) -> int:
     params.update(parse_assignments(args.set or ""))
     ladder = parse_ladder(args.ladder) if args.ladder else default_ladder()
     try:
-        red = reduce_model(spec.system, fast, seed=args.seed)
+        red = reduce_model(spec.system, fast)
         if "initial_value" in red.errors:
             raise ReductionError(red.errors["initial_value"])
         at_limit = dict(params, eps=Fraction(0))
@@ -379,7 +380,7 @@ def add_model_args(p):
     p.add_argument("--builtin", help="builtin model name (see 'list')")
     p.add_argument("--model", help="JSON model file")
     p.add_argument("--fast", help="comma-separated fast variables")
-    p.add_argument("--seed", type=int, default=0, help="seed for all sampling")
+    p.add_argument("--seed", type=int, default=0, help="seed for the certificate samples")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", help="directory for report files")
 
@@ -442,6 +443,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except EliminationError as exc:
+        print(f"internal error: {exc}", file=_sys.stderr)
+        return EXIT_INTERNAL
     except (SymbolicError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INCONSISTENT

@@ -9,8 +9,8 @@ last pivot, so expression swell stays controlled, every division is exact and
 no rational-function arithmetic runs in the back-substitution.  On top of
 that sit the structural factorizations the reduction machinery needs: writing
 a vector field that vanishes on a coordinate subspace as a matrix times the
-vanishing variables, and rank factorization of a singular matrix guided by
-evaluation at a sample point.
+vanishing variables, and rank factorization of a singular matrix, with a
+particular solution over its columns, from one elimination per block.
 """
 
 from __future__ import annotations
@@ -31,12 +31,8 @@ class ConsistencyError(SymbolicError):
     """A vector expected to vanish on a coordinate subspace does not."""
 
 
-class RankError(SymbolicError):
-    """Rank factorization could not be verified at/near the sample point."""
-
-
-class BackSubstitutionError(SymbolicError):
-    """A fraction-free back-substitution met a pivot that does not divide exactly."""
+class EliminationError(SymbolicError):
+    """An exact pivot division or a rank factorization G R = M failed: a fault of tfred."""
 
 
 class NoSolution:
@@ -322,7 +318,7 @@ def _bareiss(
                 for u in updated:
                     q = u.exact_divide(prev)
                     if q is None:
-                        raise SymbolicError("Bareiss step: the previous pivot does not divide exactly")
+                        raise EliminationError("Bareiss step: the previous pivot does not divide exactly")
                     divided.append(q)
                 updated = divided
             for off, val in enumerate(updated):
@@ -380,7 +376,7 @@ def _fraction_free_back_substitute(
     (Nakos, Turner and Williams 1997).  Returns d and, per pivot row, the
     numerators y over all right-hand columns.  A pivot that does not divide
     exactly means ``ech`` was no Bareiss echelon form and raises
-    BackSubstitutionError.
+    EliminationError.
     """
     r = len(pivots)
     d = ech[r - 1][pivots[r - 1]]
@@ -396,12 +392,34 @@ def _fraction_free_back_substitute(
                     s = s - a * y[j]
             q = s.exact_divide(row[pivots[pr]])
             if q is None:
-                raise BackSubstitutionError(
+                raise EliminationError(
                     f"pivot of echelon row {pr} does not divide its back-substitution numerator exactly"
                 )
             ys.append(q)
         Y[pr] = ys
     return d, Y
+
+
+def _eliminate_block(
+    M: RFMatrix, B: RFMatrix, rows: list[int], cols: list[int], bad: list[tuple[int, int]]
+) -> tuple[list[list[Polynomial]], list[int]]:
+    """One ``_bareiss`` of [M | B] on a block's rows and columns, in the order given.
+
+    Clears each row's denominators first.  Rows below the pivot block are
+    zero in M's columns, so each nonzero right-hand entry there is appended
+    to ``bad`` as (right-hand column, original row).  Returns the echelon
+    rows and the pivot positions in ``cols``.
+    """
+    w = len(cols)
+    aug = [_clear_row_denominators(M.ctx, [M.entries[i][j] for j in cols] + B.entries[i], w)[0] for i in rows]
+    ech, pivots, perm, _ = _bareiss(aug, w)
+    bad += [
+        (j, rows[perm[rr]])
+        for rr in range(len(pivots), len(ech))
+        for j, v in enumerate(ech[rr][w:])
+        if not v.is_zero()
+    ]
+    return ech, pivots
 
 
 def _solve(M: RFMatrix, B: RFMatrix, unique: bool) -> "RFMatrix | NoSolution":
@@ -437,21 +455,8 @@ def _solve(M: RFMatrix, B: RFMatrix, unique: bool) -> "RFMatrix | NoSolution":
             continue
         rows.sort(key=lambda i: (nnz_row[i], i))
         cols.sort(key=lambda j: (nnz_col[j], j))
-        w = len(cols)
-        aug = [
-            _clear_row_denominators(ctx, [M.entries[i][j] for j in cols] + B.entries[i], w)[0]
-            for i in rows
-        ]
-        ech, pivots, perm, _ = _bareiss(aug, w)
-        # rows below the pivot block are zero in M's columns: any nonzero
-        # right-hand entry there is an inconsistency
-        bad += [
-            (j, rows[perm[rr]])
-            for rr in range(len(pivots), len(ech))
-            for j, v in enumerate(ech[rr][w:])
-            if not v.is_zero()
-        ]
-        free = free or len(pivots) < w
+        ech, pivots = _eliminate_block(M, B, rows, cols, bad)
+        free = free or len(pivots) < len(cols)
         solved.append((cols, ech, pivots))
     if bad:
         col, row = min(bad)
@@ -561,42 +566,57 @@ def hadamard_factor(v: Sequence[Polynomial], yvars: Sequence[str]) -> RFMatrix:
 
 
 def rank_and_factor(
-    M: RFMatrix, sample: Mapping[str, object]
-) -> tuple[int, RFMatrix, RFMatrix]:
-    """Rank factorization M = G * R guided by evaluation at a sample point.
+    M: RFMatrix, b: Sequence
+) -> "tuple[int, RFMatrix, RFMatrix, list[RationalFunction]] | NoSolution":
+    """Rank factorization M = G * R and a solution w of M w = b.
 
-    Columns of G are a maximal independent set of columns of M at the sample,
-    chosen greedily from the right so that R carries an identity block on the
-    selected columns (the unselected, lower-index columns are expressed through
-    them).  The identity M = G R is verified symbolically; failure raises
-    RankError suggesting a different sample.
+    G's columns are the columns of M independent of the columns to their
+    right, so R carries an identity block on them; w is zero off them.  Each
+    independent block of M (``_blocks``) gets one ``_bareiss`` of [its
+    columns in descending index order | b], whose pivot columns are exactly
+    G's columns, and one fraction-free back-substitution with the other
+    columns and b as right-hand sides.  Returns (rank, G, R, w), or
+    NoSolution naming the smallest row where b leaves the span of M's
+    columns.  A zero M raises ValueError, a product G R other than M raises
+    EliminationError.
     """
-    # the pivot columns of M with its columns reversed are the columns
-    # independent of those to their right
-    pivots, _ = fraction_echelon([row[::-1] for row in M.eval(sample)], M.cols)
-    total_rank = len(pivots)
-    if total_rank == 0:
-        raise RankError("matrix vanishes at the sample point; pick a different sample")
-    selected = [M.cols - 1 - p for p in reversed(pivots)]
-    G = RFMatrix(M.ctx, [[M.entries[i][j] for j in selected] for i in range(M.rows)])
-    chosen = set(selected)
-    others = [j for j in range(M.cols) if j not in chosen]
-    if others:
-        X = solve_matrix(G, RFMatrix(M.ctx, [[M.entries[i][j] for j in others] for i in range(M.rows)]))
-        if isinstance(X, NoSolution):
-            raise RankError(
-                f"column {others[X.col]} is not in the span of the selected columns symbolically; "
-                "rank may not be locally constant -- try a different sample"
-            )
-    one, zero = RationalFunction.of(M.ctx.one()), RationalFunction.of(M.ctx.zero())
-    other_col = {j: c for c, j in enumerate(others)}
-    R = RFMatrix(M.ctx, [
-        [X[k, other_col[j]] if j in other_col else one if selected[k] == j else zero for j in range(M.cols)]
-        for k in range(total_rank)
+    ctx = M.ctx
+    if len(b) != M.rows:
+        raise ValueError("right-hand side length mismatch")
+    if M.is_zero():
+        raise ValueError("a zero matrix has no rank factorization")
+    B = RFMatrix.column(ctx, b)
+    zero, one = RationalFunction.of(ctx.zero()), RationalFunction.of(ctx.one())
+    R_cols = {}  # column of M -> its column of R, by column of G
+    w_at = {}  # column of G -> its entry of w
+    bad: list[tuple[int, int]] = []
+    for rows, cols in _blocks(M):
+        if not (rows and cols):
+            # an all-zero row checks b; an all-zero column is no column of G
+            bad += [(0, i) for i in rows if not B[i, 0].is_zero()]
+            continue
+        cols.reverse()
+        ech, pivots = _eliminate_block(M, B, rows, cols, bad)
+        # pivot columns first, then the others and b as right-hand sides
+        r, n = len(pivots), len(cols)
+        others = [c for c in range(n) if c not in pivots]
+        order = pivots + others + [n]
+        d, Y = _fraction_free_back_substitute([[row[c] for c in order] for row in ech[:r]], list(range(r)), r)
+        for k, pc in enumerate(pivots):
+            w_at[cols[pc]] = RationalFunction(Y[k][-1], d)
+        for m, c in enumerate(others):
+            R_cols[cols[c]] = {cols[pc]: RationalFunction(Y[k][m], d) for k, pc in enumerate(pivots)}
+    if bad:
+        return NoSolution(min(bad)[1], 0)
+    selected = sorted(w_at)
+    G = RFMatrix(ctx, [[M.entries[i][j] for j in selected] for i in range(M.rows)])
+    R = RFMatrix(ctx, [
+        [R_cols[j].get(g, zero) if j in R_cols else one if j == g else zero for j in range(M.cols)]
+        for g in selected
     ])
     if not (G @ R - M).is_zero():
-        raise RankError("symbolic verification of the rank factorization failed; try a different sample")
-    return total_rank, G, R
+        raise EliminationError("the rank factorization G R does not reproduce the matrix")
+    return len(selected), G, R, [w_at.get(j, zero) for j in range(M.cols)]
 
 
 def char_poly(M: RFMatrix) -> list[RationalFunction]:

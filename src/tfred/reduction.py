@@ -1,12 +1,12 @@
 """Reductions onto the critical manifold: decompositions, projections, certificates.
 
-The central object is a decomposition h0 = P*mu with rank P = rank Dmu = r near
-a sample point.  From it come the projection Q = Id - P(Dmu P)^(-1) Dmu, the
-reduced slow-time field q = Q*h1 (computed without forming Q, through one
-linear solve), the critical manifold mu = 0, first-order manifold corrections,
-eigenvalue certificates for the fast block, transported first integrals, and
-reduced initial values obtained by intersecting the manifold with the level
-sets of fast-system first integrals.
+The central object is a decomposition h0 = P*mu with rank P = rank Dmu = r.
+From it come the projection Q = Id - P(Dmu P)^(-1) Dmu, the reduced slow-time
+field q = Q*h1 (computed without forming Q, through one linear solve), the
+critical manifold mu = 0, first-order manifold corrections, eigenvalue
+certificates for the fast block, transported first integrals, and reduced
+initial values obtained by intersecting the manifold with the level sets of
+fast-system first integrals.
 
 Three decomposition builders cover the use cases: the classical fast-variable
 one (mu = y), a greedy one picking functionally independent entries of h0, and
@@ -26,12 +26,10 @@ from typing import Mapping, Sequence
 from .matrices import (
     NoSolution,
     RFMatrix,
-    RankError,
     fraction_echelon,
     fraction_solve,
     hadamard_factor,
     jacobian,
-    linear_solve,
     rank_and_factor,
     solve_matrix,
 )
@@ -60,8 +58,6 @@ from .systems import (
 
 # Highest degree of the polynomial coefficients find_decomposition tries for P.
 MAX_POLY_DEGREE = 4
-# Sample points the nonstandard route tries for its rank factorization.
-RANK_RETRIES = 5
 # Least distance of the fast block's eigenvalues from the imaginary axis.
 NU_MIN = 1e-9
 
@@ -318,15 +314,14 @@ def _monomials_up_to(ctx: Context, degree: int) -> list[Polynomial]:
     return list(seen_all.values())
 
 
-def nonstandard_decomposition(
-    scaled: ScaledSystem, sample: Mapping[str, Fraction], seed: int = 0
-) -> Decomposition:
+def nonstandard_decomposition(scaled: ScaledSystem) -> Decomposition:
     """Rank-factorization route for scaled systems with singular fast-block matrix.
 
     Writes the fast block of the lowest grade as G0(x)y* + b(x), factors
-    G0 = G*R with rank s1 (0 < s1 < s), solves b = G*w, and forms
-    mu = R(y*+w), P = (0; G).  Fails with NonstandardError when no w exists,
-    naming the obstructed row.
+    G0 = G*R with rank s1 (0 < s1 < s), solves b = G0*w, and forms
+    mu = R(y*+w), P = (0; G), all from one elimination per block of G0.
+    Fails with NonstandardError when G0 is zero or no w exists, naming the
+    obstructed row.
     """
     sys = scaled.system
     ctx = sys.ctx
@@ -345,50 +340,23 @@ def nonstandard_decomposition(
                 raise ReductionError("fast block is not affine in the scaled variables")
     b = [p.subs({n: 0 for n in fast_names}) for p in fast0]
 
-    lastexc: Exception | None = None
-    rng = random.Random(seed)
-    pt = dict(sample)
-    for _ in range(RANK_RETRIES):
-        try:
-            s1, G, R = rank_and_factor(A0, pt)
-            break
-        except RankError as exc:
-            lastexc = exc
-            pt = default_sample(ctx, seed=rng.randint(0, 10**9))
-    else:
-        raise NonstandardError(f"rank factorization failed after retries: {lastexc}")
-    if s1 >= s:
-        raise StandardCaseError(
-            "fast-block matrix has full rank at the sample; use the standard reduction"
-        )
+    if A0.is_zero():
+        raise NonstandardError("fast-block matrix is zero; nothing to factor")
     # shift w solves g1(x,0) = G0(x,0) w; any solution gives the same manifold
-    w = linear_solve(A0, b)
-    if isinstance(w, NoSolution):
+    factored = rank_and_factor(A0, b)
+    if isinstance(factored, NoSolution):
         raise NonstandardError(
-            f"no w with g1 = G0*w exists; obstruction in fast row {w.row} "
-            f"({fast_names[w.row]})"
+            f"no w with g1 = G0*w exists; obstruction in fast row {factored.row} "
+            f"({fast_names[factored.row]})"
         )
-    ystar = [RationalFunction.of(ctx.sym(n)) for n in fast_names]
-    ypw = [y + wi for y, wi in zip(ystar, w)]
-    mu = RFMatrix(ctx, [[v] for v in ypw])
-    mu_vec = (R @ mu).col(0)
-    P_rows = []
+    s1, G, R, w = factored
+    if s1 >= s:
+        raise StandardCaseError("fast-block matrix has full rank; use the standard reduction")
+    ypw = [RationalFunction.of(ctx.sym(n)) + wi for n, wi in zip(fast_names, w)]
     fast_pos = {n: k for k, n in enumerate(fast_names)}
-    for name in sys.states:
-        if name in fast_pos:
-            P_rows.append(G.row(fast_pos[name]))
-        else:
-            P_rows.append([RationalFunction.of(ctx.zero())] * s1)
-    P = RFMatrix(ctx, P_rows)
-    dec = Decomposition(
-        ctx,
-        tuple(sys.states),
-        P,
-        mu_vec,
-        "nonstandard",
-        rank_data=(s1, G, R, w),
-    )
-    return dec
+    zero_row = [RationalFunction.of(ctx.zero())] * s1
+    P = RFMatrix(ctx, [G.row(fast_pos[n]) if n in fast_pos else zero_row for n in sys.states])
+    return Decomposition(ctx, tuple(sys.states), P, R.mul_vector(ypw), "nonstandard", rank_data=(s1, G, R, w))
 
 
 # ---------------------------------------------------------------------------
@@ -493,10 +461,8 @@ def standard_reduce(sys: GradedSystem, part: Partition) -> ReducedSystem:
     return red
 
 
-def nonstandard_reduce(
-    scaled: ScaledSystem, sample: Mapping[str, Fraction], seed: int = 0
-) -> ReducedSystem:
-    dec = nonstandard_decomposition(scaled, sample, seed=seed)
+def nonstandard_reduce(scaled: ScaledSystem) -> ReducedSystem:
+    dec = nonstandard_decomposition(scaled)
     return reduce_with(dec, scaled.system.grade(1))
 
 
@@ -940,9 +906,7 @@ def reduced_initial_value(
 # ---------------------------------------------------------------------------
 
 
-def reduce_model(
-    system: GradedSystem, fast: Sequence[str], mode: str = "auto", seed: int = 0
-) -> ReducedSystem:
+def reduce_model(system: GradedSystem, fast: Sequence[str], mode: str = "auto") -> ReducedSystem:
     """Consistency check, route choice, reduction and reduced initial value.
 
     ``mode`` "auto" takes the standard route (mu = fast variables) when the
@@ -967,8 +931,7 @@ def reduce_model(
                 raise
     scaled = apply_scaling(system, part)
     if red is None:
-        ssample = default_sample(scaled.system.ctx, seed=seed)
-        red = nonstandard_reduce(scaled, ssample, seed=seed)
+        red = nonstandard_reduce(scaled)
     red.scaled = scaled
     try:
         red.initial_values = _reduced_start(red)

@@ -120,7 +120,7 @@ def test_criterion_03_degradation_variant(capsys):
     part = Partition.from_fast(spec.system, ["e", "c"])
     scaled = apply_scaling(spec.system, part)
     ctx = scaled.system.ctx
-    red = nonstandard_reduce(scaled, default_sample(ctx, seed=1))
+    red = nonstandard_reduce(scaled)
     d = "(k1*s + km1 + k2)"
     rate = "(-k1*e_star*s + km1*c_star)"
     ok = red.row("s") == ctx.parse(rate)
@@ -168,7 +168,7 @@ def test_criterion_04_chain_reductions(capsys):
     spec2 = chain3_slowk4()
     part2 = Partition.from_fast(spec2.system, list(spec2.fast))
     scaled2 = apply_scaling(spec2.system, part2)
-    red2 = nonstandard_reduce(scaled2, default_sample(scaled2.system.ctx, seed=1))
+    red2 = nonstandard_reduce(scaled2)
     elim2 = eliminate_on_manifold(red2, [], None)
     ok &= elim2.field[list(elim2.states).index("s")].is_zero()
     with capsys.disabled():
@@ -180,7 +180,7 @@ def test_criterion_05_inhibitor(capsys):
     part = Partition.from_fast(spec.system, list(spec.fast))
     scaled = apply_scaling(spec.system, part)
     ctx = scaled.system.ctx
-    red = nonstandard_reduce(scaled, default_sample(ctx, seed=1))
+    red = nonstandard_reduce(scaled)
     conservation = ctx.parse("e_star + c1_star + c2_star - e0")
     elim = eliminate_on_manifold(red, [conservation], list(scaled.fast_star))
     rows = {n: elim.field[list(elim.states).index(n)] for n in elim.states}
@@ -199,7 +199,7 @@ def test_criterion_06_transport_binding(capsys):
     scaled = apply_scaling(spec.system, part)
     sys = scaled.system
     ctx = sys.ctx
-    dec = nonstandard_decomposition(scaled, default_sample(ctx, seed=1))
+    dec = nonstandard_decomposition(scaled)
     red = reduce_with(dec, sys.grade(1))
     # manifold parametrization: common substrate level, bound form proportional
     manifold_sub = {}
@@ -272,7 +272,7 @@ def test_criterion_07_mm_diffusion(capsys):
         )
         ok &= sys.grade(0)[sys.state_index(f"w{a}_star")].is_zero()
     # reduced system on the manifold c* = k1*s*w*/(k1*s + km1 + k2)
-    dec = nonstandard_decomposition(scaled, default_sample(ctx, seed=1))
+    dec = nonstandard_decomposition(scaled)
     red = reduce_with(dec, sys.grade(1))
     elim = eliminate_on_manifold(red, [], [f"c{a}_star" for a in range(1, N + 1)])
     solved = dict(elim.solved)

@@ -97,18 +97,26 @@ def test_reduce_standard_route_factors_once(capsys, monkeypatch):
 
 def test_reduce_eliminates_each_matrix_once(capsys, monkeypatch):
     # one exact solve per matrix: G0 on the standard route, Dmu*P for all
-    # columns of the projection, G for all columns of R; and within a solve
-    # one fraction-free elimination per independent block of the matrix
-    from tfred import matrices
+    # columns of the projection; on the nonstandard route one rank
+    # factorization of G0 gives G, R and w together; and within a solve or
+    # a factorization one fraction-free elimination per independent block
+    from tfred import matrices, reduction
     from tfred.builtin_models import BUILTINS
 
     solves, eliminations, blocks = [], [], []
-    solve, bareiss = matrices._solve, matrices._bareiss
+    solve, bareiss, factor = matrices._solve, matrices._bareiss, reduction.rank_and_factor
+
+    def count_blocks(M):
+        blocks.append(sum(1 for rows, cols in matrices._blocks(M) if rows and cols))
 
     def counting_solve(M, B, unique):
         solves.append(M)
-        blocks.append(sum(1 for rows, cols in matrices._blocks(M) if rows and cols))
+        count_blocks(M)
         return solve(M, B, unique)
+
+    def counting_factor(M, b):
+        count_blocks(M)
+        return factor(M, b)
 
     def counting_bareiss(*args, **kwargs):
         eliminations.append(args)
@@ -116,6 +124,7 @@ def test_reduce_eliminates_each_matrix_once(capsys, monkeypatch):
 
     monkeypatch.setattr(matrices, "_solve", counting_solve)
     monkeypatch.setattr(matrices, "_bareiss", counting_bareiss)
+    monkeypatch.setattr(reduction, "rank_and_factor", counting_factor)
     solve_counts, bareiss_counts = {}, {}
     for name in sorted(BUILTINS):
         solves.clear()
@@ -127,16 +136,17 @@ def test_reduce_eliminates_each_matrix_once(capsys, monkeypatch):
         assert len(eliminations) == sum(blocks), name
     capsys.readouterr()
     assert solve_counts == {
-        "chain3": 2, "chain3_slowk4": 5, "inhibitor": 5, "linex": 2, "mm2d": 2,
-        "mm3d": 5, "mm3d_deg": 5, "mm_diffusion": 4, "transport_binding": 4,
-        "transport_binding_slow": 4,
+        "chain3": 2, "chain3_slowk4": 3, "inhibitor": 3, "linex": 2, "mm2d": 2,
+        "mm3d": 3, "mm3d_deg": 3, "mm_diffusion": 2, "transport_binding": 2,
+        "transport_binding_slow": 2,
     }
-    assert sum(solve_counts.values()) == 38
-    # mm_diffusion's diagonal G and transport_binding_slow's split into blocks
+    assert sum(solve_counts.values()) == 24
+    # the nonstandard builtins add one elimination per block of G0;
+    # mm_diffusion's diagonal G0 and transport_binding_slow's split into blocks
     assert bareiss_counts == {
-        "chain3": 2, "chain3_slowk4": 5, "inhibitor": 5, "linex": 2, "mm2d": 2,
-        "mm3d": 5, "mm3d_deg": 5, "mm_diffusion": 16, "transport_binding": 4,
-        "transport_binding_slow": 12,
+        "chain3": 2, "chain3_slowk4": 4, "inhibitor": 4, "linex": 2, "mm2d": 2,
+        "mm3d": 4, "mm3d_deg": 4, "mm_diffusion": 12, "transport_binding": 3,
+        "transport_binding_slow": 9,
     }
 
 
@@ -164,6 +174,22 @@ def test_converge_at_an_equilibrium_is_stationary(capsys):
 def test_unknown_builtin_is_an_error(capsys):
     code = main(["check", "--builtin", "nope"])
     assert code != 0
+
+
+def test_internal_fault_exits_five(tmp_path, capsys, monkeypatch):
+    # a broken elimination is tfred's own fault, not a consistency failure
+    from tfred import matrices
+
+    def broken_bareiss(*args, **kwargs):
+        raise matrices.EliminationError("Bareiss step: the previous pivot does not divide exactly")
+
+    monkeypatch.setattr(matrices, "_bareiss", broken_bareiss)
+    assert main(["reduce", "--builtin", "mm3d"]) == 5
+    assert capsys.readouterr().err.startswith("internal error: Bareiss step")
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"species": ["x"], "reactions": [')
+    assert main(["check", "--model", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_empty_partition_usage_error():
@@ -406,6 +432,26 @@ def test_reduce_report_is_deterministic_given_seed(capsys):
         assert code == 0
         runs.append(json.dumps(payload, sort_keys=True))
     assert runs[0] == runs[1]
+
+
+def test_nonstandard_route_does_not_depend_on_the_seed(capsys):
+    # --seed draws the certificate's samples only; the rank factorization
+    # of the fast-block matrix is exact
+    from tfred.builtin_models import BUILTINS
+
+    nonstandard = []
+    for name in sorted(BUILTINS):
+        payloads = []
+        for seed in ("0", "7"):
+            _, payload = run_json(capsys, "reduce", "--builtin", name, "--seed", seed)
+            payloads.append({k: v for k, v in payload.items() if k not in ("seed", "certificate")})
+        if payloads[0]["mode"] == "nonstandard":
+            nonstandard.append(name)
+            assert json.dumps(payloads[0]) == json.dumps(payloads[1]), name
+    assert nonstandard == [
+        "chain3_slowk4", "inhibitor", "mm3d", "mm3d_deg", "mm_diffusion",
+        "transport_binding", "transport_binding_slow",
+    ]
 
 
 def test_parsed_options_do_not_leak_between_calls(capsys):

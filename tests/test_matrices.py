@@ -8,11 +8,10 @@ import pytest
 from tfred.rational import Context, RationalFunction, SymbolicError
 from tfred.stability import is_hurwitz_stable
 from tfred.matrices import (
-    BackSubstitutionError,
     ConsistencyError,
+    EliminationError,
     NoSolution,
     RFMatrix,
-    RankError,
     char_poly,
     determinant,
     fraction_nullspace,
@@ -342,12 +341,24 @@ def test_structured_square_solves_match_cramer(mm):
     assert compared >= 10
 
 
-def test_rank_error_names_the_column_outside_the_span(mm):
-    # at k1 = 1 every entry is 1, so column 2 alone is selected; column 0
-    # equals it symbolically, column 1 does not
+def test_rank_and_factor_needs_no_sample(mm):
+    # at k1 = 1 every entry is 1, so a sample there would select column 2
+    # alone; over the rational-function field column 1 is independent of it
+    # and column 0 equals it
     M = RFMatrix(mm, [[mm.one(), mm.one(), mm.one()], [mm.parse("k1"), mm.one(), mm.parse("k1")]])
-    with pytest.raises(RankError, match="column 1 is not in the span"):
-        rank_and_factor(M, {**_positive_sample(), "k1": Fraction(1)})
+    b = [mm.parse("k2"), mm.parse("km1")]
+    s1, G, R, w = rank_and_factor(M, b)
+    assert s1 == 2
+    assert G == RFMatrix(mm, [[M[i, j] for j in (1, 2)] for i in range(2)])
+    assert R == RFMatrix(mm, [[0, 1, 0], [1, 0, 1]])
+    assert M.mul_vector(w) == b
+    assert w[0].is_zero()
+    # a zero row and a repeated row: b leaves the span in the rows named
+    M4 = RFMatrix(mm, [[0, 0], [1, 1], [1, 1], [mm.parse("k1"), 1]])
+    for b, row in (([0, 0, 1, 0], 2), ([1, 0, 1, 0], 0)):
+        out = rank_and_factor(M4, b)
+        assert isinstance(out, NoSolution)
+        assert out.row == row
 
 
 def test_inexact_pivot_division_raises():
@@ -355,8 +366,8 @@ def test_inexact_pivot_division_raises():
     # km1 times x0 = -1/(k1*km1) is not a polynomial
     ctx = Context(["s"], ["k1", "km1"])
     ech = [[ctx.sym("k1"), ctx.one(), ctx.zero()], [ctx.zero(), ctx.sym("km1"), ctx.one()]]
-    assert issubclass(BackSubstitutionError, SymbolicError)
-    with pytest.raises(BackSubstitutionError, match="echelon row 0"):
+    assert issubclass(EliminationError, SymbolicError)
+    with pytest.raises(EliminationError, match="echelon row 0"):
         _fraction_free_back_substitute(ech, [0, 1], 2)
 
 
@@ -383,7 +394,7 @@ def test_rank_and_factor_mm_g0(mm):
             [mm.parse("k1*s"), mm.parse("-(km1 + k2)")],
         ],
     )
-    s1, Gt, R = rank_and_factor(G0, _positive_sample())
+    s1, Gt, R, _ = rank_and_factor(G0, [0, 0])
     assert s1 == 1
     assert Gt.entries[0][0] == mm.parse("km1 + k2")
     assert Gt.entries[1][0] == mm.parse("-(km1 + k2)")
@@ -394,7 +405,7 @@ def test_rank_and_factor_mm_g0(mm):
 
 def test_rank_and_factor_invertible_identity_R(mm):
     M = RFMatrix(mm, [[mm.parse_poly("k1"), mm.zero()], [mm.one(), mm.parse_poly("k2*s")]])
-    s1, Gt, R = rank_and_factor(M, _positive_sample())
+    s1, Gt, R, _ = rank_and_factor(M, [0, 0])
     assert s1 == 2
     assert Gt == M
     assert (R - RFMatrix.identity(mm, 2)).is_zero()
@@ -405,7 +416,7 @@ def test_rank_and_factor_recovers_rank_one_product(mm):
     col = [mm.parse_poly("k1*s + 1"), mm.parse_poly("e_star"), mm.parse_poly("km1")]
     row = [mm.parse_poly("c_star"), mm.parse_poly("k2"), mm.parse_poly("s + e_star")]
     M = RFMatrix.column(mm, col) @ RFMatrix(mm, [row])
-    s1, Gt, R = rank_and_factor(M, _positive_sample())
+    s1, Gt, R, _ = rank_and_factor(M, [0, 0, 0])
     assert s1 == 1
     assert (Gt @ R - M).is_zero()
     assert fraction_rank(Gt.eval(_positive_sample())) == 1
@@ -413,8 +424,8 @@ def test_rank_and_factor_recovers_rank_one_product(mm):
 
 
 def test_rank_and_factor_rejects_zero_matrix(mm):
-    with pytest.raises(RankError):
-        rank_and_factor(RFMatrix(mm, [[0, 0], [0, 0]]), _positive_sample())
+    with pytest.raises(ValueError):
+        rank_and_factor(RFMatrix(mm, [[0, 0], [0, 0]]), [0, 0])
 
 
 # -- independent columns and rows, against the greedy rank loop -------------------
@@ -468,14 +479,13 @@ def random_columns(rng, m, n, case):
 def test_rank_and_factor_selects_the_greedy_columns(case):
     rng = random.Random(f"rank_and_factor/{case}")
     ctx = Context(["x"], ["a", "b"])
-    sample = {"x": Fraction(1), "a": Fraction(3, 2), "b": Fraction(2)}
     for _ in range(12):
         m, n = rng.randint(2, 5), rng.randint(3, 6)
         cols, r = random_columns(rng, m, n, case)
         # scaling row i by a + (i+1)*b keeps the column dependencies exact
         scale = [ctx.sym("a") + ctx.sym("b") * (i + 1) for i in range(m)]
         M = RFMatrix(ctx, [[scale[i] * cols[j][i] for j in range(n)] for i in range(m)])
-        s1, G, R = rank_and_factor(M, sample)
+        s1, G, R, _ = rank_and_factor(M, [0] * m)
         selected = greedy_independent(cols, reverse=True)
         assert s1 == len(selected) == r
         assert G == RFMatrix(ctx, [[M[i, j] for j in selected] for i in range(m)])

@@ -1,6 +1,8 @@
 """Reduction engine: decompositions, projections, reductions, certificates."""
 
+import os
 import random
+import runpy
 from fractions import Fraction
 
 import numpy as np
@@ -244,7 +246,7 @@ def test_standard_equals_general_on_mm2d():
 def test_nonstandard_mm3d_matches_general(mm3d_scaled):
     sys = mm3d_scaled.system
     ctx = sys.ctx
-    dec = nonstandard_decomposition(mm3d_scaled, sample_for(ctx))
+    dec = nonstandard_decomposition(mm3d_scaled)
     s1, G, R, w = dec.rank_data
     assert s1 == 1
     assert all(v.is_zero() for v in w)
@@ -264,7 +266,7 @@ def test_nonstandard_mm3d_deg_matches_display():
     scaled = apply_scaling(spec.system, part)
     sys = scaled.system
     ctx = sys.ctx
-    red = nonstandard_reduce(scaled, sample_for(ctx))
+    red = nonstandard_reduce(scaled)
     d = "(k1*s + km1 + k2)"
     assert red.row("s") == ctx.parse("-k1*e_star*s + km1*c_star")
     assert red.row("e_star") == ctx.parse(
@@ -305,7 +307,7 @@ def test_nonstandard_block_system_kernel_oracle():
     eps = ctx.sym("eps")
     sys = raw_system(ctx, [eps * xrow] + yrows)
     scaled = apply_scaling(sys, Partition.from_fast(sys, ynames))
-    dec = nonstandard_decomposition(scaled, sample_for(scaled.system.ctx))
+    dec = nonstandard_decomposition(scaled)
     s1, G, R, w = dec.rank_data
     assert s1 == 2
     assert dec.manifold().dimension == 4 - 2
@@ -338,7 +340,7 @@ def test_nonstandard_reports_obstruction_when_no_w_exists():
     sys = raw_system(ctx, rows)
     scaled = apply_scaling(sys, Partition.from_fast(sys, ["y1", "y2"]))
     with pytest.raises(NonstandardError) as err:
-        nonstandard_decomposition(scaled, sample_for(scaled.system.ctx))
+        nonstandard_decomposition(scaled)
     assert "y2" in str(err.value)
 
 
@@ -346,40 +348,21 @@ def test_chain3_slowk4_reduces_to_frozen_substrate():
     spec = chain3_slowk4()
     part = Partition.from_fast(spec.system, list(spec.fast))
     scaled = apply_scaling(spec.system, part)
-    red = nonstandard_reduce(scaled, sample_for(scaled.system.ctx))
+    red = nonstandard_reduce(scaled)
     elim = eliminate_on_manifold(red, [], None)
     assert "s" in elim.states
     assert elim.field[list(elim.states).index("s")].is_zero()
 
 
-def _transport_model_file(N):
-    """transport_binding(N) as a model file, built through the `transport` section."""
-    comps = range(1, N + 1)
-    return {
-        "name": f"transport_binding_N{N}",
-        "species": ["s", "p", "c"],
-        "reactions": [
-            {"reactants": {"s": 1, "p": 1}, "products": {"c": 1}, "rate": "k1"},
-            {"reactants": {"c": 1}, "products": {"s": 1, "p": 1}, "rate": "km1"},
-        ],
-        "parameters": ["k1", "km1"] + [f"{x}0_{a}" for x in "spc" for a in comps],
-        "transport": {
-            "N": N,
-            "species": {
-                x: {"kind": "laplacian", "eps_order": int(x != "s"), "rate": f"delta_{x}"} for x in "spc"
-            },
-        },
-        "initial_values": {
-            f"{x}{a}": {"base": f"{x}0_{a}", "eps_order": int(x != "p")} for x in "spc" for a in comps
-        },
-        "fast": [f"s{a}" for a in comps] + [f"c{a}" for a in comps],
-    }
+# the benchmark's transport_binding(N) model file, built through the
+# `transport` section
+WORKLOADS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
 
 
 def test_transport_binding_7_reduced_rows_stay_small():
     # expression size, not time: with one common denominator per exact solve
     # the largest reduced row has 47 numerator and 8 denominator terms
-    spec = model_from_dict(_transport_model_file(7))
+    spec = model_from_dict(runpy.run_path(WORKLOADS)["transport_model"](7))
     red = reduce_model(spec.system, list(spec.fast))
     assert red.decomposition.mode == "nonstandard"
     assert max(len(row.num.terms) for row in red.field) <= 100

@@ -6,9 +6,9 @@ Usage: python tools/output_check.py <src-dir>
 x {check, ltc, conditions, reduce, converge on a short ladder} x {text, json}
 x --seed {0, 7}, plus ``reduce --mode standard|nonstandard`` on mm2d and mm3d
 and the inconsistent partition ``--fast s`` of mm3d, plus ``reduce --model
-... --format json`` on transport_binding(N) model files for N = 2, 3, 5, 7, 8, 10 (the
-benchmark's model shape, written to a temporary directory that is printed as
-``<tmp>``), plus the benchmark's ladder jobs: ``converge`` on mm2d and mm3d
+... --format json`` on transport_binding(N) model files for N = 2, 3, 5, 7, 8, 10 (built
+by ``bench/workloads.py``'s ``transport_model``, written to a temporary
+directory that is printed as ``<tmp>``), plus the benchmark's ladder jobs: ``converge`` on mm2d and mm3d
 down to eps = 7.8e-4, on transport_binding with fixed heterogeneous
 parameters down to 3.125e-3, and ``demo-linex`` with and without
 ``--consistent``.  Each case prints its argv, exit code, stdout and stderr.  Compare
@@ -20,6 +20,7 @@ two checkouts with
 import contextlib
 import io
 import json
+import runpy
 import sys
 import tempfile
 from pathlib import Path
@@ -51,34 +52,7 @@ cases.append(["converge", "--builtin", "transport_binding", "--seed", "0", "--la
 cases += [["demo-linex", "--format", "json", *flag] for flag in ([], ["--consistent"])]
 
 
-def transport_model(N: int) -> dict:
-    """transport_binding(N) as a model file, built through the `transport` section."""
-    comps = range(1, N + 1)
-    return {
-        "name": f"transport_binding_N{N}",
-        "species": ["s", "p", "c"],
-        "reactions": [
-            {"reactants": {"s": 1, "p": 1}, "products": {"c": 1}, "rate": "k1"},
-            {"reactants": {"c": 1}, "products": {"s": 1, "p": 1}, "rate": "km1"},
-        ],
-        "parameters": ["k1", "km1"] + [f"{x}0_{a}" for x in "spc" for a in comps],
-        "transport": {
-            "N": N,
-            "species": {
-                "s": {"kind": "laplacian", "eps_order": 0, "rate": "delta_s"},
-                "p": {"kind": "laplacian", "eps_order": 1, "rate": "delta_p"},
-                "c": {"kind": "laplacian", "eps_order": 1, "rate": "delta_c"},
-            },
-        },
-        "initial_values": {
-            f"{x}{a}": {"base": f"{x}0_{a}", "eps_order": 0 if x == "p" else 1}
-            for x in "spc"
-            for a in comps
-        },
-        "fast": [f"s{a}" for a in comps] + [f"c{a}" for a in comps],
-    }
-
-
+transport_model = runpy.run_path(str(Path(__file__).parent.parent / "bench" / "workloads.py"))["transport_model"]
 tmp = tempfile.TemporaryDirectory()
 for N in (2, 3, 5, 7, 8, 10):
     path = Path(tmp.name) / f"transport_binding_N{N}.json"
