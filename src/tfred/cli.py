@@ -10,7 +10,9 @@ Commands
   list       available builtin models
 
 Models come from --builtin NAME or --model FILE (JSON).  Certificate samples
-are seeded (--seed) for reproducible reports.  Exit 5 is tfred's own fault.
+are seeded (--seed) for reproducible reports.  Exit 2 is also a bad input: an
+unreadable or malformed model, an unknown builtin, a bad option value.  Exit 5
+is tfred's own fault.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from functools import cache
 
 from .builtin_models import BUILTINS, ModelSpec, load_builtin
 from .ltc import minimal_ltc_sets, preassigned_conditions
-from .matrices import ConsistencyError, EliminationError
+from .matrices import ConsistencyError
 from .modelfile import load_model
 from .rational import SymbolicError
 from .reduction import (
@@ -40,7 +42,7 @@ from .sim import (
     default_ladder,
     iv_inconsistency_demo,
 )
-from .systems import FULL_LTC, Partition, apply_scaling, check_ltc
+from .systems import FULL_LTC, ModelError, Partition, apply_scaling, check_ltc
 
 EXIT_OK = 0
 EXIT_INCONSISTENT = 2
@@ -49,11 +51,18 @@ EXIT_NUMERIC = 4
 EXIT_INTERNAL = 5
 
 
+class InputError(Exception):
+    """A bad model file, builtin name or option value (exit 2)."""
+
+
 def load_spec(args) -> ModelSpec:
-    if args.builtin:
-        return load_builtin(args.builtin)
-    if args.model:
-        return load_model(args.model)
+    try:
+        if args.builtin:
+            return load_builtin(args.builtin)
+        if args.model:
+            return load_model(args.model)
+    except (SymbolicError, ValueError, KeyError, OSError) as exc:
+        raise InputError(exc) from exc
     raise SystemExit("one of --builtin or --model is required")
 
 
@@ -76,17 +85,27 @@ def parse_assignments(text: str) -> dict[str, Fraction]:
         if not piece.strip():
             continue
         name, _, val = piece.partition("=")
-        out[name.strip()] = Fraction(val.strip())
+        try:
+            out[name.strip()] = Fraction(val.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"--set {piece.strip()!r}: {exc}") from exc
     return out
 
 
 def parse_ladder(text: str) -> list[float]:
-    if ":" in text:
-        start_s, stop_s, law = (text.split(":") + ["half"])[:3]
-        start, stop = float(start_s), float(stop_s)
-        factor = 2.0 if law in ("half", "") else 10.0 if law in ("dec", "decade") else float(law)
-        return default_ladder(start, stop, factor)
-    return [float(v) for v in text.split(",") if v.strip()]
+    """A comma list, or start:stop[:law] with law half, dec(ade) or a factor > 1."""
+    try:
+        if ":" in text:
+            start_s, stop_s, law = (text.split(":") + ["half"])[:3]
+            start, stop = float(start_s), float(stop_s)
+            factor = 2.0 if law in ("half", "") else 10.0 if law in ("dec", "decade") else float(law)
+            return default_ladder(start, stop, factor)
+        ladder = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError as exc:
+        raise InputError(f"--ladder {text!r}: {exc}") from exc
+    if not ladder or not all(e > 0 for e in ladder) or any(a <= b for a, b in zip(ladder, ladder[1:])):
+        raise InputError(f"--ladder {text!r}: need positive, strictly decreasing eps values")
+    return ladder
 
 
 def emit(args, payload: dict, text: str):
@@ -96,12 +115,15 @@ def emit(args, payload: dict, text: str):
         out = text
     print(out)
     if getattr(args, "out", None):
-        os.makedirs(args.out, exist_ok=True)
         base = os.path.join(args.out, payload.get("command", "report"))
-        with open(base + ".json", "w") as fh:
-            json.dump(payload, fh, indent=2, default=str)
-        with open(base + ".txt", "w") as fh:
-            fh.write(text + "\n")
+        try:
+            os.makedirs(args.out, exist_ok=True)
+            with open(base + ".json", "w") as fh:
+                json.dump(payload, fh, indent=2, default=str)
+            with open(base + ".txt", "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputError(f"--out {args.out!r}: {exc}") from exc
 
 
 # -- commands -----------------------------------------------------------------
@@ -207,6 +229,8 @@ def _render_elimination(payload: dict, lines: list[str], key: str, title: str, e
 def cmd_reduce(args) -> int:
     spec = load_spec(args)
     fast = pick_fast(spec, args)
+    if args.samples < 1:
+        raise InputError("need --samples >= 1")
     try:
         red = reduce_model(spec.system, fast, args.mode)
     except InconsistentScalingError as exc:
@@ -289,6 +313,8 @@ def cmd_converge(args) -> int:
     params = {p.name: Fraction(1) for p in spec.system.ctx.params}
     params.update(parse_assignments(args.set or ""))
     ladder = parse_ladder(args.ladder) if args.ladder else default_ladder()
+    if not 0 <= args.t1 < args.t2:
+        raise InputError("need 0 <= --t1 < --t2")
     try:
         red = reduce_model(spec.system, fast)
         if "initial_value" in red.errors:
@@ -339,6 +365,8 @@ def cmd_converge(args) -> int:
 
 def cmd_demo_linex(args) -> int:
     ladder = parse_ladder(args.ladder) if args.ladder else default_ladder(1e-1, 1e-3)
+    if not (args.a <= 0 and args.c < 0 and args.tau > 0):
+        raise InputError("need --a <= 0, --c < 0 and --tau > 0")
     try:
         report = iv_inconsistency_demo(
             a=args.a,
@@ -380,7 +408,10 @@ def add_model_args(p):
     p.add_argument("--builtin", help="builtin model name (see 'list')")
     p.add_argument("--model", help="JSON model file")
     p.add_argument("--fast", help="comma-separated fast variables")
-    p.add_argument("--seed", type=int, default=0, help="seed for the certificate samples")
+    p.add_argument(
+        "--seed", type=int, default=0,
+        help="seed for reduce's certificate samples; the other commands accept and ignore it",
+    )
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", help="directory for report files")
 
@@ -440,15 +471,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; bad input exits 2, any other fault once it is loaded exits 5."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except EliminationError as exc:
-        print(f"internal error: {exc}", file=_sys.stderr)
-        return EXIT_INTERNAL
-    except (SymbolicError, ValueError, KeyError, OSError) as exc:
+    except (InputError, ModelError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INCONSISTENT
+    except (SymbolicError, ValueError, KeyError, OSError) as exc:
+        print(f"internal error: {exc}", file=_sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

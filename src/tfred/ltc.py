@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .rational import Context, Polynomial
+from .rational import Context, Polynomial, SymbolicError
 from .systems import ModelError
 
 SUBSET_GUARD = 1 << 20
@@ -178,7 +178,7 @@ def minimal_ltc_sets(rows: Sequence[Polynomial]) -> LtcReport:
             if J and len(J) < len(state_names):
                 checked += 1
                 if not is_ltc_set(rows, J):
-                    raise ModelError(f"internal: degree-2 search produced a bad set {J}")
+                    raise SymbolicError(f"degree-2 search produced a bad set {J}")
                 minimal.append(J)
         return LtcReport(S, tuple(minimal), checked, True)
 

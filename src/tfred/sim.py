@@ -12,11 +12,21 @@ returns a list of them, one per state.  The stepper works on python floats
 throughout and builds numpy arrays only for the finished ``Trajectory``.  A
 compiled field returns a row of ``nan`` at a pole or where a power overflows,
 so the stepper rejects the step just as it does any other non-finite stage.
+
+The Dormand-Prince step is python source generated once per state count and
+cached: the state and the stage derivatives live in locals, each stage input
+and the error norm are straight-line float expressions, and the field is
+called through the same ``f(t, z)`` contract as any other.  The generated
+code keeps the numpy stepper's operation order (stage sums left to right,
+the norm's sum in numpy's pairwise order), so every float of a trajectory is
+bit for bit the one that stepper computed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -174,38 +184,52 @@ _B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
 _E1, _E3, _E4, _E5, _E6, _E7 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
 
 
-def _pairwise_sum(v: Sequence[float]) -> float:
-    """Sum of floats in numpy's pairwise order, bit for bit equal to ``np.sum``.
+# Stage rows (c_i, a_i1, ..., a_i,i-1) of stages 2 to 7, zero weights kept in
+# place.  c6 = c7 = 1, and the 7th row is the 5th order weights (b2 = 0), so
+# the 7th stage input is ynew.
+_DP_ROWS = (
+    (_C2, _A21),
+    (_C3, _A31, _A32),
+    (_C4, _A41, _A42, _A43),
+    (_C5, _A51, _A52, _A53, _A54),
+    (1.0, _A61, _A62, _A63, _A64, _A65),
+    (1.0, _B1, 0.0, _B3, _B4, _B5, _B6),
+)
+_DP_ERR = (_E1, 0.0, _E3, _E4, _E5, _E6, _E7)
 
-    Below 8 terms a left fold; up to 128, eight strided accumulators combined
-    as a tree plus a fold over the tail; above, halves cut at a multiple of 8.
+
+def _pairwise(v: Sequence, add: Callable, zero):
+    """Fold ``v`` with ``add`` in numpy's pairwise summation order.
+
+    Below 8 terms a left fold from ``zero``; up to 128, eight strided
+    accumulators combined as a tree, added to ``zero`` and followed by a fold
+    over the tail; above, halves cut at a multiple of 8.
     """
     n = len(v)
     if n < 8:
-        s = 0.0
+        s = zero
         for x in v:
-            s += x
+            s = add(s, x)
         return s
     if n <= 128:
         m = n - n % 8
-        r0, r1, r2, r3, r4, r5, r6, r7 = v[:8]
+        r = list(v[:8])
         for i in range(8, m, 8):
-            r0 += v[i]
-            r1 += v[i + 1]
-            r2 += v[i + 2]
-            r3 += v[i + 3]
-            r4 += v[i + 4]
-            r5 += v[i + 5]
-            r6 += v[i + 6]
-            r7 += v[i + 7]
+            for j in range(8):
+                r[j] = add(r[j], v[i + j])
         # numpy adds its sum to the identity 0.0, which turns a -0.0 into 0.0
-        s = 0.0 + (((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
+        s = add(zero, add(add(add(r[0], r[1]), add(r[2], r[3])), add(add(r[4], r[5]), add(r[6], r[7]))))
         for x in v[m:]:
-            s += x
+            s = add(s, x)
         return s
     half = n // 2
     half -= half % 8
-    return _pairwise_sum(v[:half]) + _pairwise_sum(v[half:])
+    return add(_pairwise(v[:half], add, zero), _pairwise(v[half:], add, zero))
+
+
+def _pairwise_sum(v: Sequence[float]) -> float:
+    """Sum of floats in numpy's pairwise order, bit for bit equal to ``np.sum``."""
+    return _pairwise(v, operator.add, 0.0)
 
 
 def _rms(q: Sequence[float]) -> float:
@@ -213,51 +237,63 @@ def _rms(q: Sequence[float]) -> float:
     return math.sqrt(_pairwise_sum([v * v for v in q]) / len(q))
 
 
-def _dp_step(f: Field, t: float, h: float, y: list[float], k1: Sequence[float]):
-    """One Dormand-Prince step: (ynew, k7, error vector), or None at a non-finite stage.
+def _dp_source(n: int) -> str:
+    """Source of the Dormand-Prince step for ``n`` states, as straight-line code.
 
-    Each stage input is y + (h*a1)*k1 + (h*a2)*k2 + ..., summed left to right
-    with the zero weights skipped; the error vector starts from 0.0.
+    The state, ynew and each stage derivative are unpacked into the locals
+    y_i, n_i and k<s>_i.  Each stage input is y + (h*a1)*k1 + (h*a2)*k2 + ...,
+    summed left to right with the zero weights skipped; the error starts from
+    0.0 and its norm is summed in ``_pairwise_sum``'s order, so every float is
+    the one the numpy stepper computed.
     """
-    isfinite = math.isfinite
-    x1 = h * _A21
-    k2 = f(t + _C2 * h, [v + x1 * p for v, p in zip(y, k1)])
-    if not all(map(isfinite, k2)):
-        return None
-    x1, x2 = h * _A31, h * _A32
-    k3 = f(t + _C3 * h, [v + x1 * p + x2 * q for v, p, q in zip(y, k1, k2)])
-    if not all(map(isfinite, k3)):
-        return None
-    x1, x2, x3 = h * _A41, h * _A42, h * _A43
-    k4 = f(t + _C4 * h, [v + x1 * p + x2 * q + x3 * r for v, p, q, r in zip(y, k1, k2, k3)])
-    if not all(map(isfinite, k4)):
-        return None
-    x1, x2, x3, x4 = h * _A51, h * _A52, h * _A53, h * _A54
-    k5 = f(
-        t + _C5 * h,
-        [v + x1 * p + x2 * q + x3 * r + x4 * s for v, p, q, r, s in zip(y, k1, k2, k3, k4)],
-    )
-    if not all(map(isfinite, k5)):
-        return None
-    x1, x2, x3, x4, x5 = h * _A61, h * _A62, h * _A63, h * _A64, h * _A65
-    k6 = f(
-        t + h,  # c6 = c7 = 1
-        [v + x1 * p + x2 * q + x3 * r + x4 * s + x5 * u for v, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)],
-    )
-    if not all(map(isfinite, k6)):
-        return None
-    # the 7th stage row is the 5th order weights, so its input is ynew
-    x1, x3, x4, x5, x6 = h * _B1, h * _B3, h * _B4, h * _B5, h * _B6
-    ynew = [v + x1 * p + x3 * r + x4 * s + x5 * u + x6 * w for v, p, r, s, u, w in zip(y, k1, k3, k4, k5, k6)]
-    k7 = f(t + h, ynew)
-    if not all(map(isfinite, k7)):
-        return None
-    x1, x3, x4, x5, x6, x7 = h * _E1, h * _E3, h * _E4, h * _E5, h * _E6, h * _E7
-    err = [
-        0.0 + x1 * p + x3 * r + x4 * s + x5 * u + x6 * w + x7 * g
-        for p, r, s, u, w, g in zip(k1, k3, k4, k5, k6, k7)
-    ]
-    return ynew, k7, err
+    def unpack(prefix: str) -> str:
+        return "".join(f"{prefix}{i}, " for i in range(n))
+
+    def combine(start: str, weights: Sequence[float]) -> tuple[list[str], list[str]]:
+        """The lines x_j = h*a_j, and start + x_1*k1_i + ... per component i."""
+        used = [(j, a) for j, a in enumerate(weights, 1) if a]
+        xs = [f"    x{j} = h * {a!r}" for j, a in used]
+        return xs, [" + ".join([start.format(i)] + [f"x{j} * k{j}_{i}" for j, _ in used]) for i in range(n)]
+
+    def finite(s: int) -> list[str]:
+        return ["    if not (" + " and ".join(f"isfinite(k{s}_{i})" for i in range(n)) + "):", "        return None"]
+
+    last = len(_DP_ROWS) + 1
+    lines = ["def _dp_step(f, t, h, y, k1, atol, rtol):", f"    {unpack('y_')}= y", f"    {unpack('k1_')}= k1"]
+    for s, (c, *weights) in enumerate(_DP_ROWS, 2):
+        xs, rows = combine("y_{}", weights)
+        at = "t + h" if c == 1.0 else f"t + {c!r} * h"
+        lines += xs
+        if s < last:
+            lines.append(f"    {unpack(f'k{s}_')}= f({at}, [{', '.join(rows)}])")
+        else:
+            lines += [f"    ynew = [{', '.join(rows)}]", f"    k{s} = f({at}, ynew)", f"    {unpack(f'k{s}_')}= k{s}"]
+        lines += finite(s)
+    xs, errors = combine("0.0", _DP_ERR)
+    lines += xs + [f"    {unpack('n_')}= ynew"]
+    # the scale's max(a, b) by max's own rule: a unless b is larger
+    for i, e in enumerate(errors):
+        lines += [
+            f"    a = abs(y_{i})",
+            f"    b = abs(n_{i})",
+            f"    q_{i} = ({e}) / (atol + rtol * (b if b > a else a))",
+        ]
+    total = _pairwise([f"q_{i} * q_{i}" for i in range(n)], "({} + {})".format, "0.0")
+    lines.append(f"    return ynew, k{last}, sqrt({total} / {n})")
+    return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def _dp_stepper(n: int) -> Callable:
+    """The generated Dormand-Prince step for ``n`` states, built once per ``n``.
+
+    ``step(f, t, h, y, k1, atol, rtol)`` returns (ynew, k7, error norm), or
+    None at a non-finite stage; k7 is f's value at (t+h, ynew), reused as the
+    next step's k1 (FSAL).
+    """
+    namespace: dict = {"isfinite": math.isfinite, "sqrt": math.sqrt}
+    exec(_dp_source(n), namespace)
+    return namespace["_dp_step"]
 
 
 MAX_STEPS = 5_000_000  # accepted plus rejected steps before integrate gives up
@@ -268,6 +304,14 @@ class IntegratorStats:
     steps: int = 0
     rejected: int = 0
     min_step: float = math.inf
+
+    def to_json(self) -> dict:
+        # no accepted step leaves min_step at inf, which JSON cannot spell
+        return {
+            "steps": self.steps,
+            "rejected": self.rejected,
+            "min_step": None if self.min_step == math.inf else self.min_step,
+        }
 
 
 @dataclass
@@ -318,8 +362,11 @@ def integrate(
     """Adaptive embedded Runge-Kutta 5(4) with per-component error control.
 
     ``f(t, z)`` takes the state as a list of floats and returns the derivative
-    as a sequence of floats; a non-finite entry (a compiled field gives nan at
-    a pole or an overflow) rejects the step and quarters it.  ``atol`` must be
+    as a sequence of floats, one per state; a non-finite entry (a compiled
+    field gives nan at a pole or an overflow) rejects the step and quarters
+    it.  Each step runs the generated step for ``len(z0)`` states, built on
+    the first call for that count and cached; trajectories are bit for bit
+    those of the numpy stepper it replaced.  ``atol`` must be
     positive wherever a component can be zero.  ``h_fixed`` disables
     adaptivity (every step accepted at that size); used for order
     measurements.
@@ -342,6 +389,7 @@ def integrate(
     states = [y]
     derivs = [fcur]
     stats = IntegratorStats()
+    step = _dp_stepper(len(y))
     t = t0
     while t < t1:
         if stats.steps + stats.rejected > MAX_STEPS:
@@ -351,15 +399,14 @@ def integrate(
         if h < step_floor:
             raise StiffnessError(t)
         h = min(h, t1 - t)
-        step = _dp_step(f, t, h, y, fcur)
-        if step is None:
+        out = step(f, t, h, y, fcur, atol, rtol)
+        if out is None:
             stats.rejected += 1
             h *= 0.25
             if h < step_floor:
                 raise EvaluationError(t)
             continue
-        ynew, k7, err = step
-        err_norm = _rms([e / (atol + rtol * max(abs(a), abs(b))) for e, a, b in zip(err, y, ynew)])
+        ynew, k7, err_norm = out
         if err_norm <= 1.0 or h_fixed is not None:
             t = t + h
             y = ynew
@@ -392,6 +439,9 @@ GRID_POINTS = 201  # points of the comparison grid in [t1, t2]
 
 
 def default_ladder(start: float = 1e-1, stop: float = 1e-4, factor: float = 2.0) -> list[float]:
+    """start, start/factor, ... down to stop."""
+    if not (start >= stop > 0 and factor > 1):
+        raise ValueError("need start >= stop > 0 and a factor > 1")
     out = []
     e = start
     while e >= stop * (1 - 1e-12):
@@ -402,6 +452,8 @@ def default_ladder(start: float = 1e-1, stop: float = 1e-4, factor: float = 2.0)
 
 @dataclass
 class ConvergenceReport:
+    """The study's result; ``rung_stats`` runs along ``ladder``, one per compared rung."""
+
     ladder: list[float]
     errors: list[float]
     per_state: dict[str, list[float]]
@@ -410,12 +462,18 @@ class ConvergenceReport:
     observed: tuple[str, ...]
     verdict: str
     failures: list[str] = field(default_factory=list)
+    reduced_stats: IntegratorStats = field(default_factory=IntegratorStats)
+    rung_stats: list[IntegratorStats] = field(default_factory=list)
 
     def to_json(self) -> dict:
         return {
             "ladder": self.ladder,
             "sup_errors": self.errors,
             "per_state": self.per_state,
+            "integrator": {
+                "reduced": self.reduced_stats.to_json(),
+                "full": [{"eps": e, **st.to_json()} for e, st in zip(self.ladder, self.rung_stats)],
+            },
             "fitted_order": self.fitted_order,
             "window": list(self.t_window),
             "observed": list(self.observed),
@@ -469,6 +527,7 @@ def convergence_study(
 
     errors: list[float] = []
     per_state: dict[str, list[float]] = {n: [] for n in observed}
+    rung_stats: list[IntegratorStats] = []
     failures: list[str] = list(floor_failures)
     for eps in ladder:
         try:
@@ -483,6 +542,7 @@ def convergence_study(
                 per_state[n].append(err)
                 worst = max(worst, err)
             errors.append(worst)
+            rung_stats.append(traj.stats)
         except IntegrationError as exc:
             failures.append(f"eps={eps:g}: {exc}")
             break
@@ -498,7 +558,9 @@ def convergence_study(
         failures.append(
             "nothing was compared: every sup error is 0 (full and reduced flows are stationary)"
         )
-    return ConvergenceReport(used, errors, per_state, order, (t1, t2), observed, verdict, failures)
+    return ConvergenceReport(
+        used, errors, per_state, order, (t1, t2), observed, verdict, failures, red_traj.stats, rung_stats
+    )
 
 
 # -- initial-value inconsistency demo ------------------------------------------------

@@ -192,6 +192,51 @@ def test_internal_fault_exits_five(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_value_error_after_loading_exits_five(capsys, monkeypatch):
+    # a ValueError inside the reduction is tfred's fault, not bad input
+    from tfred import cli
+
+    def broken_reduce(*args, **kwargs):
+        raise ValueError("expected a polynomial, got denominator x")
+
+    monkeypatch.setattr(cli, "reduce_model", broken_reduce)
+    assert main(["reduce", "--builtin", "mm2d"]) == 5
+    assert capsys.readouterr().err.startswith("internal error: expected a polynomial")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["converge", "--builtin", "mm2d", "--set", "k1=fast"],
+        ["converge", "--builtin", "mm2d", "--set", "k1=1/0"],
+        ["converge", "--builtin", "mm2d", "--ladder", "1e-2,1e-1"],
+        ["converge", "--builtin", "mm2d", "--ladder", "1e-1:1e-3:1"],
+        ["converge", "--builtin", "mm2d", "--ladder", "tiny"],
+        ["converge", "--builtin", "mm2d", "--t2", "-1"],
+        ["reduce", "--builtin", "mm2d", "--samples", "0"],
+        ["check", "--builtin", "mm2d", "--fast", "nope"],
+        ["demo-linex", "--c", "1"],
+    ],
+)
+def test_bad_input_exits_two(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+def test_converge_reports_integrator_stats_per_rung(capsys):
+    code, payload = run_json(capsys, "converge", "--builtin", "mm2d", "--ladder", "1e-1,5e-2", "--t2", "1.0")
+    assert code == 0
+    stats = payload["integrator"]
+    assert [r["eps"] for r in stats["full"]] == payload["ladder"] == [0.1, 0.05]
+    for record in [stats["reduced"], *stats["full"]]:
+        assert record["steps"] > 0 and record["rejected"] >= 0
+        assert 0 < record["min_step"] <= 1.0
+    # more steps as eps shrinks: the fast block carries a 1/eps factor
+    assert stats["full"][1]["steps"] > stats["full"][0]["steps"]
+
+
 def test_empty_partition_usage_error():
     with pytest.raises(SystemExit):
         main(["check", "--builtin", "linex", "--fast", ""])

@@ -1,5 +1,6 @@
 """Integrator accuracy, conservation, convergence ladders, and the demo harness."""
 
+import json
 import math
 
 import numpy as np
@@ -190,3 +191,17 @@ def test_fit_order_recovers_slope():
     ladder = [0.1, 0.05, 0.025, 0.0125]
     errors = [3 * e**1.5 for e in ladder]
     assert abs(fit_order(ladder, errors) - 1.5) < 1e-6
+
+
+def test_stats_without_a_step_have_no_min_step():
+    # a span below the step floor takes no step; inf is not valid JSON
+    traj = integrate(lambda t, z: [-z[0]], [1.0], (0.0, 1e-13))
+    assert traj.stats.steps == 0
+    assert traj.stats.to_json() == {"steps": 0, "rejected": 0, "min_step": None}
+    assert json.loads(json.dumps(traj.stats.to_json()))["min_step"] is None
+
+
+@pytest.mark.parametrize("start, stop, factor", [(1e-1, 1e-3, 1.0), (1e-1, 0.0, 2.0), (1e-3, 1e-1, 2.0)])
+def test_default_ladder_refuses_a_ladder_that_never_ends_or_is_empty(start, stop, factor):
+    with pytest.raises(ValueError):
+        default_ladder(start, stop, factor)

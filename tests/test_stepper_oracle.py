@@ -8,6 +8,7 @@ must equal it bit for bit, with no tolerance.
 """
 
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from tfred import sim
 from tfred.builtin_models import BUILTINS, linex
+from tfred.rational import Context
 from tfred.reduction import reduce_model
 from tfred.sim import (
     IntegrationError,
@@ -268,6 +270,48 @@ def test_pole_matches_numpy_stepper(monkeypatch, expr, x0):
         oracle_integrate(oracle, [x0], (0.0, 2.0))
     assert type(got.value) is type(want.value)
     assert got.value.tau == want.value.tau
+
+
+# -- state counts at the branch points of the pairwise sum -------------------------
+
+
+def seeded_linear_rows(n, seed):
+    """A stable linear field on n states: diagonal rates in [-4, -1], weak coupling."""
+    rng = random.Random(seed)
+    ctx = Context([f"z{i}" for i in range(n)])
+    rows = []
+    for i in range(n):
+        terms = []
+        for j in range(n):
+            c = -Fraction(rng.randint(4, 16), 4) if i == j else Fraction(rng.randint(-8, 8), 16 * n)
+            if c:
+                terms.append(f"({c})*z{j}")
+        rows.append(ctx.parse(" + ".join(terms)))
+    return rows, [s.name for s in ctx.states]
+
+
+# below 8 a fold; 8 and 16 whole blocks; 9 and 17 a block and a tail
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17])
+def test_linear_field_matches_numpy_stepper(monkeypatch, n):
+    rows, names = seeded_linear_rows(n, seed=n)
+    field, oracle = both_fields(monkeypatch, compile_rows, rows, names, {})
+    z0 = [(-1.0) ** i * (i + 1) * 10.0 ** (i % 5 - 2) for i in range(n)]
+    traj = assert_same_run(field, oracle, z0, (0.0, 1.0), np.linspace(0.0, 1.0, 11))
+    assert traj.stats.steps > 10
+
+
+def test_convergence_study_builds_one_step_per_state_count(reduced):
+    red, params, z0 = reduced["mm2d"]
+    system = red.scaled.system
+    assert (len(red.states), len(system.states)) == (1, 2)
+    sim._dp_stepper.cache_clear()
+    report = sim.convergence_study(
+        system, red.field, list(red.states), dict(zip(red.states, z0)), params, ladder=[1e-1, 5e-2, 2.5e-2], t2=1.0
+    )
+    info = sim._dp_stepper.cache_info()
+    assert len(report.ladder) == 3
+    assert info.misses == 2
+    assert info.hits == 1 + len(report.ladder) - info.misses
 
 
 # -- numpy's summation order ------------------------------------------------------
