@@ -23,6 +23,7 @@ import os
 import sys as _sys
 from fractions import Fraction
 from functools import cache
+from typing import Sequence
 
 from .builtin_models import BUILTINS, ModelSpec, load_builtin
 from .ltc import minimal_ltc_sets, preassigned_conditions
@@ -77,18 +78,27 @@ def pick_fast(spec: ModelSpec, args) -> list[str]:
     raise SystemExit("no fast set given (--fast) and the model has no default")
 
 
-def parse_assignments(text: str) -> dict[str, Fraction]:
+def parse_assignments(text: str, params: Sequence[str]) -> dict[str, Fraction]:
+    """``--set`` values by name; each must be one of ``params`` and fit a float."""
     out: dict[str, Fraction] = {}
     if not text:
         return out
     for piece in text.split(","):
         if not piece.strip():
             continue
-        name, _, val = piece.partition("=")
+        name, _, val = (s.strip() for s in piece.partition("="))
         try:
-            out[name.strip()] = Fraction(val.strip())
+            value = Fraction(val)
+            float(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"--set {piece.strip()!r}: {exc}") from exc
+        except OverflowError:
+            raise InputError(f"--set {piece.strip()!r}: {val} is outside float range") from None
+        if name not in params:
+            raise InputError(
+                f"--set {piece.strip()!r}: unknown parameter {name!r} (parameters: {', '.join(params)})"
+            )
+        out[name] = value
     return out
 
 
@@ -311,7 +321,7 @@ def cmd_converge(args) -> int:
     spec = load_spec(args)
     fast = pick_fast(spec, args)
     params = {p.name: Fraction(1) for p in spec.system.ctx.params}
-    params.update(parse_assignments(args.set or ""))
+    params.update(parse_assignments(args.set or "", list(params)))
     ladder = parse_ladder(args.ladder) if args.ladder else default_ladder()
     if not 0 <= args.t1 < args.t2:
         raise InputError("need 0 <= --t1 < --t2")

@@ -39,6 +39,7 @@ from .rational import (
     Q,
     RationalFunction,
     SymbolicError,
+    _div,
     cancel_common_factors,
     substitute,
 )
@@ -169,13 +170,19 @@ class CriticalManifold:
     dimension: int
 
 
+# default_sample's values: Fraction(a, b) at index 4*a + b - 5, a in 1..9, b in 1..4.
+_SAMPLE_VALUES = tuple(Fraction(a, b) for a in range(1, 10) for b in range(1, 5))
+
+
 def default_sample(ctx: Context, seed: int = 0) -> dict[str, Fraction]:
-    """Random rational point in the open positive orthant, small entries."""
+    """Random rational point in the open positive orthant, small entries.
+
+    Each symbol gets Fraction(a, b), a uniform in 1..9 drawn before b uniform
+    in 1..4, read from a table built at import.
+    """
     rng = random.Random(seed)
-    return {
-        sym.name: Fraction(rng.randint(1, 9), rng.randint(1, 4))
-        for sym in ctx.symbols
-    }
+    randint = rng.randint
+    return {sym.name: _SAMPLE_VALUES[4 * randint(1, 9) + randint(1, 4) - 5] for sym in ctx.symbols}
 
 
 def standard_decomposition(sys: GradedSystem, part: Partition) -> Decomposition:
@@ -541,48 +548,54 @@ def eigen_certificate(
     :func:`solve_equations_linear` (None: no relations).  Each sample is
     checked to satisfy the manifold equations exactly; the verdict is "pass"
     only if every sample has eigenvalues with real part at most -NU_MIN and
-    the exact sign test agrees.
+    the exact sign test agrees.  A sample where an entry of Dmu*P is undefined
+    or too large for a float is rejected.  Dmu*P, the manifold equations and
+    ``solved`` are flattened once (:func:`_flatten`), and the eigenvalues of
+    all admissible samples come from one stacked call.
     """
     ctx = dec.ctx
     M = dec.dmup()
+    names = [s.name for s in ctx.symbols]
+    mu = [_flatten(m) for m in dec.mu]
     # each point with its values by symbol index, converted once
     points: list[tuple[dict[str, Fraction], list]] = []
     rejected = 0
     if sample_points is not None:
         for p in sample_points:
             vals = ctx.point_values(p)
-            if _on_manifold(dec.mu, vals):
+            if _on_manifold(mu, vals, names):
                 points.append((dict(p), vals))
         rejected = len(sample_points) - len(points)
     else:
+        relations = [(name, ctx.index[name], _flatten(expr)) for name, expr in solved or ()]
         rng = random.Random(seed)
         tries = 0
         while len(points) < n_samples and tries < 50 * n_samples:
             tries += 1
             pt = default_sample(ctx, seed=rng.randint(0, 10**9))
             vals = ctx.point_values(pt)
-            if solved is not None:
-                try:
-                    for name, expr in solved:
-                        pt[name] = vals[ctx.index[name]] = expr.eval_at(vals)
-                except ZeroDivisionError:
-                    continue
-            if _on_manifold(dec.mu, vals):
+            try:
+                for name, i, expr in relations:
+                    pt[name] = vals[i] = _eval_flat(expr, vals, names)
+            except ZeroDivisionError:
+                continue
+            if _on_manifold(mu, vals, names):
                 points.append((pt, vals))
-    samples: list[EigenSample] = []
+    entries = [[_flatten(v) for v in row] for row in M.entries]
+    kept: list[tuple[dict[str, Fraction], bool]] = []
+    numeric: list[list[list[float]]] = []
     for pt, vals in points:
         try:
-            exact = M.eval_at(vals)
-        except ZeroDivisionError:
+            exact = [[_eval_flat(v, vals, names) for v in row] for row in entries]
+            numeric.append([[float(v) for v in row] for row in exact])
+        except (ZeroDivisionError, OverflowError):
             rejected += 1
             continue
-        numeric = [[float(v) for v in row] for row in exact]
-        mrp = max_real_part(numeric)
         # exact sign test on the sample's characteristic polynomial
-        hw = is_hurwitz_stable(_fraction_char_poly(exact))
-        samples.append(EigenSample(pt, mrp, hw))
-    if not samples:
+        kept.append((pt, is_hurwitz_stable(_fraction_char_poly(exact))))
+    if not kept:
         return EigenCertificate(M, "indeterminate", float("nan"), [], "no admissible samples", rejected)
+    samples = [EigenSample(pt, mrp, hw) for (pt, hw), mrp in zip(kept, max_real_part(numeric))]
     worst = max(s.max_real_part for s in samples)
     margin = -worst
     ok = worst <= -NU_MIN and all(s.hurwitz_ok is not False for s in samples)
@@ -590,13 +603,54 @@ def eigen_certificate(
     return EigenCertificate(M, verdict, margin, samples, "routh_hurwitz_exact+numeric", rejected)
 
 
-def _on_manifold(mu: Sequence[RationalFunction], vals: Sequence) -> bool:
-    """Every manifold equation vanishes exactly at the point (and is defined there).
+def _flatten(rf: RationalFunction) -> tuple:
+    """``rf`` as (numerator terms, denominator terms or None when it is 1, rf).
+
+    A term is (coefficient, ((index, power), ...)) over the nonzero powers in
+    index order, in the polynomial's term order, so that :func:`_eval_flat`
+    does the arithmetic of :meth:`RationalFunction.eval_at` without walking
+    the exponent tuples at every point.
+    """
+    return _flat_terms(rf.num), None if rf.den.is_one() else _flat_terms(rf.den), rf
+
+
+def _flat_terms(poly: Polynomial) -> list:
+    return [(c, tuple((i, k) for i, k in enumerate(e) if k)) for e, c in poly.terms.items()]
+
+
+def _eval_terms(terms: list, vals: Sequence, names: Sequence[str]) -> "int | Fraction":
+    total = 0
+    for c, factors in terms:
+        for i, k in factors:
+            v = vals[i]
+            if v is None:
+                raise SymbolicError(f"unbound symbol {names[i]} in evaluation")
+            c = c * (v if k == 1 else v**k)
+        total += c
+    return Q(total)
+
+
+def _eval_flat(flat: tuple, vals: Sequence, names: Sequence[str]) -> "int | Fraction":
+    """``RationalFunction.eval_at`` on a :func:`_flatten` result: same value, same errors.
+
+    ``names`` are the context's symbol names by index.
+    """
+    num, den, rf = flat
+    if den is None:
+        return _eval_terms(num, vals, names)
+    d = _eval_terms(den, vals, names)
+    if d == 0:
+        raise ZeroDivisionError(f"denominator {rf.den.render()} vanishes at sample point")
+    return _div(_eval_terms(num, vals, names), d)
+
+
+def _on_manifold(mu: Sequence[tuple], vals: Sequence, names: Sequence[str]) -> bool:
+    """Every flattened manifold equation vanishes exactly at the point (and is defined there).
 
     ``vals`` are the point's values from :meth:`Context.point_values`.
     """
     try:
-        return all(m.eval_at(vals) == 0 for m in mu)
+        return all(_eval_flat(m, vals, names) == 0 for m in mu)
     except ZeroDivisionError:
         return False
 

@@ -3,8 +3,9 @@
 The exact path runs the Routh array of a monic characteristic polynomial,
 fraction-free on integers.  Its first column holds the ratios of consecutive
 leading Hurwitz minors, so all entries positive is equivalent to every root
-having negative real part.  The numeric path computes eigenvalues of the
-evaluated matrix directly and reports the worst real part.
+having negative real part.  The numeric path computes the eigenvalues of all
+of a certificate's evaluated matrices in one stacked call and reports the
+worst real part of each.
 """
 
 from __future__ import annotations
@@ -48,10 +49,11 @@ def is_hurwitz_stable(coeffs: Sequence[Fraction]) -> bool:
     return True
 
 
-def eigenvalue_real_parts(matrix: Sequence[Sequence[float]]) -> list[float]:
-    eig = np.linalg.eigvals(np.array(matrix, dtype=float))
-    return sorted(float(v.real) for v in eig)
+def max_real_part(matrices: Sequence[Sequence[Sequence[float]]]) -> list[float]:
+    """The largest eigenvalue real part of each matrix of a stack of n x n matrices.
 
-
-def max_real_part(matrix: Sequence[Sequence[float]]) -> float:
-    return eigenvalue_real_parts(matrix)[-1]
+    One ``np.linalg.eigvals`` call on the (k, n, n) array.  It runs the same
+    LAPACK routine on each matrix as a call on that matrix alone, so every
+    value is bit-identical to the per-matrix result.
+    """
+    return np.linalg.eigvals(np.array(matrices, dtype=float)).real.max(axis=1).tolist()

@@ -225,6 +225,16 @@ def test_bad_input_exits_two(capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "value, why", [("zz=1", "unknown parameter 'zz'"), ("k1=1e400", "1e400 is outside float range")]
+)
+def test_converge_refuses_a_bad_set(capsys, value, why):
+    assert main(["converge", "--builtin", "mm2d", "--set", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: --set {value!r}: ") and why in captured.err
+    assert captured.out == ""
+
+
 def test_converge_reports_integrator_stats_per_rung(capsys):
     code, payload = run_json(capsys, "converge", "--builtin", "mm2d", "--ladder", "1e-1,5e-2", "--t2", "1.0")
     assert code == 0
@@ -316,6 +326,18 @@ def test_golden_transport_binding(capsys):
         assert_symbolic(ctx, payload["reduced_initial_value"][state], want)
 
 
+@pytest.mark.parametrize("case", ["mm3d_seed7", "transport_binding_N3"])
+def test_golden_certificate(tmp_path, capsys, case):
+    # sample points, max real parts and nu_margin, float for float
+    g = golden("certificate")[case]
+    path = tmp_path / "model.json"
+    if "model" in g:
+        path.write_text(json.dumps(g["model"]))
+    code = main([str(path) if a == "<model>" else a for a in g["argv"]])
+    assert code == g["exit_code"]
+    assert json.loads(capsys.readouterr().out)["certificate"] == g["certificate"]
+
+
 def _rows(lines):
     return {r.split("'")[0].strip(): r.split("=", 1)[1] for r in lines}
 
@@ -381,6 +403,24 @@ def test_reduce_exit_refused_on_failing_certificate(tmp_path, capsys):
     path.write_text(json.dumps(data))
     code = main(["reduce", "--model", str(path), "--format", "json"])
     assert code == 3
+
+
+def test_reduce_without_a_float_sample_is_indeterminate(tmp_path, capsys):
+    # every sample of Dmu*P = [[-10^400]] overflows a float
+    data = {
+        "name": "overflow",
+        "states": ["x", "y"],
+        "parameters": [],
+        "raw_system": ["eps*x*y", f"-{10**400}*y + eps*x"],
+        "initial_values": {"x": {"base": "1"}, "y": {"base": "0"}},
+        "fast": ["y"],
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(data))
+    code, payload = run_json(capsys, "reduce", "--model", str(path), "--samples", "4")
+    assert code == 3
+    cert = payload["certificate"]
+    assert (cert["verdict"], cert["rejected_samples"], cert["samples"]) == ("indeterminate", 4, [])
 
 
 def test_converge_quick(capsys):

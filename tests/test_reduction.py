@@ -441,21 +441,12 @@ def test_eigen_certificate_mm_passes(mm3d_scaled):
 
 def test_eigen_certificate_zero_matrix_fails():
     ctx = Context(["x", "y"], ["a"])
-    rows = [ctx.zero(), ctx.sym("x") * ctx.sym("y")]
-    # custom decomposition with Dmu*P = [[0]]
     from tfred.reduction import Decomposition
 
-    P = RFMatrix(ctx, [[ctx.zero()], [ctx.one()]])
-    mu = [RationalFunction.of(ctx.sym("x") * ctx.sym("y"))]
-    dec = Decomposition(ctx, ("x", "y"), P, mu, "general")
-    # Dmu = (y, x); Dmu*P = x -- force the zero case directly instead
-    Pz = RFMatrix(ctx, [[ctx.one()], [ctx.zero()]])
-    decz = Decomposition(ctx, ("x", "y"), Pz, mu, "general")
-    # Dmu*Pz = y ... evaluate certificate on given samples with y = 0 is off-manifold;
-    # simplest: matrix [[0]] through mu = x with P = (0,1)
-    mu2 = [RationalFunction.of(ctx.sym("x"))]
-    dec2 = Decomposition(ctx, ("x", "y"), RFMatrix(ctx, [[ctx.zero()], [ctx.one()]]), mu2, "general")
-    cert = eigen_certificate(dec2, sample_points=[{**default_sample(ctx, 5), "x": Fraction(0)}])
+    # mu = x and P = (0, 1): Dmu*P = [[0]]
+    mu = [RationalFunction.of(ctx.sym("x"))]
+    dec = Decomposition(ctx, ("x", "y"), RFMatrix(ctx, [[ctx.zero()], [ctx.one()]]), mu, "general")
+    cert = eigen_certificate(dec, sample_points=[{**default_sample(ctx, 5), "x": Fraction(0)}])
     assert cert.verdict == "fail"
 
 

@@ -1,4 +1,4 @@
-"""Print the output of 221 CLI cases, for comparing two checkouts byte for byte.
+"""Print the output of 224 CLI cases, for comparing two checkouts byte for byte.
 
 Usage: python tools/output_check.py <src-dir>
 
@@ -11,7 +11,10 @@ by ``bench/workloads.py``'s ``transport_model``, written to a temporary
 directory that is printed as ``<tmp>``), plus the benchmark's ladder jobs: ``converge`` on mm2d and mm3d
 down to eps = 7.8e-4, on transport_binding with fixed heterogeneous
 parameters down to 3.125e-3, and ``demo-linex`` with and without
-``--consistent``.  Each case prints its argv, exit code, stdout and stderr.  Compare
+``--consistent``, plus two bad ``converge --set`` values (an unknown name, a
+value outside float range) and ``reduce`` on a raw model whose fast block
+overflows a float at every certificate sample.  Each case prints its argv,
+exit code, stdout and stderr.  Compare
 two checkouts with
 
     diff <(python tools/output_check.py OLD/src) <(python tools/output_check.py src)
@@ -50,6 +53,7 @@ cases += [["converge", "--builtin", b, "--seed", "0", "--ladder", "1e-1:7.8e-4:h
 cases.append(["converge", "--builtin", "transport_binding", "--seed", "0", "--ladder", "1e-1:3.125e-3:half",
               "--t1", "0.5", "--set", TRANSPORT_SET, "--format", "json"])
 cases += [["demo-linex", "--format", "json", *flag] for flag in ([], ["--consistent"])]
+cases += [["converge", "--builtin", "mm2d", "--set", s] for s in ("zz=1", "k1=1e400")]
 
 
 transport_model = runpy.run_path(str(Path(__file__).parent.parent / "bench" / "workloads.py"))["transport_model"]
@@ -58,10 +62,21 @@ for N in (2, 3, 5, 7, 8, 10):
     path = Path(tmp.name) / f"transport_binding_N{N}.json"
     path.write_text(json.dumps(transport_model(N)))
     cases.append(["reduce", "--model", str(path), "--format", "json"])
+# a fast block whose every certificate sample overflows a float
+path = Path(tmp.name) / "overflow.json"
+path.write_text(json.dumps({
+    "name": "overflow", "states": ["x", "y"], "parameters": [],
+    "raw_system": ["eps*x*y", f"-{10**400}*y + eps*x"],
+    "initial_values": {"x": {"base": "1"}, "y": {"base": "0"}}, "fast": ["y"],
+}))
+cases.append(["reduce", "--model", str(path), "--format", "json"])
 for argv in cases:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except Exception as exc:  # a crash is printed as the case's outcome
+            code = f"crash {type(exc).__name__}: {exc}"
     print("###", " ".join(argv).replace(tmp.name, "<tmp>"), "exit", code)
     print(out.getvalue().replace(tmp.name, "<tmp>"), end="")
     print("stderr:", err.getvalue().replace(tmp.name, "<tmp>"))
