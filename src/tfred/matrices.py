@@ -148,8 +148,10 @@ class RFMatrix:
     # -- evaluation --------------------------------------------------------------
 
     def eval(self, point: Mapping[str, object]) -> list[list[Fraction]]:
-        """Exact entries at a point, converted once."""
-        vals = self.ctx.point_values(point)  # type: ignore[arg-type]
+        return self.eval_at(self.ctx.point_values(point))  # type: ignore[arg-type]
+
+    def eval_at(self, vals: Sequence) -> list[list[Fraction]]:
+        """Exact entries at values from :meth:`Context.point_values`."""
         return [[v.eval_at(vals) for v in row] for row in self.entries]
 
     def __repr__(self):

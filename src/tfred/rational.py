@@ -27,7 +27,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import compress
 from operator import add, mul, sub
 from typing import Mapping, Sequence, Union
 
@@ -185,14 +184,17 @@ class Polynomial:
     ``terms`` maps exponent tuples (one entry per context symbol) to nonzero
     coefficients, each an ``int`` when integral and a non-integral
     ``Fraction`` otherwise.  Instances are immutable by convention: no method
-    mutates ``terms`` after construction.
+    mutates ``terms`` after construction.  ``_flat`` holds the terms as
+    (coefficient, ((index, power), ...)) over the nonzero powers, built by the
+    first :meth:`eval_at` and reused by every later one.
     """
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "terms", "_flat")
 
     def __init__(self, ctx: Context, terms: dict[tuple[int, ...], "int | Fraction"]):
         self.ctx = ctx
         self.terms = _clean(terms)
+        self._flat = None
 
     @staticmethod
     def _of(ctx: Context, terms: dict) -> "Polynomial":
@@ -200,6 +202,7 @@ class Polynomial:
         p = object.__new__(Polynomial)
         p.ctx = ctx
         p.terms = terms
+        p._flat = None
         return p
 
     # -- predicates --------------------------------------------------------
@@ -389,14 +392,17 @@ class Polynomial:
 
     def eval_at(self, vals: Sequence) -> "int | Fraction":
         """Exact evaluation at values from :meth:`Context.point_values`."""
+        flat = self._flat
+        if flat is None:
+            flat = self._flat = [
+                (c, tuple((i, k) for i, k in enumerate(e) if k)) for e, c in self.terms.items()
+            ]
         total = 0
-        positions = range(len(vals))
-        for e, c in self.terms.items():
-            for i in compress(positions, e):
+        for c, factors in flat:
+            for i, k in factors:
                 v = vals[i]
                 if v is None:
                     raise SymbolicError(f"unbound symbol {self.ctx.symbols[i].name} in evaluation")
-                k = e[i]
                 c = c * (v if k == 1 else v ** k)
             total += c
         return Q(total)

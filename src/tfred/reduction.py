@@ -39,7 +39,6 @@ from .rational import (
     Q,
     RationalFunction,
     SymbolicError,
-    _div,
     cancel_common_factors,
     substitute,
 )
@@ -549,108 +548,76 @@ def eigen_certificate(
     checked to satisfy the manifold equations exactly; the verdict is "pass"
     only if every sample has eigenvalues with real part at most -NU_MIN and
     the exact sign test agrees.  A sample where an entry of Dmu*P is undefined
-    or too large for a float is rejected.  Dmu*P, the manifold equations and
-    ``solved`` are flattened once (:func:`_flatten`), and the eigenvalues of
-    all admissible samples come from one stacked call.
+    is rejected.  One where an entry is too large for a float has no numeric
+    eigenvalues: it is rejected if the exact test passes, and kept with
+    ``max_real_part`` NaN, failing the certificate, if it does not.  The
+    eigenvalues of all samples come from one stacked call.
     """
     ctx = dec.ctx
     M = dec.dmup()
-    names = [s.name for s in ctx.symbols]
-    mu = [_flatten(m) for m in dec.mu]
     # each point with its values by symbol index, converted once
     points: list[tuple[dict[str, Fraction], list]] = []
     rejected = 0
     if sample_points is not None:
         for p in sample_points:
             vals = ctx.point_values(p)
-            if _on_manifold(mu, vals, names):
+            if _on_manifold(dec.mu, vals):
                 points.append((dict(p), vals))
         rejected = len(sample_points) - len(points)
     else:
-        relations = [(name, ctx.index[name], _flatten(expr)) for name, expr in solved or ()]
         rng = random.Random(seed)
         tries = 0
         while len(points) < n_samples and tries < 50 * n_samples:
             tries += 1
             pt = default_sample(ctx, seed=rng.randint(0, 10**9))
             vals = ctx.point_values(pt)
-            try:
-                for name, i, expr in relations:
-                    pt[name] = vals[i] = _eval_flat(expr, vals, names)
-            except ZeroDivisionError:
-                continue
-            if _on_manifold(mu, vals, names):
+            if solved is not None:
+                try:
+                    for name, expr in solved:
+                        pt[name] = vals[ctx.index[name]] = expr.eval_at(vals)
+                except ZeroDivisionError:
+                    continue
+            if _on_manifold(dec.mu, vals):
                 points.append((pt, vals))
-    entries = [[_flatten(v) for v in row] for row in M.entries]
-    kept: list[tuple[dict[str, Fraction], bool]] = []
+    samples: list[EigenSample] = []
+    floated: list[EigenSample] = []  # the samples whose matrix is in numeric
     numeric: list[list[list[float]]] = []
     for pt, vals in points:
         try:
-            exact = [[_eval_flat(v, vals, names) for v in row] for row in entries]
-            numeric.append([[float(v) for v in row] for row in exact])
-        except (ZeroDivisionError, OverflowError):
+            exact = M.eval_at(vals)
+        except ZeroDivisionError:
             rejected += 1
             continue
         # exact sign test on the sample's characteristic polynomial
-        kept.append((pt, is_hurwitz_stable(_fraction_char_poly(exact))))
-    if not kept:
+        sample = EigenSample(pt, float("nan"), is_hurwitz_stable(_fraction_char_poly(exact)))
+        try:
+            numeric.append([[float(v) for v in row] for row in exact])
+        except OverflowError:
+            if sample.hurwitz_ok:
+                rejected += 1
+            else:
+                samples.append(sample)
+            continue
+        samples.append(sample)
+        floated.append(sample)
+    if not samples:
         return EigenCertificate(M, "indeterminate", float("nan"), [], "no admissible samples", rejected)
-    samples = [EigenSample(pt, mrp, hw) for (pt, hw), mrp in zip(kept, max_real_part(numeric))]
-    worst = max(s.max_real_part for s in samples)
+    for sample, mrp in zip(floated, max_real_part(numeric) if numeric else ()):
+        sample.max_real_part = mrp
+    worst = max((s.max_real_part for s in floated), default=float("nan"))
     margin = -worst
     ok = worst <= -NU_MIN and all(s.hurwitz_ok is not False for s in samples)
     verdict = "pass" if ok else "fail"
     return EigenCertificate(M, verdict, margin, samples, "routh_hurwitz_exact+numeric", rejected)
 
 
-def _flatten(rf: RationalFunction) -> tuple:
-    """``rf`` as (numerator terms, denominator terms or None when it is 1, rf).
-
-    A term is (coefficient, ((index, power), ...)) over the nonzero powers in
-    index order, in the polynomial's term order, so that :func:`_eval_flat`
-    does the arithmetic of :meth:`RationalFunction.eval_at` without walking
-    the exponent tuples at every point.
-    """
-    return _flat_terms(rf.num), None if rf.den.is_one() else _flat_terms(rf.den), rf
-
-
-def _flat_terms(poly: Polynomial) -> list:
-    return [(c, tuple((i, k) for i, k in enumerate(e) if k)) for e, c in poly.terms.items()]
-
-
-def _eval_terms(terms: list, vals: Sequence, names: Sequence[str]) -> "int | Fraction":
-    total = 0
-    for c, factors in terms:
-        for i, k in factors:
-            v = vals[i]
-            if v is None:
-                raise SymbolicError(f"unbound symbol {names[i]} in evaluation")
-            c = c * (v if k == 1 else v**k)
-        total += c
-    return Q(total)
-
-
-def _eval_flat(flat: tuple, vals: Sequence, names: Sequence[str]) -> "int | Fraction":
-    """``RationalFunction.eval_at`` on a :func:`_flatten` result: same value, same errors.
-
-    ``names`` are the context's symbol names by index.
-    """
-    num, den, rf = flat
-    if den is None:
-        return _eval_terms(num, vals, names)
-    d = _eval_terms(den, vals, names)
-    if d == 0:
-        raise ZeroDivisionError(f"denominator {rf.den.render()} vanishes at sample point")
-    return _div(_eval_terms(num, vals, names), d)
-
-
-def _on_manifold(mu: Sequence[tuple], vals: Sequence, names: Sequence[str]) -> bool:
-    """Every flattened manifold equation vanishes exactly at the point (and is defined there).
+def _on_manifold(mu: Sequence[RationalFunction], vals: Sequence) -> bool:
+    """Every manifold equation vanishes exactly at the point (and is defined there).
 
     ``vals`` are the point's values from :meth:`Context.point_values`.
     """
     try:
-        return all(_eval_flat(m, vals, names) == 0 for m in mu)
+        return all(m.eval_at(vals) == 0 for m in mu)
     except ZeroDivisionError:
         return False
 

@@ -1,21 +1,19 @@
-"""The eigenvalue certificate's sampling loop: sample table, flattened evaluation,
-stacked eigenvalues, and which samples it rejects."""
+"""The eigenvalue certificate's sampling loop: sample table, exact evaluation,
+stacked eigenvalues, and which samples it rejects or fails on."""
 
 import random
 from fractions import Fraction
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tfred.matrices import RFMatrix
 from tfred.rational import Q, Context, Polynomial, RationalFunction, SymbolicError
-from tfred.reduction import (
-    Decomposition,
-    _eval_flat,
-    _flatten,
-    default_sample,
-    eigen_certificate,
-)
+from tfred.reduction import Decomposition, default_sample, eigen_certificate
 from tfred.stability import max_real_part
 
 
@@ -51,9 +49,30 @@ def test_default_sample_keeps_the_seeded_stream():
         assert list(got) == list(want)
 
 
-# -- flattened evaluation -----------------------------------------------------------------
+# -- exact evaluation ----------------------------------------------------------------
 
 CTX = Context(["x", "y"], ["a"])
+
+
+def reference_value(poly: Polynomial, vals) -> Fraction:
+    """Sum of coefficient times powers, straight from ``poly.terms``."""
+    total = Fraction(0)
+    for e, c in poly.terms.items():
+        term = Fraction(c)
+        for i, k in enumerate(e):
+            if k:
+                if vals[i] is None:
+                    raise SymbolicError(f"unbound symbol {CTX.symbols[i].name} in evaluation")
+                term *= vals[i] ** k
+        total += term
+    return total
+
+
+def reference_eval(rf: RationalFunction, vals) -> Fraction:
+    d = reference_value(rf.den, vals)
+    if d == 0:
+        raise ZeroDivisionError(f"denominator {rf.den.render()} vanishes at sample point")
+    return reference_value(rf.num, vals) / d
 
 
 def outcome(fn, *args):
@@ -64,42 +83,36 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def test_flattened_evaluation_matches_eval_at():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-    small = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2))
+@st.composite
+def polys(draw):
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        expo = tuple(draw(st.integers(0, 3)) for _ in range(CTX.nvars))
+        terms[expo] = draw(st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3)))
+    return Polynomial(CTX, terms)
 
-    @st.composite
-    def polys(draw):
-        terms = {}
-        for _ in range(draw(st.integers(0, 4))):
-            expo = tuple(draw(st.integers(0, 3)) for _ in range(CTX.nvars))
-            terms[expo] = draw(st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3)))
-        return Polynomial(CTX, terms)
 
-    rfs = st.builds(RationalFunction, polys(), polys().filter(lambda p: not p.is_zero()))
-    # None leaves a symbol unbound; small values make denominators vanish often
-    points = st.lists(st.one_of(st.none(), small), min_size=CTX.nvars, max_size=CTX.nvars)
-    names = [s.name for s in CTX.symbols]
+rfs = st.builds(RationalFunction, polys(), polys().filter(lambda p: not p.is_zero()))
+# None leaves a symbol unbound; small values make denominators vanish often
+small = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2))
+points = st.lists(st.one_of(st.none(), small), min_size=CTX.nvars, max_size=CTX.nvars)
 
-    @hypothesis.settings(max_examples=300, deadline=None)
-    @hypothesis.given(rfs, points)
-    def check(rf, vals):
+
+@settings(max_examples=300, deadline=None)
+@given(rfs, points, points)
+def test_eval_at_matches_the_term_sum_before_and_after_its_terms_are_flattened(rf, first, second):
+    for vals in (first, second):
         vals = [None if v is None else Q(v) for v in vals]
-        assert outcome(_eval_flat, _flatten(rf), vals, names) == outcome(rf.eval_at, vals)
-
-    check()
+        assert outcome(rf.eval_at, vals) == outcome(reference_eval, rf, vals)
 
 
-def test_flattened_evaluation_raises_as_eval_at():
-    names = [s.name for s in CTX.symbols]
+def test_eval_at_raises_on_an_unbound_symbol_and_a_vanishing_denominator():
     rf = CTX.parse("x*y / (x - 1)")
-    unbound = CTX.point_values({"x": 2})
     with pytest.raises(SymbolicError, match="unbound symbol y"):
-        _eval_flat(_flatten(rf), unbound, names)
+        rf.eval_at(CTX.point_values({"x": 2}))
     with pytest.raises(ZeroDivisionError, match="vanishes"):
-        _eval_flat(_flatten(rf), CTX.point_values({"x": 1, "y": 1}), names)
-    assert _eval_flat(_flatten(rf), CTX.point_values({"x": 3, "y": 1}), names) == Fraction(3, 2)
+        rf.eval_at(CTX.point_values({"x": 1, "y": 1}))
+    assert rf.eval_at(CTX.point_values({"x": 3, "y": 1})) == Fraction(3, 2)
 
 
 # -- rejected samples -------------------------------------------------------------------
@@ -125,10 +138,22 @@ def test_certificate_counts_off_manifold_and_undefined_samples_as_rejected():
     assert cert.verdict == "pass"
 
 
-def test_certificate_rejects_a_sample_too_large_for_a_float():
+def test_certificate_rejects_a_stable_sample_too_large_for_a_float():
     dec = fast_block(f"-{10**400}*(x - 1) - 1")
     cert = eigen_certificate(dec, sample_points=[point(2, 0), point(1, 0)])
     assert cert.rejected == 1
     assert [s.point for s in cert.samples] == [point(1, 0)]
     assert (cert.verdict, cert.nu_margin) == ("pass", 1.0)
 
+
+def test_certificate_fails_on_an_unstable_sample_too_large_for_a_float():
+    # at x = 2 the entry is 10^400 - 1: exactly unstable, with no float eigenvalue
+    dec = fast_block(f"{10**400}*(x - 1) - 1")
+    cert = eigen_certificate(dec, sample_points=[point(2, 0), point(1, 0)])
+    assert cert.rejected == 0
+    assert [(s.point, s.hurwitz_ok) for s in cert.samples] == [(point(2, 0), False), (point(1, 0), True)]
+    assert math.isnan(cert.samples[0].max_real_part) and cert.samples[1].max_real_part == -1.0
+    assert (cert.verdict, cert.nu_margin) == ("fail", 1.0)
+    # with no float sample at all, the margin is NaN and the verdict still fails
+    alone = eigen_certificate(dec, sample_points=[point(2, 0)])
+    assert alone.verdict == "fail" and math.isnan(alone.nu_margin)
