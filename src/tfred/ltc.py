@@ -83,7 +83,7 @@ def candidate_slow_set(rows: Sequence[Polynomial]) -> tuple[str, ...]:
     ctx = rows[0].ctx
     excluded: set[str] = set()
     for p in rows:
-        for e in p.terms:
+        for e in p.monomials():
             sp = _state_part(ctx, e)
             on = [i for i, k in enumerate(sp) if k > 0]
             if len(on) == 1:
@@ -95,7 +95,7 @@ def _has_state_free_terms(rows: Sequence[Polynomial]) -> bool:
     """Any constant (in the states) term precludes admissible sets entirely."""
     ctx = rows[0].ctx
     for p in rows:
-        for e in p.terms:
+        for e in p.monomials():
             if sum(_state_part(ctx, e)) == 0:
                 return True
     return False
@@ -106,7 +106,7 @@ def _conflict_pairs(rows: Sequence[Polynomial], S: Sequence[str]) -> set[frozens
     sset = set(S)
     pairs: set[frozenset[str]] = set()
     for p in rows:
-        for e in p.terms:
+        for e in p.monomials():
             sp = _state_part(ctx, e)
             on = [ctx.states[i].name for i, k in enumerate(sp) if k > 0]
             if len(on) == 2 and set(on) <= sset:
@@ -239,7 +239,7 @@ def preassigned_conditions(
     grouped: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
     for i in take:
         p = rows[i]
-        for e, c in p.terms.items():
+        for e, c in p.monomials().items():
             if any(e[j] > 0 for j in jpos):
                 continue
             spart = _state_part(ctx, e)
@@ -278,7 +278,7 @@ def preassigned_conditions(
         assignment: dict[str, Fraction] = {}
         solvable = True
         for cond in conditions:
-            pieces = list(cond.terms.items())
+            pieces = list(cond.monomials().items())
             piece_params = []
             sign = None
             for e, c in pieces:

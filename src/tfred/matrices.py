@@ -550,7 +550,7 @@ def hadamard_factor(v: Sequence[Polynomial], yvars: Sequence[str]) -> RFMatrix:
     rows = []
     for entry in v:
         cols = [dict() for _ in ynames]  # type: list[dict]
-        for e, c in entry.terms.items():
+        for e, c in entry.monomials().items():
             for pos, gi in enumerate(yidx):
                 if e[gi] > 0:
                     ne = list(e)

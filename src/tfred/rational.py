@@ -4,8 +4,18 @@ Every coefficient is an ``int`` when it is integral and a ``fractions.Fraction``
 otherwise (never an integral Fraction, never a float); :func:`Q` and
 :func:`_div` keep that invariant, and there is no floating point in this
 layer.  Polynomials live in a shared :class:`Context` (symbol table) that fixes
-the variable order; terms are keyed by exponent tuples and compared in graded
-lexicographic order, so equal polynomials have identical canonical renderings.
+the variable order.  Each term is keyed by one packed int, its monomial: the
+exponents in 16-bit fields in symbol order (symbol 0 in the most significant
+field), each field's top bit a guard that stays clear, and the total degree
+in the unbounded bits above the fields.  An exponent is at most
+``EXPONENT_MAX`` (32767); anything larger raises :class:`SymbolicError`.  With
+this layout a product's monomial is one integer add, graded lexicographic
+order is integer order (so equal polynomials have identical canonical
+renderings), and divisibility is one subtract and a guard-bit test, after
+Monagan and Pearce, "Sparse polynomial division using a heap" (2011).
+:meth:`Context.pack` and :meth:`Context.unpack` convert between a monomial and
+its exponent tuple; :meth:`Polynomial.monomials` is the tuple view for code
+outside this module.
 
 Rational functions are kept lightly reduced: common monomial content is
 cancelled, exact polynomial division is attempted in both directions, and the
@@ -23,11 +33,13 @@ numerator shares divided out.  :meth:`Polynomial.subs`,
 
 from __future__ import annotations
 
+import struct
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import add, mul, sub
+from itertools import compress
+from operator import mul, or_
 from typing import Mapping, Sequence, Union
 
 Coefficient = Union[int, Fraction, str]
@@ -35,6 +47,10 @@ Coefficient = Union[int, Fraction, str]
 STATE = "state"
 PARAM = "parameter"
 EPS = "epsilon"
+
+FIELD_BITS = 16
+EXPONENT_MAX = (1 << (FIELD_BITS - 1)) - 1
+_FIELD = (1 << FIELD_BITS) - 1
 
 
 class SymbolicError(Exception):
@@ -99,9 +115,16 @@ class Context:
     Holds the ordered list of symbols (states first, then parameters, then the
     single epsilon symbol) and acts as a factory for polynomials over them.
     Immutable after construction; polynomials from different contexts never mix.
+
+    It also holds the monomial layout: ``shifts[i]`` is the bit offset of
+    symbol i's field, ``dshift`` that of the total degree, ``fields`` masks
+    every exponent field and ``guard`` every field's top bit.
     """
 
-    __slots__ = ("symbols", "index", "states", "params", "eps", "_zero", "_one")
+    __slots__ = (
+        "symbols", "index", "states", "params", "eps",
+        "shifts", "dshift", "fields", "guard", "_struct", "_zero", "_one",
+    )
 
     def __init__(self, states: Sequence[str], params: Sequence[str] = (), eps: str = "eps"):
         syms = [Symbol(n, STATE) for n in states]
@@ -115,9 +138,14 @@ class Context:
         self.states: tuple[Symbol, ...] = tuple(s for s in syms if s.kind == STATE)
         self.params: tuple[Symbol, ...] = tuple(s for s in syms if s.kind == PARAM)
         self.eps: Symbol = syms[-1]
-        self._zero = Polynomial(self, {})
-        nvars = len(syms)
-        self._one = Polynomial(self, {(0,) * nvars: 1})
+        n = len(syms)
+        self.shifts: tuple[int, ...] = tuple(FIELD_BITS * (n - 1 - i) for i in range(n))
+        self.dshift = FIELD_BITS * n
+        self.fields = (1 << self.dshift) - 1
+        self.guard = sum(1 << (s + FIELD_BITS - 1) for s in self.shifts)
+        self._struct = struct.Struct(f">{n}H")
+        self._zero = Polynomial._of(self, {})
+        self._one = Polynomial._of(self, {0: 1})
 
     @property
     def nvars(self) -> int:
@@ -133,13 +161,58 @@ class Context:
         c = Q(c)
         if c == 0:
             return self._zero
-        return Polynomial(self, {(0,) * self.nvars: c})
+        return Polynomial._of(self, {0: c})
 
     def sym(self, name: str) -> "Polynomial":
-        i = self.index[name]
-        expo = [0] * self.nvars
-        expo[i] = 1
-        return Polynomial(self, {tuple(expo): 1})
+        return Polynomial._of(self, {(1 << self.shifts[self.index[name]]) | (1 << self.dshift): 1})
+
+    def pack(self, e: Sequence[int]) -> int:
+        """The monomial of an exponent tuple (one entry per symbol)."""
+        self._refuse(e)
+        return int.from_bytes(self._struct.pack(*e), "big") | (sum(e) << self.dshift)
+
+    def unpack(self, m: int) -> tuple[int, ...]:
+        """The exponent tuple of a monomial."""
+        return self._struct.unpack((m & self.fields).to_bytes(2 * len(self.symbols), "big"))
+
+    def divides(self, a: int, b: int) -> bool:
+        """Whether monomial a divides monomial b: no field of b - a borrows."""
+        d = b - a
+        return d >= 0 and not d & self.guard
+
+    def meet(self, a: int, b: int) -> int:
+        """The per-field minimum of two monomials (their gcd), as a monomial."""
+        return self._with_degree(self._field_min(a & self.fields, b))
+
+    def _field_min(self, m: int, e: int) -> int:
+        """Per-field minimum of fields-only m and monomial e, fields only.
+
+        Each guard bit of (m | guard) - e survives exactly where m's field is
+        at least e's, and ``t - (t >> 15)`` widens it to the field's mask.
+        """
+        t = ((m | self.guard) - e) & self.guard
+        return m ^ ((m ^ e) & (t - (t >> (FIELD_BITS - 1))))
+
+    def _with_degree(self, m: int) -> int:
+        """The monomial of fields-only m: its total degree added on top."""
+        return m | (sum(self.unpack(m)) << self.dshift)
+
+    def _refuse(self, e: Sequence[int]) -> None:
+        """Raise SymbolicError naming the largest exponent of e if it is above the limit."""
+        top = max(e)
+        if top > EXPONENT_MAX:
+            raise SymbolicError(
+                f"exponent {top} of {self.symbols[e.index(top)].name} is above the limit {EXPONENT_MAX}"
+            )
+
+    def _check_sum(self, m: int) -> None:
+        """Raise SymbolicError if some field of a sum of two monomials carried.
+
+        Two fields below the guard bit sum to less than two guard bits, so a
+        field that carried holds its exponent in full and never spills over.
+        """
+        if m & self.guard:
+            self._refuse(self.unpack(m))
 
     def symbol(self, name: str) -> Symbol:
         return self.symbols[self.index[name]]
@@ -168,37 +241,31 @@ class Context:
         return f"Context(states={[s.name for s in self.states]}, params={[p.name for p in self.params]})"
 
 
-def _grlex_first(terms) -> tuple[int, ...]:
-    """The graded-lex largest exponent among ``terms`` (compared in C)."""
-    return max(zip(map(sum, terms), terms))[1]
-
-
-def _grlex_last(terms) -> tuple[int, ...]:
-    """The graded-lex smallest exponent among ``terms``."""
-    return min(zip(map(sum, terms), terms))[1]
-
-
 class Polynomial:
     """Sparse multivariate polynomial with exact rational coefficients.
 
-    ``terms`` maps exponent tuples (one entry per context symbol) to nonzero
-    coefficients, each an ``int`` when integral and a non-integral
-    ``Fraction`` otherwise.  Instances are immutable by convention: no method
-    mutates ``terms`` after construction.  ``_flat`` holds the terms as
-    (coefficient, ((index, power), ...)) over the nonzero powers, built by the
-    first :meth:`eval_at` and reused by every later one.
+    ``terms`` maps monomials, each one packed int in the context's layout
+    (16 bits per symbol, exponents up to ``EXPONENT_MAX`` = 32767, total
+    degree on top; see the module docstring), to nonzero coefficients, each
+    an ``int`` when integral and a non-integral ``Fraction`` otherwise.  The
+    constructor takes exponent tuples (one entry per context symbol) and
+    packs them; :meth:`monomials` gives the terms back keyed by tuples.
+    Instances are immutable by convention: no method mutates ``terms`` after
+    construction.  ``_flat`` holds the terms as (coefficient, ((index, power),
+    ...)) over the nonzero powers, built by the first :meth:`eval_at` and
+    reused by every later one.
     """
 
     __slots__ = ("ctx", "terms", "_flat")
 
     def __init__(self, ctx: Context, terms: dict[tuple[int, ...], "int | Fraction"]):
         self.ctx = ctx
-        self.terms = _clean(terms)
+        self.terms = _clean({ctx.pack(e): c for e, c in terms.items()})
         self._flat = None
 
     @staticmethod
     def _of(ctx: Context, terms: dict) -> "Polynomial":
-        """Wrap terms that already hold the invariant (no zeros, no integral Fractions)."""
+        """Wrap monomial-keyed terms that hold the invariant (no zeros, no integral Fractions)."""
         p = object.__new__(Polynomial)
         p.ctx = ctx
         p.terms = terms
@@ -215,7 +282,7 @@ class Polynomial:
 
     def is_constant(self) -> bool:
         t = self.terms
-        return not t or (len(t) == 1 and not any(next(iter(t))))
+        return not t or (len(t) == 1 and 0 in t)
 
     def constant_value(self) -> "int | Fraction":
         if self.is_zero():
@@ -277,12 +344,19 @@ class Polynomial:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return self.ctx.zero()
+        ctx = self.ctx
+        a, b = self.terms, other.terms
+        if (max(a) + max(b)) >> ctx.dshift > EXPONENT_MAX:
+            # the total degree allows a field to carry: look at every product
+            for e1 in a:
+                for e2 in b:
+                    ctx._check_sum(e1 + e2)
         out: dict = {}
         get = out.get
-        b_items = list(other.terms.items())
-        for e1, c1 in self.terms.items():
+        b_items = list(b.items())
+        for e1, c1 in a.items():
             for e2, c2 in b_items:
-                e = tuple(map(add, e1, e2))
+                e = e1 + e2
                 s = get(e, 0) + c1 * c2
                 # a cancelled term that comes back goes to the end: compiled
                 # float fields sum the terms in this order
@@ -297,14 +371,19 @@ class Polynomial:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        result = self.ctx.one()
+        ctx = self.ctx
+        if self.terms and n * (max(self.terms) >> ctx.dshift) > EXPONENT_MAX:
+            # the power of a symbol's degree is that symbol's degree in the result
+            ctx._refuse([n * d for d in map(max, zip(*map(ctx.unpack, self.terms)))])
+        result = ctx.one()
         base = self
-        while n:
+        while True:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def __truediv__(self, other):
         return RationalFunction.of(self) / other
@@ -323,58 +402,56 @@ class Polynomial:
 
     # -- structure ---------------------------------------------------------
 
+    def monomials(self) -> dict[tuple[int, ...], "int | Fraction"]:
+        """The terms keyed by exponent tuples, in term order."""
+        unpack = self.ctx.unpack
+        return {unpack(e): c for e, c in self.terms.items()}
+
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if self.is_zero():
             return -1
-        return max(map(sum, self.terms))
+        return max(self.terms) >> self.ctx.dshift
 
     def degree_in(self, name: str) -> int:
-        i = self.ctx.index[name]
         if self.is_zero():
             return -1
-        return max(e[i] for e in self.terms)
+        s = self.ctx.shifts[self.ctx.index[name]]
+        return max((e >> s) & _FIELD for e in self.terms)
 
     def state_degree(self) -> int:
-        """Total degree counting state symbols only."""
+        """Total degree counting state symbols only (they come first)."""
         if self.is_zero():
             return -1
-        idx = [self.ctx.index[s.name] for s in self.ctx.states]
-        return max(sum(e[i] for i in idx) for e in self.terms)
+        n, unpack = len(self.ctx.states), self.ctx.unpack
+        return max(sum(unpack(e)[:n]) for e in self.terms)
 
     def symbols_used(self) -> set[str]:
-        used: set[str] = set()
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k > 0:
-                    used.add(self.ctx.symbols[i].name)
-        return used
+        # ctx.index lists the names in symbol order, one per unpacked field
+        return set(compress(self.ctx.index, self.ctx.unpack(reduce(or_, self.terms, 0))))
 
-    def leading(self) -> tuple[tuple[int, ...], "int | Fraction"]:
-        """Leading term in graded lexicographic order."""
+    def leading(self) -> tuple[int, "int | Fraction"]:
+        """Leading term (monomial, coefficient) in graded lexicographic order."""
         if self.is_zero():
             raise ValueError("zero polynomial has no leading term")
-        e = _grlex_first(self.terms)
+        e = max(self.terms)
         return e, self.terms[e]
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], "int | Fraction"]]:
-        keys = sorted(zip(map(sum, self.terms), self.terms), reverse=True)
-        return [(e, self.terms[e]) for _, e in keys]
+    def sorted_terms(self) -> list[tuple[int, "int | Fraction"]]:
+        return [(e, self.terms[e]) for e in sorted(self.terms, reverse=True)]
 
     # -- calculus ----------------------------------------------------------
 
     def diff(self, name: str) -> "Polynomial":
-        i = self.ctx.index[name]
+        s = self.ctx.shifts[self.ctx.index[name]]
+        step = (1 << s) | (1 << self.ctx.dshift)
         out: dict = {}
         for e, c in self.terms.items():
-            k = e[i]
-            if k == 0:
-                continue
-            ne = list(e)
-            ne[i] = k - 1
-            # distinct exponents stay distinct after lowering one entry
-            out[tuple(ne)] = c * k
-        return Polynomial(self.ctx, out)
+            k = (e >> s) & _FIELD
+            if k:
+                # distinct monomials stay distinct after lowering one field
+                out[e - step] = c * k
+        return Polynomial._of(self.ctx, _clean(out))
 
     # -- substitution and evaluation ----------------------------------------
 
@@ -394,8 +471,9 @@ class Polynomial:
         """Exact evaluation at values from :meth:`Context.point_values`."""
         flat = self._flat
         if flat is None:
+            unpack = self.ctx.unpack
             flat = self._flat = [
-                (c, tuple((i, k) for i, k in enumerate(e) if k)) for e, c in self.terms.items()
+                (c, tuple((i, k) for i, k in enumerate(unpack(e)) if k)) for e, c in self.terms.items()
             ]
         total = 0
         for c, factors in flat:
@@ -411,27 +489,26 @@ class Polynomial:
 
     def eps_coefficients(self) -> dict[int, "Polynomial"]:
         """Split into {k: coefficient of eps^k}, each coefficient eps-free."""
-        i = self.ctx.index[self.ctx.eps.name]
+        ctx = self.ctx
+        s = ctx.shifts[ctx.index[ctx.eps.name]]
         out: dict[int, dict] = {}
         for e, c in self.terms.items():
-            k = e[i]
-            ne = list(e)
-            ne[i] = 0
-            out.setdefault(k, {})[tuple(ne)] = c
-        return {k: Polynomial._of(self.ctx, t) for k, t in out.items()}
+            k = (e >> s) & _FIELD
+            out.setdefault(k, {})[e - (k << s) - (k << ctx.dshift)] = c
+        return {k: Polynomial._of(ctx, t) for k, t in out.items()}
 
     def eps_free(self) -> bool:
-        i = self.ctx.index[self.ctx.eps.name]
-        return all(e[i] == 0 for e in self.terms)
+        s = self.ctx.shifts[self.ctx.index[self.ctx.eps.name]]
+        return not (reduce(or_, self.terms, 0) >> s) & _FIELD
 
     # -- division -----------------------------------------------------------
 
     def exact_divide(self, divisor: "Polynomial") -> "Polynomial | None":
         """Return self/divisor when the division is exact, else None.
 
-        The remainder is one dict updated in place, with its exponents also
-        grouped by total degree (each degree summed once), so the graded-lex
-        leading term is the largest exponent of the top degree group.
+        The remainder is one dict updated in place, with its monomials also
+        grouped by total degree, so the graded-lex leading term is the largest
+        monomial of the top degree group.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
@@ -442,21 +519,22 @@ class Polynomial:
             d = divisor.constant_value()
             return Polynomial._of(ctx, {e: _div(c, d) for e, c in self.terms.items()})
         terms, dterms = self.terms, divisor.terms
-        lead_e = _grlex_first(dterms)
+        lead_e = max(dterms)
         # Graded lex is multiplicative, so an exact quotient's leading and
         # trailing terms times the divisor's give those of self.
-        if min(map(sub, _grlex_first(terms), lead_e)) < 0:
+        if not ctx.divides(lead_e, max(terms)):
             return None
-        if min(map(sub, _grlex_last(terms), _grlex_last(dterms))) < 0:
+        if not ctx.divides(min(dterms), min(terms)):
             return None
         lead_c = dterms[lead_e]
-        lead_d = sum(lead_e)
-        rest = [(e, c, sum(e)) for e, c in dterms.items() if e != lead_e]
+        dshift, guard = ctx.dshift, ctx.guard
+        lead_d = lead_e >> dshift
+        rest = [(e, c, e >> dshift) for e, c in dterms.items() if e != lead_e]
         rem = dict(terms)
-        # the remainder's exponents by total degree, each summed once
+        # the remainder's monomials by total degree
         by_deg: defaultdict[int, set] = defaultdict(set)
         for e in terms:
-            by_deg[sum(e)].add(e)
+            by_deg[e >> dshift].add(e)
         deg = max(by_deg)
         quotient = {}
         while rem:
@@ -466,14 +544,14 @@ class Polynomial:
                 continue
             e = max(bucket)
             bucket.remove(e)
-            qe = tuple(map(sub, e, lead_e))
-            if min(qe) < 0:
+            qe = e - lead_e
+            if qe < 0 or qe & guard:
                 return None
             qc = _div(rem.pop(e), lead_c)
             quotient[qe] = qc
             qd = deg - lead_d
             for de, dc, dd in rest:
-                t = tuple(map(add, qe, de))
+                t = qe + de
                 v = rem.get(t)
                 if v is None:
                     rem[t] = -qc * dc
@@ -487,16 +565,24 @@ class Polynomial:
                         by_deg[qd + dd].remove(t)
         return Polynomial._of(ctx, quotient)
 
-    def monomial_content(self) -> tuple[int, ...]:
-        """Componentwise minimum exponent over all terms (zero poly: all zeros)."""
-        if self.is_zero():
-            return (0,) * self.ctx.nvars
-        return tuple(map(min, zip(*self.terms)))
+    def monomial_content(self) -> int:
+        """The per-field minimum of all monomials, as a monomial (zero poly: 0)."""
+        terms = self.terms
+        if not terms or 0 in terms:
+            return 0
+        ctx = self.ctx
+        it = iter(terms)
+        m = next(it) & ctx.fields
+        field_min = ctx._field_min
+        for e in it:
+            m = field_min(m, e)
+            if not m:
+                return 0
+        return ctx._with_degree(m)
 
-    def shift_down(self, content: tuple[int, ...]) -> "Polynomial":
-        return Polynomial._of(
-            self.ctx, {tuple(map(sub, e, content)): c for e, c in self.terms.items()}
-        )
+    def shift_down(self, content: int) -> "Polynomial":
+        """Every monomial divided by ``content``, which divides them all."""
+        return Polynomial._of(self.ctx, {e - content: c for e, c in self.terms.items()})
 
     # -- rendering -----------------------------------------------------------
 
@@ -512,7 +598,9 @@ class Polynomial:
         order += [self.ctx.index[s.name] for s in self.ctx.states]
         order.append(self.ctx.index[self.ctx.eps.name])
         parts: list[str] = []
-        for e, c in self.sorted_terms():
+        unpack = self.ctx.unpack
+        for m, c in self.sorted_terms():
+            e = unpack(m)
             factors = []
             for i in order:
                 k = e[i]
@@ -751,9 +839,9 @@ def _reduce_pair(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomi
         return num, den
     # monomial content
     cd = den.monomial_content()
-    if any(cd):
-        common = tuple(map(min, num.monomial_content(), cd))
-        if any(common):
+    if cd:
+        common = ctx.meet(num.monomial_content(), cd)
+        if common:
             num = num.shift_down(common)
             den = den.shift_down(common)
     # exact syntactic factor cancellation
@@ -804,13 +892,22 @@ def substitute(
                 groups.append([])
             groups[dens.index(den)].append(i)
     skip = {i for i, _ in bound}
-    for i, sym in enumerate(p.ctx.symbols):
-        if i not in skip and sym.name not in ctx.index:
-            raise SymbolicError(f"symbol {sym.name} missing from the target context")
-    # for each symbol of ctx, the index of its kept namesake in p (-1: none)
-    src = [p.ctx.index.get(sym.name, -1) for sym in ctx.symbols]
-    src = [-1 if i in skip else i for i in src]
-    top = [max((sum(e[i] for i in idx) for e in p.terms), default=0) for idx in groups]
+    exps = list(map(p.ctx.unpack, p.terms))
+    if p.ctx is ctx:
+        # the kept fields stay in place: masking out the bound ones skips
+        # the remap's walk over every symbol, which dominates the many
+        # small same-context calls (subs)
+        keep = ctx.fields & ~sum(_FIELD << ctx.shifts[i] for i in skip)
+        kept_parts = [ctx._with_degree(m & keep) for m in p.terms]
+    else:
+        for i, sym in enumerate(p.ctx.symbols):
+            if i not in skip and sym.name not in ctx.index:
+                raise SymbolicError(f"symbol {sym.name} missing from the target context")
+        # for each symbol of ctx, the index of its kept namesake in p (-1: none)
+        src = [p.ctx.index.get(sym.name, -1) for sym in ctx.symbols]
+        src = [-1 if i in skip else i for i in src]
+        kept_parts = [ctx.pack(tuple(map((e + (0,)).__getitem__, src))) for e in exps]
+    top = [max((sum(e[i] for i in idx) for e in exps), default=0) for idx in groups]
     powers: dict = {}
 
     def power(base: Polynomial, k: int) -> Polynomial:
@@ -821,17 +918,23 @@ def substitute(
             powers[key] = base ** k
         return powers[key]
 
-    zero_e = (0,) * ctx.nvars
     out: dict = {}
-    for e, c in p.terms.items():
-        kept = tuple(map((e + (0,)).__getitem__, src))
+    for e, kept, c in zip(exps, kept_parts, p.terms.values()):
         factors = [power(num, e[i]) for i, num in bound if e[i]]
         for d, idx, m in zip(dens, groups, top):
             k = m - sum(e[i] for i in idx)
             if k:
                 factors.append(power(d, k))
-        for fe, fc in reduce(mul, factors).terms.items() if factors else ((zero_e, 1),):
-            t = tuple(map(add, kept, fe))
+        if factors:
+            image = reduce(mul, factors).terms
+            if (kept + max(image, default=0)) >> ctx.dshift > EXPONENT_MAX:
+                for fe in image:
+                    ctx._check_sum(kept + fe)
+            items = image.items()
+        else:
+            items = ((0, 1),)
+        for fe, fc in items:
+            t = kept + fe
             v = out.get(t, 0) + c * fc
             # a cancelled term that comes back goes to the end: compiled
             # float fields sum the terms in this order

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import isfinite, lcm
 from operator import mul
 from typing import Mapping, Sequence
 
@@ -256,9 +256,11 @@ def _solve_p_row(
     if target.is_zero():
         return [RationalFunction.of(ctx.zero())] * r
     # constant coefficients: match monomial coefficient vectors
-    monomials = sorted(set().union(*[set(m.terms) for m in mu]) | set(target.terms))
-    A = [[m.terms.get(e, Fraction(0)) for m in mu] for e in monomials]
-    b = [target.terms.get(e, Fraction(0)) for e in monomials]
+    mu_view = [m.monomials() for m in mu]
+    target_view = target.monomials()
+    monomials = sorted(set().union(*mu_view) | set(target_view))
+    A = [[v.get(e, Fraction(0)) for v in mu_view] for e in monomials]
+    b = [target_view.get(e, Fraction(0)) for e in monomials]
     x = fraction_solve(A, b)
     if x is not None:
         # fraction_solve returns a candidate; verify to reject lossy fits
@@ -275,9 +277,10 @@ def _solve_p_row(
         for k, mono in enumerate(basis):
             unknown_cols.append(mono * m)
             col_index.append((j, k))
-    all_monos = sorted(set().union(*[set(p.terms) for p in unknown_cols]) | set(target.terms))
-    A2 = [[p.terms.get(e, Fraction(0)) for p in unknown_cols] for e in all_monos]
-    b2 = [target.terms.get(e, Fraction(0)) for e in all_monos]
+    col_view = [p.monomials() for p in unknown_cols]
+    all_monos = sorted(set().union(*col_view) | set(target_view))
+    A2 = [[v.get(e, Fraction(0)) for v in col_view] for e in all_monos]
+    b2 = [target_view.get(e, Fraction(0)) for e in all_monos]
     x2 = fraction_solve(A2, b2)
     if x2 is not None:
         coeffs = [ctx.zero() for _ in range(r)]
@@ -517,15 +520,17 @@ class EigenCertificate:
     rejected: int = 0
 
     def to_json(self) -> dict:
+        # NaN (no float sample, or one too large for a float) has no JSON
+        # spelling: it is written as null
         return {
             "verdict": self.verdict,
-            "nu_margin": self.nu_margin,
+            "nu_margin": self.nu_margin if isfinite(self.nu_margin) else None,
             "method": self.method,
             "rejected_samples": self.rejected,
             "samples": [
                 {
                     "point": {k: str(v) for k, v in s.point.items()},
-                    "max_real_part": s.max_real_part,
+                    "max_real_part": s.max_real_part if isfinite(s.max_real_part) else None,
                     "hurwitz_ok": s.hurwitz_ok,
                 }
                 for s in self.samples

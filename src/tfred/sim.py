@@ -67,7 +67,7 @@ def _poly_expr(p: Polynomial, state_pos: Mapping[str, int], env: Mapping[str, fl
     """Terms of a polynomial as python expressions in the state locals _z0, _z1, ..., constants folded."""
     ctx = p.ctx
     parts: list[str] = []
-    for e, c in p.terms.items():
+    for e, c in p.monomials().items():
         coeff = float(c) * weight
         factors: list[str] = []
         for i, k in enumerate(e):
@@ -474,7 +474,8 @@ class ConvergenceReport:
                 "reduced": self.reduced_stats.to_json(),
                 "full": [{"eps": e, **st.to_json()} for e, st in zip(self.ladder, self.rung_stats)],
             },
-            "fitted_order": self.fitted_order,
+            # NaN (fewer than two nonzero errors) is written as null
+            "fitted_order": self.fitted_order if math.isfinite(self.fitted_order) else None,
             "window": list(self.t_window),
             "observed": list(self.observed),
             "verdict": self.verdict,

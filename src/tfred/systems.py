@@ -483,11 +483,12 @@ def linear_first_integrals(sys: GradedSystem) -> list[list[Fraction]]:
     n = sys.n
     constraints: list[list[Fraction]] = []
     for g in sys.grades:
+        views = [p.monomials() for p in g]
         monomials: set[tuple[int, ...]] = set()
-        for p in g:
-            monomials.update(p.terms)
+        for v in views:
+            monomials.update(v)
         for e in monomials:
-            constraints.append([p.terms.get(e, Fraction(0)) for p in g])
+            constraints.append([v.get(e, Fraction(0)) for v in views])
     if not constraints:
         constraints = [[Fraction(0)] * n]
     basis = fraction_nullspace(constraints)

@@ -1,6 +1,7 @@
 """The eigenvalue certificate's sampling loop: sample table, exact evaluation,
 stacked eigenvalues, and which samples it rejects or fails on."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -55,9 +56,9 @@ CTX = Context(["x", "y"], ["a"])
 
 
 def reference_value(poly: Polynomial, vals) -> Fraction:
-    """Sum of coefficient times powers, straight from ``poly.terms``."""
+    """Sum of coefficient times powers, straight from ``poly.monomials()``."""
     total = Fraction(0)
-    for e, c in poly.terms.items():
+    for e, c in poly.monomials().items():
         term = Fraction(c)
         for i, k in enumerate(e):
             if k:
@@ -157,3 +158,15 @@ def test_certificate_fails_on_an_unstable_sample_too_large_for_a_float():
     # with no float sample at all, the margin is NaN and the verdict still fails
     alone = eigen_certificate(dec, sample_points=[point(2, 0)])
     assert alone.verdict == "fail" and math.isnan(alone.nu_margin)
+
+
+def test_certificate_without_a_float_value_is_strict_json():
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    dec = fast_block(f"{10**400}*(x - 1) - 1")
+    for points, margin in [([point(2, 0), point(1, 0)], 1.0), ([point(2, 0)], None)]:
+        cert = eigen_certificate(dec, sample_points=points)
+        payload = json.loads(json.dumps(cert.to_json()), parse_constant=refuse)
+        assert payload["nu_margin"] == margin
+        assert payload["samples"][0]["max_real_part"] is None

@@ -405,22 +405,62 @@ def test_reduce_exit_refused_on_failing_certificate(tmp_path, capsys):
     assert code == 3
 
 
+# every sample of Dmu*P = [[-10^400]] overflows a float
+OVERFLOW_MODEL = {
+    "name": "overflow",
+    "states": ["x", "y"],
+    "parameters": [],
+    "raw_system": ["eps*x*y", f"-{10**400}*y + eps*x"],
+    "initial_values": {"x": {"base": "1"}, "y": {"base": "0"}},
+    "fast": ["y"],
+}
+
+
 def test_reduce_without_a_float_sample_is_indeterminate(tmp_path, capsys):
-    # every sample of Dmu*P = [[-10^400]] overflows a float
-    data = {
-        "name": "overflow",
-        "states": ["x", "y"],
-        "parameters": [],
-        "raw_system": ["eps*x*y", f"-{10**400}*y + eps*x"],
-        "initial_values": {"x": {"base": "1"}, "y": {"base": "0"}},
-        "fast": ["y"],
-    }
     path = tmp_path / "overflow.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(OVERFLOW_MODEL))
     code, payload = run_json(capsys, "reduce", "--model", str(path), "--samples", "4")
     assert code == 3
     cert = payload["certificate"]
     assert (cert["verdict"], cert["rejected_samples"], cert["samples"]) == ("indeterminate", 4, [])
+
+
+def strict_json(text: str):
+    """Parse JSON that strict parsers accept: no NaN or Infinity tokens."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_indeterminate_certificate_is_strict_json(tmp_path, capsys):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(OVERFLOW_MODEL))
+    assert main(["reduce", "--model", str(path), "--format", "json"]) == 3
+    assert strict_json(capsys.readouterr().out)["certificate"]["nu_margin"] is None
+    # the text report still prints the margin as nan
+    assert main(["reduce", "--model", str(path)]) == 3
+    assert "indeterminate (margin nan, 0 samples" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["transport_binding", "transport_binding_slow"])
+def test_stationary_convergence_is_strict_json(capsys, name):
+    # all-1 parameters: every sup error is 0, so no order can be fitted
+    argv = ["converge", "--builtin", name, "--ladder", "1e-1,5e-2,2.5e-2", "--t2", "1.0", "--format", "json"]
+    assert main(argv) == 4
+    payload = strict_json(capsys.readouterr().out)
+    assert (payload["verdict"], payload["fitted_order"]) == ("stationary", None)
+
+
+def test_exponent_above_the_limit_is_bad_input(tmp_path, capsys):
+    data = dict(OVERFLOW_MODEL, name="exponent", raw_system=["eps*x^40000*y", "-y + eps*x"])
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps(data))
+    assert main(["reduce", "--model", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: exponent 40000 of x is above the limit 32767\n"
+    assert captured.out == ""
 
 
 def test_converge_quick(capsys):

@@ -71,14 +71,14 @@ def test_exact_divide_by_a_constant_stays_exact(ctx):
     q = p.exact_divide(ctx.const(3))
     assert q.terms == ctx.parse_poly("x + 2/3*y + 2").terms
     assert poly_exact(q)
-    assert type(q.terms[(1, 0, 0, 0)]) is int
+    assert type(q.monomials()[(1, 0, 0, 0)]) is int
 
 
 def test_rational_function_normalisation_stays_exact(ctx):
     num, den = ctx.parse_poly("x + 4"), ctx.parse_poly("y + 3")
     rf = RationalFunction(num, den * 2)
     assert rf.den.terms == den.terms
-    assert rf.num.terms == {(1, 0, 0, 0): Fraction(1, 2), (0, 0, 0, 0): 2}
+    assert rf.num.monomials() == {(1, 0, 0, 0): Fraction(1, 2), (0, 0, 0, 0): 2}
     assert rf_exact(rf)
     assert rf.eval({"x": 2, "y": 3}) == 1 / Fraction(2)
     assert type(rf.eval({"x": 8, "y": 3})) is int
@@ -96,15 +96,15 @@ def test_cancellation_of_an_exact_factor_has_no_size_cap():
 
 
 def test_context_constants_are_ints(ctx):
-    assert ctx.one().terms == {(0, 0, 0, 0): 1}
-    assert type(ctx.one().terms[(0, 0, 0, 0)]) is int
-    assert type(ctx.sym("k").terms[(0, 0, 1, 0)]) is int
-    assert type(ctx.const(Fraction(6, 3)).terms[(0, 0, 0, 0)]) is int
-    assert ctx.const(Fraction(1, 3)).terms == {(0, 0, 0, 0): Fraction(1, 3)}
+    assert ctx.one().monomials() == {(0, 0, 0, 0): 1}
+    assert type(ctx.one().monomials()[(0, 0, 0, 0)]) is int
+    assert type(ctx.sym("k").monomials()[(0, 0, 1, 0)]) is int
+    assert type(ctx.const(Fraction(6, 3)).monomials()[(0, 0, 0, 0)]) is int
+    assert ctx.const(Fraction(1, 3)).monomials() == {(0, 0, 0, 0): Fraction(1, 3)}
     # products and sums of proper fractions that become integral come back as ints
     half = ctx.const(Fraction(1, 2)) * ctx.sym("x")
-    assert type((half * 2).terms[(1, 0, 0, 0)]) is int
-    assert type((half + half).terms[(1, 0, 0, 0)]) is int
+    assert type((half * 2).monomials()[(1, 0, 0, 0)]) is int
+    assert type((half + half).monomials()[(1, 0, 0, 0)]) is int
 
 
 def test_eliminate_with_integral_integer_weights_stay_exact():

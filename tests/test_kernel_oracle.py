@@ -50,7 +50,7 @@ def to_sympy(v):
     if isinstance(v, RationalFunction):
         return to_sympy(v.num) / to_sympy(v.den)
     total = sympy.Integer(0)
-    for e, c in v.terms.items():
+    for e, c in v.monomials().items():
         c = Fraction(c)
         mono = sympy.Rational(c.numerator, c.denominator)
         for sym, k in zip(v.ctx.symbols, e):

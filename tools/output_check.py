@@ -1,4 +1,4 @@
-"""Print the output of 224 CLI cases, for comparing two checkouts byte for byte.
+"""Print the output of 225 CLI cases, for comparing two checkouts byte for byte.
 
 Usage: python tools/output_check.py <src-dir>
 
@@ -12,8 +12,9 @@ directory that is printed as ``<tmp>``), plus the benchmark's ladder jobs: ``con
 down to eps = 7.8e-4, on transport_binding with fixed heterogeneous
 parameters down to 3.125e-3, and ``demo-linex`` with and without
 ``--consistent``, plus two bad ``converge --set`` values (an unknown name, a
-value outside float range) and ``reduce`` on a raw model whose fast block
-overflows a float at every certificate sample.  Each case prints its argv,
+value outside float range), ``reduce`` on a raw model whose fast block
+overflows a float at every certificate sample, and ``reduce`` on a raw model
+with an exponent above the exact kernel's limit.  Each case prints its argv,
 exit code, stdout and stderr.  Compare
 two checkouts with
 
@@ -70,6 +71,14 @@ path.write_text(json.dumps({
     "initial_values": {"x": {"base": "1"}, "y": {"base": "0"}}, "fast": ["y"],
 }))
 cases.append(["reduce", "--model", str(path), "--format", "json"])
+# an exponent above the exact kernel's limit of 32767
+path = Path(tmp.name) / "exponent.json"
+path.write_text(json.dumps({
+    "name": "exponent", "states": ["x", "y"], "parameters": [],
+    "raw_system": ["eps*x^40000*y", "-y + eps*x"],
+    "initial_values": {"x": {"base": "1"}, "y": {"base": "0"}}, "fast": ["y"],
+}))
+cases.append(["reduce", "--model", str(path)])
 for argv in cases:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
