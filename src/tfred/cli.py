@@ -9,9 +9,10 @@ Commands
   demo-linex initial-value inconsistency demonstration
   list       available builtin models
 
-Models come from --builtin NAME or --model FILE (JSON).  Certificate samples
-are seeded (--seed) for reproducible reports.  Exit 2 is also a bad input: an
-unreadable or malformed model, an unknown builtin, a bad option value.  Exit 5
+Models come from exactly one of --builtin NAME and --model FILE (JSON).
+Certificate samples are seeded (--seed) for reproducible reports.  Exit 2 is
+also a bad input: an unreadable or malformed model, an unknown builtin, an
+unknown option (options are never abbreviated), a bad option value.  Exit 5
 is tfred's own fault.
 """
 
@@ -22,7 +23,7 @@ import json
 import os
 import sys as _sys
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from typing import Sequence
 
 from .builtin_models import BUILTINS, ModelSpec, load_builtin
@@ -53,29 +54,33 @@ EXIT_INTERNAL = 5
 
 
 class InputError(Exception):
-    """A bad model file, builtin name or option value (exit 2)."""
+    """A bad model file, builtin name, option or option value (exit 2)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports bad options as InputError, not by exiting."""
+
+    def error(self, message):
+        raise InputError(f"{message} (see '{self.prog} --help')")
 
 
 def load_spec(args) -> ModelSpec:
+    """The model of --builtin or --model; the parser requires exactly one of them."""
     try:
-        if args.builtin:
-            return load_builtin(args.builtin)
-        if args.model:
-            return load_model(args.model)
+        return load_builtin(args.builtin) if args.builtin is not None else load_model(args.model)
     except (SymbolicError, ValueError, KeyError, OSError) as exc:
         raise InputError(exc) from exc
-    raise SystemExit("one of --builtin or --model is required")
 
 
 def pick_fast(spec: ModelSpec, args) -> list[str]:
     if getattr(args, "fast", None) is not None:
         names = [n.strip() for n in args.fast.split(",") if n.strip()]
         if not names:
-            raise SystemExit("--fast needs at least one state name")
+            raise InputError("--fast needs at least one state name")
         return names
     if spec.fast:
         return list(spec.fast)
-    raise SystemExit("no fast set given (--fast) and the model has no default")
+    raise InputError("no fast set given (--fast) and the model has no default")
 
 
 def parse_assignments(text: str, params: Sequence[str]) -> dict[str, Fraction]:
@@ -225,15 +230,12 @@ def _render_rows(names, rows) -> list[str]:
 
 
 def _render_elimination(payload: dict, lines: list[str], key: str, title: str, elim) -> None:
-    payload[key] = {
-        "solved": [(n, e.render()) for n, e in elim.solved],
-        "rows": _render_rows(elim.states, elim.field),
-    }
+    solved = [(n, e.render()) for n, e in elim.solved]
+    rows = _render_rows(elim.states, elim.field)
+    payload[key] = {"solved": solved, "rows": rows}
     lines.append(title)
-    for n, e in elim.solved:
-        lines.append(f"  {n} = {e.render()}")
-    for row in _render_rows(elim.states, elim.field):
-        lines.append("  " + row)
+    lines += [f"  {n} = {e}" for n, e in solved]
+    lines += ["  " + row for row in rows]
 
 
 def cmd_reduce(args) -> int:
@@ -256,30 +258,28 @@ def cmd_reduce(args) -> int:
     lines = [f"model: {spec.name}", f"fast set: {{{', '.join(fast)}}}"]
     payload["mode"] = dec.mode
     lines.append(f"mode: {dec.mode}")
-    payload["mu"] = [m.render() for m in dec.mu]
+    payload["mu"] = mu = [m.render() for m in dec.mu]
     payload["P"] = [[v.render() for v in row] for row in dec.P.entries]
     if len(spec.system.states) <= 6:
         payload["Q"] = [[v.render() for v in row] for row in dec.projection().entries]
-    lines.append("factor mu: " + "; ".join(m.render() for m in dec.mu))
-    payload["manifold"] = [m.render() for m in red.manifold.equations]
+    lines.append("factor mu: " + "; ".join(mu))
+    payload["manifold"] = manifold = [m.render() for m in red.manifold.equations]
     payload["manifold_dimension"] = red.manifold.dimension
-    payload["reduced"] = _render_rows(red.states, red.field)
+    payload["reduced"] = reduced = _render_rows(red.states, red.field)
     lines.append(f"critical manifold: dimension {red.manifold.dimension}")
-    for eq in red.manifold.equations:
-        lines.append(f"  {eq.render()} = 0")
+    lines += [f"  {eq} = 0" for eq in manifold]
     lines.append("reduced system (slow time):")
-    for row in _render_rows(red.states, red.field):
-        lines.append("  " + row)
+    lines += ["  " + row for row in reduced]
 
     if dec.mode == "nonstandard":
-        payload["transported_integrals"] = [
+        payload["transported_integrals"] = integrals = [
             {"order": t.order, "integral": t.rf.render(), "level": t.level.render()}
             for t in red.transported_integrals
         ]
-        for t in red.transported_integrals:
-            lines.append(
-                f"transported integral (order {t.order}): {t.rf.render()} = {t.level.render()}"
-            )
+        lines += [
+            f"transported integral (order {t['order']}): {t['integral']} = {t['level']}"
+            for t in integrals
+        ]
         if red.eliminated:
             _render_elimination(
                 payload, lines, "eliminated", "eliminated form (on the manifold):", red.eliminated
@@ -296,17 +296,16 @@ def cmd_reduce(args) -> int:
             payload["reduced_initial_value"] = None
             lines.append(f"(no reduced initial value: {red.errors['initial_value']})")
         else:
-            payload["reduced_initial_value"] = {n: v.render() for n, v in red.initial_values.items()}
+            payload["reduced_initial_value"] = start = {n: v.render() for n, v in red.initial_values.items()}
             lines.append("reduced initial value:")
-            for n, v in red.initial_values.items():
-                lines.append(f"  {n}(0) = {v.render()}")
+            lines += [f"  {n}(0) = {v}" for n, v in start.items()]
     else:
-        payload["qss"] = {n: e.render() for n, e in red.eliminated.solved}
+        payload["qss"] = qss = {n: e.render() for n, e in red.eliminated.solved}
         lines.append("fast-variable expressions (first order):")
-        for n, e in red.eliminated.solved:
-            lines.append(f"  {n}_scaled = {e.render()}")
+        lines += [f"  {n}_scaled = {e}" for n, e in qss.items()]
 
     payload["certificate"] = cert.to_json()
+    payload["diagnostics"] = {"route": red.route}
     lines.append(
         f"eigenvalue certificate: {cert.verdict} "
         f"(margin {cert.nu_margin:.6g}, {len(cert.samples)} samples, {cert.method})"
@@ -415,8 +414,9 @@ def cmd_list(args) -> int:
 
 
 def add_model_args(p):
-    p.add_argument("--builtin", help="builtin model name (see 'list')")
-    p.add_argument("--model", help="JSON model file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--builtin", help="builtin model name (see 'list')")
+    source.add_argument("--model", help="JSON model file")
     p.add_argument("--fast", help="comma-separated fast variables")
     p.add_argument(
         "--seed", type=int, default=0,
@@ -429,32 +429,35 @@ def add_model_args(p):
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once: parsing leaves no state in it."""
-    ap = argparse.ArgumentParser(
+    # no abbreviated options: --mode must not pass for --model
+    ap = _Parser(
         prog="tfred",
+        allow_abbrev=False,
         description="degenerate scalings and singular-perturbation reductions of polynomial ODE models",
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
+    add = partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("check", help="consistency verdicts for a partition")
+    p = add("check", help="consistency verdicts for a partition")
     add_model_args(p)
     p.set_defaults(fn=cmd_check)
 
-    p = sub.add_parser("ltc", help="minimal admissible fast sets")
+    p = add("ltc", help="minimal admissible fast sets")
     add_model_args(p)
     p.set_defaults(fn=cmd_ltc)
 
-    p = sub.add_parser("conditions", help="parameter conditions for a pre-assigned fast set")
+    p = add("conditions", help="parameter conditions for a pre-assigned fast set")
     add_model_args(p)
     p.add_argument("--scope", choices=("local", "full"), default="local")
     p.set_defaults(fn=cmd_conditions)
 
-    p = sub.add_parser("reduce", help="symbolic reduction with certificate")
+    p = add("reduce", help="symbolic reduction with certificate")
     add_model_args(p)
     p.add_argument("--mode", choices=("auto", "standard", "nonstandard"), default="auto")
     p.add_argument("--samples", type=int, default=25, help="certificate sample count")
     p.set_defaults(fn=cmd_reduce)
 
-    p = sub.add_parser("converge", help="eps-ladder convergence study")
+    p = add("converge", help="eps-ladder convergence study")
     add_model_args(p)
     p.add_argument("--ladder", help="comma list or start:stop:half")
     p.add_argument("--t1", type=float, default=0.1)
@@ -462,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", help="parameter values k1=1,km1=2,...")
     p.set_defaults(fn=cmd_converge)
 
-    p = sub.add_parser("demo-linex", help="initial-value inconsistency demonstration")
+    p = add("demo-linex", help="initial-value inconsistency demonstration")
     p.add_argument("--a", type=float, default=-1.0)
     p.add_argument("--b", type=float, default=1.0)
     p.add_argument("--c", type=float, default=-1.0)
@@ -475,15 +478,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="directory for report files")
     p.set_defaults(fn=cmd_demo_linex)
 
-    p = sub.add_parser("list", help="available builtin models")
+    p = add("list", help="available builtin models")
     p.set_defaults(fn=cmd_list)
     return ap
 
 
 def main(argv=None) -> int:
     """Run one command; bad input exits 2, any other fault once it is loaded exits 5."""
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (InputError, ModelError) as exc:
         print(f"error: {exc}", file=_sys.stderr)

@@ -1,16 +1,20 @@
 """Matrices over the rational-function field, with fraction-free elimination.
 
-A linear solve splits the matrix into independent blocks (rows and columns
-joined by nonzero entries), orders each block's rows and columns sparsest
-first, clears per-row denominators and runs one Bareiss elimination over the
-polynomial ring.  Back-substitution is fraction-free as well: every solution
-entry of a block is one polynomial over one common denominator, the block's
-last pivot, so expression swell stays controlled, every division is exact and
-no rational-function arithmetic runs in the back-substitution.  On top of
-that sit the structural factorizations the reduction machinery needs: writing
-a vector field that vanishes on a coordinate subspace as a matrix times the
-vanishing variables, and rank factorization of a singular matrix, with a
-particular solution over its columns, from one elimination per block.
+An ``Elimination`` of [M | B] splits M into independent blocks (rows and
+columns joined by nonzero entries), orders each block's rows and columns,
+clears per-row denominators and runs one Bareiss elimination over the
+polynomial ring.  Its rank decides what the one elimination serves: a linear
+solve, or the rank factorization of a singular matrix with a particular
+solution over its columns.  Back-substitution is fraction-free as well:
+every solution entry of a block is one polynomial over one common
+denominator, the block's last pivot d, so expression swell stays controlled,
+every division is exact and no rational-function arithmetic runs in the
+back-substitution.  ``solve_blocks`` hands a solution on in that form, as
+(unknown columns, d, numerator rows) per block, and ``minus_product`` forms
+C - A X from it with one rational function per entry and block.  On top of
+that sits the other structural factorization the reduction machinery needs:
+writing a vector field that vanishes on a coordinate subspace as a matrix
+times the vanishing variables.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .rational import (
     RationalFunction,
     SymbolicError,
     _div,
+    cancel_common_factors,
 )
 
 
@@ -400,76 +405,160 @@ def _fraction_free_back_substitute(
     return d, Y
 
 
-def _eliminate_block(
-    M: RFMatrix, B: RFMatrix, rows: list[int], cols: list[int], bad: list[tuple[int, int]]
-) -> tuple[list[list[Polynomial]], list[int]]:
-    """One ``_bareiss`` of [M | B] on a block's rows and columns, in the order given.
+def _divide_out(
+    f: Polynomial, d: Polynomial, Y: list[list[Polynomial]]
+) -> tuple[Polynomial, list[list[Polynomial]]]:
+    """d and every entry of Y divided by f, as often as f divides all of them."""
+    while True:
+        q = d.exact_divide(f)
+        if q is None:
+            return d, Y
+        rows = []
+        for y in Y:
+            row = [v.exact_divide(f) for v in y]
+            if None in row:
+                return d, Y
+            rows.append(row)
+        d, Y = q, rows
 
-    Clears each row's denominators first.  Rows below the pivot block are
-    zero in M's columns, so each nonzero right-hand entry there is appended
-    to ``bad`` as (right-hand column, original row).  Returns the echelon
-    rows and the pivot positions in ``cols``.
+
+# (unknown columns, last pivot d, numerator rows) of one block of a solve
+SolvedBlock = tuple[list[int], Polynomial, list[list[Polynomial]]]
+
+
+class Elimination:
+    """One ``_bareiss`` of [M | B] per independent block of M (``_blocks``).
+
+    Each block clears the denominators of its rows of [M | B] once.  By
+    default its rows and columns go sparsest first (ties by index);
+    ``right_first`` keeps the rows in index order and takes the columns in
+    descending index order, so that the pivot columns are the columns
+    independent of those to their right.  An all-zero row only checks its
+    right-hand entries, and an all-zero column is a free variable.  ``bad``
+    lists each nonzero right-hand entry left on a row below a block's pivots
+    as (right-hand column, original row); ``free`` says whether some column
+    of M is no pivot column.
     """
-    w = len(cols)
-    aug = [_clear_row_denominators(M.ctx, [M.entries[i][j] for j in cols] + B.entries[i], w)[0] for i in rows]
-    ech, pivots, perm, _ = _bareiss(aug, w)
-    bad += [
-        (j, rows[perm[rr]])
-        for rr in range(len(pivots), len(ech))
-        for j, v in enumerate(ech[rr][w:])
-        if not v.is_zero()
-    ]
-    return ech, pivots
 
+    def __init__(self, M: RFMatrix, B: RFMatrix, right_first: bool = False):
+        if B.rows != M.rows:
+            raise ValueError("right-hand side length mismatch")
+        self.M = M
+        # (columns of M in elimination order, echelon rows, pivot positions)
+        self.blocks: list[tuple[list[int], list[list[Polynomial]], list[int]]] = []
+        self.bad: list[tuple[int, int]] = []
+        self.free = False
+        if not right_first:
+            nnz_row = [sum(not v.is_zero() for v in row) for row in M.entries]
+            nnz_col = [sum(not row[j].is_zero() for row in M.entries) for j in range(M.cols)]
+        for rows, cols in _blocks(M):
+            if not cols:
+                self.bad += [(j, i) for i in rows for j, v in enumerate(B.entries[i]) if not v.is_zero()]
+                continue
+            if not rows:
+                self.free = True
+                continue
+            if right_first:
+                cols.reverse()
+            else:
+                rows.sort(key=lambda i: (nnz_row[i], i))
+                cols.sort(key=lambda j: (nnz_col[j], j))
+            w = len(cols)
+            aug = [_clear_row_denominators(M.ctx, [M.entries[i][j] for j in cols] + B.entries[i], w)[0] for i in rows]
+            ech, pivots, perm, _ = _bareiss(aug, w)
+            self.bad += [
+                (j, rows[perm[rr]])
+                for rr in range(len(pivots), len(ech))
+                for j, v in enumerate(ech[rr][w:])
+                if not v.is_zero()
+            ]
+            self.free = self.free or len(pivots) < w
+            self.blocks.append((cols, ech, pivots))
 
-def _solve(M: RFMatrix, B: RFMatrix, unique: bool) -> "RFMatrix | NoSolution":
-    """M X = B with one common denominator per independent block of M.
+    @property
+    def rank(self) -> int:
+        return sum(len(pivots) for _, _, pivots in self.blocks)
 
-    M splits into blocks of rows and columns joined by nonzero entries
-    (``_blocks``).  An all-zero row only checks its right-hand entries, and an
-    all-zero column is a free variable.  Each other block orders its rows and
-    columns sparsest first (ties by index), clears the denominators of every
-    row of [M | B] once and runs one ``_bareiss``; every column of B is then
-    back-substituted fraction-free over the block's last pivot d, so each
-    entry of X is one polynomial over d and the back-substitution runs in
-    polynomial arithmetic only.  An inconsistent system gives NoSolution
-    naming the first inconsistent right-hand column over all blocks and the
-    smallest original index of an offending row in it.  Free variables are
-    set to zero, unless ``unique`` asks for NoSolution(None) when the columns
-    of M are dependent.
-    """
-    ctx = M.ctx
-    if B.rows != M.rows:
-        raise ValueError("right-hand side length mismatch")
-    nnz_row = [sum(not v.is_zero() for v in row) for row in M.entries]
-    nnz_col = [sum(not row[j].is_zero() for row in M.entries) for j in range(M.cols)]
-    bad: list[tuple[int, int]] = []  # (right-hand column, original row)
-    free = False
-    solved = []
-    for rows, cols in _blocks(M):
-        if not cols:
-            bad += [(j, i) for i in rows for j, v in enumerate(B.entries[i]) if not v.is_zero()]
-            continue
-        if not rows:
-            free = True
-            continue
-        rows.sort(key=lambda i: (nnz_row[i], i))
-        cols.sort(key=lambda j: (nnz_col[j], j))
-        ech, pivots = _eliminate_block(M, B, rows, cols, bad)
-        free = free or len(pivots) < len(cols)
-        solved.append((cols, ech, pivots))
-    if bad:
-        col, row = min(bad)
+    def _no_solution(self) -> "NoSolution | None":
+        """NoSolution at the first inconsistent right-hand column and its smallest row, if any."""
+        if not self.bad:
+            return None
+        col, row = min(self.bad)
         return NoSolution(row, col)
-    if unique and free:
-        return NoSolution(None)
-    zero = RationalFunction.of(ctx.zero())
+
+    def solution(self, unique: bool = True) -> "list[SolvedBlock] | NoSolution":
+        """X with M X = B, free variables at zero, as one solved block per block of M.
+
+        A solved block is (unknown columns, last pivot d, numerator rows): the
+        unknown in column ``unknowns[k]`` of M is ``Y[k][j] / d`` in column j
+        of B, from one fraction-free back-substitution; every other unknown is
+        zero.  NoSolution when the system is inconsistent, or when ``unique``
+        and a column of M is free.
+        """
+        failed = self._no_solution()
+        if failed is not None:
+            return failed
+        if unique and self.free:
+            return NoSolution(None)
+        out = []
+        for cols, ech, pivots in self.blocks:
+            d, Y = _fraction_free_back_substitute(ech, pivots, len(cols))
+            # clearing a row of M multiplied d and every numerator by the
+            # row's denominators; those with more than one term are divided
+            # out here, the monomials by each entry's reduction later
+            dens = {self.M.entries[i][c].den: None for i in range(self.M.rows) for c in cols}
+            for f in dens:
+                if len(f.terms) > 1:
+                    d, Y = _divide_out(f, d, Y)
+            out.append(([cols[pc] for pc in pivots], d, Y))
+        return out
+
+    def factor(self) -> "tuple[int, RFMatrix, RFMatrix, list[RationalFunction]] | NoSolution":
+        """``rank_and_factor``'s (rank, G, R, w) of M and B's one column, or NoSolution.
+
+        Needs ``right_first``: G's columns are the pivot columns.  Each block
+        back-substitutes with its pivot columns first and the other columns
+        and b as right-hand sides.
+        """
+        ctx, M = self.M.ctx, self.M
+        if M.is_zero():
+            raise ValueError("a zero matrix has no rank factorization")
+        failed = self._no_solution()
+        if failed is not None:
+            return failed
+        zero, one = RationalFunction.of(ctx.zero()), RationalFunction.of(ctx.one())
+        R_cols = {}  # column of M -> its column of R, by column of G
+        w_at = {}  # column of G -> its entry of w
+        for cols, ech, pivots in self.blocks:
+            r, n = len(pivots), len(cols)
+            others = [c for c in range(n) if c not in pivots]
+            order = pivots + others + [n]
+            d, Y = _fraction_free_back_substitute([[row[c] for c in order] for row in ech[:r]], list(range(r)), r)
+            for k, pc in enumerate(pivots):
+                w_at[cols[pc]] = RationalFunction(Y[k][-1], d)
+            for m, c in enumerate(others):
+                R_cols[cols[c]] = {cols[pc]: RationalFunction(Y[k][m], d) for k, pc in enumerate(pivots)}
+        selected = sorted(w_at)
+        G = RFMatrix(ctx, [[M.entries[i][j] for j in selected] for i in range(M.rows)])
+        R = RFMatrix(ctx, [
+            [R_cols[j].get(g, zero) if j in R_cols else one if j == g else zero for j in range(M.cols)]
+            for g in selected
+        ])
+        if not (G @ R - M).is_zero():
+            raise EliminationError("the rank factorization G R does not reproduce the matrix")
+        return len(selected), G, R, [w_at.get(j, zero) for j in range(M.cols)]
+
+
+def _assemble(M: RFMatrix, B: RFMatrix, solved: "list[SolvedBlock] | NoSolution") -> "RFMatrix | NoSolution":
+    """X as a matrix of rational functions, one entry ``Y[k][j] / d`` at a time."""
+    if isinstance(solved, NoSolution):
+        return solved
+    zero = RationalFunction.of(M.ctx.zero())
     X = [[zero] * B.cols for _ in range(M.cols)]
-    for cols, ech, pivots in solved:
-        d, Y = _fraction_free_back_substitute(ech, pivots, len(cols))
-        for pc, y in zip(pivots, Y):
-            X[cols[pc]] = [RationalFunction(v, d) for v in y]
-    return RFMatrix(ctx, X)
+    for unknowns, d, Y in solved:
+        for c, y in zip(unknowns, Y):
+            X[c] = [RationalFunction(v, d) for v in y]
+    return RFMatrix(M.ctx, X)
 
 
 def linear_solve(M: RFMatrix, b: Sequence) -> "list[RationalFunction] | NoSolution":
@@ -479,8 +568,22 @@ def linear_solve(M: RFMatrix, b: Sequence) -> "list[RationalFunction] | NoSoluti
     of the offending row.  Underdetermined systems get free variables set to
     zero.
     """
-    x = _solve(M, RFMatrix.column(M.ctx, b), unique=False)
+    B = RFMatrix.column(M.ctx, b)
+    x = _assemble(M, B, Elimination(M, B).solution(unique=False))
     return x if isinstance(x, NoSolution) else x.col(0)
+
+
+def solve_blocks(M: RFMatrix, B: RFMatrix) -> "list[SolvedBlock] | NoSolution":
+    """The unique X with M X = B as solved blocks, one common denominator per block.
+
+    One ``Elimination`` of [M | B], rows and columns sparsest first, then one
+    fraction-free back-substitution per block over its last pivot d (see
+    ``Elimination.solution``).  NoSolution when the system is inconsistent,
+    naming the first inconsistent right-hand column over all blocks and the
+    smallest original index of an offending row in it, and NoSolution(None)
+    when the columns of M are dependent (for square M: when M is singular).
+    """
+    return Elimination(M, B).solution()
 
 
 def solve_matrix(M: RFMatrix, B: RFMatrix) -> "RFMatrix | NoSolution":
@@ -489,7 +592,92 @@ def solve_matrix(M: RFMatrix, B: RFMatrix) -> "RFMatrix | NoSolution":
     NoSolution when the system is inconsistent or the columns of M are
     dependent (for square M: when M is singular).
     """
-    return _solve(M, B, unique=True)
+    return _assemble(M, B, solve_blocks(M, B))
+
+
+def minus_product(
+    C: Sequence[Sequence[RationalFunction]], A: RFMatrix, solved: Sequence[SolvedBlock]
+) -> list[list[RationalFunction]]:
+    """C - A X for the X that ``solve_blocks`` gives as solved blocks.
+
+    Each row of A meets each block (unknowns, d, Y) once.  With polynomial
+    entries a_k on the block's unknowns, every column j takes the single
+    rational function (sum_k a_k Y[k][j]) / d, summed in polynomial
+    arithmetic in column order, the order a product of matrices sums in.
+    Its reduction cancels the shared monomial content, and a d that divides
+    the whole sum; the other cancellations a product a_k * (Y[k][j] / d)
+    would make are taken from the entries of A and Y that divide d:
+    - a row whose one entry a on the block divides d gives Y[k][j] / (d / a);
+    - every entry with more than one term on the block's columns that
+      divides d is divided out of numerator and denominator as often as
+      both allow;
+    - an entry Y[k][j] that divides d makes Y[k][j] / d the reciprocal of a
+      polynomial, which no sum over d shows: the columns where one meets the
+      row are summed term by term as rational functions, as are rows with
+      a rational entry.
+    Each quotient of d by an entry is computed once per block.
+    """
+    ctx = A.ctx
+    one = ctx.one()
+    out = [list(row) for row in C]
+    for unknowns, d, Y in solved:
+        quotients: dict[Polynomial, "Polynomial | None"] = {}
+
+        def divide(a: Polynomial) -> "Polynomial | None":
+            if a not in quotients:
+                quotients[a] = d.exact_divide(a)
+            return quotients[a]
+
+        order = sorted(range(len(unknowns)), key=unknowns.__getitem__)
+        # the entries on the block's columns with more than one term, up to
+        # sign, that divide d
+        multi: dict[Polynomial, None] = {}
+        for row in A.entries:
+            for c in unknowns:
+                a = row[c]
+                if a.den.is_one() and len(a.num.terms) > 1:
+                    multi[a.num if a.num.leading()[1] > 0 else -a.num] = None
+        factors = [a for a in multi if divide(a) is not None]
+        reciprocal = {
+            (k, j) for k, y in enumerate(Y) for j, v in enumerate(y) if not v.is_zero() and d.exact_divide(v) is not None
+        }
+        for arow, orow in zip(A.entries, out):
+            terms = [(k, arow[unknowns[k]]) for k in order if not arow[unknowns[k]].is_zero()]
+            if not terms:
+                continue
+            rational = any(not a.den.is_one() for _, a in terms)
+            coeffs, den = [a.num for _, a in terms], d
+            if len(coeffs) == 1 and not coeffs[0].is_constant() and divide(coeffs[0]) is not None:
+                coeffs, den = [one], divide(coeffs[0])
+            for j, c in enumerate(orow):
+                if rational or any((k, j) in reciprocal for k, _ in terms):
+                    acc = RationalFunction.of(ctx.zero())
+                    for k, a in terms:
+                        if not Y[k][j].is_zero():
+                            acc = acc + a * RationalFunction(Y[k][j], d)
+                    if not acc.is_zero():
+                        orow[j] = _subtract(c, acc)
+                    continue
+                s = ctx.zero()
+                for a, (k, _) in zip(coeffs, terms):
+                    if not Y[k][j].is_zero():
+                        s = s + (Y[k][j] if a is one else a * Y[k][j])
+                if s.is_zero():
+                    continue
+                t = RationalFunction(s, den)
+                if factors:
+                    num, rest = cancel_common_factors((t.num, t.den), factors)
+                    if num is not t.num:
+                        t = RationalFunction(num, rest)
+                orow[j] = _subtract(c, t)
+    return out
+
+
+def _subtract(c: RationalFunction, t: RationalFunction) -> RationalFunction:
+    """c - t as the sum c + (-t) forms it, term order included, without forming -t."""
+    if c.den.is_one():
+        return RationalFunction(c.num * t.den - t.num, t.den)
+    return c - t
 
 
 def invert(M: RFMatrix) -> RFMatrix:
@@ -575,48 +763,14 @@ def rank_and_factor(
     independent block of M (``_blocks``) gets one ``_bareiss`` of [its
     columns in descending index order | b], whose pivot columns are exactly
     G's columns, and one fraction-free back-substitution with the other
-    columns and b as right-hand sides.  Returns (rank, G, R, w), or
-    NoSolution naming the smallest row where b leaves the span of M's
-    columns.  A zero M raises ValueError, a product G R other than M raises
-    EliminationError.
+    columns and b as right-hand sides (``Elimination.factor``).  Returns
+    (rank, G, R, w), or NoSolution naming the smallest row where b leaves the
+    span of M's columns.  A zero M raises ValueError, a product G R other
+    than M raises EliminationError.
     """
-    ctx = M.ctx
     if len(b) != M.rows:
         raise ValueError("right-hand side length mismatch")
-    if M.is_zero():
-        raise ValueError("a zero matrix has no rank factorization")
-    B = RFMatrix.column(ctx, b)
-    zero, one = RationalFunction.of(ctx.zero()), RationalFunction.of(ctx.one())
-    R_cols = {}  # column of M -> its column of R, by column of G
-    w_at = {}  # column of G -> its entry of w
-    bad: list[tuple[int, int]] = []
-    for rows, cols in _blocks(M):
-        if not (rows and cols):
-            # an all-zero row checks b; an all-zero column is no column of G
-            bad += [(0, i) for i in rows if not B[i, 0].is_zero()]
-            continue
-        cols.reverse()
-        ech, pivots = _eliminate_block(M, B, rows, cols, bad)
-        # pivot columns first, then the others and b as right-hand sides
-        r, n = len(pivots), len(cols)
-        others = [c for c in range(n) if c not in pivots]
-        order = pivots + others + [n]
-        d, Y = _fraction_free_back_substitute([[row[c] for c in order] for row in ech[:r]], list(range(r)), r)
-        for k, pc in enumerate(pivots):
-            w_at[cols[pc]] = RationalFunction(Y[k][-1], d)
-        for m, c in enumerate(others):
-            R_cols[cols[c]] = {cols[pc]: RationalFunction(Y[k][m], d) for k, pc in enumerate(pivots)}
-    if bad:
-        return NoSolution(min(bad)[1], 0)
-    selected = sorted(w_at)
-    G = RFMatrix(ctx, [[M.entries[i][j] for j in selected] for i in range(M.rows)])
-    R = RFMatrix(ctx, [
-        [R_cols[j].get(g, zero) if j in R_cols else one if j == g else zero for j in range(M.cols)]
-        for g in selected
-    ])
-    if not (G @ R - M).is_zero():
-        raise EliminationError("the rank factorization G R does not reproduce the matrix")
-    return len(selected), G, R, [w_at.get(j, zero) for j in range(M.cols)]
+    return Elimination(M, RFMatrix.column(M.ctx, b), right_first=True).factor()
 
 
 def char_poly(M: RFMatrix) -> list[RationalFunction]:

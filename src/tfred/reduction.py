@@ -11,7 +11,14 @@ fast-system first integrals.
 Three decomposition builders cover the use cases: the classical fast-variable
 one (mu = y), a greedy one picking functionally independent entries of h0, and
 the rank-factorization route for scaled systems whose fast-block matrix is
-singular.
+singular.  ``reduce_model`` picks between the first and the last from one
+elimination of the scaled fast block [G0 | g1] (``fast_block_elimination``),
+by the rank of G0, and hands that elimination to the route it picks.
+
+Solutions stay in the solved blocks of ``matrices.solve_blocks``, numerators
+over one last pivot per block, until they meet the matrix that multiplies
+them: q = h1 - P*gamma, the standard route's f1 - F0*u and Q = Id - P*Y each
+take one rational function per entry and block (``matrices.minus_product``).
 """
 
 from __future__ import annotations
@@ -24,13 +31,15 @@ from operator import mul
 from typing import Mapping, Sequence
 
 from .matrices import (
+    Elimination,
     NoSolution,
     RFMatrix,
     fraction_echelon,
     fraction_solve,
     hadamard_factor,
     jacobian,
-    rank_and_factor,
+    minus_product,
+    solve_blocks,
     solve_matrix,
 )
 from .rational import (
@@ -134,12 +143,17 @@ class Decomposition:
         return self._dmup
 
     def projection(self) -> RFMatrix:
-        """Q = Id - P (Dmu P)^(-1) Dmu, the projection along im P onto ker Dmu."""
+        """Q = Id - P (Dmu P)^(-1) Dmu, the projection along im P onto ker Dmu.
+
+        P Y comes from the solved blocks of (Dmu P) Y = Dmu, one rational
+        function per entry of Q and block.
+        """
         if self._q is None:
-            Y = solve_matrix(self.dmup(), self.dmu())
-            if isinstance(Y, NoSolution):
+            solved = solve_blocks(self.dmup(), self.dmu())
+            if isinstance(solved, NoSolution):
                 raise ReductionError("Dmu*P is singular over the rational-function field")
-            self._q = RFMatrix.identity(self.ctx, self.n) - self.P @ Y
+            ident = RFMatrix.identity(self.ctx, self.n)
+            self._q = RFMatrix(self.ctx, minus_product(ident.entries, self.P, solved))
         return self._q
 
     def manifold(self) -> "CriticalManifold":
@@ -191,6 +205,11 @@ def standard_decomposition(sys: GradedSystem, part: Partition) -> Decomposition:
     matrix rows in state order, and Dmu is the fast-coordinate selection.
     """
     _require_full_ltc(sys, part)
+    return _fast_variable_decomposition(sys, part)
+
+
+def _fast_variable_decomposition(sys: GradedSystem, part: Partition) -> Decomposition:
+    """``standard_decomposition`` of a partition already known to be fully consistent."""
     M = hadamard_factor(sys.grade(0), list(part.fast))
     mu = [RationalFunction.of(sys.ctx.sym(n)) for n in part.fast]
     return Decomposition(sys.ctx, tuple(sys.states), M, mu, "standard")
@@ -323,36 +342,58 @@ def _monomials_up_to(ctx: Context, degree: int) -> list[Polynomial]:
     return list(seen_all.values())
 
 
-def nonstandard_decomposition(scaled: ScaledSystem) -> Decomposition:
-    """Rank-factorization route for scaled systems with singular fast-block matrix.
+# Why each route refuses a fast block G0(x, 0) of the wrong rank.
+STANDARD_REFUSAL = "G0(x,0) is singular; the scaling needs the rank-deficient (nonstandard) route"
+NONSTANDARD_REFUSAL = "fast-block matrix has full rank; use the standard reduction"
 
-    Writes the fast block of the lowest grade as G0(x)y* + b(x), factors
-    G0 = G*R with rank s1 (0 < s1 < s), solves b = G0*w, and forms
-    mu = R(y*+w), P = (0; G), all from one elimination per block of G0.
-    Fails with NonstandardError when G0 is zero or no w exists, naming the
-    obstructed row.
+
+def fast_block_elimination(scaled: ScaledSystem) -> Elimination:
+    """One elimination of [G0 | g1] for the scaled fast block of the lowest grade.
+
+    That block is G0(x) y* + g1(x): G0 is its Jacobian in the scaled fast
+    variables, the standard route's G0(x,0), and g1 its value at y* = 0.
+    The columns go in descending index order, so the one elimination gives
+    the standard solve G0 u = g1 when G0 is regular and the rank
+    factorization G0 = G R with G0 w = g1 when it is singular.  Refuses
+    (ReductionError) a scaling that is not locally consistent, a lowest
+    grade whose slow block does not vanish, and a fast block that is not
+    affine in the scaled variables.
     """
-    sys = scaled.system
-    ctx = sys.ctx
     if scaled.laurent_flag < 0:
         raise ReductionError("scaling was not locally consistent; no reduction")
-    slow0 = scaled.slow_block(0)
-    if any(not p.is_zero() for p in slow0):
+    if any(not p.is_zero() for p in scaled.slow_block(0)):
         raise ReductionError("slow block of the lowest grade does not vanish (not fully consistent)")
     fast_names = list(scaled.fast_star)
-    s = len(fast_names)
     fast0 = scaled.fast_block(0)
     A0 = jacobian(fast0, fast_names)
     for row in A0.entries:
         for v in row:
             if not set(v.num.symbols_used()).isdisjoint(fast_names) or not v.den.is_one():
                 raise ReductionError("fast block is not affine in the scaled variables")
-    b = [p.subs({n: 0 for n in fast_names}) for p in fast0]
+    g1 = [p.subs({n: 0 for n in fast_names}) for p in fast0]
+    return Elimination(A0, RFMatrix.column(scaled.system.ctx, g1), right_first=True)
 
-    if A0.is_zero():
+
+def nonstandard_decomposition(scaled: ScaledSystem, elimination: "Elimination | None" = None) -> Decomposition:
+    """Rank-factorization route for scaled systems with singular fast-block matrix.
+
+    Writes the fast block of the lowest grade as G0(x)y* + b(x), factors
+    G0 = G*R with rank s1 (0 < s1 < s), solves b = G0*w, and forms
+    mu = R(y*+w), P = (0; G), all from ``elimination``, the
+    ``fast_block_elimination`` of ``scaled`` (made here when None).  Fails
+    with NonstandardError when G0 is zero or no w exists, naming the
+    obstructed row, and with StandardCaseError when G0 is regular.
+    """
+    sys = scaled.system
+    ctx = sys.ctx
+    if elimination is None:
+        elimination = fast_block_elimination(scaled)
+    fast_names = list(scaled.fast_star)
+    s = len(fast_names)
+    if elimination.M.is_zero():
         raise NonstandardError("fast-block matrix is zero; nothing to factor")
     # shift w solves g1(x,0) = G0(x,0) w; any solution gives the same manifold
-    factored = rank_and_factor(A0, b)
+    factored = elimination.factor()
     if isinstance(factored, NoSolution):
         raise NonstandardError(
             f"no w with g1 = G0*w exists; obstruction in fast row {factored.row} "
@@ -360,7 +401,7 @@ def nonstandard_decomposition(scaled: ScaledSystem) -> Decomposition:
         )
     s1, G, R, w = factored
     if s1 >= s:
-        raise StandardCaseError("fast-block matrix has full rank; use the standard reduction")
+        raise StandardCaseError(NONSTANDARD_REFUSAL)
     ypw = [RationalFunction.of(ctx.sym(n)) + wi for n, wi in zip(fast_names, w)]
     fast_pos = {n: k for k, n in enumerate(fast_names)}
     zero_row = [RationalFunction.of(ctx.zero())] * s1
@@ -396,8 +437,10 @@ class ReducedSystem:
     """Slow-time limit field on the critical manifold.
 
     ``reduce_model`` also fills ``scaled`` (the scaled full system),
-    ``initial_values`` (the reduced initial value in the limit eps -> 0) and
-    ``errors`` (stage name -> why an optional stage produced nothing);
+    ``initial_values`` (the reduced initial value in the limit eps -> 0),
+    ``route`` (the route taken, the rank of G0(x,0) against the number of
+    fast variables, and why the other route was refused) and ``errors``
+    (stage name -> why an optional stage produced nothing);
     ``reduce_extras`` fills the transported integrals and eliminated forms.
     """
 
@@ -411,31 +454,57 @@ class ReducedSystem:
     scaled: "ScaledSystem | None" = None
     eliminated_conserved: "EliminatedForm | None" = None
     errors: dict[str, str] = field(default_factory=dict)
+    route: dict = field(default_factory=dict)
 
     def row(self, name: str) -> RationalFunction:
         return self.field[self.states.index(name)]
 
 
 def reduce_with(dec: Decomposition, h1: Sequence[Polynomial]) -> ReducedSystem:
-    """q = h1 - P*gamma with (Dmu P) gamma = Dmu h1; equals Q*h1 without forming Q."""
+    """q = h1 - P*gamma with (Dmu P) gamma = Dmu h1; equals Q*h1 without forming Q.
+
+    gamma stays in its solved blocks, numerators over one last pivot d per
+    block, so each row of q takes one rational function per block.
+    """
     h1_rf = [RationalFunction.coerce(dec.ctx, p) for p in h1]
-    pg = dec.P.mul_vector(first_order_correction(dec, h1_rf))
-    q = [a - b for a, b in zip(h1_rf, pg)]
-    return ReducedSystem(dec.states, q, dec.manifold(), dec)
+    solved = solve_blocks(dec.dmup(), _dmu_h1(dec, h1_rf))
+    if isinstance(solved, NoSolution):
+        raise ReductionError("Dmu*P is singular over the rational-function field")
+    q = minus_product([[h] for h in h1_rf], dec.P, solved)
+    return ReducedSystem(dec.states, [row[0] for row in q], dec.manifold(), dec)
 
 
-def standard_reduce(sys: GradedSystem, part: Partition) -> ReducedSystem:
+def standard_reduce(
+    sys: GradedSystem, part: Partition, elimination: "Elimination | None" = None
+) -> ReducedSystem:
     """Classical elimination of the fast block for a fully consistent system.
 
     Returns the r-dimensional slow field
     f1(x,0) - F0(x,0) G0(x,0)^(-1) g1(x,0) together with the first-order
     manifold data y* = -G0(x,0)^(-1) g1(x,0), and the standard decomposition
-    whose P supplies F0 and G0.  Refuses (StandardCaseError) when G0(x,0) is
+    whose P supplies F0.  G0^(-1) g1 comes from ``elimination``, the
+    ``fast_block_elimination`` of the scaled system of a partition the caller
+    has found fully consistent; when None, both the check and the
+    elimination are made here.  Refuses (StandardCaseError) when G0(x,0) is
     singular.
     """
-    dec = standard_decomposition(sys, part)
+    if elimination is None:
+        dec = standard_decomposition(sys, part)
+        elimination = fast_block_elimination(apply_scaling(sys, part))
+    else:
+        dec = _fast_variable_decomposition(sys, part)
     ctx = sys.ctx
-    h1 = sys.grade(1)
+    solved = elimination.solution()
+    if isinstance(solved, NoSolution):
+        raise StandardCaseError(STANDARD_REFUSAL)
+    # the elimination lives in the scaled context, free of the scaled fast
+    # variables: carry its polynomials over to this one
+    back = {star_name(n): ctx.sym(n) for n in part.fast}
+
+    def unscaled(p: Polynomial) -> Polynomial:
+        return substitute(p, ctx, back)[0]
+
+    solved = [(u, unscaled(d), [[unscaled(v) for v in y] for y in Y]) for u, d, Y in solved]
     fast = list(part.fast)
     at_zero = {n: 0 for n in fast}
     M = dec.P
@@ -443,23 +512,14 @@ def standard_reduce(sys: GradedSystem, part: Partition) -> ReducedSystem:
         [M.entries[sys.state_index(x)][j].subs(at_zero) for j in range(len(fast))]
         for x in part.slow
     ])
-    G0 = RFMatrix(ctx, [
-        [M.entries[sys.state_index(y)][j].subs(at_zero) for j in range(len(fast))]
-        for y in part.fast
-    ])
+    h1 = sys.grade(1)
     f1 = [RationalFunction.of(h1[sys.state_index(x)].subs(at_zero)) for x in part.slow]
-    g1 = [RationalFunction.of(h1[sys.state_index(y)].subs(at_zero)) for y in part.fast]
-    # one elimination of [G0 | g1]: no unique solution means G0 is singular
-    U = solve_matrix(G0, RFMatrix.column(ctx, g1))
-    if isinstance(U, NoSolution):
-        raise StandardCaseError(
-            "G0(x,0) is singular; the scaling needs the rank-deficient (nonstandard) route"
-        )
-    u = U.col(0)
-    corr = F0.mul_vector(u)
-    reduced = [a - b for a, b in zip(f1, corr)]
+    reduced = [row[0] for row in minus_product([[f] for f in f1], F0, solved)]
     # first-order manifold: y*_j = -(G0^-1 g1)_j
-    qss = [-(ui) for ui in u]
+    qss = [RationalFunction.of(ctx.zero())] * len(fast)
+    for unknowns, d, Y in solved:
+        for j, y in zip(unknowns, Y):
+            qss[j] = RationalFunction(-y[0], d)
     manifold_eqs = tuple(
         RationalFunction.of(ctx.sym(n)) - expr for n, expr in zip(part.fast, qss)
     )
@@ -470,8 +530,8 @@ def standard_reduce(sys: GradedSystem, part: Partition) -> ReducedSystem:
     return red
 
 
-def nonstandard_reduce(scaled: ScaledSystem) -> ReducedSystem:
-    dec = nonstandard_decomposition(scaled)
+def nonstandard_reduce(scaled: ScaledSystem, elimination: "Elimination | None" = None) -> ReducedSystem:
+    dec = nonstandard_decomposition(scaled, elimination)
     return reduce_with(dec, scaled.system.grade(1))
 
 
@@ -492,10 +552,15 @@ def first_order_correction(dec: Decomposition, h1: Sequence[Polynomial]) -> list
     Psi0 solves (Dmu P) Psi0 = Dmu h1; it is also the gamma of ``reduce_with``.
     """
     h1_rf = [RationalFunction.coerce(dec.ctx, p) for p in h1]
-    psi = solve_matrix(dec.dmup(), RFMatrix.column(dec.ctx, dec.dmu().mul_vector(h1_rf)))
+    psi = solve_matrix(dec.dmup(), _dmu_h1(dec, h1_rf))
     if isinstance(psi, NoSolution):
         raise ReductionError("Dmu*P is singular over the rational-function field")
     return psi.col(0)
+
+
+def _dmu_h1(dec: Decomposition, h1: Sequence[RationalFunction]) -> RFMatrix:
+    """Dmu h1 as a column, the right-hand side that gives gamma."""
+    return RFMatrix.column(dec.ctx, dec.dmu().mul_vector(h1))
 
 
 # ---------------------------------------------------------------------------
@@ -945,19 +1010,19 @@ def reduce_model(system: GradedSystem, fast: Sequence[str], mode: str = "auto") 
     if mode not in ("auto", "standard", "nonstandard"):
         raise ValueError(f"unknown reduction mode {mode!r}")
     part = Partition.from_fast(system, fast)
-    red = None
-    if mode == "nonstandard":
-        _require_full_ltc(system, part)
-    else:
-        # standard_decomposition checks consistency on this route
-        try:
-            red = standard_reduce(system, part)
-        except StandardCaseError:
-            if mode == "standard":
-                raise
+    _require_full_ltc(system, part)
     scaled = apply_scaling(system, part)
-    if red is None:
-        red = nonstandard_reduce(scaled)
+    elimination = fast_block_elimination(scaled)
+    rank, s = elimination.rank, len(part.fast)
+    if mode == "standard" or mode == "auto" and rank == s:
+        red = standard_reduce(system, part, elimination)
+        refused = {"route": "nonstandard", "reason": NONSTANDARD_REFUSAL}
+    else:
+        red = nonstandard_reduce(scaled, elimination)
+        refused = {"route": "standard", "reason": STANDARD_REFUSAL}
+    red.route = {
+        "chosen": red.decomposition.mode, "requested": mode, "g0_rank": rank, "fast_count": s, "refused": refused,
+    }
     red.scaled = scaled
     try:
         red.initial_values = _reduced_start(red)

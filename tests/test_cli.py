@@ -96,57 +96,48 @@ def test_reduce_standard_route_factors_once(capsys, monkeypatch):
 
 
 def test_reduce_eliminates_each_matrix_once(capsys, monkeypatch):
-    # one exact solve per matrix: G0 on the standard route, Dmu*P for all
-    # columns of the projection; on the nonstandard route one rank
-    # factorization of G0 gives G, R and w together; and within a solve or
-    # a factorization one fraction-free elimination per independent block
-    from tfred import matrices, reduction
+    # one exact elimination per matrix: G0 once, which decides the route and
+    # serves the standard solve or the rank factorization; Dmu*P for gamma on
+    # the nonstandard route; Dmu*P for all columns of the projection; and
+    # within each one fraction-free elimination per independent block
+    from tfred import matrices
     from tfred.builtin_models import BUILTINS
 
-    solves, eliminations, blocks = [], [], []
-    solve, bareiss, factor = matrices._solve, matrices._bareiss, reduction.rank_and_factor
+    matrices_eliminated, eliminations, blocks = [], [], []
+    init, bareiss = matrices.Elimination.__init__, matrices._bareiss
 
-    def count_blocks(M):
+    def counting_init(self, M, B, right_first=False):
+        matrices_eliminated.append(M)
         blocks.append(sum(1 for rows, cols in matrices._blocks(M) if rows and cols))
-
-    def counting_solve(M, B, unique):
-        solves.append(M)
-        count_blocks(M)
-        return solve(M, B, unique)
-
-    def counting_factor(M, b):
-        count_blocks(M)
-        return factor(M, b)
+        init(self, M, B, right_first)
 
     def counting_bareiss(*args, **kwargs):
         eliminations.append(args)
         return bareiss(*args, **kwargs)
 
-    monkeypatch.setattr(matrices, "_solve", counting_solve)
+    monkeypatch.setattr(matrices.Elimination, "__init__", counting_init)
     monkeypatch.setattr(matrices, "_bareiss", counting_bareiss)
-    monkeypatch.setattr(reduction, "rank_and_factor", counting_factor)
-    solve_counts, bareiss_counts = {}, {}
+    matrix_counts, bareiss_counts = {}, {}
     for name in sorted(BUILTINS):
-        solves.clear()
+        matrices_eliminated.clear()
         eliminations.clear()
         blocks.clear()
         main(["reduce", "--builtin", name])
-        solve_counts[name] = len(solves)
+        matrix_counts[name] = len(matrices_eliminated)
         bareiss_counts[name] = len(eliminations)
         assert len(eliminations) == sum(blocks), name
     capsys.readouterr()
-    assert solve_counts == {
+    assert matrix_counts == {
         "chain3": 2, "chain3_slowk4": 3, "inhibitor": 3, "linex": 2, "mm2d": 2,
         "mm3d": 3, "mm3d_deg": 3, "mm_diffusion": 2, "transport_binding": 2,
         "transport_binding_slow": 2,
     }
-    assert sum(solve_counts.values()) == 24
-    # the nonstandard builtins add one elimination per block of G0;
-    # mm_diffusion's diagonal G0 and transport_binding_slow's split into blocks
+    # the nonstandard builtins eliminate G0 once: mm_diffusion's diagonal G0
+    # and transport_binding_slow's split into blocks
     assert bareiss_counts == {
-        "chain3": 2, "chain3_slowk4": 4, "inhibitor": 4, "linex": 2, "mm2d": 2,
-        "mm3d": 4, "mm3d_deg": 4, "mm_diffusion": 12, "transport_binding": 3,
-        "transport_binding_slow": 9,
+        "chain3": 2, "chain3_slowk4": 3, "inhibitor": 3, "linex": 2, "mm2d": 2,
+        "mm3d": 3, "mm3d_deg": 3, "mm_diffusion": 8, "transport_binding": 2,
+        "transport_binding_slow": 6,
     }
 
 
@@ -216,6 +207,13 @@ def test_value_error_after_loading_exits_five(capsys, monkeypatch):
         ["reduce", "--builtin", "mm2d", "--samples", "0"],
         ["check", "--builtin", "mm2d", "--fast", "nope"],
         ["demo-linex", "--c", "1"],
+        # --builtin and --model exclude each other, also when the file is missing
+        ["check", "--builtin", "mm2d", "--model", "missing.json"],
+        # no abbreviations: --mode is not --model on a command without --mode
+        ["converge", "--builtin", "mm2d", "--mode", "standard"],
+        ["check", "--builtin", "mm3d", "--mode", "standard"],
+        # no model at all
+        ["reduce"],
     ],
 )
 def test_bad_input_exits_two(capsys, argv):
@@ -247,9 +245,103 @@ def test_converge_reports_integrator_stats_per_rung(capsys):
     assert stats["full"][1]["steps"] > stats["full"][0]["steps"]
 
 
-def test_empty_partition_usage_error():
-    with pytest.raises(SystemExit):
-        main(["check", "--builtin", "linex", "--fast", ""])
+def test_empty_partition_usage_error(capsys):
+    assert main(["check", "--builtin", "linex", "--fast", ""]) == 2
+    assert capsys.readouterr().err.startswith("error: --fast needs at least one state name")
+
+
+def test_model_without_a_default_fast_set_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "nofast.json"
+    path.write_text(json.dumps({
+        "name": "nofast", "states": ["x", "y"], "parameters": [],
+        "raw_system": ["eps*x*y", "-y + eps*x"],
+        "initial_values": {"x": {"base": "1"}, "y": {"base": "0"}},
+    }))
+    assert main(["reduce", "--model", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: no fast set given (--fast)")
+
+
+# -- route decision ------------------------------------------------------------------
+
+ROUTES = {
+    "chain3": "standard", "chain3_slowk4": "nonstandard", "inhibitor": "nonstandard",
+    "linex": "standard", "mm2d": "standard", "mm3d": "nonstandard", "mm3d_deg": "nonstandard",
+    "mm_diffusion": "nonstandard", "transport_binding": "nonstandard",
+    "transport_binding_slow": "nonstandard",
+}
+
+
+def test_auto_route_is_decided_from_g0_without_a_refused_reduction(capsys, monkeypatch):
+    # the rank of G0 picks the route: no builtin raises and catches
+    # StandardCaseError, standard_reduce runs only on the standard route, and
+    # the partition's consistency is checked once
+    from tfred import reduction
+    from tfred.builtin_models import BUILTINS
+
+    refusals, standard_runs, checks = [], [], []
+    refusal_init, standard = reduction.StandardCaseError.__init__, reduction.standard_reduce
+    check = reduction.check_ltc
+
+    def counting_check(*args, **kwargs):
+        checks.append(args)
+        return check(*args, **kwargs)
+
+    def counting_init(self, *args):
+        refusals.append(args)
+        refusal_init(self, *args)
+
+    def counting_standard(*args, **kwargs):
+        standard_runs.append(args)
+        return standard(*args, **kwargs)
+
+    monkeypatch.setattr(reduction.StandardCaseError, "__init__", counting_init)
+    monkeypatch.setattr(reduction, "standard_reduce", counting_standard)
+    monkeypatch.setattr(reduction, "check_ltc", counting_check)
+    modes = {}
+    for name in sorted(BUILTINS):
+        refusals.clear()
+        standard_runs.clear()
+        checks.clear()
+        _, payload = run_json(capsys, "reduce", "--builtin", name)
+        modes[name] = payload["mode"]
+        assert refusals == [], name
+        assert len(checks) == 1, name
+        assert len(standard_runs) == (payload["mode"] == "standard"), name
+        route = payload["diagnostics"]["route"]
+        assert route["chosen"] == payload["mode"] and route["requested"] == "auto", name
+        assert (route["g0_rank"] == route["fast_count"]) == (payload["mode"] == "standard"), name
+        assert route["refused"]["route"] != payload["mode"], name
+    assert modes == ROUTES
+
+
+def test_reduce_json_reports_the_route(capsys):
+    _, payload = run_json(capsys, "reduce", "--builtin", "mm3d")
+    assert payload["diagnostics"] == {"route": {
+        "chosen": "nonstandard", "requested": "auto", "g0_rank": 1, "fast_count": 2,
+        "refused": {"route": "standard", "reason": "G0(x,0) is singular; the scaling needs the rank-deficient (nonstandard) route"},
+    }}
+    _, payload = run_json(capsys, "reduce", "--builtin", "mm2d", "--mode", "standard")
+    assert payload["diagnostics"]["route"] == {
+        "chosen": "standard", "requested": "standard", "g0_rank": 1, "fast_count": 1,
+        "refused": {"route": "nonstandard", "reason": "fast-block matrix has full rank; use the standard reduction"},
+    }
+    # text output carries no route
+    main(["reduce", "--builtin", "mm3d"])
+    assert "route" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "name, mode, reason",
+    [
+        ("mm3d", "standard", "G0(x,0) is singular; the scaling needs the rank-deficient (nonstandard) route"),
+        ("mm2d", "nonstandard", "fast-block matrix has full rank; use the standard reduction"),
+    ],
+)
+def test_a_forced_route_keeps_its_refusal(capsys, name, mode, reason):
+    assert main(["reduce", "--builtin", name, "--mode", mode]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"reduction refused: {reason}\n"
 
 
 # -- golden reports ---------------------------------------------------------------

@@ -21,7 +21,9 @@ from tfred.matrices import (
     invert,
     jacobian,
     linear_solve,
+    minus_product,
     rank_and_factor,
+    solve_blocks,
     solve_matrix,
     _fraction_free_back_substitute,
 )
@@ -339,6 +341,132 @@ def test_structured_square_solves_match_cramer(mm):
                 compared += 1
                 assert all(same(X[i, j], want[i]) for i in range(M.cols))
     assert compared >= 10
+
+
+def _from_blocks(M, B, solved):
+    """X of M X = B from solved blocks: Y[k][j] / d on each block's unknowns, zero elsewhere."""
+    zero = RationalFunction.of(M.ctx.zero())
+    X = [[zero] * B.cols for _ in range(M.cols)]
+    for unknowns, d, Y in solved:
+        assert not d.is_zero()
+        for c, y in zip(unknowns, Y):
+            X[c] = [RationalFunction(v, d) for v in y]
+    return X
+
+
+@pytest.mark.parametrize("shape", ["block", "arrow", "permuted", "tall"])
+def test_solved_blocks_hold_solve_matrix_entries_over_one_denominator(mm, shape):
+    # each block's numerators over its last pivot are solve_matrix's entries,
+    # as rational functions and at a random point
+    solved_count = 0
+    for _, M, X0, B, point in _structured_cases(mm, shape, 16):
+        solved = solve_blocks(M, B)
+        X = solve_matrix(M, B)
+        if isinstance(X, NoSolution):
+            assert isinstance(solved, NoSolution) and (solved.row, solved.col) == (X.row, X.col)
+            continue
+        solved_count += 1
+        unknowns = [c for block in solved for c in block[0]]
+        assert len(unknowns) == len(set(unknowns)) == M.cols
+        got = _from_blocks(M, B, solved)
+        vals = mm.point_values(point)
+        for i in range(M.cols):
+            for j in range(B.cols):
+                assert got[i][j] == X[i, j] == X0[i, j]
+                assert got[i][j].eval_at(vals) == X[i, j].eval_at(vals)
+    assert solved_count >= 3
+
+
+def test_solved_blocks_match_cramer(mm):
+    pytest.importorskip("sympy")
+    from test_kernel_oracle import cramer, same
+
+    compared = 0
+    for shape in ("block", "arrow", "permuted"):
+        for _, M, _, B, _ in _structured_cases(mm, shape, 6):
+            solved = solve_blocks(M, B)
+            for j in range(B.cols):
+                want = cramer(M, B.col(j))
+                if want is None:
+                    assert isinstance(solved, NoSolution)
+                    break
+                compared += 1
+                got = _from_blocks(M, B, solved)
+                assert all(same(got[i][j], want[i]) for i in range(M.cols))
+    assert compared >= 10
+
+
+def _size(rf):
+    return len(rf.num.terms) + len(rf.den.terms)
+
+
+def test_minus_product_equals_the_product_of_rational_functions(mm):
+    # C - A X over the solved blocks of X, against C - A @ X entry by entry,
+    # which reduces each Y / d before it multiplies: equal, and no larger.
+    # Some entries of A have more than one term, some denominators of their
+    # own; some systems have entries over two-term denominators, whose
+    # solutions include reciprocals of polynomials
+    rng = random.Random(11)
+    factor = mm.parse_poly("km1 + k2")
+
+    def entry():
+        v = _random_rf(rng, mm)
+        if rng.random() < 0.3:
+            v = v / mm.parse(rng.choice(["k1 + k2", "km1 + s", "k1*s + 1"]))
+        return v
+
+    cases = [(M, B) for shape in SHAPES for _, M, _, B, _ in _structured_cases(mm, shape, 8)]
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        cases.append((RFMatrix(mm, [[entry() for _ in range(n)] for _ in range(n)]),
+                      RFMatrix(mm, [[entry() for _ in range(2)] for _ in range(n)])))
+    compared = 0
+    for M, B in cases:
+        solved = solve_blocks(M, B)
+        if isinstance(solved, NoSolution):
+            continue
+        rows = rng.randint(1, 4)
+        A = []
+        for _ in range(rows):
+            row = [_random_rf(rng, mm) if rng.random() < 0.6 else RationalFunction.of(mm.zero()) for _ in range(M.cols)]
+            if rng.random() < 0.4:
+                # a polynomial entry with more than one term
+                c = rng.choice(rng.choice(solved)[0])
+                row[c] = RationalFunction.of(factor if rng.random() < 0.5 else factor * mm.sym("s"))
+            A.append(row)
+        A = RFMatrix(mm, A)
+        C = [[_random_rf(rng, mm) for _ in range(B.cols)] for _ in range(rows)]
+        want = RFMatrix(mm, C) - A @ RFMatrix(mm, _from_blocks(M, B, solved))
+        got = minus_product(C, A, solved)
+        for i in range(rows):
+            for j in range(B.cols):
+                assert got[i][j] == want[i, j]
+                assert _size(got[i][j]) <= _size(want[i, j])
+                compared += 1
+    assert compared > 300
+    # a denominator with the factor (km1 + k2): M with that entry in a pivot
+    M = RFMatrix(mm, [[mm.parse("km1 + k2"), mm.parse("k1")], [mm.parse("0"), mm.parse("km1 + k2")]])
+    B = RFMatrix(mm, [[mm.parse("s")], [mm.parse("k1*s")]])
+    solved = solve_blocks(M, B)
+    A = RFMatrix(mm, [[mm.parse("km1 + k2"), mm.parse("0")], [mm.parse("-km1 - k2"), mm.parse("k1")]])
+    got = minus_product([[mm.parse("0")], [mm.parse("s")]], A, solved)
+    X = solve_matrix(M, B)
+    assert got[0][0] == -(A @ X)[0, 0] and got[1][0] == mm.parse("s") - (A @ X)[1, 0]
+    # d = (km1 + k2)^2 keeps one factor only where the numerator keeps none
+    assert solved[0][1].exact_divide(factor * factor) is not None
+    assert got[0][0].den == factor
+
+
+def test_solved_blocks_drop_the_denominators_the_elimination_cleared():
+    # clearing a row of M multiplies it by the product of its entries'
+    # denominators, here (a + b)^2 where (a + b) would do, so d and every
+    # numerator of the block share the extra (a + b); it is divided out again
+    ctx = Context(["x"], ["a", "b"])
+    M = RFMatrix(ctx, [[ctx.parse("1 / (a + b)"), ctx.parse("a / (a + b)")], [ctx.parse("b"), ctx.parse("1")]])
+    B = RFMatrix(ctx, [[ctx.parse("x")], [ctx.parse("a*x")]])
+    [(unknowns, d, Y)] = solve_blocks(M, B)
+    assert d.exact_divide(ctx.parse_poly("a + b")) is None
+    assert _from_blocks(M, B, [(unknowns, d, Y)]) == solve_matrix(M, B).entries
 
 
 def test_rank_and_factor_needs_no_sample(mm):

@@ -631,3 +631,83 @@ def test_property_suite_random_consistent_systems():
         assert all(v.is_zero() for v in dq)
         checked += 1
     assert checked == 12
+
+
+# -- expression sizes ---------------------------------------------------------------
+
+
+def _term_counts(name):
+    """num + den terms of a builtin's reduced rows, Q entries and eliminated forms."""
+    from tfred.builtin_models import load_builtin
+    from tfred.reduction import reduce_extras
+
+    def size(rf):
+        return len(rf.num.terms) + len(rf.den.terms)
+
+    def eliminated(form):
+        if form is None:
+            return None
+        return {"solved": [size(e) for _, e in form.solved], "rows": [size(r) for r in form.field]}
+
+    spec = load_builtin(name)
+    red = reduce_model(spec.system, list(spec.fast))
+    reduce_extras(red, spec.system)
+    return {
+        "reduced": [size(r) for r in red.field],
+        "Q": [[size(v) for v in row] for row in red.decomposition.projection().entries],
+        "eliminated": eliminated(red.eliminated),
+        "eliminated_conserved": eliminated(red.eliminated_conserved),
+    }
+
+
+def test_no_builtin_expression_has_more_terms_than_recorded():
+    # tests/golden/term_counts.json holds the counts of the reductions that
+    # formed P*gamma and Q from one rational function per product; carrying
+    # one denominator per block may cancel more, never less
+    import json
+    from tfred.builtin_models import BUILTINS
+
+    with open(os.path.join(os.path.dirname(__file__), "golden", "term_counts.json")) as fh:
+        ceiling = json.load(fh)
+    assert sorted(ceiling) == sorted(BUILTINS)
+
+    def at_most(got, cap, where):
+        if isinstance(cap, dict):
+            assert got.keys() == cap.keys(), where
+            for key in cap:
+                at_most(got[key], cap[key], f"{where}.{key}")
+        elif isinstance(cap, list):
+            assert len(got) == len(cap), where
+            for i, (g, c) in enumerate(zip(got, cap)):
+                at_most(g, c, f"{where}[{i}]")
+        elif cap is None:
+            assert got is None, where
+        else:
+            assert got <= cap, where
+
+    for name in sorted(BUILTINS):
+        at_most(_term_counts(name), ceiling[name], name)
+    # inhibitor's (km1 + k2) powers cancel: Q[0][0] = (km1 + k2) km3 / (...)
+    counts = _term_counts("inhibitor")
+    assert counts["Q"][0][0] == 7 < ceiling["inhibitor"]["Q"][0][0]
+
+
+def test_reduced_rows_keep_the_term_order_that_converge_sums_in():
+    # a compiled float field sums each row's terms in dict order, so a
+    # reordered but equal reduced row moves converge's numbers in the last
+    # digits.  tests/golden/term_order.json holds a sha256 of each builtin's
+    # reduced rows as exponent tuples in term order, recorded while P*gamma
+    # was formed from one rational function per product; inhibitor's entry
+    # is newer, its rows having lost their uncancelled (km1 + k2) powers
+    import hashlib
+    import json
+    from tfred.builtin_models import BUILTINS, load_builtin
+
+    with open(os.path.join(os.path.dirname(__file__), "golden", "term_order.json")) as fh:
+        recorded = json.load(fh)
+    assert sorted(recorded) == sorted(BUILTINS)
+    for name in sorted(BUILTINS):
+        spec = load_builtin(name)
+        red = reduce_model(spec.system, list(spec.fast))
+        rows = [[[list(e), str(c)] for e, c in p.monomials().items()] for r in red.field for p in (r.num, r.den)]
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == recorded[name], name

@@ -1,4 +1,4 @@
-"""Print the output of 225 CLI cases, for comparing two checkouts byte for byte.
+"""Print the output of 228 CLI cases, for comparing two checkouts byte for byte.
 
 Usage: python tools/output_check.py <src-dir>
 
@@ -13,8 +13,10 @@ down to eps = 7.8e-4, on transport_binding with fixed heterogeneous
 parameters down to 3.125e-3, and ``demo-linex`` with and without
 ``--consistent``, plus two bad ``converge --set`` values (an unknown name, a
 value outside float range), ``reduce`` on a raw model whose fast block
-overflows a float at every certificate sample, and ``reduce`` on a raw model
-with an exponent above the exact kernel's limit.  Each case prints its argv,
+overflows a float at every certificate sample, ``reduce`` on a raw model
+with an exponent above the exact kernel's limit, and three bad inputs:
+``--builtin`` together with ``--model`` (a missing file), ``converge
+--mode`` and ``reduce`` without a model.  Each case prints its argv,
 exit code, stdout and stderr.  Compare
 two checkouts with
 
@@ -79,6 +81,11 @@ path.write_text(json.dumps({
     "initial_values": {"x": {"base": "1"}, "y": {"base": "0"}}, "fast": ["y"],
 }))
 cases.append(["reduce", "--model", str(path)])
+cases += [
+    ["check", "--builtin", "mm2d", "--model", str(Path(tmp.name) / "missing.json")],
+    ["converge", "--builtin", "mm2d", "--mode", "standard"],
+    ["reduce"],
+]
 for argv in cases:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
