@@ -572,7 +572,7 @@ def _dmu_h1(dec: Decomposition, h1: Sequence[RationalFunction]) -> RFMatrix:
 class EigenSample:
     point: dict[str, Fraction]
     max_real_part: float
-    hurwitz_ok: "bool | None"
+    hurwitz_ok: bool
 
 
 @dataclass
@@ -613,15 +613,17 @@ def eigen_certificate(
     """Sample-based stability certificate for Dmu*P on the critical manifold.
 
     Generated samples draw the free symbols from the positive orthant and get
-    the dependent ones from ``solved``, the manifold relations as returned by
-    :func:`solve_equations_linear` (None: no relations).  Each sample is
-    checked to satisfy the manifold equations exactly; the verdict is "pass"
-    only if every sample has eigenvalues with real part at most -NU_MIN and
-    the exact sign test agrees.  A sample where an entry of Dmu*P is undefined
-    is rejected.  One where an entry is too large for a float has no numeric
-    eigenvalues: it is rejected if the exact test passes, and kept with
-    ``max_real_part`` NaN, failing the certificate, if it does not.  The
-    eigenvalues of all samples come from one stacked call.
+    the dependent ones from ``solved``, the manifold relations as (name,
+    expression) pairs, each expression in the free symbols and the names
+    before it (None: no relations).  ``reduce_extras`` passes y = 0 on the
+    standard route and the eliminated form's relations on the nonstandard
+    one.  Each sample is checked to satisfy the manifold equations exactly;
+    the verdict is "pass" only if every sample has eigenvalues with real part
+    at most -NU_MIN and the exact sign test agrees.  A sample where an entry
+    of Dmu*P is undefined is rejected.  One where an entry is too large for a
+    float has no numeric eigenvalues: it is rejected if the exact test passes,
+    and kept with ``max_real_part`` NaN, failing the certificate, if it does
+    not.  The eigenvalues of all samples come from one stacked call.
     """
     ctx = dec.ctx
     M = dec.dmup()
@@ -676,7 +678,7 @@ def eigen_certificate(
         sample.max_real_part = mrp
     worst = max((s.max_real_part for s in floated), default=float("nan"))
     margin = -worst
-    ok = worst <= -NU_MIN and all(s.hurwitz_ok is not False for s in samples)
+    ok = worst <= -NU_MIN and all(s.hurwitz_ok for s in samples)
     verdict = "pass" if ok else "fail"
     return EigenCertificate(M, verdict, margin, samples, "routh_hurwitz_exact+numeric", rejected)
 
@@ -692,28 +694,25 @@ def _on_manifold(mu: Sequence[RationalFunction], vals: Sequence) -> bool:
         return False
 
 
-# ---------------------------------------------------------------------------
-# Sequential linear elimination (manifold solving, eliminated forms)
-# ---------------------------------------------------------------------------
+def _fraction_char_poly(m: list[list[Fraction]]) -> list[int]:
+    """Characteristic polynomial [1, d*c1, ..., d^n*cn] of d*m, on integers.
 
-
-def _fraction_char_poly(m: list[list[Fraction]]) -> list[Fraction]:
-    """Monic characteristic polynomial [1, c1, ..., cn] of an exact numeric matrix.
-
-    Division-free, after Berkowitz (1984), on integers.  m is cleared once to
-    B = D*m, D the lcm of its denominators.  Bordering the leading block B_k
-    with column c, row r and corner a multiplies the coefficient vector of its
-    characteristic polynomial by the lower triangular Toeplitz matrix with
-    first column (1, -a, -r c, -r B_k c, ..., -r B_k^(k-1) c).  That is
-    O(n^4) integer products, less those with a zero entry of B, which are
-    skipped.  B's coefficients are D^k c_k.
+    m is an exact numeric matrix, d the lcm of its denominators and
+    [1, c1, ..., cn] its monic characteristic polynomial.  B = d*m has
+    integer entries and d times m's roots, with d > 0, so
+    :func:`is_hurwitz_stable` gives B's polynomial the verdict of m's.
+    Division-free, after Berkowitz (1984), on integers.  Bordering the leading
+    block B_k with column c, row r and corner a multiplies the coefficient
+    vector of its characteristic polynomial by the lower triangular Toeplitz
+    matrix with first column (1, -a, -r c, -r B_k c, ..., -r B_k^(k-1) c).
+    That is O(n^4) integer products, less those with a zero entry of B, which
+    are skipped.
     """
     n = len(m)
     if not n:
         return [1]
-    fracs = [v for row in m for v in row if v.__class__ is not int]
-    d = lcm(*[v.denominator for v in fracs]) if fracs else 1
-    b = [[v.numerator * (d // v.denominator) for v in row] for row in m] if fracs else m
+    d = lcm(*[v.denominator for row in m for v in row])
+    b = [[v.numerator * (d // v.denominator) for v in row] for row in m]
     a = b[0][0]
     p = [1, -a]
     # cols[i], vals[i]: the nonzero entries of row i of the leading block B_k
@@ -747,13 +746,12 @@ def _fraction_char_poly(m: list[list[Fraction]]) -> list[Fraction]:
                 rc.append(k)
             cols.append(rc)
             vals.append([bk[j] for j in rc])
-    if d == 1:
-        return p
-    out, dk = [1], 1
-    for x in p[1:]:
-        dk *= d
-        out.append(Fraction(x, dk) if x % dk else x // dk)
-    return out
+    return p
+
+
+# ---------------------------------------------------------------------------
+# Sequential linear elimination (manifold solving, eliminated forms)
+# ---------------------------------------------------------------------------
 
 
 def solve_equations_linear(
@@ -1068,9 +1066,8 @@ def reduce_extras(
     dec = red.decomposition
     if dec.mode == "standard":
         # the manifold is y = 0
-        solved = solve_equations_linear(
-            list(dec.mu), list(scaled.partition.fast), allow_underdetermined=True
-        )
+        zero = RationalFunction.coerce(dec.ctx, 0)
+        solved = [(name, zero) for name in scaled.partition.fast]
     else:
         fast = list(scaled.fast_star)
         extra_relations = []

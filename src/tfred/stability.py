@@ -1,44 +1,38 @@
 """Stability checks for the fast-block matrix: exact sign tests plus numerics.
 
-The exact path runs the Routh array of a monic characteristic polynomial,
-fraction-free on integers.  Its first column holds the ratios of consecutive
-leading Hurwitz minors, so all entries positive is equivalent to every root
-having negative real part.  The numeric path computes the eigenvalues of all
-of a certificate's evaluated matrices in one stacked call and reports the
-worst real part of each.
+The exact path runs the Routh array of a monic characteristic polynomial with
+integer coefficients, fraction-free.  Its first column holds the ratios of
+consecutive leading Hurwitz minors, so all entries positive is equivalent to
+every root having negative real part.  The numeric path computes the
+eigenvalues of all of a certificate's evaluated matrices in one stacked call
+and reports the worst real part of each.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 import numpy as np
 
 
-def is_hurwitz_stable(coeffs: Sequence[Fraction]) -> bool:
-    """Every root strictly in the left half plane (monic coefficient list).
+def is_hurwitz_stable(coeffs: Sequence[int]) -> bool:
+    """Every root strictly in the left half plane (monic integer coefficient list).
 
-    ``coeffs`` is [1, a1, ..., an] for x^n + a1*x^(n-1) + ... + an.  With D
-    the lcm of the denominators, x^n + D*a1*x^(n-1) + ... + D^n*an has integer
-    coefficients and the roots times D, so the same verdict.  One pass over
-    its Routh array, O(n^2), stopping at the first first-column entry that is
-    not positive.  Row k is kept as Routh row k times the leading Hurwitz
-    minor of order k - 1, so its first entry is the minor of order k: integers,
-    each the cross product of the two rows above divided exactly by the first
-    entry of the row three above.
+    ``coeffs`` is [1, a1, ..., an] for x^n + a1*x^(n-1) + ... + an; a
+    coefficient that is not an int raises TypeError, since the array's exact
+    divisions hold only on integers.  One pass over its Routh array, O(n^2),
+    stopping at the first first-column entry that is not positive.  Row k is
+    kept as Routh row k times the leading Hurwitz minor of order k - 1, so its
+    first entry is the minor of order k: integers, each the cross product of
+    the two rows above divided exactly by the first entry of the row three
+    above.
     """
-    ratios = [c.as_integer_ratio() for c in coeffs]
-    d = lcm(*[q for _, q in ratios])
-    a, dk = [], 1
-    for c, q in ratios:
-        a.append(c * (dk // q))
-        dk *= d
-    if any(c <= 0 for c in a[1:]):
+    if not all(isinstance(c, int) for c in coeffs):
+        raise TypeError("the Routh test takes int coefficients")
+    if any(c <= 0 for c in coeffs[1:]):
         # positivity of all coefficients is necessary for a monic Hurwitz polynomial
         return False
-    prev, row, div = a[0::2], a[1::2], 1
+    prev, row, div = coeffs[0::2], coeffs[1::2], 1
     while row:
         if row[0] <= 0:
             return False

@@ -314,6 +314,30 @@ def test_auto_route_is_decided_from_g0_without_a_refused_reduction(capsys, monke
     assert modes == ROUTES
 
 
+def test_standard_reduce_calls_no_equation_solver(capsys, monkeypatch):
+    # the standard manifold is y = 0: the certificate's samples get those
+    # relations as they are, and the greedy solver never runs
+    from tfred import reduction
+
+    calls = []
+    solve = reduction.solve_equations_linear
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(reduction, "solve_equations_linear", counting_solve)
+    for name, mode in sorted(ROUTES.items()):
+        calls.clear()
+        _, payload = run_json(capsys, "reduce", "--builtin", name)
+        if mode == "standard":
+            assert calls == [], name
+            points = [s["point"] for s in payload["certificate"]["samples"]]
+            assert points and all(p[y] == "0" for p in points for y in payload["fast"]), name
+        else:
+            assert calls, name
+
+
 def test_reduce_json_reports_the_route(capsys):
     _, payload = run_json(capsys, "reduce", "--builtin", "mm3d")
     assert payload["diagnostics"] == {"route": {

@@ -3,6 +3,7 @@ characteristic polynomial against Faddeev-LeVerrier."""
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -13,6 +14,7 @@ from tfred.matrices import fraction_nullspace, fraction_rank, fraction_solve
 from tfred.networks import Reaction, ReactionNetwork, compile_network
 from tfred.rational import Context, Polynomial, RationalFunction
 from tfred.reduction import ReductionError, reduce_extras, reduce_model
+from tfred.stability import is_hurwitz_stable
 from tfred.systems import InitialValue, eliminate_with_integral
 
 
@@ -162,6 +164,28 @@ def faddeev_leverrier(m):
     return coeffs
 
 
+def cleared_faddeev_leverrier(m):
+    """The oracle in _fraction_char_poly's form: [1, d*c1, ..., d^n*cn], d the lcm of m's denominators."""
+    d = lcm(*[v.denominator for row in m for v in row])
+    out = [c * d**k for k, c in enumerate(faddeev_leverrier(m))]
+    assert all(c.denominator == 1 for c in out)
+    return [c.numerator for c in out]
+
+
+def _hurwitz_minors(coeffs):
+    """Leading principal minors of the Hurwitz matrix of [1, a1, ..., an].
+
+    The minor of order k is (-1)^k times the constant term of its
+    Faddeev-LeVerrier polynomial.
+    """
+    n = len(coeffs) - 1
+    H = [[coeffs[t] if 0 <= (t := 2 * j - i + 1) <= n else 0 for j in range(n)] for i in range(n)]
+    return [(-1) ** k * faddeev_leverrier([row[:k] for row in H[:k]])[k] for k in range(1, n + 1)]
+
+
+KINDS = ["dense", "sparse", "zero_column", "block", "hessenberg_gap", "swap", "integer"]
+
+
 def _random_matrix(rng, n, kind):
     def entry():
         return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
@@ -203,18 +227,37 @@ def test_char_poly_agrees_with_faddeev_leverrier():
     oracle = faddeev_leverrier([[1, 2], [3, 7]])
     assert oracle == [1, -8, 1]
     assert all(type(c) is Fraction for c in oracle)
+    # (x - 1/2)(x - 1/3) = x^2 - 5/6 x + 1/6, times 6 and 36
+    assert cleared_faddeev_leverrier([[Fraction(1, 2), 0], [0, Fraction(1, 3)]]) == [1, -5, 6]
     rng = random.Random(17)
-    kinds = ["dense", "sparse", "zero_column", "block", "hessenberg_gap", "swap", "integer"]
     for case in range(500):
         # every size 1..12 ten times, then sizes up to 8 (the oracle is O(n^4))
         n = case % 12 + 1 if case < 120 else case % 8 + 1
-        kind = kinds[case % len(kinds)]
+        kind = KINDS[case % len(KINDS)]
         m = _random_matrix(rng, n, kind)
         before = [row[:] for row in m]
         got = reduction._fraction_char_poly(m)
-        assert got == faddeev_leverrier(m), (kind, m)
-        assert all(exact(c) for c in got)
+        assert got == cleared_faddeev_leverrier(m), (kind, m)
+        assert all(type(c) is int for c in got)
         assert m == before
+
+
+def test_routh_verdict_on_the_integer_char_poly_matches_hurwitz_minors():
+    # the Routh test on d*m's integer polynomial gives the verdict that the
+    # Hurwitz minors of m's monic rational polynomial give
+    rng = random.Random(29)
+    verdicts = {n: [] for n in range(1, 9)}
+    for case in range(240):
+        n = case % 8 + 1
+        m = _random_matrix(rng, n, KINDS[case % len(KINDS)])
+        # a random shift to the left, so that both verdicts occur at every size
+        shift = Fraction(rng.randint(0, 2 * n), rng.randint(1, 3))
+        for i in range(n):
+            m[i][i] -= shift
+        want = all(h > 0 for h in _hurwitz_minors(faddeev_leverrier(m)))
+        assert is_hurwitz_stable(reduction._fraction_char_poly(m)) == want, m
+        verdicts[n].append(want)
+    assert all(True in v and False in v for v in verdicts.values())
 
 
 def test_certificates_unchanged_under_the_oracle_char_poly(capsys, monkeypatch):
@@ -228,5 +271,5 @@ def test_certificates_unchanged_under_the_oracle_char_poly(capsys, monkeypatch):
         return out
 
     new = certificates()
-    monkeypatch.setattr(reduction, "_fraction_char_poly", faddeev_leverrier)
+    monkeypatch.setattr(reduction, "_fraction_char_poly", cleared_faddeev_leverrier)
     assert certificates() == new

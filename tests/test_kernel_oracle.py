@@ -3,11 +3,12 @@
 Random polynomials in two to four symbols go through tfred's products, sums,
 differences, exact division, substitution and linear solves, and every result
 is compared with sympy's ``expand`` / ``cancel`` on the same input.  The
-certificate's characteristic polynomials of transport_binding(8) are compared
-with sympy's ``DomainMatrix.charpoly`` over QQ.
+certificate's integer characteristic polynomials of transport_binding(8) are
+compared with sympy's ``DomainMatrix.charpoly`` over QQ, cleared to integers.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -194,5 +195,8 @@ def test_certificate_char_polys_of_transport_binding_8_match_sympy(monkeypatch):
     QQ = sympy.QQ
     for m in seen:
         A = DomainMatrix([[QQ(v.numerator, v.denominator) for v in row] for row in m], (15, 15), QQ)
-        want = [Fraction(int(c.numerator), int(c.denominator)) for c in A.charpoly()]
-        assert char_poly(m) == want
+        # the contract: d^k c_k for the lcm d of m's denominators, all ints
+        d = lcm(*[v.denominator for row in m for v in row])
+        want = [Fraction(int(c.numerator), int(c.denominator)) * d**k for k, c in enumerate(A.charpoly())]
+        got = char_poly(m)
+        assert got == want and all(type(c) is int for c in got)

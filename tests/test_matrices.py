@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -761,7 +762,7 @@ def test_routh_test_agrees_with_hurwitz_minors():
     stable = 0
     for _ in range(500):
         n = rng.randint(1, 7)
-        coeffs = [Fraction(1)] + [Fraction(rng.choice([-1, 0, 1, 2, 3, 4, 5, 6, 8, 12])) for _ in range(n)]
+        coeffs = [1] + [rng.choice([-1, 0, 1, 2, 3, 4, 5, 6, 8, 12]) for _ in range(n)]
         want = all(m > 0 for m in _hurwitz_minors_oracle(coeffs))
         assert is_hurwitz_stable(coeffs) == want, coeffs
         stable += want
@@ -779,8 +780,17 @@ def _poly_product(*factors):
     return out
 
 
+def _cleared(coeffs):
+    """[1, d*c1, ..., d^n*cn] for the lcm d of the denominators: integers, roots times d."""
+    d = lcm(*[Fraction(c).denominator for c in coeffs])
+    out = [Fraction(c) * d**k for k, c in enumerate(coeffs)]
+    assert all(c.denominator == 1 for c in out)
+    return [c.numerator for c in out]
+
+
 def test_integer_routh_test_on_rational_coefficients():
-    # non-integral coefficients are cleared to integers before the Routh array
+    # a rational polynomial cleared to integers as _fraction_char_poly clears
+    # its matrix keeps the verdict of its Hurwitz minors
     rng = random.Random(23)
 
     def positive():
@@ -801,7 +811,7 @@ def test_integer_routh_test_on_rational_coefficients():
         if all(c.denominator == 1 for c in coeffs):
             continue
         want = all(m > 0 for m in _hurwitz_minors_oracle(coeffs))
-        assert is_hurwitz_stable(coeffs) == want, coeffs
+        assert is_hurwitz_stable(_cleared(coeffs)) == want, coeffs
         stable += want
         cases += 1
     assert cases > 350
@@ -817,4 +827,15 @@ def test_integer_routh_test_on_rational_coefficients():
     for coeffs in boundary:
         coeffs = [Fraction(c) for c in coeffs]
         assert not all(m > 0 for m in _hurwitz_minors_oracle(coeffs)), coeffs
-        assert is_hurwitz_stable(coeffs) is False, coeffs
+        assert is_hurwitz_stable(_cleared(coeffs)) is False, coeffs
+
+
+def test_routh_test_refuses_non_integer_coefficients():
+    # stable by its Hurwitz minors; floor division in the Routh array would
+    # read it unstable, so a Fraction is refused rather than truncated
+    coeffs = [Fraction(1), Fraction(1, 4), Fraction(47, 24)]
+    assert all(m > 0 for m in _hurwitz_minors_oracle(coeffs))
+    assert is_hurwitz_stable(_cleared(coeffs)) is True
+    for bad in (coeffs, [1, Fraction(2), 3], [1, 2.0, 3]):
+        with pytest.raises(TypeError):
+            is_hurwitz_stable(bad)
