@@ -13,7 +13,8 @@ one (mu = y), a greedy one picking functionally independent entries of h0, and
 the rank-factorization route for scaled systems whose fast-block matrix is
 singular.  ``reduce_model`` picks between the first and the last from one
 elimination of the scaled fast block [G0 | g1] (``fast_block_elimination``),
-by the rank of G0, and hands that elimination to the route it picks.
+by the rank of G0, and hands that elimination to the route it picks.  Later
+solves on the manifold mu = 0 continue its one solve instead of repeating it.
 
 Solutions stay in the solved blocks of ``matrices.solve_blocks``, numerators
 over one last pivot per block, until they meet the matrix that multiplies
@@ -436,12 +437,14 @@ class EliminatedForm:
 class ReducedSystem:
     """Slow-time limit field on the critical manifold.
 
-    ``reduce_model`` also fills ``scaled`` (the scaled full system),
-    ``initial_values`` (the reduced initial value in the limit eps -> 0),
-    ``route`` (the route taken, the rank of G0(x,0) against the number of
-    fast variables, and why the other route was refused) and ``errors``
-    (stage name -> why an optional stage produced nothing);
-    ``reduce_extras`` fills the transported integrals and eliminated forms.
+    ``standard_reduce`` and ``reduce_model`` fill ``eliminated``, the solved
+    manifold substituted into the field.  ``reduce_model`` also fills
+    ``scaled`` (the scaled full system), ``initial_values`` (the reduced
+    initial value in the limit eps -> 0), ``route`` (the route taken, the
+    rank of G0(x,0) against the number of fast variables, and why the other
+    route was refused) and ``errors`` (stage name -> why an optional stage
+    produced nothing); ``reduce_extras`` fills the transported integrals and
+    the conserved form.
     """
 
     states: tuple[str, ...]
@@ -757,29 +760,31 @@ def _fraction_char_poly(m: list[list[Fraction]]) -> list[int]:
 def solve_equations_linear(
     equations: Sequence[RationalFunction],
     unknowns: Sequence[str],
-    allow_underdetermined: bool = False,
+    solved: Sequence[tuple[str, RationalFunction]] = (),
 ) -> "list[tuple[str, RationalFunction]] | None":
     """Solve equations = 0 for the unknowns by sequential linear elimination.
 
+    ``solved``, an earlier result, is substituted first and heads the result.
     Picks, at each step, an equation that is degree-one in some remaining
     unknown (preferring coefficients free of unknowns), solves and substitutes.
     Returns the solved assignments in dependency-free order (later entries
     already substituted into earlier ones), or None if stuck or inconsistent.
     """
+    solved = list(solved)
     if not equations:
-        return []
+        return solved
     ctx = equations[0].ctx
-    remaining = [RationalFunction.coerce(ctx, e) for e in equations]
-    todo = list(unknowns)
-    solved: list[tuple[str, RationalFunction]] = []
-    progress = True
-    while remaining and todo and progress:
-        progress = False
+    eqs = [RationalFunction.coerce(ctx, e) for e in equations]
+    done = dict(solved)
+    try:
+        remaining = [e for e in (e.subs(done) if done else e for e in eqs) if not e.is_zero()]
+    except ZeroDivisionError:
+        return None
+    todo = [u for u in unknowns if u not in done]
+    while remaining and todo:
         best: "tuple[tuple, int, str, RationalFunction] | None" = None
         for idx, eq in enumerate(remaining):
             num = eq.num
-            if num.is_zero():
-                continue
             used = num.symbols_used()
             n_unknowns = sum(1 for u in todo if u in used)
             if n_unknowns == 0:
@@ -806,26 +811,16 @@ def solve_equations_linear(
         solved.append((u, sol))
         todo.remove(u)
         remaining.pop(idx)
-        new_remaining = []
-        for eq in remaining:
-            try:
-                new_remaining.append(eq.subs({u: sol}))
-            except ZeroDivisionError:
-                return None
-        remaining = [e for e in new_remaining if not e.is_zero()]
-        progress = True
-    if remaining:
-        # leftover equations must be identically zero for a consistent solve
-        if not allow_underdetermined or any(not e.is_zero() for e in remaining):
+        try:
+            remaining = [e for e in (eq.subs({u: sol}) for eq in remaining) if not e.is_zero()]
+        except ZeroDivisionError:
             return None
+    if remaining:
+        return None
     # back-substitute later solutions into earlier expressions; factors worth
     # cancelling come from solution and input-equation denominators
     candidates = [e.den for _, e in solved if not e.den.is_one()]
-    candidates += [
-        RationalFunction.coerce(ctx, e).den
-        for e in equations
-        if not RationalFunction.coerce(ctx, e).den.is_one()
-    ]
+    candidates += [e.den for e in eqs if not e.den.is_one()]
     for k in range(len(solved) - 1, -1, -1):
         name, expr = solved[k]
         later = {n: e for n, e in solved[k + 1 :]}
@@ -846,7 +841,7 @@ def eliminate_on_manifold(
 
     Unknowns default to every state appearing in the manifold equations; the
     relations are solved sequentially (linear steps only) and substituted into
-    the rows of the remaining states.
+    the rows of the remaining states, continuing ``red.eliminated``'s solve.
     """
     eqs = list(red.manifold.equations) + list(extra_relations)
     if unknowns is None:
@@ -854,7 +849,8 @@ def eliminate_on_manifold(
         for e in eqs:
             used |= set(e.num.symbols_used()) | set(e.den.symbols_used())
         unknowns = [n for n in red.states if n in used]
-    solved = solve_equations_linear(eqs, unknowns, allow_underdetermined=True)
+    prefix = red.eliminated.solved if red.eliminated is not None else ()
+    solved = solve_equations_linear(eqs, unknowns, solved=prefix)
     if solved is None:
         raise ReductionError("manifold equations are not sequentially linearly solvable")
     sub = {n: e for n, e in solved}
@@ -923,8 +919,7 @@ def fast_linear_integrals(sys: GradedSystem) -> list[RationalFunction]:
 
 def integral_level(ti: TransportedIntegral, scaled: ScaledSystem) -> RationalFunction:
     """Level of a transported integral at the scaled initial point (eps -> 0)."""
-    point = scaled_initial_symbolic(scaled)
-    return ti.rf.subs(point)
+    return ti.rf.subs(scaled_initial_symbolic(scaled))
 
 
 def scaled_initial_symbolic(scaled: ScaledSystem) -> dict[str, RationalFunction]:
@@ -959,13 +954,15 @@ def reduced_initial_value(
     manifold_eqs: Sequence[RationalFunction],
     z0: Mapping[str, "RationalFunction | Fraction | int"],
     states: Sequence[str],
+    solved: Sequence[tuple[str, RationalFunction]] = (),
 ) -> dict[str, RationalFunction]:
     """Intersect the manifold with the integral level sets through z0.
 
     The intersection is solved exactly, by sequential linear elimination, or
-    refused with ReductionError; there is no numeric fallback.  The number of
-    independent integrals plus the manifold codimension should equal the state
-    count; surplus equations must vanish on the solution.
+    refused with ReductionError; there is no numeric fallback.  It continues
+    ``solved``, the manifold's relations.  The number of independent integrals
+    plus the manifold codimension should equal the state count; surplus
+    equations must vanish on the solution.
     """
     if not integrals and not manifold_eqs:
         raise ReductionError("nothing to intersect")
@@ -975,9 +972,9 @@ def reduced_initial_value(
     for psi in integrals:
         eqs.append(psi - psi.subs(point))
     eqs.extend(manifold_eqs)
-    solved = solve_equations_linear(eqs, list(states))
+    solved = solve_equations_linear(eqs, list(states), solved)
     if solved is not None:
-        out = {n: e for n, e in solved}
+        out = dict(solved)
         for n in states:
             if n not in out:
                 # untouched coordinate: keep its initial value
@@ -1002,8 +999,9 @@ def reduce_model(system: GradedSystem, fast: Sequence[str], mode: str = "auto") 
     fast-block matrix G0(x,0) is invertible and the rank-deficient route on
     the scaled system otherwise; "standard" and "nonstandard" force one
     route.  Raises InconsistentScalingError when the partition is not fully
-    consistent, and ReductionError when the chosen route is refused.  A
-    failed reduced initial value is recorded in ``errors["initial_value"]``.
+    consistent, and ReductionError when the chosen route is refused.  Both
+    routes fill ``eliminated``; a failure there or in the reduced initial
+    value is recorded in ``errors["elimination"]`` or ``["initial_value"]``.
     """
     if mode not in ("auto", "standard", "nonstandard"):
         raise ValueError(f"unknown reduction mode {mode!r}")
@@ -1018,6 +1016,10 @@ def reduce_model(system: GradedSystem, fast: Sequence[str], mode: str = "auto") 
     else:
         red = nonstandard_reduce(scaled, elimination)
         refused = {"route": "standard", "reason": STANDARD_REFUSAL}
+        try:
+            red.eliminated = eliminate_on_manifold(red, [], list(scaled.fast_star))
+        except ReductionError as exc:
+            red.errors["elimination"] = str(exc)
     red.route = {
         "chosen": red.decomposition.mode, "requested": mode, "g0_rank": rank, "fast_count": s, "refused": refused,
     }
@@ -1035,11 +1037,14 @@ def _reduced_start(red: ReducedSystem) -> dict[str, RationalFunction]:
     Standard route: the slow initial values.  Nonstandard route: the manifold
     meets the level sets of the fast flow's linear first integrals through
     the scaled initial point, which fixes one point when the integrals and
-    the manifold codimension together number the states.
+    the manifold codimension together number the states; solved from
+    ``red.eliminated``'s relations, and refused without them.
     """
     dec, scaled = red.decomposition, red.scaled
     if dec.mode == "standard":
         return _initial_limit(scaled.system, red.states)
+    if red.eliminated is None:
+        raise ReductionError(f"the manifold could not be solved: {red.errors['elimination']}")
     integrals = fast_linear_integrals(scaled.system)
     if len(integrals) + dec.r != dec.n:
         raise ReductionError(
@@ -1047,7 +1052,7 @@ def _reduced_start(red: ReducedSystem) -> dict[str, RationalFunction]:
             f"equations do not fix one point among {dec.n} states"
         )
     z0 = scaled_initial_symbolic(scaled)
-    sol = reduced_initial_value(integrals, list(dec.mu), z0, list(dec.states))
+    sol = reduced_initial_value(integrals, list(dec.mu), z0, list(dec.states), red.eliminated.solved)
     return {n: sol[n] for n in dec.states}
 
 
@@ -1057,10 +1062,9 @@ def reduce_extras(
     """Report-only stages on a ``reduce_model`` result; returns the certificate.
 
     On the nonstandard route, fills the transported linear first integrals of
-    ``system`` (the unscaled model) and the eliminated forms: the manifold
-    solved for the scaled fast variables and, when that leaves some of them,
-    the form with the conservation levels added.  A failed elimination is
-    recorded in ``errors["elimination"]``.
+    ``system`` (the unscaled model) and, when the eliminated form leaves some
+    scaled fast variables, the conserved form: that elimination continued
+    with the conservation levels.  Its failure goes to ``errors["elimination"]``.
     """
     scaled = red.scaled
     dec = red.decomposition
@@ -1082,13 +1086,12 @@ def reduce_extras(
             # manifold elimination; slow-variable laws stay informational
             if not set(ti.rf.num.symbols_used()).isdisjoint(fast):
                 extra_relations.append(ti.rf - ti.level)
-        try:
-            red.eliminated = eliminate_on_manifold(red, [], fast)
-            if extra_relations and any(n in red.eliminated.states for n in fast):
+        solved = red.eliminated.solved if red.eliminated is not None else None
+        if solved is not None and extra_relations and any(n in red.eliminated.states for n in fast):
+            try:
                 conserved = eliminate_on_manifold(red, extra_relations, fast)
                 if len(conserved.states) < len(red.eliminated.states):
                     red.eliminated_conserved = conserved
-        except ReductionError as exc:
-            red.errors["elimination"] = str(exc)
-        solved = red.eliminated.solved if red.eliminated is not None else None
+            except ReductionError as exc:
+                red.errors["elimination"] = str(exc)
     return eigen_certificate(dec, n_samples=n_samples, seed=seed, solved=solved)

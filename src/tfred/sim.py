@@ -297,6 +297,7 @@ def _dp_stepper(n: int) -> Callable:
 
 
 MAX_STEPS = 5_000_000  # accepted plus rejected steps before integrate gives up
+STEP_FLOOR = 1e-12  # least step size; also the end-point residue integrate ignores
 
 
 @dataclass
@@ -356,8 +357,6 @@ def integrate(
     rtol: float = 1e-8,
     atol: float = 1e-10,
     names: Sequence[str] = (),
-    step_floor: float = 1e-12,
-    h_fixed: "float | None" = None,
 ) -> Trajectory:
     """Adaptive embedded Runge-Kutta 5(4) with per-component error control.
 
@@ -367,9 +366,9 @@ def integrate(
     it.  Each step runs the generated step for ``len(z0)`` states, built on
     the first call for that count and cached; trajectories are bit for bit
     those of the numpy stepper it replaced.  ``atol`` must be
-    positive wherever a component can be zero.  ``h_fixed`` disables
-    adaptivity (every step accepted at that size); used for order
-    measurements.
+    positive wherever a component can be zero.  A step below ``STEP_FLOOR``
+    raises StiffnessError, or EvaluationError when non-finite stages forced
+    it there.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 <= t0:
@@ -382,8 +381,6 @@ def integrate(
     d1 = _rms([d / (atol + rtol * abs(v)) for d, v in zip(fcur, y)])
     h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
     h = min(h, (t1 - t0) / 10)
-    if h_fixed is not None:
-        h = float(h_fixed)
 
     taus = [t0]
     states = [y]
@@ -394,20 +391,20 @@ def integrate(
     while t < t1:
         if stats.steps + stats.rejected > MAX_STEPS:
             raise IntegrationError("step budget exhausted")
-        if t1 - t <= step_floor:
+        if t1 - t <= STEP_FLOOR:
             break  # endpoint reached up to float residue
-        if h < step_floor:
+        if h < STEP_FLOOR:
             raise StiffnessError(t)
         h = min(h, t1 - t)
         out = step(f, t, h, y, fcur, atol, rtol)
         if out is None:
             stats.rejected += 1
             h *= 0.25
-            if h < step_floor:
+            if h < STEP_FLOOR:
                 raise EvaluationError(t)
             continue
         ynew, k7, err_norm = out
-        if err_norm <= 1.0 or h_fixed is not None:
+        if err_norm <= 1.0:
             t = t + h
             y = ynew
             fcur = k7
@@ -418,11 +415,8 @@ def integrate(
             stats.min_step = min(stats.min_step, h)
         else:
             stats.rejected += 1
-        if h_fixed is None:
-            factor = 0.9 * err_norm ** (-0.2) if err_norm > 0 else 5.0
-            h = h * min(5.0, max(0.2, factor))
-        else:
-            h = float(h_fixed)
+        factor = 0.9 * err_norm ** (-0.2) if err_norm > 0 else 5.0
+        h = h * min(5.0, max(0.2, factor))
     state_arr = np.array(states, dtype=float)
     if not np.all(np.isfinite(state_arr)):
         raise EvaluationError(t)

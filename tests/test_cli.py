@@ -316,15 +316,17 @@ def test_auto_route_is_decided_from_g0_without_a_refused_reduction(capsys, monke
 
 def test_standard_reduce_calls_no_equation_solver(capsys, monkeypatch):
     # the standard manifold is y = 0: the certificate's samples get those
-    # relations as they are, and the greedy solver never runs
+    # relations as they are, and the greedy solver never runs.  On the
+    # nonstandard route it solves mu's rows from scratch once; the conserved
+    # form and the initial value continue from that solve
     from tfred import reduction
 
     calls = []
     solve = reduction.solve_equations_linear
 
-    def counting_solve(*args, **kwargs):
-        calls.append(args)
-        return solve(*args, **kwargs)
+    def counting_solve(equations, unknowns, solved=()):
+        calls.append((list(equations), list(solved)))
+        return solve(equations, unknowns, solved)
 
     monkeypatch.setattr(reduction, "solve_equations_linear", counting_solve)
     for name, mode in sorted(ROUTES.items()):
@@ -335,7 +337,32 @@ def test_standard_reduce_calls_no_equation_solver(capsys, monkeypatch):
             points = [s["point"] for s in payload["certificate"]["samples"]]
             assert points and all(p[y] == "0" for p in points for y in payload["fast"]), name
         else:
-            assert calls, name
+            fresh = [[e.render() for e in equations] for equations, prefix in calls if not prefix]
+            assert fresh == [payload["mu"]], name
+            assert len(calls) > 1, name
+
+
+def test_failed_manifold_elimination_refuses_the_initial_value(capsys, monkeypatch):
+    # with the manifold unsolved there is no eliminated form, and the initial
+    # value has no solve to continue: both are refused, naming the cause,
+    # and the exit code is the certificate's
+    from tfred import reduction
+
+    monkeypatch.setattr(reduction, "solve_equations_linear", lambda *args, **kwargs: None)
+    code = main(["reduce", "--builtin", "mm3d", "--format", "json"])
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert payload["eliminated"] is None and payload["reduced_initial_value"] is None
+    assert "eliminated_conserved" not in payload
+    assert code == (0 if payload["certificate"]["verdict"] == "pass" else 3)
+    assert "internal error" not in err
+    main(["reduce", "--builtin", "mm3d"])
+    text = capsys.readouterr().out
+    assert "(no eliminated form: manifold equations are not sequentially linearly solvable)" in text
+    assert (
+        "(no reduced initial value: the manifold could not be solved: "
+        "manifold equations are not sequentially linearly solvable)"
+    ) in text
 
 
 def test_reduce_json_reports_the_route(capsys):

@@ -22,17 +22,20 @@ from tfred.matrices import RFMatrix, jacobian, fraction_nullspace
 from tfred.rational import Context, RationalFunction
 from tfred.reduction import (
     NonstandardError,
+    ReducedSystem,
     ReductionError,
     StandardCaseError,
     default_sample,
     eigen_certificate,
     eliminate_on_manifold,
+    fast_linear_integrals,
     find_decomposition,
     first_order_correction,
     integral_level,
     lie_derivative,
     nonstandard_decomposition,
     nonstandard_reduce,
+    reduce_extras,
     reduce_model,
     reduce_with,
     reduced_initial_value,
@@ -432,7 +435,7 @@ def test_first_order_manifold_invariance_identity(mm3d_scaled):
 def test_eigen_certificate_mm_passes(mm3d_scaled):
     sys = mm3d_scaled.system
     dec = find_decomposition(sys.grade(0), sample_for(sys.ctx))
-    solved = solve_equations_linear(list(dec.mu), list(sys.states), allow_underdetermined=True)
+    solved = solve_equations_linear(list(dec.mu), list(sys.states))
     cert = eigen_certificate(dec, n_samples=10, seed=3, solved=solved)
     assert cert.verdict == "pass"
     assert cert.nu_margin > 0
@@ -575,6 +578,62 @@ def test_reduced_initial_value_is_exact_or_refused():
         reduced_initial_value(
             [ctx.parse("x + y")], [ctx.parse("x*y - 1")], {"x": 0, "y": 3}, ["x", "y"]
         )
+
+
+# -- solves that continue the manifold's -------------------------------------------------
+
+
+NONSTANDARD_CASES = [
+    "chain3_slowk4", "inhibitor", "mm3d", "mm3d_deg", "mm_diffusion", "transport_binding",
+    "transport_binding_slow", "transport_model(2)", "transport_model(3)", "transport_model(5)",
+]
+
+
+def _spec(case):
+    from tfred.builtin_models import load_builtin
+
+    if case.startswith("transport_model("):
+        return model_from_dict(runpy.run_path(WORKLOADS)["transport_model"](int(case[16:-1])))
+    return load_builtin(case)
+
+
+def _rendered(solved):
+    return [(n, e.render()) for n, e in solved]
+
+
+@pytest.mark.parametrize("case", NONSTANDARD_CASES)
+def test_continued_solves_equal_the_solves_from_scratch(case):
+    # reduce_model solves the manifold once; the conserved form and the
+    # initial value continue that solve.  From scratch, with no eliminated
+    # form and no solved relations, both come out the same, to the rendering
+    spec = _spec(case)
+    red = reduce_model(spec.system, list(spec.fast))
+    reduce_extras(red, spec.system, n_samples=1)
+    dec, scaled = red.decomposition, red.scaled
+    assert dec.mode == "nonstandard" and not red.errors, case
+    fast = list(scaled.fast_star)
+    scratch = ReducedSystem(red.states, red.field, red.manifold, dec)
+    assert scratch.eliminated is None
+    relations = [
+        t.rf - t.level for t in red.transported_integrals if not set(t.rf.num.symbols_used()).isdisjoint(fast)
+    ]
+    if red.eliminated_conserved is not None:
+        want = eliminate_on_manifold(scratch, relations, fast)
+        got = red.eliminated_conserved
+        assert got.states == want.states and got.solved == want.solved and got.field == want.field
+        assert _rendered(got.solved) == _rendered(want.solved)
+        assert [r.render() for r in got.field] == [r.render() for r in want.field]
+    start = reduced_initial_value(
+        fast_linear_integrals(scaled.system), list(dec.mu), scaled_initial_symbolic(scaled), list(dec.states)
+    )
+    assert list(red.initial_values) == list(dec.states)
+    assert all(red.initial_values[n] == start[n] for n in dec.states)
+    assert _rendered(red.initial_values.items()) == _rendered((n, start[n]) for n in dec.states)
+    # the manifold's rows vanish under its own solution: the prefix comes back
+    prefix = red.eliminated.solved
+    again = solve_equations_linear(list(dec.mu), fast, solved=prefix)
+    assert again == prefix and _rendered(again) == _rendered(prefix)
+    assert solve_equations_linear([], fast, solved=prefix) == prefix
 
 
 # -- property suite over random consistent systems --------------------------------------

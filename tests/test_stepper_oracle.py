@@ -47,6 +47,7 @@ _DP_A = [
 ]
 _DP_B5 = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0]
 _DP_E = [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
+_STEP_FLOOR = 1e-12
 
 
 def oracle_compile_field(exprs):
@@ -56,7 +57,7 @@ def oracle_compile_field(exprs):
     return namespace["_field"]
 
 
-def oracle_integrate(f, z0, t_span, rtol=1e-8, atol=1e-10, max_steps=5_000_000, step_floor=1e-12, h_fixed=None):
+def oracle_integrate(f, z0, t_span, rtol=1e-8, atol=1e-10, max_steps=5_000_000):
     """Returns (taus, states, derivs, stats)."""
     t0, t1 = float(t_span[0]), float(t_span[1])
     y = np.array(z0, dtype=float)
@@ -69,8 +70,6 @@ def oracle_integrate(f, z0, t_span, rtol=1e-8, atol=1e-10, max_steps=5_000_000, 
     d1 = np.sqrt(np.mean((f0 / scale) ** 2))
     h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
     h = min(h, (t1 - t0) / 10)
-    if h_fixed is not None:
-        h = float(h_fixed)
     taus = [t0]
     states = [y.copy()]
     derivs = [f0.copy()]
@@ -81,9 +80,9 @@ def oracle_integrate(f, z0, t_span, rtol=1e-8, atol=1e-10, max_steps=5_000_000, 
     while t < t1:
         if stats.steps + stats.rejected > max_steps:
             raise IntegrationError("step budget exhausted")
-        if t1 - t <= step_floor:
+        if t1 - t <= _STEP_FLOOR:
             break
-        if h < step_floor:
+        if h < _STEP_FLOOR:
             raise sim.StiffnessError(t)
         h = min(h, t1 - t)
         k[0] = fcur
@@ -101,7 +100,7 @@ def oracle_integrate(f, z0, t_span, rtol=1e-8, atol=1e-10, max_steps=5_000_000, 
         if failed:
             stats.rejected += 1
             h *= 0.25
-            if h < step_floor:
+            if h < _STEP_FLOOR:
                 raise sim.EvaluationError(t)
             continue
         ynew = y.copy()
@@ -114,7 +113,7 @@ def oracle_integrate(f, z0, t_span, rtol=1e-8, atol=1e-10, max_steps=5_000_000, 
                 err = err + h * _DP_E[i] * k[i]
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(ynew))
         err_norm = np.sqrt(np.mean((err / scale) ** 2))
-        if err_norm <= 1.0 or h_fixed is not None:
+        if err_norm <= 1.0:
             t = t + h
             y = ynew
             fcur = k[6] if np.all(np.isfinite(k[6])) else f(t, y)
@@ -125,11 +124,8 @@ def oracle_integrate(f, z0, t_span, rtol=1e-8, atol=1e-10, max_steps=5_000_000, 
             stats.min_step = min(stats.min_step, h)
         else:
             stats.rejected += 1
-        if h_fixed is None:
-            factor = 0.9 * err_norm ** (-0.2) if err_norm > 0 else 5.0
-            h = h * min(5.0, max(0.2, factor))
-        else:
-            h = float(h_fixed)
+        factor = 0.9 * err_norm ** (-0.2) if err_norm > 0 else 5.0
+        h = h * min(5.0, max(0.2, factor))
     if not np.all(np.isfinite(np.array(states))):
         raise sim.EvaluationError(t)
     return np.array(taus), np.array(states), np.array(derivs), stats
@@ -230,14 +226,6 @@ def test_reduced_field_matches_numpy_stepper(monkeypatch, reduced, model):
     red, params, z0 = reduced[model]
     field, oracle = both_fields(monkeypatch, compile_rows, red.field, list(red.states), params)
     assert_same_run(field, oracle, z0, (0.0, 2.0), GRID)
-
-
-def test_fixed_step_matches_numpy_stepper(monkeypatch, reduced):
-    red, params, _ = reduced["mm3d"]
-    system = red.scaled.system
-    field, oracle = both_fields(monkeypatch, compile_system, system, params, 1e-1)
-    z0 = numeric_initial_state(system, params, 1e-1)
-    assert_same_run(field, oracle, z0, (0.0, 1.0), GRID[:50], h_fixed=3e-3)
 
 
 @pytest.mark.parametrize("consistent", [False, True])
