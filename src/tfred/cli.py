@@ -292,6 +292,9 @@ def cmd_reduce(args) -> int:
         if "elimination" in red.errors:
             payload["eliminated"] = None
             lines.append(f"(no eliminated form: {red.errors['elimination']})")
+        if "conserved" in red.errors:
+            payload["eliminated_conserved"] = None
+            lines.append(f"(no conserved form: {red.errors['conserved']})")
         if "initial_value" in red.errors:
             payload["reduced_initial_value"] = None
             lines.append(f"(no reduced initial value: {red.errors['initial_value']})")

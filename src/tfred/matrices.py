@@ -24,6 +24,7 @@ from typing import Callable, Mapping, Sequence
 
 from .rational import (
     Context,
+    Point,
     Polynomial,
     RationalFunction,
     SymbolicError,
@@ -155,9 +156,9 @@ class RFMatrix:
     def eval(self, point: Mapping[str, object]) -> list[list[Fraction]]:
         return self.eval_at(self.ctx.point_values(point))  # type: ignore[arg-type]
 
-    def eval_at(self, vals: Sequence) -> list[list[Fraction]]:
-        """Exact entries at values from :meth:`Context.point_values`."""
-        return [[v.eval_at(vals) for v in row] for row in self.entries]
+    def eval_at(self, point: Point) -> list[list[Fraction]]:
+        """Exact entries at a point from :meth:`Context.point_values`; a zero entry is 0, unevaluated."""
+        return [[v.eval_at(point) if v.num.terms else 0 for v in row] for row in self.entries]
 
     def __repr__(self):
         return f"RFMatrix({self.rows}x{self.cols})"

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import compress
+from math import gcd, lcm
 from operator import mul, or_
 from typing import Mapping, Sequence, Union
 
@@ -217,16 +218,16 @@ class Context:
     def symbol(self, name: str) -> Symbol:
         return self.symbols[self.index[name]]
 
-    def point_values(self, point: Mapping[str, Coefficient]) -> list:
-        """Exact values of a point by symbol index (None where unbound).
+    def point_values(self, point: Mapping[str, Coefficient]) -> "Point":
+        """A point's exact values, cleared to integers over one denominator.
 
-        Convert a point once and evaluate any number of polynomials at it with
-        :meth:`Polynomial.eval_at`.
+        Clear a point once and evaluate any number of polynomials at it with
+        :meth:`Polynomial.eval_at`; :meth:`Point.bind` extends it in place.
         """
         vals: list = [None] * len(self.symbols)
         for name, v in point.items():
             vals[self.index[name]] = Q(v)
-        return vals
+        return Point(self, vals)
 
     def parse(self, text: str) -> "RationalFunction":
         return _Parser(self, text).parse()
@@ -241,6 +242,43 @@ class Context:
         return f"Context(states={[s.name for s in self.states]}, params={[p.name for p in self.params]})"
 
 
+class Point:
+    """Exact values of a context's symbols as integers over one common denominator.
+
+    ``nums[i]`` is symbol i's value times ``den`` (None where unbound), with
+    ``den`` > 0 the lcm of the values' denominators.  A polynomial of total
+    degree D then takes the value (sum of integer term products, each lifted
+    by den^(D - deg)) / (its coefficient denominator * den^D), with no
+    Fraction until the end.  The powers of ``den`` are cached.
+    """
+
+    __slots__ = ("ctx", "nums", "den", "_powers")
+
+    def __init__(self, ctx: Context, values: Sequence):
+        self.ctx = ctx
+        self.den = den = lcm(*[v.denominator for v in values if v is not None])
+        self.nums: list = [None if v is None else v.numerator * (den // v.denominator) for v in values]
+        self._powers: dict[int, int] = {}
+
+    def bind(self, name: str, value: Coefficient) -> None:
+        """Set one symbol's value; a new denominator rescales ``nums`` and raises ``den``."""
+        value = Q(value)
+        d = value.denominator
+        f = d // gcd(self.den, d)
+        if f != 1:
+            self.nums = [None if a is None else a * f for a in self.nums]
+            self.den *= f
+            self._powers.clear()
+        self.nums[self.ctx.index[name]] = value.numerator * (self.den // d)
+
+    def power(self, k: int) -> int:
+        """den^k, cached."""
+        p = self._powers.get(k)
+        if p is None:
+            p = self._powers[k] = self.den**k
+        return p
+
+
 class Polynomial:
     """Sparse multivariate polynomial with exact rational coefficients.
 
@@ -251,17 +289,20 @@ class Polynomial:
     constructor takes exponent tuples (one entry per context symbol) and
     packs them; :meth:`monomials` gives the terms back keyed by tuples.
     Instances are immutable by convention: no method mutates ``terms`` after
-    construction.  ``_flat`` holds the terms as (coefficient, ((index, power),
-    ...)) over the nonzero powers, built by the first :meth:`eval_at` and
-    reused by every later one.
+    construction.  ``_cleared`` holds the terms for evaluation at a
+    :class:`Point`: one coefficient denominator q (the lcm of the
+    coefficients' denominators), the total degree D, and the terms grouped by
+    D - deg, each as its integer coefficient times q with its ((index, power),
+    ...) over the nonzero powers.  It is built by the first :meth:`eval_at`
+    and reused by every later one.
     """
 
-    __slots__ = ("ctx", "terms", "_flat")
+    __slots__ = ("ctx", "terms", "_cleared")
 
     def __init__(self, ctx: Context, terms: dict[tuple[int, ...], "int | Fraction"]):
         self.ctx = ctx
         self.terms = _clean({ctx.pack(e): c for e, c in terms.items()})
-        self._flat = None
+        self._cleared = None
 
     @staticmethod
     def _of(ctx: Context, terms: dict) -> "Polynomial":
@@ -269,7 +310,7 @@ class Polynomial:
         p = object.__new__(Polynomial)
         p.ctx = ctx
         p.terms = terms
-        p._flat = None
+        p._cleared = None
         return p
 
     # -- predicates --------------------------------------------------------
@@ -467,23 +508,50 @@ class Polynomial:
         """Exact evaluation; every symbol occurring in the polynomial must be bound."""
         return self.eval_at(self.ctx.point_values(point))
 
-    def eval_at(self, vals: Sequence) -> "int | Fraction":
-        """Exact evaluation at values from :meth:`Context.point_values`."""
-        flat = self._flat
-        if flat is None:
-            unpack = self.ctx.unpack
-            flat = self._flat = [
-                (c, tuple((i, k) for i, k in enumerate(unpack(e)) if k)) for e, c in self.terms.items()
-            ]
+    def eval_at(self, point: Point) -> "int | Fraction":
+        """Exact evaluation at a point from :meth:`Context.point_values`."""
+        return _div(*self.cleared_at(point))
+
+    def cleared_at(self, point: Point) -> tuple[int, int]:
+        """(n, d) with d > 0 and n/d the value at ``point``, both integers.
+
+        Raises SymbolicError naming the first unbound symbol in term order.
+        """
+        cleared = self._cleared
+        if cleared is None:
+            cleared = self._cleared = self._clear()
+        q, top, groups = cleared
+        nums = point.nums
         total = 0
-        for c, factors in flat:
-            for i, k in factors:
-                v = vals[i]
-                if v is None:
-                    raise SymbolicError(f"unbound symbol {self.ctx.symbols[i].name} in evaluation")
-                c = c * (v if k == 1 else v ** k)
-            total += c
-        return Q(total)
+        try:
+            for lift, group in groups:
+                s = 0
+                for c, factors in group:
+                    for i, k in factors:
+                        a = nums[i]
+                        c *= a if k == 1 else a**k
+                    s += c
+                total += s * point.power(lift) if lift else s
+        except TypeError:  # an unbound value is None
+            unpack = self.ctx.unpack
+            i = next(i for e in self.terms for i, k in enumerate(unpack(e)) if k and nums[i] is None)
+            raise SymbolicError(f"unbound symbol {self.ctx.symbols[i].name} in evaluation") from None
+        return total, q * point.power(top)
+
+    def _clear(self) -> tuple:
+        """(q, D, groups) for :meth:`cleared_at`; see the class docstring."""
+        terms = self.terms
+        if not terms:
+            return 1, 0, []
+        q = lcm(*[c.denominator for c in terms.values() if c.__class__ is not int])
+        dshift, unpack = self.ctx.dshift, self.ctx.unpack
+        top = max(terms) >> dshift
+        groups: dict[int, list] = {}
+        for e, c in terms.items():
+            n = c * q if c.__class__ is int else c.numerator * (q // c.denominator)
+            factors = tuple((i, k) for i, k in enumerate(unpack(e)) if k)
+            groups.setdefault(top - (e >> dshift), []).append((n, factors))
+        return q, top, list(groups.items())
 
     # -- epsilon grading -----------------------------------------------------
 
@@ -775,6 +843,8 @@ class RationalFunction:
 
     def subs(self, bindings: Mapping[str, "RationalFunction | Polynomial | Coefficient"]) -> "RationalFunction":
         num = self.num.subs_rf(bindings)
+        if self.den.is_one():
+            return num
         den = self.den.subs_rf(bindings)
         if den.is_zero():
             names = ", ".join(sorted(bindings))
@@ -786,12 +856,16 @@ class RationalFunction:
     def eval(self, point: Mapping[str, Coefficient]) -> "int | Fraction":
         return self.eval_at(self.ctx.point_values(point))
 
-    def eval_at(self, vals: Sequence) -> "int | Fraction":
-        """Exact value at values from :meth:`Context.point_values`."""
-        d = self.den.eval_at(vals)
-        if d == 0:
+    def eval_at(self, point: Point) -> "int | Fraction":
+        """Exact value at a point from :meth:`Context.point_values`.
+
+        The denominator is evaluated first; the one Fraction is the quotient.
+        """
+        dn, dd = self.den.cleared_at(point)
+        if not dn:
             raise ZeroDivisionError(f"denominator {self.den.render()} vanishes at sample point")
-        return _div(self.num.eval_at(vals), d)
+        nn, nd = self.num.cleared_at(point)
+        return _div(nn * dd, nd * dn)
 
     # -- epsilon structure ------------------------------------------------------
 
@@ -872,11 +946,18 @@ def substitute(
     image denominator, raised to the highest total power its images reach in
     any term.  The terms are summed into one dict in p's order, and the powers
     of the image denominators that the numerator shares are then divided out.
+    Only the images of symbols that occur in p are expanded, but every image
+    denominator stays a candidate for that division, in the order of
+    ``images``: a factor of p may cancel against an image it does not use.
+    When no bound symbol occurs in p and ctx is p's own, the result is
+    (p, 1), which is what the expansion would rebuild.
     """
     one = ctx.one()
-    bound = []  # (index in p's context, image numerator)
+    used = reduce(or_, p.terms, 0)  # every field of a symbol occurring in p is nonzero here
+    skip = set()  # the indices in p's context of every bound symbol
+    bound = []  # (index in p's context, image numerator) of the bound symbols occurring in p
     dens: list[Polynomial] = []  # the distinct image denominators other than 1
-    groups: list[list[int]] = []  # per denominator, the indices in p's context over it
+    groups: list[list[int]] = []  # per denominator, the occurring indices in p's context over it
     for name, v in images.items():
         if isinstance(v, RationalFunction):
             num, den = v.num, v.den
@@ -885,13 +966,18 @@ def substitute(
         if num.ctx is not ctx:
             raise SymbolicError(f"image of {name} lives in another context")
         i = p.ctx.index[name]
-        bound.append((i, num))
+        skip.add(i)
+        occurs = used >> p.ctx.shifts[i] & _FIELD
+        if occurs:
+            bound.append((i, num))
         if not den.is_one():
             if den not in dens:
                 dens.append(den)
                 groups.append([])
-            groups[dens.index(den)].append(i)
-    skip = {i for i, _ in bound}
+            if occurs:
+                groups[dens.index(den)].append(i)
+    if not bound and p.ctx is ctx:
+        return p, one
     exps = list(map(p.ctx.unpack, p.terms))
     if p.ctx is ctx:
         # the kept fields stay in place: masking out the bound ones skips

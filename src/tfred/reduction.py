@@ -45,6 +45,7 @@ from .matrices import (
 )
 from .rational import (
     Context,
+    Point,
     Polynomial,
     Q,
     RationalFunction,
@@ -620,9 +621,13 @@ def eigen_certificate(
     expression) pairs, each expression in the free symbols and the names
     before it (None: no relations).  ``reduce_extras`` passes y = 0 on the
     standard route and the eliminated form's relations on the nonstandard
-    one.  Each sample is checked to satisfy the manifold equations exactly;
-    the verdict is "pass" only if every sample has eigenvalues with real part
-    at most -NU_MIN and the exact sign test agrees.  A sample where an entry
+    one.  Each point is cleared to integers once, by
+    :meth:`Context.point_values`, and the relations' values extend it in
+    place; a point where a relation is undefined is skipped.  Each sample is
+    checked to satisfy the manifold equations exactly, on the integer
+    numerators of its values, and a zero entry of Dmu*P is filled as 0, not
+    evaluated.  The verdict is "pass" only if every sample has eigenvalues
+    with real part at most -NU_MIN and the exact sign test agrees.  A sample where an entry
     of Dmu*P is undefined is rejected.  One where an entry is too large for a
     float has no numeric eigenvalues: it is rejected if the exact test passes,
     and kept with ``max_real_part`` NaN, failing the certificate, if it does
@@ -630,14 +635,14 @@ def eigen_certificate(
     """
     ctx = dec.ctx
     M = dec.dmup()
-    # each point with its values by symbol index, converted once
-    points: list[tuple[dict[str, Fraction], list]] = []
+    # each point with its values cleared to integers, once
+    points: list[tuple[dict[str, Fraction], Point]] = []
     rejected = 0
     if sample_points is not None:
         for p in sample_points:
-            vals = ctx.point_values(p)
-            if _on_manifold(dec.mu, vals):
-                points.append((dict(p), vals))
+            cleared = ctx.point_values(p)
+            if _on_manifold(dec.mu, cleared):
+                points.append((dict(p), cleared))
         rejected = len(sample_points) - len(points)
     else:
         rng = random.Random(seed)
@@ -645,21 +650,22 @@ def eigen_certificate(
         while len(points) < n_samples and tries < 50 * n_samples:
             tries += 1
             pt = default_sample(ctx, seed=rng.randint(0, 10**9))
-            vals = ctx.point_values(pt)
+            cleared = ctx.point_values(pt)
             if solved is not None:
                 try:
                     for name, expr in solved:
-                        pt[name] = vals[ctx.index[name]] = expr.eval_at(vals)
+                        pt[name] = value = expr.eval_at(cleared)
+                        cleared.bind(name, value)
                 except ZeroDivisionError:
                     continue
-            if _on_manifold(dec.mu, vals):
-                points.append((pt, vals))
+            if _on_manifold(dec.mu, cleared):
+                points.append((pt, cleared))
     samples: list[EigenSample] = []
     floated: list[EigenSample] = []  # the samples whose matrix is in numeric
     numeric: list[list[list[float]]] = []
-    for pt, vals in points:
+    for pt, cleared in points:
         try:
-            exact = M.eval_at(vals)
+            exact = M.eval_at(cleared)
         except ZeroDivisionError:
             rejected += 1
             continue
@@ -686,15 +692,13 @@ def eigen_certificate(
     return EigenCertificate(M, verdict, margin, samples, "routh_hurwitz_exact+numeric", rejected)
 
 
-def _on_manifold(mu: Sequence[RationalFunction], vals: Sequence) -> bool:
-    """Every manifold equation vanishes exactly at the point (and is defined there).
+def _on_manifold(mu: Sequence[RationalFunction], point: Point) -> bool:
+    """Every manifold equation is defined at the point and vanishes there exactly.
 
-    ``vals`` are the point's values from :meth:`Context.point_values`.
+    Tested on the integer numerators of the cleared values: a denominator's
+    is nonzero, a numerator's zero.
     """
-    try:
-        return all(m.eval_at(vals) == 0 for m in mu)
-    except ZeroDivisionError:
-        return False
+    return all(m.den.cleared_at(point)[0] and not m.num.cleared_at(point)[0] for m in mu)
 
 
 def _fraction_char_poly(m: list[list[Fraction]]) -> list[int]:
@@ -1064,7 +1068,7 @@ def reduce_extras(
     On the nonstandard route, fills the transported linear first integrals of
     ``system`` (the unscaled model) and, when the eliminated form leaves some
     scaled fast variables, the conserved form: that elimination continued
-    with the conservation levels.  Its failure goes to ``errors["elimination"]``.
+    with the conservation levels.  Its failure goes to ``errors["conserved"]``.
     """
     scaled = red.scaled
     dec = red.decomposition
@@ -1093,5 +1097,5 @@ def reduce_extras(
                 if len(conserved.states) < len(red.eliminated.states):
                     red.eliminated_conserved = conserved
             except ReductionError as exc:
-                red.errors["elimination"] = str(exc)
+                red.errors["conserved"] = str(exc)
     return eigen_certificate(dec, n_samples=n_samples, seed=seed, solved=solved)

@@ -2,10 +2,11 @@
 stacked eigenvalues, and which samples it rejects or fails on."""
 
 import json
-import random
-from fractions import Fraction
-
 import math
+import os
+import random
+import runpy
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tfred.matrices import RFMatrix
-from tfred.rational import Q, Context, Polynomial, RationalFunction, SymbolicError
+from tfred.rational import Q, Context, Point, Polynomial, RationalFunction, SymbolicError
 from tfred.reduction import Decomposition, default_sample, eigen_certificate
 from tfred.stability import max_real_part
 
@@ -97,14 +98,45 @@ rfs = st.builds(RationalFunction, polys(), polys().filter(lambda p: not p.is_zer
 # None leaves a symbol unbound; small values make denominators vanish often
 small = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2))
 points = st.lists(st.one_of(st.none(), small), min_size=CTX.nvars, max_size=CTX.nvars)
+# a value bound into a cleared point later, often over a new denominator
+later = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 5))
+
+
+def cleared(values):
+    """The point of a value list (None: unbound), cleared by ``Context.point_values``."""
+    return CTX.point_values({s.name: v for s, v in zip(CTX.symbols, values) if v is not None})
+
+
+def assert_value(rf, point, values):
+    got = outcome(rf.eval_at, point)
+    assert got == outcome(reference_eval, rf, values)
+    if not isinstance(got, tuple):
+        # an int exactly when the value is integral
+        assert type(got) is type(Q(got))
+    for poly in (rf.num, rf.den):
+        try:
+            want = reference_value(poly, values)
+        except SymbolicError as exc:
+            want = (SymbolicError, str(exc))
+        assert outcome(poly.eval_at, point) == want
 
 
 @settings(max_examples=300, deadline=None)
-@given(rfs, points, points)
-def test_eval_at_matches_the_term_sum_before_and_after_its_terms_are_flattened(rf, first, second):
-    for vals in (first, second):
-        vals = [None if v is None else Q(v) for v in vals]
-        assert outcome(rf.eval_at, vals) == outcome(reference_eval, rf, vals)
+@given(rfs, points, points, st.integers(0, CTX.nvars - 1), later)
+def test_eval_at_matches_the_term_sum_at_cleared_and_extended_points(rf, first, second, i, value):
+    # the first evaluation clears the terms, the later ones reuse them
+    for values in (first, second):
+        values = [None if v is None else Q(v) for v in values]
+        point = cleared(values)
+        assert point.den > 0
+        assert point.nums == [None if v is None else v * point.den for v in values]
+        assert_value(rf, point, values)
+    # extended in place: a new denominator rescales the integers
+    point.bind(CTX.symbols[i].name, value)
+    values[i] = Q(value)
+    assert point.den % value.denominator == 0
+    assert point.nums == [None if v is None else v * point.den for v in values]
+    assert_value(rf, point, values)
 
 
 def test_eval_at_raises_on_an_unbound_symbol_and_a_vanishing_denominator():
@@ -114,6 +146,17 @@ def test_eval_at_raises_on_an_unbound_symbol_and_a_vanishing_denominator():
     with pytest.raises(ZeroDivisionError, match="vanishes"):
         rf.eval_at(CTX.point_values({"x": 1, "y": 1}))
     assert rf.eval_at(CTX.point_values({"x": 3, "y": 1})) == Fraction(3, 2)
+    # the denominator is evaluated first: its unbound symbol, or its zero,
+    # is reported before anything in the numerator
+    rf = CTX.parse("x*a / (a*y^2 - y + x)")
+    for bound, name in [({}, "y"), ({"x": 1}, "y"), ({"y": 1}, "a")]:
+        with pytest.raises(SymbolicError, match=f"^unbound symbol {name} in evaluation$"):
+            rf.eval_at(CTX.point_values(bound))
+    with pytest.raises(ZeroDivisionError, match=r"^denominator a\*y\^2 \+ x - y vanishes at sample point$"):
+        rf.eval_at(CTX.point_values({"y": 1, "a": Fraction(1, 2), "x": Fraction(1, 2)}))
+    # in a polynomial, the first unbound symbol in term order
+    with pytest.raises(SymbolicError, match="^unbound symbol x in evaluation$"):
+        rf.num.eval_at(CTX.point_values({}))
 
 
 # -- rejected samples -------------------------------------------------------------------
@@ -170,3 +213,68 @@ def test_certificate_without_a_float_value_is_strict_json():
         payload = json.loads(json.dumps(cert.to_json()), parse_constant=refuse)
         assert payload["nu_margin"] == margin
         assert payload["samples"][0]["max_real_part"] is None
+
+
+# -- generated samples ---------------------------------------------------------------
+
+
+def test_a_drawn_point_where_a_solved_relation_is_undefined_is_skipped(monkeypatch):
+    # the manifold y*(x - 1) = 1 solved as y = 1/(x - 1), and Dmu*P = -1 on it;
+    # a draw with x = 1 has no y: it is skipped, not counted or evaluated
+    from tfred import reduction
+
+    P = RFMatrix(CTX, [[CTX.parse("0")], [CTX.parse("-1/(x - 1)")]])
+    dec = Decomposition(CTX, ("x", "y"), P, [CTX.parse("y*(x - 1) - 1")], "general")
+    drawn = []
+
+    def recording(ctx, seed=0):
+        drawn.append(default_sample(ctx, seed))
+        return dict(drawn[-1])
+
+    monkeypatch.setattr(reduction, "default_sample", recording)
+    cert = eigen_certificate(dec, n_samples=25, seed=3, solved=[("y", CTX.parse("1/(x - 1)"))])
+    assert any(p["x"] == 1 for p in drawn)
+    kept = [p for p in drawn if p["x"] != 1]
+    assert [s.point for s in cert.samples] == [{**p, "y": 1 / (p["x"] - 1)} for p in kept]
+    assert (len(cert.samples), cert.rejected, cert.verdict) == (25, 0, "pass")
+    assert all(s.max_real_part == -1.0 and s.hurwitz_ok for s in cert.samples)
+
+
+def test_certificate_clears_each_drawn_point_once_and_skips_zero_entries(monkeypatch):
+    # transport_binding(4): each drawn point is cleared by one point_values
+    # call and extended by the solved relations; the zero entries of Dmu*P
+    # are filled in, never evaluated
+    from tfred import reduction
+    from tfred.modelfile import model_from_dict
+    from tfred.reduction import reduce_model
+
+    workloads = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
+    spec = model_from_dict(runpy.run_path(workloads)["transport_model"](4))
+    red = reduce_model(spec.system, list(spec.fast))
+    dec, solved = red.decomposition, red.eliminated.solved
+    M = dec.dmup()
+    zeros = {id(v) for row in M.entries for v in row if v.is_zero()}
+    assert (M.rows * M.cols, len(zeros)) == (49, 23)
+    counts = {"drawn": 0, "cleared": 0, "bound": 0, "zero_evals": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    eval_at = RationalFunction.eval_at
+
+    def entry_eval(self, point):
+        counts["zero_evals"] += id(self) in zeros
+        return eval_at(self, point)
+
+    monkeypatch.setattr(reduction, "default_sample", counting("drawn", reduction.default_sample))
+    monkeypatch.setattr(Context, "point_values", counting("cleared", Context.point_values))
+    monkeypatch.setattr(Point, "bind", counting("bound", Point.bind))
+    monkeypatch.setattr(RationalFunction, "eval_at", entry_eval)
+    cert = eigen_certificate(dec, n_samples=25, seed=1, solved=solved)
+    assert len(cert.samples) == 25 and cert.verdict == "pass"
+    assert counts["cleared"] == counts["drawn"] >= 25
+    assert counts["bound"] == len(solved) * counts["drawn"]
+    assert counts["zero_evals"] == 0

@@ -365,6 +365,38 @@ def test_failed_manifold_elimination_refuses_the_initial_value(capsys, monkeypat
     ) in text
 
 
+def test_failed_conserved_form_keeps_the_eliminated_form(capsys, monkeypatch):
+    # the solver fails inside reduce_extras only, where its one call is the
+    # conserved form's solve continuing the manifold's: the eliminated form
+    # and the initial value stay, and the failure is the conserved form's
+    from tfred import cli, reduction
+
+    extras = cli.reduce_extras
+
+    def extras_with_failing_solver(*args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(reduction, "solve_equations_linear", lambda *a, **k: None)
+            return extras(*args, **kwargs)
+
+    main(["reduce", "--builtin", "mm3d", "--format", "json"])
+    want = json.loads(capsys.readouterr().out)
+    monkeypatch.setattr(cli, "reduce_extras", extras_with_failing_solver)
+    code = main(["reduce", "--builtin", "mm3d", "--format", "json"])
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert want["eliminated_conserved"] is not None
+    assert payload["eliminated"] == want["eliminated"] and payload["eliminated"] is not None
+    assert payload["reduced_initial_value"] == want["reduced_initial_value"] is not None
+    assert payload["eliminated_conserved"] is None
+    assert code == 0 and "internal error" not in err
+    main(["reduce", "--builtin", "mm3d"])
+    text = capsys.readouterr().out
+    assert "eliminated form (on the manifold):" in text
+    assert "no eliminated form" not in text and "eliminated form (with conservation laws):" not in text
+    assert "(no conserved form: manifold equations are not sequentially linearly solvable)" in text
+    assert "reduced initial value:" in text
+
+
 def test_reduce_json_reports_the_route(capsys):
     _, payload = run_json(capsys, "reduce", "--builtin", "mm3d")
     assert payload["diagnostics"] == {"route": {

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tfred.rational import Context, SubstitutionError, SymbolicError, substitute
+from tfred.rational import Context, Polynomial, RationalFunction, SubstitutionError, SymbolicError, substitute
 
 
 @pytest.fixture
@@ -80,6 +80,41 @@ def test_substitute_into_another_context(mm):
         substitute(p, small, {"e": small.sym("c")})
     with pytest.raises(SymbolicError):
         substitute(p, small, {"s": mm.sym("e")})
+
+
+def test_an_unused_image_denominator_still_cancels():
+    # y does not occur, but its image's denominator a + 1 is a factor of p
+    # and of x's image denominator: it stays a candidate for the division
+    ctx = Context(["x", "y"], ["a", "b"])
+    p = ctx.parse_poly("(a + 1)*(a + 2)*x")
+    got = p.subs_rf({"x": ctx.parse("1/((a + 1)*(b + 1))"), "y": ctx.parse("1/(a + 1)")})
+    assert got.render() == "(a + 2) / (b + 1)"
+
+
+def test_substitution_of_symbols_that_do_not_occur_returns_the_terms_in_order(mm):
+    # terms inserted out of graded-lex order, a Fraction coefficient, and
+    # images with denominators: the result is p itself over 1
+    p = Polynomial(mm, {(0, 1, 0, 0, 0, 0, 0): 2, (0, 0, 0, 1, 0, 0, 0): Fraction(-1, 3), (0, 1, 1, 0, 0, 0, 1): 1})
+    images = {"s": mm.parse("e/(k1 + k2)"), "km1": mm.parse("c/(k1*k2)"), "k2": 0}
+    num, den = substitute(p, mm, images)
+    assert list(num.terms.items()) == list(p.terms.items())
+    assert den.is_one()
+    got = p.subs_rf(images)
+    assert list(got.num.terms.items()) == list(p.terms.items()) and got.den.is_one()
+    assert list(mm.parse("(e + 1)/(k1 + 2)").subs(images).num.terms) == list(mm.parse_poly("e + 1").terms)
+
+
+def test_substitution_into_another_context_checks_every_unbound_symbol(mm):
+    # s does not occur in p: binding it is enough for the target without s,
+    # and leaving it unbound is refused, as when it occurs
+    small = Context(["e", "c"], ["k1", "km1", "k2"])
+    p = mm.parse_poly("k1*e - km1*c")
+    num, den = substitute(p, small, {"s": small.sym("c")})
+    assert (list(num.terms.items()), den.is_one()) == (list(small.parse_poly("k1*e - km1*c").terms.items()), True)
+    with pytest.raises(SymbolicError, match="^symbol s missing from the target context$"):
+        substitute(p, small, {"e": small.sym("c")})
+    with pytest.raises(SymbolicError, match="^symbol s missing from the target context$"):
+        substitute(p, small, {})
 
 
 def test_substitution_reports_vanishing_denominator(mm):
@@ -194,3 +229,18 @@ def test_product_rule(p, q):
     lhs = (p * q).diff("s")
     rhs = p.diff("s") * q + p * q.diff("s")
     assert lhs == rhs
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys(), st.lists(st.sampled_from(["s", "c", "k1"]), unique=True))
+def test_subs_over_a_denominator_of_one_equals_the_quotient_of_both_substitutions(p, names):
+    # RationalFunction.subs substitutes only the numerator over a denominator
+    # of 1: the same terms in the same order as num.subs_rf / den.subs_rf
+    ctx = polys.ctx
+    images = {"s": ctx.parse("e/(k1 + 1)"), "c": ctx.parse("k1*s/(e + k2)"), "k1": ctx.parse_poly("km1 + 2")}
+    bindings = {n: images[n] for n in names}
+    rf = RationalFunction.of(p)
+    got = rf.subs(bindings)
+    want = rf.num.subs_rf(bindings) / rf.den.subs_rf(bindings)
+    assert list(got.num.terms.items()) == list(want.num.terms.items())
+    assert list(got.den.terms.items()) == list(want.den.terms.items())

@@ -1,4 +1,4 @@
-"""Print the output of 229 CLI cases, for comparing two checkouts byte for byte.
+"""Print the output of 230 CLI cases, for comparing two checkouts byte for byte.
 
 Usage: python tools/output_check.py <src-dir>
 
@@ -8,7 +8,8 @@ x --seed {0, 7}, plus ``reduce --mode standard|nonstandard`` on mm2d and mm3d
 and the inconsistent partition ``--fast s`` of mm3d, plus ``reduce --model
 ... --format json`` on transport_binding(N) model files for N = 2, 3, 5, 7, 8, 10, 16 (built
 by ``bench/workloads.py``'s ``transport_model``, written to a temporary
-directory that is printed as ``<tmp>``), plus the benchmark's ladder jobs: ``converge`` on mm2d and mm3d
+directory that is printed as ``<tmp>``), plus ``reduce --model ... --seed 7
+--samples 60 --format json`` on transport_binding(4), plus the benchmark's ladder jobs: ``converge`` on mm2d and mm3d
 down to eps = 7.8e-4, on transport_binding with fixed heterogeneous
 parameters down to 3.125e-3, and ``demo-linex`` with and without
 ``--consistent``, plus two bad ``converge --set`` values (an unknown name, a
@@ -65,6 +66,10 @@ for N in (2, 3, 5, 7, 8, 10, 16):
     path = Path(tmp.name) / f"transport_binding_N{N}.json"
     path.write_text(json.dumps(transport_model(N)))
     cases.append(["reduce", "--model", str(path), "--format", "json"])
+# many certificate samples, each extended by the manifold's solved relations
+path = Path(tmp.name) / "transport_binding_N4.json"
+path.write_text(json.dumps(transport_model(4)))
+cases.append(["reduce", "--model", str(path), "--seed", "7", "--samples", "60", "--format", "json"])
 # a fast block whose every certificate sample overflows a float
 path = Path(tmp.name) / "overflow.json"
 path.write_text(json.dumps({
