@@ -1,7 +1,7 @@
 """Degenerate scalings and singular-perturbation reductions of polynomial ODE models."""
 
 from .rational import Context, Polynomial, RationalFunction, Symbol
-from .matrices import RFMatrix, char_poly, hadamard_factor, linear_solve, rank_and_factor
+from .matrices import RFMatrix, hadamard_factor
 from .systems import (
     GradedSystem,
     InitialValue,
@@ -21,11 +21,9 @@ from .reduction import (
     ReducedSystem,
     eigen_certificate,
     find_decomposition,
-    nonstandard_reduce,
     reduce_model,
     reduce_with,
     reduced_initial_value,
-    slow_manifold_first_order,
     standard_decomposition,
     standard_reduce,
     transform_first_integral,

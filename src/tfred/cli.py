@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys as _sys
 from fractions import Fraction
@@ -39,6 +40,7 @@ from .reduction import (
     reduce_model,
 )
 from .sim import (
+    MAX_RUNGS,
     IntegrationError,
     convergence_study,
     default_ladder,
@@ -118,8 +120,10 @@ def parse_ladder(text: str) -> list[float]:
         ladder = [float(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise InputError(f"--ladder {text!r}: {exc}") from exc
-    if not ladder or not all(e > 0 for e in ladder) or any(a <= b for a, b in zip(ladder, ladder[1:])):
-        raise InputError(f"--ladder {text!r}: need positive, strictly decreasing eps values")
+    if not ladder or not all(0 < e < math.inf for e in ladder) or any(a <= b for a, b in zip(ladder, ladder[1:])):
+        raise InputError(f"--ladder {text!r}: need finite, positive, strictly decreasing eps values")
+    if len(ladder) > MAX_RUNGS:
+        raise InputError(f"--ladder {text!r}: {len(ladder)} rungs, more than {MAX_RUNGS}")
     return ladder
 
 

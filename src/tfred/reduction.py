@@ -3,18 +3,19 @@
 The central object is a decomposition h0 = P*mu with rank P = rank Dmu = r.
 From it come the projection Q = Id - P(Dmu P)^(-1) Dmu, the reduced slow-time
 field q = Q*h1 (computed without forming Q, through one linear solve), the
-critical manifold mu = 0, first-order manifold corrections, eigenvalue
-certificates for the fast block, transported first integrals, and reduced
-initial values obtained by intersecting the manifold with the level sets of
-fast-system first integrals.
+critical manifold mu = 0, eigenvalue certificates for the fast block,
+transported first integrals, and reduced initial values obtained by
+intersecting the manifold with the level sets of fast-system first integrals.
 
 Three decomposition builders cover the use cases: the classical fast-variable
 one (mu = y), a greedy one picking functionally independent entries of h0, and
 the rank-factorization route for scaled systems whose fast-block matrix is
-singular.  ``reduce_model`` picks between the first and the last from one
-elimination of the scaled fast block [G0 | g1] (``fast_block_elimination``),
-by the rank of G0, and hands that elimination to the route it picks.  Later
-solves on the manifold mu = 0 continue its one solve instead of repeating it.
+singular.  Callers reach a route only through ``reduce_model``: it eliminates
+the scaled fast block [G0 | g1] once (``fast_block_elimination``), picks the
+standard or the nonstandard route by the rank of G0, and hands that
+elimination to ``standard_reduce`` or ``nonstandard_decomposition``, which
+take it as a required argument.  Later solves on the manifold mu = 0 continue
+its one solve instead of repeating it.
 
 Solutions stay in the solved blocks of ``matrices.solve_blocks``, numerators
 over one last pivot per block, until they meet the matrix that multiplies
@@ -41,7 +42,6 @@ from .matrices import (
     jacobian,
     minus_product,
     solve_blocks,
-    solve_matrix,
 )
 from .rational import (
     Context,
@@ -121,7 +121,6 @@ class Decomposition:
     P: RFMatrix
     mu: list[RationalFunction]
     mode: str
-    rank_data: "tuple[int, RFMatrix, RFMatrix, list[RationalFunction]] | None" = None
     _dmu: RFMatrix | None = field(default=None, repr=False)
     _dmup: RFMatrix | None = field(default=None, repr=False)
     _q: RFMatrix | None = field(default=None, repr=False)
@@ -376,20 +375,18 @@ def fast_block_elimination(scaled: ScaledSystem) -> Elimination:
     return Elimination(A0, RFMatrix.column(scaled.system.ctx, g1), right_first=True)
 
 
-def nonstandard_decomposition(scaled: ScaledSystem, elimination: "Elimination | None" = None) -> Decomposition:
+def nonstandard_decomposition(scaled: ScaledSystem, elimination: Elimination) -> Decomposition:
     """Rank-factorization route for scaled systems with singular fast-block matrix.
 
     Writes the fast block of the lowest grade as G0(x)y* + b(x), factors
     G0 = G*R with rank s1 (0 < s1 < s), solves b = G0*w, and forms
     mu = R(y*+w), P = (0; G), all from ``elimination``, the
-    ``fast_block_elimination`` of ``scaled`` (made here when None).  Fails
-    with NonstandardError when G0 is zero or no w exists, naming the
-    obstructed row, and with StandardCaseError when G0 is regular.
+    ``fast_block_elimination`` of ``scaled``.  Fails with NonstandardError
+    when G0 is zero or no w exists, naming the obstructed row, and with
+    StandardCaseError when G0 is regular.
     """
     sys = scaled.system
     ctx = sys.ctx
-    if elimination is None:
-        elimination = fast_block_elimination(scaled)
     fast_names = list(scaled.fast_star)
     s = len(fast_names)
     if elimination.M.is_zero():
@@ -408,7 +405,7 @@ def nonstandard_decomposition(scaled: ScaledSystem, elimination: "Elimination | 
     fast_pos = {n: k for k, n in enumerate(fast_names)}
     zero_row = [RationalFunction.of(ctx.zero())] * s1
     P = RFMatrix(ctx, [G.row(fast_pos[n]) if n in fast_pos else zero_row for n in sys.states])
-    return Decomposition(ctx, tuple(sys.states), P, R.mul_vector(ypw), "nonstandard", rank_data=(s1, G, R, w))
+    return Decomposition(ctx, tuple(sys.states), P, R.mul_vector(ypw), "nonstandard")
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +435,9 @@ class EliminatedForm:
 class ReducedSystem:
     """Slow-time limit field on the critical manifold.
 
-    ``standard_reduce`` and ``reduce_model`` fill ``eliminated``, the solved
-    manifold substituted into the field.  ``reduce_model`` also fills
-    ``scaled`` (the scaled full system), ``initial_values`` (the reduced
+    ``reduce_model`` fills ``eliminated``, the solved manifold substituted
+    into the field (``standard_reduce`` does on the standard route), and
+    also ``scaled`` (the scaled full system), ``initial_values`` (the reduced
     initial value in the limit eps -> 0), ``route`` (the route taken, the
     rank of G0(x,0) against the number of fast variables, and why the other
     route was refused) and ``errors`` (stage name -> why an optional stage
@@ -471,32 +468,25 @@ def reduce_with(dec: Decomposition, h1: Sequence[Polynomial]) -> ReducedSystem:
     block, so each row of q takes one rational function per block.
     """
     h1_rf = [RationalFunction.coerce(dec.ctx, p) for p in h1]
-    solved = solve_blocks(dec.dmup(), _dmu_h1(dec, h1_rf))
+    solved = solve_blocks(dec.dmup(), RFMatrix.column(dec.ctx, dec.dmu().mul_vector(h1_rf)))
     if isinstance(solved, NoSolution):
         raise ReductionError("Dmu*P is singular over the rational-function field")
     q = minus_product([[h] for h in h1_rf], dec.P, solved)
     return ReducedSystem(dec.states, [row[0] for row in q], dec.manifold(), dec)
 
 
-def standard_reduce(
-    sys: GradedSystem, part: Partition, elimination: "Elimination | None" = None
-) -> ReducedSystem:
+def standard_reduce(sys: GradedSystem, part: Partition, elimination: Elimination) -> ReducedSystem:
     """Classical elimination of the fast block for a fully consistent system.
 
     Returns the r-dimensional slow field
     f1(x,0) - F0(x,0) G0(x,0)^(-1) g1(x,0) together with the first-order
     manifold data y* = -G0(x,0)^(-1) g1(x,0), and the standard decomposition
     whose P supplies F0.  G0^(-1) g1 comes from ``elimination``, the
-    ``fast_block_elimination`` of the scaled system of a partition the caller
-    has found fully consistent; when None, both the check and the
-    elimination are made here.  Refuses (StandardCaseError) when G0(x,0) is
-    singular.
+    ``fast_block_elimination`` of the scaled system of a partition that
+    ``reduce_model`` has found fully consistent.  Refuses (StandardCaseError)
+    when G0(x,0) is singular.
     """
-    if elimination is None:
-        dec = standard_decomposition(sys, part)
-        elimination = fast_block_elimination(apply_scaling(sys, part))
-    else:
-        dec = _fast_variable_decomposition(sys, part)
+    dec = _fast_variable_decomposition(sys, part)
     ctx = sys.ctx
     solved = elimination.solution()
     if isinstance(solved, NoSolution):
@@ -534,39 +524,6 @@ def standard_reduce(
     return red
 
 
-def nonstandard_reduce(scaled: ScaledSystem, elimination: "Elimination | None" = None) -> ReducedSystem:
-    dec = nonstandard_decomposition(scaled, elimination)
-    return reduce_with(dec, scaled.system.grade(1))
-
-
-# ---------------------------------------------------------------------------
-# Slow manifold, first order
-# ---------------------------------------------------------------------------
-
-
-def slow_manifold_first_order(dec: Decomposition, h1: Sequence[Polynomial]) -> list[RationalFunction]:
-    """Defining equations mu + eps*(Dmu P)^(-1) Dmu h1 of the first-order manifold."""
-    eps = RationalFunction.of(dec.ctx.sym(dec.ctx.eps.name))
-    return [m + eps * p for m, p in zip(dec.mu, first_order_correction(dec, h1))]
-
-
-def first_order_correction(dec: Decomposition, h1: Sequence[Polynomial]) -> list[RationalFunction]:
-    """The order-eps coefficient Psi0 of the first-order manifold equations.
-
-    Psi0 solves (Dmu P) Psi0 = Dmu h1; it is also the gamma of ``reduce_with``.
-    """
-    h1_rf = [RationalFunction.coerce(dec.ctx, p) for p in h1]
-    psi = solve_matrix(dec.dmup(), _dmu_h1(dec, h1_rf))
-    if isinstance(psi, NoSolution):
-        raise ReductionError("Dmu*P is singular over the rational-function field")
-    return psi.col(0)
-
-
-def _dmu_h1(dec: Decomposition, h1: Sequence[RationalFunction]) -> RFMatrix:
-    """Dmu h1 as a column, the right-hand side that gives gamma."""
-    return RFMatrix.column(dec.ctx, dec.dmu().mul_vector(h1))
-
-
 # ---------------------------------------------------------------------------
 # Eigenvalue certificates
 # ---------------------------------------------------------------------------
@@ -581,7 +538,6 @@ class EigenSample:
 
 @dataclass
 class EigenCertificate:
-    matrix: RFMatrix
     verdict: str  # pass | fail | indeterminate
     nu_margin: float
     samples: list[EigenSample]
@@ -631,7 +587,9 @@ def eigen_certificate(
     of Dmu*P is undefined is rejected.  One where an entry is too large for a
     float has no numeric eigenvalues: it is rejected if the exact test passes,
     and kept with ``max_real_part`` NaN, failing the certificate, if it does
-    not.  The eigenvalues of all samples come from one stacked call.
+    not.  The eigenvalues of all samples come from one stacked call.  The
+    method reads "routh_hurwitz_exact+numeric", or "routh_hurwitz_exact" when
+    no kept sample had numeric eigenvalues.
     """
     ctx = dec.ctx
     M = dec.dmup()
@@ -682,14 +640,15 @@ def eigen_certificate(
         samples.append(sample)
         floated.append(sample)
     if not samples:
-        return EigenCertificate(M, "indeterminate", float("nan"), [], "no admissible samples", rejected)
+        return EigenCertificate("indeterminate", float("nan"), [], "no admissible samples", rejected)
     for sample, mrp in zip(floated, max_real_part(numeric) if numeric else ()):
         sample.max_real_part = mrp
     worst = max((s.max_real_part for s in floated), default=float("nan"))
     margin = -worst
     ok = worst <= -NU_MIN and all(s.hurwitz_ok for s in samples)
     verdict = "pass" if ok else "fail"
-    return EigenCertificate(M, verdict, margin, samples, "routh_hurwitz_exact+numeric", rejected)
+    method = "routh_hurwitz_exact+numeric" if floated else "routh_hurwitz_exact"
+    return EigenCertificate(verdict, margin, samples, method, rejected)
 
 
 def _on_manifold(mu: Sequence[RationalFunction], point: Point) -> bool:
@@ -837,22 +796,16 @@ def solve_equations_linear(
 
 
 def eliminate_on_manifold(
-    red: ReducedSystem,
-    extra_relations: Sequence[RationalFunction] = (),
-    unknowns: "Sequence[str] | None" = None,
+    red: ReducedSystem, extra_relations: Sequence[RationalFunction], unknowns: Sequence[str]
 ) -> EliminatedForm:
     """Substitute solved manifold (and conservation) relations into the field.
 
-    Unknowns default to every state appearing in the manifold equations; the
-    relations are solved sequentially (linear steps only) and substituted into
-    the rows of the remaining states, continuing ``red.eliminated``'s solve.
+    The manifold equations and ``extra_relations`` are solved for
+    ``unknowns``, the scaled fast variables in both pipeline calls,
+    sequentially (linear steps only), continuing ``red.eliminated``'s solve,
+    and substituted into the rows of the remaining states.
     """
     eqs = list(red.manifold.equations) + list(extra_relations)
-    if unknowns is None:
-        used: set[str] = set()
-        for e in eqs:
-            used |= set(e.num.symbols_used()) | set(e.den.symbols_used())
-        unknowns = [n for n in red.states if n in used]
     prefix = red.eliminated.solved if red.eliminated is not None else ()
     solved = solve_equations_linear(eqs, unknowns, solved=prefix)
     if solved is None:
@@ -999,13 +952,16 @@ def reduced_initial_value(
 def reduce_model(system: GradedSystem, fast: Sequence[str], mode: str = "auto") -> ReducedSystem:
     """Consistency check, route choice, reduction and reduced initial value.
 
-    ``mode`` "auto" takes the standard route (mu = fast variables) when the
-    fast-block matrix G0(x,0) is invertible and the rank-deficient route on
-    the scaled system otherwise; "standard" and "nonstandard" force one
-    route.  Raises InconsistentScalingError when the partition is not fully
-    consistent, and ReductionError when the chosen route is refused.  Both
-    routes fill ``eliminated``; a failure there or in the reduced initial
-    value is recorded in ``errors["elimination"]`` or ``["initial_value"]``.
+    The one way into either route, for the CLI and the library alike: the
+    scaled fast block [G0 | g1] is eliminated once and that elimination
+    goes to the route taken.  ``mode`` "auto" takes the standard route
+    (mu = fast variables) when G0(x,0) has full rank and the rank-deficient
+    route on the scaled system otherwise; "standard" and "nonstandard" force
+    one route.  Raises InconsistentScalingError when the partition is not
+    fully consistent, and ReductionError when the chosen route is refused.
+    Both routes fill ``eliminated``; a failure there or in the reduced
+    initial value is recorded in ``errors["elimination"]`` or
+    ``["initial_value"]``.
     """
     if mode not in ("auto", "standard", "nonstandard"):
         raise ValueError(f"unknown reduction mode {mode!r}")
@@ -1018,7 +974,7 @@ def reduce_model(system: GradedSystem, fast: Sequence[str], mode: str = "auto") 
         red = standard_reduce(system, part, elimination)
         refused = {"route": "nonstandard", "reason": NONSTANDARD_REFUSAL}
     else:
-        red = nonstandard_reduce(scaled, elimination)
+        red = reduce_with(nonstandard_decomposition(scaled, elimination), scaled.system.grade(1))
         refused = {"route": "standard", "reason": STANDARD_REFUSAL}
         try:
             red.eliminated = eliminate_on_manifold(red, [], list(scaled.fast_star))

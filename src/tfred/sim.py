@@ -429,13 +429,17 @@ def integrate(
 
 
 EPS_FLOOR = 1e-4  # smallest eps the explicit stepper is expected to handle
+MAX_RUNGS = 1000  # longest eps-ladder accepted
 GRID_POINTS = 201  # points of the comparison grid in [t1, t2]
 
 
 def default_ladder(start: float = 1e-1, stop: float = 1e-4, factor: float = 2.0) -> list[float]:
-    """start, start/factor, ... down to stop."""
-    if not (start >= stop > 0 and factor > 1):
-        raise ValueError("need start >= stop > 0 and a factor > 1")
+    """start, start/factor, ... down to stop; at most ``MAX_RUNGS`` values, counted before any is built."""
+    if not all(map(math.isfinite, (start, stop, factor))) or not (start >= stop > 0 and factor > 1):
+        raise ValueError("need finite start >= stop > 0 and a finite factor > 1")
+    rungs = math.floor((math.log(start) - math.log(stop * (1 - 1e-12))) / math.log(factor)) + 1
+    if rungs > MAX_RUNGS:
+        raise ValueError(f"{rungs} rungs, more than {MAX_RUNGS}")
     out = []
     e = start
     while e >= stop * (1 - 1e-12):
@@ -545,7 +549,10 @@ def convergence_study(
     decreasing = all(a > b for a, b in zip(errors, errors[1:])) and len(errors) >= 2
     order = fit_order(used, errors)
     verdict = "converges" if decreasing else "inconclusive"
-    if failures:
+    if not errors:
+        # every rung was below the floor, or the first one failed
+        verdict = "nothing compared"
+    elif failures:
         verdict = "partial: " + verdict
     if errors and not any(errors):
         # both flows sit at rest on the grid: the ladder compared nothing

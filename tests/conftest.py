@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from tfred.matrices import RFMatrix, solve_blocks
 from tfred.networks import Reaction, ReactionNetwork, compile_network
+from tfred.rational import RationalFunction
 from tfred.systems import InitialValue, eliminate_with_integral
 
 
@@ -24,6 +26,22 @@ def mm_network(extra_params=("e0", "s0")):
             "c": InitialValue(Fraction(0), 0),
         },
     )
+
+
+def first_order_psi(dec, h1):
+    """Psi0 of the first-order manifold mu + eps*Psi0 = 0: (Dmu P) Psi0 = Dmu h1.
+
+    It is the gamma of ``reduce_with``, read off the solved blocks: entry k
+    of a block is its numerator over the block's last pivot, every other
+    entry zero.
+    """
+    h1_rf = [RationalFunction.coerce(dec.ctx, p) for p in h1]
+    solved = solve_blocks(dec.dmup(), RFMatrix.column(dec.ctx, dec.dmu().mul_vector(h1_rf)))
+    psi = [RationalFunction.of(dec.ctx.zero())] * dec.r
+    for unknowns, d, Y in solved:
+        for k, y in zip(unknowns, Y):
+            psi[k] = RationalFunction(y[0], d)
+    return psi
 
 
 @pytest.fixture

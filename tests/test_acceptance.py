@@ -29,19 +29,20 @@ from tfred.rational import Context, RationalFunction
 from tfred.reduction import (
     default_sample,
     eliminate_on_manifold,
+    fast_block_elimination,
     fast_linear_integrals,
     find_decomposition,
-    first_order_correction,
     nonstandard_decomposition,
-    nonstandard_reduce,
+    reduce_model,
     reduce_with,
     reduced_initial_value,
     scaled_initial_symbolic,
     standard_decomposition,
-    standard_reduce,
 )
 from tfred.sim import convergence_study, default_ladder, iv_inconsistency_demo
 from tfred.systems import FULL_LTC, Partition, apply_scaling, check_ltc, raw_system
+
+from conftest import first_order_psi
 
 
 def report(number: int, ok: bool, detail: str):
@@ -120,7 +121,8 @@ def test_criterion_03_degradation_variant(capsys):
     part = Partition.from_fast(spec.system, ["e", "c"])
     scaled = apply_scaling(spec.system, part)
     ctx = scaled.system.ctx
-    red = nonstandard_reduce(scaled)
+    # the route's limit system, before reduce_model eliminates e_star
+    red = reduce_with(nonstandard_decomposition(scaled, fast_block_elimination(scaled)), scaled.system.grade(1))
     d = "(k1*s + km1 + k2)"
     rate = "(-k1*e_star*s + km1*c_star)"
     ok = red.row("s") == ctx.parse(rate)
@@ -139,8 +141,7 @@ def test_criterion_03_degradation_variant(capsys):
 
 def test_criterion_04_chain_reductions(capsys):
     spec = chain3()
-    part = Partition.from_fast(spec.system, list(spec.fast))
-    red = standard_reduce(spec.system, part)
+    red = reduce_model(spec.system, list(spec.fast), mode="standard")
     ctx = spec.system.ctx
     # denominator pinned by an independent determinant oracle; it carries the
     # six s-monomials plus four constant ones (incl. k2*k3*k4, dropped in the
@@ -166,10 +167,7 @@ def test_criterion_04_chain_reductions(capsys):
     ok &= red.field[0].eval(pt) == Fraction(-1, 10)
     # slow-k4 variant: substrate frozen
     spec2 = chain3_slowk4()
-    part2 = Partition.from_fast(spec2.system, list(spec2.fast))
-    scaled2 = apply_scaling(spec2.system, part2)
-    red2 = nonstandard_reduce(scaled2)
-    elim2 = eliminate_on_manifold(red2, [], None)
+    elim2 = reduce_model(spec2.system, list(spec2.fast), mode="nonstandard").eliminated
     ok &= elim2.field[list(elim2.states).index("s")].is_zero()
     with capsys.disabled():
         report(4, ok, "chain reduction denominator (oracle-pinned) and frozen slow-k4 variant")
@@ -180,7 +178,7 @@ def test_criterion_05_inhibitor(capsys):
     part = Partition.from_fast(spec.system, list(spec.fast))
     scaled = apply_scaling(spec.system, part)
     ctx = scaled.system.ctx
-    red = nonstandard_reduce(scaled)
+    red = reduce_with(nonstandard_decomposition(scaled, fast_block_elimination(scaled)), scaled.system.grade(1))
     conservation = ctx.parse("e_star + c1_star + c2_star - e0")
     elim = eliminate_on_manifold(red, [conservation], list(scaled.fast_star))
     rows = {n: elim.field[list(elim.states).index(n)] for n in elim.states}
@@ -199,7 +197,7 @@ def test_criterion_06_transport_binding(capsys):
     scaled = apply_scaling(spec.system, part)
     sys = scaled.system
     ctx = sys.ctx
-    dec = nonstandard_decomposition(scaled)
+    dec = nonstandard_decomposition(scaled, fast_block_elimination(scaled))
     red = reduce_with(dec, sys.grade(1))
     # manifold parametrization: common substrate level, bound form proportional
     manifold_sub = {}
@@ -272,7 +270,7 @@ def test_criterion_07_mm_diffusion(capsys):
         )
         ok &= sys.grade(0)[sys.state_index(f"w{a}_star")].is_zero()
     # reduced system on the manifold c* = k1*s*w*/(k1*s + km1 + k2)
-    dec = nonstandard_decomposition(scaled)
+    dec = nonstandard_decomposition(scaled, fast_block_elimination(scaled))
     red = reduce_with(dec, sys.grade(1))
     elim = eliminate_on_manifold(red, [], [f"c{a}_star" for a in range(1, N + 1)])
     solved = dict(elim.solved)
@@ -416,7 +414,7 @@ def test_criterion_10_property_suite(capsys):
         dq = dec.dmu().mul_vector(red.field)
         ok &= all(v.is_zero() for v in dq)
         # first-order manifold invariance at orders 0 and 1
-        psi0 = first_order_correction(dec, sys.grade(1))
+        psi0 = first_order_psi(dec, sys.grade(1))
         eps_rf = RationalFunction.of(eps)
         Phi = [m + eps_rf * p for m, p in zip(dec.mu, psi0)]
         h = [RationalFunction.of(p0) + eps_rf * p1 for p0, p1 in zip(sys.grade(0), sys.grade(1))]
@@ -447,7 +445,7 @@ def test_criterion_11_convergence_mm2d(capsys):
     spec = mm2d()
     part = Partition.from_fast(spec.system, ["c"])
     scaled = apply_scaling(spec.system, part)
-    red = standard_reduce(spec.system, part)
+    red = reduce_model(spec.system, ["c"], mode="standard")
     params = {"k1": 1, "km1": 1, "k2": 1, "e0": 1, "s0": 1}
     out = convergence_study(
         scaled.system,

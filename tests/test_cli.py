@@ -1,12 +1,13 @@
 """CLI wiring: exit codes, JSON reports, golden-file math, model file round trip."""
 
+import hashlib
 import json
 import os
 
 import pytest
 
-from tfred.builtin_models import load_builtin
-from tfred.cli import main
+from tfred.builtin_models import BUILTINS, load_builtin
+from tfred.cli import InputError, main, parse_ladder
 from tfred.modelfile import load_model, model_from_dict
 from tfred.systems import Partition, apply_scaling
 
@@ -547,6 +548,20 @@ def test_golden_reduce(capsys, name):
             same(payload[key], g[key])
 
 
+def test_reduce_goldens_name_every_builtin():
+    with open(os.path.join(GOLDEN_DIR, "reduce_sha256.json")) as fh:
+        assert sorted(json.load(fh)) == sorted(BUILTINS)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_reduce_json_is_byte_identical_to_its_golden(capsys, name):
+    # the sha256 of `reduce --builtin <name> --format json`'s stdout
+    with open(os.path.join(GOLDEN_DIR, "reduce_sha256.json")) as fh:
+        want = json.load(fh)[name]
+    main(["reduce", "--builtin", name, "--format", "json"])
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
+
+
 # -- other commands ------------------------------------------------------------------
 
 
@@ -598,6 +613,18 @@ def test_reduce_without_a_float_sample_is_indeterminate(tmp_path, capsys):
     assert code == 3
     cert = payload["certificate"]
     assert (cert["verdict"], cert["rejected_samples"], cert["samples"]) == ("indeterminate", 4, [])
+
+
+def test_reduce_with_no_float_sample_labels_the_exact_method(tmp_path, capsys):
+    # the fast entry 10^400*y is unstable and too large for a float at every
+    # sample: only the exact Routh test ran
+    path = tmp_path / "unstable.json"
+    path.write_text(json.dumps(dict(OVERFLOW_MODEL, raw_system=["eps*x*y", f"{10**400}*y + eps*x"])))
+    code, payload = run_json(capsys, "reduce", "--model", str(path))
+    assert code == 3
+    cert = payload["certificate"]
+    assert (cert["verdict"], cert["method"], len(cert["samples"])) == ("fail", "routh_hurwitz_exact", 25)
+    assert all(s["max_real_part"] is None and not s["hurwitz_ok"] for s in cert["samples"])
 
 
 def strict_json(text: str):
@@ -652,6 +679,41 @@ def test_converge_quick(capsys):
     assert code == 0
     assert payload["verdict"] == "converges"
     assert len(payload["sup_errors"]) == 3
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["inf:1e-3", "1e-1:inf", "1e-1:1e-3:inf", "nan:1e-3", "1e-1:1e-300:1.000001", "1e300:1e-300", "inf,1e-1", "nan"],
+)
+def test_ladder_that_never_ends_or_is_not_finite_is_bad_input(text):
+    with pytest.raises(InputError):
+        parse_ladder(text)
+
+
+def test_ladder_longer_than_the_rung_limit_is_bad_input():
+    from tfred.sim import MAX_RUNGS
+
+    values = [2.0**-k for k in range(MAX_RUNGS + 1)]
+    assert len(parse_ladder(",".join(map(repr, values[:MAX_RUNGS])))) == MAX_RUNGS
+    with pytest.raises(InputError, match="more than"):
+        parse_ladder(",".join(map(repr, values)))
+
+
+def test_ladder_below_the_floor_compares_nothing(capsys):
+    code, payload = run_json(capsys, "converge", "--builtin", "mm2d", "--ladder", "1e-5,1e-6")
+    assert code == 4
+    assert (payload["verdict"], payload["ladder"], payload["sup_errors"]) == ("nothing compared", [], [])
+    assert payload["failures"] == ["eps=1e-05: below the eps floor 0.0001", "eps=1e-06: below the eps floor 0.0001"]
+
+
+def test_failed_first_rung_compares_nothing(capsys, monkeypatch):
+    from tfred import sim
+
+    monkeypatch.setattr(sim, "compile_system", lambda *args: lambda t, z: [float("nan")] * len(z))
+    code, payload = run_json(capsys, "converge", "--builtin", "mm2d", "--ladder", "1e-1,5e-2")
+    assert code == 4
+    assert (payload["verdict"], payload["ladder"], payload["sup_errors"]) == ("nothing compared", [], [])
+    assert payload["failures"] == ["eps=0.1: field evaluation failed at tau = 0"]
 
 
 def test_demo_linex_json(capsys):

@@ -28,25 +28,24 @@ from tfred.reduction import (
     default_sample,
     eigen_certificate,
     eliminate_on_manifold,
+    fast_block_elimination,
     fast_linear_integrals,
     find_decomposition,
-    first_order_correction,
     integral_level,
     lie_derivative,
     nonstandard_decomposition,
-    nonstandard_reduce,
     reduce_extras,
     reduce_model,
     reduce_with,
     reduced_initial_value,
     scaled_initial_symbolic,
-    slow_manifold_first_order,
     solve_equations_linear,
     standard_decomposition,
-    standard_reduce,
     transform_first_integral,
 )
 from tfred.systems import Partition, apply_scaling, raw_system
+
+from conftest import first_order_psi
 
 
 def sample_for(ctx, seed=1):
@@ -172,12 +171,12 @@ def mm3d_scaled_obj():
     return apply_scaling(spec.system, Partition.from_fast(spec.system, ["e", "c"]))
 
 
-# -- standard_reduce ------------------------------------------------------------
+# -- standard route ---------------------------------------------------------------
 
 
 def test_standard_reduce_mm2d_benchmark():
     spec = mm2d()
-    red = standard_reduce(spec.system, Partition.from_fast(spec.system, ["c"]))
+    red = reduce_model(spec.system, ["c"], mode="standard")
     ctx = spec.system.ctx
     assert red.states == ("s",)
     assert red.field[0] == ctx.parse("-k1*k2*e0*s / (k1*s + km1 + k2)")
@@ -190,14 +189,14 @@ def test_standard_reduce_zero_slow_part():
     ctx = Context(["x", "y"], ["a"])
     rows = [ctx.parse_poly("a*x*y"), ctx.parse_poly("-y + x*y")]
     sys = raw_system(ctx, rows)
-    red = standard_reduce(sys, Partition.from_fast(sys, ["y"]))
+    red = reduce_model(sys, ["y"], mode="standard")
     assert red.field[0].is_zero()
 
 
 def test_standard_reduce_refuses_singular_g0(mm3d_scaled):
     spec = mm3d()
     with pytest.raises(StandardCaseError):
-        standard_reduce(spec.system, Partition.from_fast(spec.system, ["e", "c"]))
+        reduce_model(spec.system, ["e", "c"], mode="standard")
 
 
 def test_standard_reduce_chain3_denominator():
@@ -205,8 +204,7 @@ def test_standard_reduce_chain3_denominator():
     # ones (the three km1-led terms plus k2*k3*k4); the extra constant term is
     # pinned by the cofactor oracle below and by a unit-rate numeric check.
     spec = chain3()
-    part = Partition.from_fast(spec.system, list(spec.fast))
-    red = standard_reduce(spec.system, part)
+    red = reduce_model(spec.system, list(spec.fast), mode="standard")
     ctx = spec.system.ctx
     num = "-k1*k2*k3*k4*e0*s"
     den = (
@@ -235,7 +233,7 @@ def test_standard_reduce_chain3_denominator():
 def test_standard_equals_general_on_mm2d():
     spec = mm2d()
     part = Partition.from_fast(spec.system, ["c"])
-    red_std = standard_reduce(spec.system, part)
+    red_std = reduce_model(spec.system, ["c"], mode="standard")
     dec = standard_decomposition(spec.system, part)
     red_gen = reduce_with(dec, spec.system.grade(1))
     # restrict the general x-row to the zero-order manifold y = 0
@@ -249,8 +247,9 @@ def test_standard_equals_general_on_mm2d():
 def test_nonstandard_mm3d_matches_general(mm3d_scaled):
     sys = mm3d_scaled.system
     ctx = sys.ctx
-    dec = nonstandard_decomposition(mm3d_scaled)
-    s1, G, R, w = dec.rank_data
+    elimination = fast_block_elimination(mm3d_scaled)
+    dec = nonstandard_decomposition(mm3d_scaled, elimination)
+    s1, G, R, w = elimination.factor()
     assert s1 == 1
     assert all(v.is_zero() for v in w)
     # manifold: c_star = k1*e_star*s/(km1+k2)
@@ -269,7 +268,8 @@ def test_nonstandard_mm3d_deg_matches_display():
     scaled = apply_scaling(spec.system, part)
     sys = scaled.system
     ctx = sys.ctx
-    red = nonstandard_reduce(scaled)
+    # the route's limit system, before reduce_model eliminates e_star
+    red = reduce_with(nonstandard_decomposition(scaled, fast_block_elimination(scaled)), sys.grade(1))
     d = "(k1*s + km1 + k2)"
     assert red.row("s") == ctx.parse("-k1*e_star*s + km1*c_star")
     assert red.row("e_star") == ctx.parse(
@@ -310,8 +310,9 @@ def test_nonstandard_block_system_kernel_oracle():
     eps = ctx.sym("eps")
     sys = raw_system(ctx, [eps * xrow] + yrows)
     scaled = apply_scaling(sys, Partition.from_fast(sys, ynames))
-    dec = nonstandard_decomposition(scaled)
-    s1, G, R, w = dec.rank_data
+    elimination = fast_block_elimination(scaled)
+    dec = nonstandard_decomposition(scaled, elimination)
+    s1, G, R, w = elimination.factor()
     assert s1 == 2
     assert dec.manifold().dimension == 4 - 2
     # oracle: kernel vectors of A22 satisfy the manifold equations
@@ -343,16 +344,13 @@ def test_nonstandard_reports_obstruction_when_no_w_exists():
     sys = raw_system(ctx, rows)
     scaled = apply_scaling(sys, Partition.from_fast(sys, ["y1", "y2"]))
     with pytest.raises(NonstandardError) as err:
-        nonstandard_decomposition(scaled)
+        nonstandard_decomposition(scaled, fast_block_elimination(scaled))
     assert "y2" in str(err.value)
 
 
 def test_chain3_slowk4_reduces_to_frozen_substrate():
     spec = chain3_slowk4()
-    part = Partition.from_fast(spec.system, list(spec.fast))
-    scaled = apply_scaling(spec.system, part)
-    red = nonstandard_reduce(scaled)
-    elim = eliminate_on_manifold(red, [], None)
+    elim = reduce_model(spec.system, list(spec.fast), mode="nonstandard").eliminated
     assert "s" in elim.states
     assert elim.field[list(elim.states).index("s")].is_zero()
 
@@ -379,10 +377,9 @@ def test_first_order_manifold_standard_agreement():
     spec = mm2d()
     part = Partition.from_fast(spec.system, ["c"])
     dec = standard_decomposition(spec.system, part)
-    psi = first_order_correction(dec, spec.system.grade(1))
-    ctx = spec.system.ctx
+    psi = first_order_psi(dec, spec.system.grade(1))
     # the standard manifold is c = -eps*G0^(-1)g1: correction must match
-    red = standard_reduce(spec.system, part)
+    red = reduce_model(spec.system, ["c"], mode="standard")
     expected = dict(red.eliminated.solved)["c"]
     # Psi0 at y=0 equals G0^-1 g1 = -expected
     assert psi[0].subs({"c": 0}) == -expected
@@ -391,7 +388,8 @@ def test_first_order_manifold_standard_agreement():
 def test_first_order_manifold_zero_h1(mm3d_scaled):
     sys = mm3d_scaled.system
     dec = find_decomposition(sys.grade(0), sample_for(sys.ctx))
-    phi = slow_manifold_first_order(dec, [sys.ctx.zero()] * 3)
+    eps = RationalFunction.of(sys.ctx.sym("eps"))
+    phi = [m + eps * p for m, p in zip(dec.mu, first_order_psi(dec, [sys.ctx.zero()] * 3))]
     for p, m in zip(phi, dec.mu):
         assert p == m
 
@@ -402,7 +400,7 @@ def test_first_order_manifold_invariance_identity(mm3d_scaled):
     ctx = sys.ctx
     dec = find_decomposition(sys.grade(0), sample_for(ctx))
     h1 = sys.grade(1)
-    psi0 = first_order_correction(dec, h1)
+    psi0 = first_order_psi(dec, h1)
     eps = RationalFunction.of(ctx.sym("eps"))
     Phi = [m + eps * p for m, p in zip(dec.mu, psi0)]
     h = [RationalFunction.of(a) + eps * b for a, b in zip(sys.grade(0), h1)]

@@ -11,10 +11,10 @@ from tfred.builtin_models import linex, mm2d, mm3d
 from tfred.reduction import (
     default_sample,
     find_decomposition,
+    reduce_model,
     reduce_with,
     reduced_initial_value,
     scaled_initial_symbolic,
-    standard_reduce,
 )
 from tfred.rational import RationalFunction
 from tfred.sim import (
@@ -116,7 +116,7 @@ def test_compiled_pole_error_carries_location():
 
 def test_reduced_against_itself_is_exact():
     spec = mm2d()
-    red = standard_reduce(spec.system, Partition.from_fast(spec.system, ["c"]))
+    red = reduce_model(spec.system, ["c"], mode="standard")
     params = {"k1": 1, "km1": 1, "k2": 1, "e0": 1, "s0": 1}
     rows = red.field
     field = compile_rows(rows, ["s"], params)
@@ -131,7 +131,7 @@ def test_convergence_mm2d_first_order():
     spec = mm2d()
     part = Partition.from_fast(spec.system, ["c"])
     scaled = apply_scaling(spec.system, part)
-    red = standard_reduce(spec.system, part)
+    red = reduce_model(spec.system, ["c"], mode="standard")
     params = {"k1": 1, "km1": 1, "k2": 1, "e0": 1, "s0": 1}
     report = convergence_study(
         scaled.system,
@@ -211,7 +211,28 @@ def test_stats_without_a_step_have_no_min_step():
     assert json.loads(json.dumps(traj.stats.to_json()))["min_step"] is None
 
 
-@pytest.mark.parametrize("start, stop, factor", [(1e-1, 1e-3, 1.0), (1e-1, 0.0, 2.0), (1e-3, 1e-1, 2.0)])
+@pytest.mark.parametrize(
+    "start, stop, factor",
+    [
+        (1e-1, 1e-3, 1.0),
+        (1e-1, 0.0, 2.0),
+        (1e-3, 1e-1, 2.0),
+        (math.inf, 1e-3, 2.0),
+        (1e-1, math.inf, 2.0),
+        (1e-1, 1e-3, math.inf),
+        (math.nan, 1e-3, 2.0),
+    ],
+)
 def test_default_ladder_refuses_a_ladder_that_never_ends_or_is_empty(start, stop, factor):
     with pytest.raises(ValueError):
         default_ladder(start, stop, factor)
+
+
+def test_default_ladder_counts_its_rungs_before_building_them():
+    # 1e-1 down to 1e-300 by 1.000001 would be about 7e8 rungs
+    with pytest.raises(ValueError, match="688473288 rungs"):
+        default_ladder(1e-1, 1e-300, 1.000001)
+    assert len(default_ladder()) == 10
+    assert len(default_ladder(1.0, 2.0 ** -(sim.MAX_RUNGS - 1))) == sim.MAX_RUNGS
+    with pytest.raises(ValueError, match="more than"):
+        default_ladder(1.0, 2.0**-sim.MAX_RUNGS)
