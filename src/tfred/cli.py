@@ -33,6 +33,7 @@ from .matrices import ConsistencyError
 from .modelfile import load_model
 from .rational import SymbolicError
 from .reduction import (
+    MAX_SAMPLES,
     InconsistentScalingError,
     ReductionError,
     eigen_certificate,
@@ -128,21 +129,19 @@ def parse_ladder(text: str) -> list[float]:
 
 
 def emit(args, payload: dict, text: str):
-    if args.format == "json":
-        out = json.dumps(payload, indent=2, default=str)
-    else:
-        out = text
-    print(out)
-    if getattr(args, "out", None):
-        base = os.path.join(args.out, payload.get("command", "report"))
+    out_dir = getattr(args, "out", None)
+    data = json.dumps(payload, indent=2, default=str) if args.format == "json" or out_dir else None
+    print(data if args.format == "json" else text)
+    if out_dir:
+        base = os.path.join(out_dir, payload.get("command", "report"))
         try:
-            os.makedirs(args.out, exist_ok=True)
+            os.makedirs(out_dir, exist_ok=True)
             with open(base + ".json", "w") as fh:
-                json.dump(payload, fh, indent=2, default=str)
+                fh.write(data)
             with open(base + ".txt", "w") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
-            raise InputError(f"--out {args.out!r}: {exc}") from exc
+            raise InputError(f"--out {out_dir!r}: {exc}") from exc
 
 
 # -- commands -----------------------------------------------------------------
@@ -247,6 +246,8 @@ def cmd_reduce(args) -> int:
     fast = pick_fast(spec, args)
     if args.samples < 1:
         raise InputError("need --samples >= 1")
+    if args.samples > MAX_SAMPLES:
+        raise InputError(f"--samples {args.samples}: more than {MAX_SAMPLES}")
     try:
         red = reduce_model(spec.system, fast, args.mode)
     except InconsistentScalingError as exc:

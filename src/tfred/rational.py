@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import compress
 from math import gcd, lcm
-from operator import mul, or_
+from operator import add, mul, or_, sub
 from typing import Mapping, Sequence, Union
 
 Coefficient = Union[int, Fraction, str]
@@ -227,7 +227,8 @@ class Context:
         vals: list = [None] * len(self.symbols)
         for name, v in point.items():
             vals[self.index[name]] = Q(v)
-        return Point(self, vals)
+        den = lcm(*[v.denominator for v in vals if v is not None])
+        return Point(self, [None if v is None else v.numerator * (den // v.denominator) for v in vals], den)
 
     def parse(self, text: str) -> "RationalFunction":
         return _Parser(self, text).parse()
@@ -254,10 +255,10 @@ class Point:
 
     __slots__ = ("ctx", "nums", "den", "_powers")
 
-    def __init__(self, ctx: Context, values: Sequence):
+    def __init__(self, ctx: Context, nums: list, den: int):
         self.ctx = ctx
-        self.den = den = lcm(*[v.denominator for v in values if v is not None])
-        self.nums: list = [None if v is None else v.numerator * (den // v.denominator) for v in values]
+        self.nums = nums
+        self.den = den
         self._powers: dict[int, int] = {}
 
     def bind(self, name: str, value: Coefficient) -> None:
@@ -1068,7 +1069,9 @@ class _Parser:
     """Recursive-descent parser for '+ - * / ^ ( )' expressions over a context.
 
     Numbers are integers or p/q handled through division; names must exist in
-    the context.  Produces a RationalFunction.
+    the context.  Each rule returns a Polynomial until a '/', a negative power
+    or an operand that is already rational promotes it to a RationalFunction;
+    :meth:`parse` wraps the result in one.
     """
 
     def __init__(self, ctx: Context, text: str):
@@ -1114,12 +1117,12 @@ class _Parser:
         return tok
 
     def parse(self) -> RationalFunction:
-        rf = self.expr()
+        value = self.expr()
         if self.peek() is not None:
             raise ValueError(f"trailing input at token {self.peek()!r}")
-        return rf
+        return value if value.__class__ is RationalFunction else RationalFunction.of(value)
 
-    def expr(self) -> RationalFunction:
+    def expr(self) -> "Polynomial | RationalFunction":
         sign = 1
         while self.peek() in ("+", "-"):
             if self.take() == "-":
@@ -1127,19 +1130,18 @@ class _Parser:
         total = self.term() * sign
         while self.peek() in ("+", "-"):
             op = self.take()
-            rhs = self.term()
-            total = total + rhs if op == "+" else total - rhs
+            total = _combine(add if op == "+" else sub, total, self.term())
         return total
 
-    def term(self) -> RationalFunction:
+    def term(self) -> "Polynomial | RationalFunction":
         total = self.factor()
         while self.peek() in ("*", "/"):
             op = self.take()
             rhs = self.factor()
-            total = total * rhs if op == "*" else total / rhs
+            total = _combine(mul, total, rhs) if op == "*" else _rational(total) / rhs
         return total
 
-    def factor(self) -> RationalFunction:
+    def factor(self) -> "Polynomial | RationalFunction":
         if self.peek() == "-":
             self.take()
             return -self.factor()
@@ -1154,10 +1156,10 @@ class _Parser:
             if not tok.isdigit():
                 raise ValueError(f"expected integer exponent, got {tok!r}")
             n = int(tok)
-            return base ** (-n if neg else n)
+            return _rational(base) ** -n if neg else base ** n
         return base
 
-    def atom(self) -> RationalFunction:
+    def atom(self) -> "Polynomial | RationalFunction":
         tok = self.take()
         if tok == "(":
             inner = self.expr()
@@ -1165,7 +1167,24 @@ class _Parser:
                 raise ValueError("unbalanced parentheses")
             return inner
         if tok.isdigit():
-            return RationalFunction.of(self.ctx.const(int(tok)))
+            return self.ctx.const(int(tok))
         if tok in self.ctx.index:
-            return RationalFunction.of(self.ctx.sym(tok))
+            return self.ctx.sym(tok)
         raise ValueError(f"unknown symbol {tok!r}")
+
+
+def _rational(v: "Polynomial | RationalFunction") -> RationalFunction:
+    """v as a RationalFunction (a Polynomial over 1)."""
+    return v if v.__class__ is RationalFunction else RationalFunction.of(v)
+
+
+def _combine(op, a: "Polynomial | RationalFunction", b: "Polynomial | RationalFunction"):
+    """a op b, on Polynomials while both operands are, else on RationalFunctions.
+
+    Both operands are promoted, so the left one stays on the left: with a
+    denominator of 1 the RationalFunction operations are the Polynomial ones,
+    and the terms come out in the same order.
+    """
+    if a.__class__ is b.__class__:
+        return op(a, b)
+    return op(_rational(a), _rational(b))

@@ -184,8 +184,11 @@ class CriticalManifold:
     dimension: int
 
 
-# default_sample's values: Fraction(a, b) at index 4*a + b - 5, a in 1..9, b in 1..4.
+# default_sample's values: Fraction(a, b) at index 4*a + b - 5, a in 1..9, b in 1..4,
+# and at the same index each value's (numerator, denominator) in lowest terms.
 _SAMPLE_VALUES = tuple(Fraction(a, b) for a in range(1, 10) for b in range(1, 5))
+_SAMPLE_PAIRS = tuple((v.numerator, v.denominator) for v in _SAMPLE_VALUES)
+MAX_SAMPLES = 10_000  # most certificate samples the CLI accepts
 
 
 def default_sample(ctx: Context, seed: int = 0) -> dict[str, Fraction]:
@@ -194,9 +197,32 @@ def default_sample(ctx: Context, seed: int = 0) -> dict[str, Fraction]:
     Each symbol gets Fraction(a, b), a uniform in 1..9 drawn before b uniform
     in 1..4, read from a table built at import.
     """
-    rng = random.Random(seed)
-    randint = rng.randint
-    return {sym.name: _SAMPLE_VALUES[4 * randint(1, 9) + randint(1, 4) - 5] for sym in ctx.symbols}
+    return _draw(ctx, seed)[0]
+
+
+def _draw(ctx: Context, seed: int) -> tuple[dict[str, Fraction], Point]:
+    """``default_sample``'s point, and its values cleared as by :meth:`Context.point_values`.
+
+    The stream is that of ``random.Random(seed)``'s randint(1, 9) and
+    randint(1, 4) per symbol: each index is getrandbits of the range size's
+    bit length, drawn again while it is out of range.  The Point comes from
+    the integer pairs, with no Fraction arithmetic.
+    """
+    bits = random.Random(seed).getrandbits
+    point = {}
+    pairs = []
+    for sym in ctx.symbols:
+        a = bits(4)
+        while a >= 9:
+            a = bits(4)
+        b = bits(3)
+        while b >= 4:
+            b = bits(3)
+        i = 4 * a + b
+        point[sym.name] = _SAMPLE_VALUES[i]
+        pairs.append(_SAMPLE_PAIRS[i])
+    den = lcm(*[d for _, d in pairs])
+    return point, Point(ctx, [n * (den // d) for n, d in pairs], den)
 
 
 def standard_decomposition(sys: GradedSystem, part: Partition) -> Decomposition:
@@ -577,12 +603,12 @@ def eigen_certificate(
     expression) pairs, each expression in the free symbols and the names
     before it (None: no relations).  ``reduce_extras`` passes y = 0 on the
     standard route and the eliminated form's relations on the nonstandard
-    one.  Each point is cleared to integers once, by
-    :meth:`Context.point_values`, and the relations' values extend it in
-    place; a point where a relation is undefined is skipped.  Each sample is
-    checked to satisfy the manifold equations exactly, on the integer
-    numerators of its values, and a zero entry of Dmu*P is filled as 0, not
-    evaluated.  The verdict is "pass" only if every sample has eigenvalues
+    one.  Each point is drawn straight into integers over one denominator
+    (``_draw``), and the relations' values extend it in place, a relation
+    whose expression is 0 binding 0 unevaluated; a point where a relation is
+    undefined is skipped.  Each sample is checked to satisfy the manifold
+    equations exactly, on the integer numerators of its values, and a zero
+    entry of Dmu*P is filled as 0, not evaluated.  The verdict is "pass" only if every sample has eigenvalues
     with real part at most -NU_MIN and the exact sign test agrees.  A sample where an entry
     of Dmu*P is undefined is rejected.  One where an entry is too large for a
     float has no numeric eigenvalues: it is rejected if the exact test passes,
@@ -607,12 +633,11 @@ def eigen_certificate(
         tries = 0
         while len(points) < n_samples and tries < 50 * n_samples:
             tries += 1
-            pt = default_sample(ctx, seed=rng.randint(0, 10**9))
-            cleared = ctx.point_values(pt)
+            pt, cleared = _draw(ctx, rng.randint(0, 10**9))
             if solved is not None:
                 try:
                     for name, expr in solved:
-                        pt[name] = value = expr.eval_at(cleared)
+                        pt[name] = value = 0 if expr.is_zero() else expr.eval_at(cleared)
                         cleared.bind(name, value)
                 except ZeroDivisionError:
                     continue

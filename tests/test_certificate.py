@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tfred.builtin_models import BUILTINS
 from tfred.matrices import RFMatrix
 from tfred.rational import Q, Context, Point, Polynomial, RationalFunction, SymbolicError
 from tfred.reduction import Decomposition, default_sample, eigen_certificate
@@ -49,6 +50,18 @@ def test_default_sample_keeps_the_seeded_stream():
         got = default_sample(ctx, seed)
         assert got == want
         assert list(got) == list(want)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_a_drawn_point_is_cleared_as_point_values_clears_its_sample(name):
+    from tfred.reduction import _draw
+
+    ctx = BUILTINS[name]().system.ctx
+    for seed in range(1000):
+        pt, cleared = _draw(ctx, seed)
+        want = ctx.point_values(default_sample(ctx, seed))
+        assert pt == default_sample(ctx, seed)
+        assert (cleared.nums, cleared.den) == (want.nums, want.den)
 
 
 # -- exact evaluation ----------------------------------------------------------------
@@ -226,12 +239,14 @@ def test_a_drawn_point_where_a_solved_relation_is_undefined_is_skipped(monkeypat
     P = RFMatrix(CTX, [[CTX.parse("0")], [CTX.parse("-1/(x - 1)")]])
     dec = Decomposition(CTX, ("x", "y"), P, [CTX.parse("y*(x - 1) - 1")], "general")
     drawn = []
+    draw = reduction._draw
 
-    def recording(ctx, seed=0):
-        drawn.append(default_sample(ctx, seed))
-        return dict(drawn[-1])
+    def recording(ctx, seed):
+        pt, cleared = draw(ctx, seed)
+        drawn.append(dict(pt))
+        return pt, cleared
 
-    monkeypatch.setattr(reduction, "default_sample", recording)
+    monkeypatch.setattr(reduction, "_draw", recording)
     cert = eigen_certificate(dec, n_samples=25, seed=3, solved=[("y", CTX.parse("1/(x - 1)"))])
     assert any(p["x"] == 1 for p in drawn)
     kept = [p for p in drawn if p["x"] != 1]
@@ -241,9 +256,9 @@ def test_a_drawn_point_where_a_solved_relation_is_undefined_is_skipped(monkeypat
 
 
 def test_certificate_clears_each_drawn_point_once_and_skips_zero_entries(monkeypatch):
-    # transport_binding(4): each drawn point is cleared by one point_values
-    # call and extended by the solved relations; the zero entries of Dmu*P
-    # are filled in, never evaluated
+    # transport_binding(4): each drawn point is cleared once, by the draw
+    # (one Point built, no point_values call), and extended by the solved
+    # relations; the zero entries of Dmu*P are filled in, never evaluated
     from tfred import reduction
     from tfred.modelfile import model_from_dict
     from tfred.reduction import reduce_model
@@ -255,7 +270,7 @@ def test_certificate_clears_each_drawn_point_once_and_skips_zero_entries(monkeyp
     M = dec.dmup()
     zeros = {id(v) for row in M.entries for v in row if v.is_zero()}
     assert (M.rows * M.cols, len(zeros)) == (49, 23)
-    counts = {"drawn": 0, "cleared": 0, "bound": 0, "zero_evals": 0}
+    counts = {"drawn": 0, "cleared": 0, "point_values": 0, "bound": 0, "zero_evals": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -269,12 +284,14 @@ def test_certificate_clears_each_drawn_point_once_and_skips_zero_entries(monkeyp
         counts["zero_evals"] += id(self) in zeros
         return eval_at(self, point)
 
-    monkeypatch.setattr(reduction, "default_sample", counting("drawn", reduction.default_sample))
-    monkeypatch.setattr(Context, "point_values", counting("cleared", Context.point_values))
+    monkeypatch.setattr(reduction, "_draw", counting("drawn", reduction._draw))
+    monkeypatch.setattr(Point, "__init__", counting("cleared", Point.__init__))
+    monkeypatch.setattr(Context, "point_values", counting("point_values", Context.point_values))
     monkeypatch.setattr(Point, "bind", counting("bound", Point.bind))
     monkeypatch.setattr(RationalFunction, "eval_at", entry_eval)
     cert = eigen_certificate(dec, n_samples=25, seed=1, solved=solved)
     assert len(cert.samples) == 25 and cert.verdict == "pass"
     assert counts["cleared"] == counts["drawn"] >= 25
+    assert counts["point_values"] == 0
     assert counts["bound"] == len(solved) * counts["drawn"]
     assert counts["zero_evals"] == 0

@@ -732,6 +732,41 @@ def test_out_directory_written(tmp_path, capsys):
     assert (tmp_path / "check.txt").exists()
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_out_directory_serializes_the_report_once(tmp_path, capsys, monkeypatch, fmt):
+    from tfred import cli
+
+    argv = ["reduce", "--builtin", "mm2d", "--format"]
+    assert main(argv + ["json"]) == 0
+    want = capsys.readouterr().out
+    calls = []
+    dumps = cli.json.dumps
+    monkeypatch.setattr(cli.json, "dumps", lambda *a, **k: calls.append(a) or dumps(*a, **k))
+    monkeypatch.setattr(cli.json, "dump", lambda *a, **k: pytest.fail("json.dump called"))
+    assert main(argv + [fmt, "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert len(calls) == 1
+    # the file holds the JSON report without print's newline
+    assert (tmp_path / "reduce.json").read_text() == want[:-1]
+    if fmt == "json":
+        assert out == want
+    else:
+        assert (tmp_path / "reduce.txt").read_text() == out
+
+
+@pytest.mark.parametrize("samples", ["10001", str(10**12)])
+def test_samples_above_the_limit_are_bad_input_before_any_draw(capsys, monkeypatch, samples):
+    from tfred import reduction
+
+    def refuse(*args):
+        raise AssertionError("a certificate point was drawn")
+
+    assert reduction.MAX_SAMPLES == 10_000
+    monkeypatch.setattr(reduction, "_draw", refuse)
+    assert main(["reduce", "--builtin", "mm2d", "--samples", samples]) == 2
+    assert capsys.readouterr().err == f"error: --samples {samples}: more than 10000\n"
+
+
 # -- model files ------------------------------------------------------------------------
 
 

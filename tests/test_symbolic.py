@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tfred.rational import Context, Polynomial, RationalFunction, SubstitutionError, SymbolicError, substitute
+from tfred.rational import (
+    Context,
+    Polynomial,
+    RationalFunction,
+    SubstitutionError,
+    SymbolicError,
+    _Parser,
+    substitute,
+)
 
 
 @pytest.fixture
@@ -244,3 +252,126 @@ def test_subs_over_a_denominator_of_one_equals_the_quotient_of_both_substitution
     want = rf.num.subs_rf(bindings) / rf.den.subs_rf(bindings)
     assert list(got.num.terms.items()) == list(want.num.terms.items())
     assert list(got.den.terms.items()) == list(want.den.terms.items())
+
+
+# -- parser ------------------------------------------------------------------
+
+
+class RationalParser(_Parser):
+    """The expression grammar on RationalFunctions throughout: the reference for ``Context.parse``."""
+
+    def parse(self):
+        rf = self.expr()
+        if self.peek() is not None:
+            raise ValueError(f"trailing input at token {self.peek()!r}")
+        return rf
+
+    def expr(self):
+        sign = 1
+        while self.peek() in ("+", "-"):
+            if self.take() == "-":
+                sign = -sign
+        total = self.term() * sign
+        while self.peek() in ("+", "-"):
+            op = self.take()
+            rhs = self.term()
+            total = total + rhs if op == "+" else total - rhs
+        return total
+
+    def term(self):
+        total = self.factor()
+        while self.peek() in ("*", "/"):
+            op = self.take()
+            rhs = self.factor()
+            total = total * rhs if op == "*" else total / rhs
+        return total
+
+    def factor(self):
+        if self.peek() == "-":
+            self.take()
+            return -self.factor()
+        base = self.atom()
+        if self.peek() == "^":
+            self.take()
+            neg = self.peek() == "-"
+            if neg:
+                self.take()
+            tok = self.take()
+            if not tok.isdigit():
+                raise ValueError(f"expected integer exponent, got {tok!r}")
+            return base ** (-int(tok) if neg else int(tok))
+        return base
+
+    def atom(self):
+        tok = self.take()
+        if tok == "(":
+            inner = self.expr()
+            if self.take() != ")":
+                raise ValueError("unbalanced parentheses")
+            return inner
+        if tok.isdigit():
+            return RationalFunction.of(self.ctx.const(int(tok)))
+        if tok in self.ctx.index:
+            return RationalFunction.of(self.ctx.sym(tok))
+        raise ValueError(f"unknown symbol {tok!r}")
+
+
+def expressions(depth):
+    """Expression strings: sums, products, quotients, parentheses, unary minus, powers."""
+    leaf = st.sampled_from(["s", "e", "c", "k1", "eps", "0", "1", "2", "3", "12"])
+    powers = st.sampled_from(["^0", "^1", "^2", "^-1", "^-2"])
+    if depth == 0:
+        return st.one_of(leaf, st.tuples(leaf, powers).map("".join))
+    sub = expressions(depth - 1)
+    return st.one_of(
+        sub,
+        st.tuples(sub, st.sampled_from([" + ", " - ", "*", "/", " - -", "*-"]), sub).map("".join),
+        sub.map(lambda a: f"({a})"),
+        sub.map(lambda a: f"-{a}"),
+        st.tuples(sub.map(lambda a: f"({a})"), powers).map("".join),
+    )
+
+
+def parsed(parse, text):
+    """(num terms, den terms) in term order, or the error's type and message."""
+    try:
+        rf = parse(text)
+    except (ZeroDivisionError, SymbolicError) as exc:
+        return type(exc), str(exc)
+    return list(rf.num.terms.items()), list(rf.den.terms.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(expressions(3))
+def test_parse_equals_the_rational_function_parser_term_for_term(text):
+    ctx = polys.ctx
+    want = parsed(lambda t: RationalParser(ctx, t).parse(), text)
+    assert parsed(ctx.parse, text) == want
+    if isinstance(want[0], list):
+        assert ctx.parse(text).__class__ is RationalFunction
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("s e", ValueError, "trailing input at token 'e'"),
+        ("s)", ValueError, "trailing input at token ')'"),
+        ("(s e", ValueError, "unbalanced parentheses"),
+        ("q*s", ValueError, "unknown symbol 'q'"),
+        ("s^e", ValueError, "expected integer exponent, got 'e'"),
+        ("s^(2)", ValueError, "expected integer exponent, got '('"),
+        ("s $ e", ValueError, "unexpected character '$' in expression"),
+        ("1.5*s", ValueError, "unexpected character '.' in expression"),
+        ("s +", ValueError, "unexpected end of expression"),
+        ("(s", ValueError, "unexpected end of expression"),
+        ("", ValueError, "unexpected end of expression"),
+        ("s/0", ZeroDivisionError, "division by zero rational function"),
+        ("s/(e - e)", ZeroDivisionError, "division by zero rational function"),
+        ("0^-1", ZeroDivisionError, "rational function with zero denominator"),
+        ("(s - s)^-2", ZeroDivisionError, "rational function with zero denominator"),
+    ],
+)
+def test_parse_errors(mm, text, error, message):
+    with pytest.raises(error) as info:
+        mm.parse(text)
+    assert str(info.value) == message

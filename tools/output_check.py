@@ -1,4 +1,4 @@
-"""Print the output of 230 CLI cases, for comparing two checkouts byte for byte.
+"""Print the output of 232 CLI cases, for comparing two checkouts byte for byte.
 
 Usage: python tools/output_check.py <src-dir>
 
@@ -15,7 +15,9 @@ parameters down to 3.125e-3, and ``demo-linex`` with and without
 ``--consistent``, plus two bad ``converge --set`` values (an unknown name, a
 value outside float range), ``reduce`` on a raw model whose fast block
 overflows a float at every certificate sample, ``reduce`` on a raw model
-with an exponent above the exact kernel's limit, and three bad inputs:
+with an exponent above the exact kernel's limit, ``reduce`` and ``ltc`` on a
+raw model whose rows cancel quotients and negative powers back to
+polynomials, and three bad inputs:
 ``--builtin`` together with ``--model`` (a missing file), ``converge
 --mode`` and ``reduce`` without a model.  Each case prints its argv,
 exit code, stdout and stderr.  Compare
@@ -86,6 +88,17 @@ path.write_text(json.dumps({
     "initial_values": {"x": {"base": "1"}, "y": {"base": "0"}}, "fast": ["y"],
 }))
 cases.append(["reduce", "--model", str(path)])
+# mm3d_deg with rows written through quotients, negative powers and
+# parentheses, which the parser must cancel back to polynomials
+path = Path(tmp.name) / "quotients.json"
+path.write_text(json.dumps({
+    "name": "quotients", "states": ["s", "e", "c"], "parameters": ["k1", "km1", "k2", "delta", "e0", "s0"],
+    "raw_system": ["(km1*c*s - k1*e*s^2)/s",
+                   "-k1*e*s + (km1 + k2)*c*e*e^-1 - eps*delta*(e/2)*2",
+                   "(2*k1*e*s - 2*(km1 + k2)*c)/2 + (s^-1*(s + s^2) - 1 - s)^2"],
+    "initial_values": {"s": {"base": "s0"}, "e": {"base": "e0"}, "c": {"base": "0"}}, "fast": ["e", "c"],
+}))
+cases += [["reduce", "--model", str(path), "--format", "json"], ["ltc", "--model", str(path)]]
 cases += [
     ["check", "--builtin", "mm2d", "--model", str(Path(tmp.name) / "missing.json")],
     ["converge", "--builtin", "mm2d", "--mode", "standard"],
