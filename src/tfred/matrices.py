@@ -14,13 +14,16 @@ back-substitution.  ``solve_blocks`` hands a solution on in that form, as
 C - A X from it with one rational function per entry and block.  On top of
 that sits the other structural factorization the reduction machinery needs:
 writing a vector field that vanishes on a coordinate subspace as a matrix
-times the vanishing variables.
+times the vanishing variables.  Constant matrices take the integer kernel
+beside ``_bareiss``: rows cleared to integers (``cleared_row``), then one
+fraction-free Gauss-Jordan elimination on ints (``integer_gauss_jordan``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from math import gcd, lcm
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .rational import (
     Context,
@@ -28,7 +31,6 @@ from .rational import (
     Polynomial,
     RationalFunction,
     SymbolicError,
-    _div,
     cancel_common_factors,
 )
 
@@ -165,84 +167,96 @@ class RFMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Exact numeric helpers (Fraction matrices)
+# Integer elimination of constant matrices
 # ---------------------------------------------------------------------------
 
 
-def fraction_echelon(a: list[list[Fraction]], ncols: int) -> tuple[list[int], int]:
-    """Forward Gaussian elimination of a Fraction matrix, in place.
+def cleared_row(values: Iterable[int | Fraction]) -> tuple[list[int], int]:
+    """The values as integers over one denominator: ([d*v for v in values], d), d the lcm of theirs."""
+    values = list(values)
+    d = lcm(*[v.denominator for v in values if v.__class__ is not int])
+    if d == 1:
+        return [v if v.__class__ is int else v.numerator for v in values], 1
+    return [v * d if v.__class__ is int else v.numerator * (d // v.denominator) for v in values], d
+
+
+def integer_gauss_jordan(a: list[list[int]], ncols: int) -> list[int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place; returns the pivot columns.
 
     Pivots are searched in the first ``ncols`` columns; entries to their right
-    (an augmented column) are carried along.  Returns the pivot column of each
-    echelon row, in row order, and the sign of the row permutation applied.
+    (an augmented column) are carried along.  Afterwards row k is zero in
+    every pivot column but pivots[k], and the later rows are zero in the first
+    ``ncols`` columns.  Pivot columns do not depend on the row operations, so
+    each pivot row is the sparsest candidate.  A row with entry f at pivot p
+    becomes (p*row - f*pivot row) / gcd(p, f), updated on the pivot row's
+    nonzero entries only, then divided by its content.
     """
     rows = len(a)
     width = len(a[0]) if rows else 0
     pivots: list[int] = []
-    sign = 1
     for c in range(ncols):
         r = len(pivots)
         if r == rows:
             break
-        piv = next((rr for rr in range(r, rows) if a[rr][c] != 0), None)
+        piv = max((i for i in range(r, rows) if a[i][c]), key=lambda i: a[i].count(0), default=None)
         if piv is None:
             continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-            sign = -sign
-        pv = a[r][c]
-        for rr in range(r + 1, rows):
-            if a[rr][c] != 0:
-                f = _div(a[rr][c], pv)
-                for cc in range(c, width):
-                    a[rr][cc] -= f * a[r][cc]
+        a[r], a[piv] = a[piv], a[r]
+        prow = a[r]
+        p = prow[c]
+        nonzero = [j for j in range(c, width) if prow[j]]
+        for i in range(rows):
+            f = a[i][c]
+            if not f or i == r:
+                continue
+            g = gcd(p, f)
+            s, t = p // g, f // g
+            row = a[i] if s == 1 else [s * v for v in a[i]]
+            for j in nonzero:
+                row[j] -= t * prow[j]
+            g = gcd(*row)
+            a[i] = [v // g for v in row] if g > 1 else row
         pivots.append(c)
-    return pivots, sign
+    return pivots
 
 
-def _back_substitute(a: list[list[Fraction]], pivots: list[int], x: list[Fraction]) -> list[Fraction]:
-    """Fill the pivot entries of x so that every echelon row has a . x = 0.
-
-    Non-pivot entries of x are kept as given; the result is unique.
-    """
-    for pr in range(len(pivots) - 1, -1, -1):
-        pc = pivots[pr]
-        s = 0
-        for cc in range(pc + 1, len(x)):
-            s -= a[pr][cc] * x[cc]
-        x[pc] = _div(s, a[pr][pc])
-    return x
+def _ratio(n: int, d: int) -> int | Fraction:
+    """n/d: an int when d divides n, a Fraction otherwise."""
+    q, rem = divmod(n, d)
+    return Fraction(n, d) if rem else q
 
 
-def fraction_rank(m: list[list[Fraction]]) -> int:
-    """Rank of a Fraction matrix by plain Gaussian elimination."""
-    return len(fraction_echelon([row[:] for row in m], len(m[0]) if m else 0)[0])
+def fraction_rank(m: list[list[int | Fraction]]) -> int:
+    """Rank of an exact numeric matrix."""
+    return len(integer_gauss_jordan([cleared_row(row)[0] for row in m], len(m[0]) if m else 0))
 
 
-def fraction_nullspace(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the right nullspace: one vector per free column, set to 1."""
+def fraction_nullspace(m: list[list[int | Fraction]]) -> list[list[int | Fraction]]:
+    """Basis of the right nullspace: one vector per free column, set to 1, the others 0."""
     cols = len(m[0]) if m else 0
-    a = [row[:] for row in m]
-    pivots, _ = fraction_echelon(a, cols)
+    a = [cleared_row(row)[0] for row in m]
+    pivots = integer_gauss_jordan(a, cols)
     basis = []
-    for fc in range(cols):
-        if fc not in pivots:
-            vec = [0] * cols
-            vec[fc] = 1
-            basis.append(_back_substitute(a, pivots, vec))
+    for fc in sorted(set(range(cols)) - set(pivots)):
+        vec = [0] * cols
+        vec[fc] = 1
+        for row, pc in zip(a, pivots):
+            vec[pc] = _ratio(-row[fc], row[pc])
+        basis.append(vec)
     return basis
 
 
-def fraction_solve(m: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
-    """One solution of m x = b over Fractions, free variables set to 0."""
+def fraction_solve(m: list[list[int | Fraction]], b: list[int | Fraction]) -> list[int | Fraction] | None:
+    """One solution of m x = b, free variables set to 0; None when there is none."""
     cols = len(m[0]) if m else 0
-    a = [m[i][:] + [b[i]] for i in range(len(m))]
-    pivots, _ = fraction_echelon(a, cols)
-    if any(row[cols] != 0 for row in a[len(pivots):]):
+    a = [cleared_row([*row, bi])[0] for row, bi in zip(m, b)]
+    pivots = integer_gauss_jordan(a, cols)
+    if any(row[cols] for row in a[len(pivots):]):
         return None
-    # [m | b] . (x, -1) = 0
-    x = _back_substitute(a, pivots, [0] * cols + [-1])
-    return x[:cols]
+    x: list[int | Fraction] = [0] * cols
+    for row, pc in zip(a, pivots):
+        x[pc] = _ratio(row[cols], row[pc])
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -36,9 +36,10 @@ from .matrices import (
     Elimination,
     NoSolution,
     RFMatrix,
-    fraction_echelon,
+    cleared_row,
     fraction_solve,
     hadamard_factor,
+    integer_gauss_jordan,
     jacobian,
     minus_product,
     solve_blocks,
@@ -259,7 +260,7 @@ def find_decomposition(h0: Sequence[Polynomial], sample: Mapping[str, Fraction])
     J = jacobian(h0, list(states))
     # the first rows of Dh0 independent of those above them at the sample:
     # the pivot columns of its transpose
-    chosen, _ = fraction_echelon([list(col) for col in zip(*J.eval(sample))], len(h0))
+    chosen = integer_gauss_jordan([cleared_row(col)[0] for col in zip(*J.eval(sample))], len(h0))
     r = len(chosen)
     if r >= n:
         raise ReductionError(f"rank Dh0 = {r} is not smaller than n = {n} at the sample")
@@ -269,12 +270,7 @@ def find_decomposition(h0: Sequence[Polynomial], sample: Mapping[str, Fraction])
     P_rows: list[list[RationalFunction]] = []
     for i in range(n):
         if i in chosen:
-            P_rows.append(
-                [
-                    RationalFunction.of(ctx.one() if chosen[k] == i else ctx.zero())
-                    for k in range(r)
-                ]
-            )
+            P_rows.append([RationalFunction.of(ctx.one() if k == i else ctx.zero()) for k in chosen])
             continue
         row = _solve_p_row(ctx, h0[i], mu_polys, sample)
         if row is None:
@@ -305,8 +301,8 @@ def _solve_p_row(
     mu_view = [m.monomials() for m in mu]
     target_view = target.monomials()
     monomials = sorted(set().union(*mu_view) | set(target_view))
-    A = [[v.get(e, Fraction(0)) for v in mu_view] for e in monomials]
-    b = [target_view.get(e, Fraction(0)) for e in monomials]
+    A = [[v.get(e, 0) for v in mu_view] for e in monomials]
+    b = [target_view.get(e, 0) for e in monomials]
     x = fraction_solve(A, b)
     if x is not None:
         # fraction_solve returns a candidate; verify to reject lossy fits
@@ -325,8 +321,8 @@ def _solve_p_row(
             col_index.append((j, k))
     col_view = [p.monomials() for p in unknown_cols]
     all_monos = sorted(set().union(*col_view) | set(target_view))
-    A2 = [[v.get(e, Fraction(0)) for v in col_view] for e in all_monos]
-    b2 = [target_view.get(e, Fraction(0)) for e in all_monos]
+    A2 = [[v.get(e, 0) for v in col_view] for e in all_monos]
+    b2 = [target_view.get(e, 0) for e in all_monos]
     x2 = fraction_solve(A2, b2)
     if x2 is not None:
         coeffs = [ctx.zero() for _ in range(r)]
@@ -702,8 +698,8 @@ def _fraction_char_poly(m: list[list[Fraction]]) -> list[int]:
     n = len(m)
     if not n:
         return [1]
-    d = lcm(*[v.denominator for row in m for v in row])
-    b = [[v.numerator * (d // v.denominator) for v in row] for row in m]
+    flat, _ = cleared_row([v for row in m for v in row])
+    b = [flat[i:i + n] for i in range(0, n * n, n)]
     a = b[0][0]
     p = [1, -a]
     # cols[i], vals[i]: the nonzero entries of row i of the leading block B_k

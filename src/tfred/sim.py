@@ -29,12 +29,13 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .rational import Polynomial, Q, RationalFunction
 from .systems import GradedSystem
+
+if TYPE_CHECKING:
+    import numpy
 
 
 class IntegrationError(Exception):
@@ -159,7 +160,8 @@ def compile_system(sys: GradedSystem, params: Mapping[str, object], eps: float) 
 
 def numeric_initial_state(
     sys: GradedSystem, params: Mapping[str, object], eps: float
-) -> np.ndarray:
+) -> numpy.ndarray:
+    import numpy as np
     vals = []
     env = {k: Fraction(str(v)) if isinstance(v, str) else Q(v) for k, v in params.items()}  # type: ignore[arg-type]
     for name in sys.states:
@@ -319,14 +321,15 @@ class IntegratorStats:
 class Trajectory:
     """Accepted grid, states, and derivatives for dense interpolation."""
 
-    taus: np.ndarray
-    states: np.ndarray
-    derivs: np.ndarray
+    taus: numpy.ndarray
+    states: numpy.ndarray
+    derivs: numpy.ndarray
     names: tuple[str, ...]
     stats: IntegratorStats
 
-    def sample(self, grid: Sequence[float]) -> np.ndarray:
+    def sample(self, grid: Sequence[float]) -> numpy.ndarray:
         """Cubic Hermite interpolation on the accepted intervals."""
+        import numpy as np
         grid = np.asarray(grid, dtype=float)
         idx = np.searchsorted(self.taus, grid, side="right") - 1
         idx = np.clip(idx, 0, len(self.taus) - 2)
@@ -346,7 +349,7 @@ class Trajectory:
             rows.append([h00 * a + x10 * b + h01 * c + x11 * d for a, b, c, d in zip(y0, f0, y1, f1)])
         return np.array(rows, dtype=float).reshape(len(rows), states.shape[1])
 
-    def final(self) -> np.ndarray:
+    def final(self) -> numpy.ndarray:
         return self.states[-1]
 
 
@@ -370,6 +373,7 @@ def integrate(
     raises StiffnessError, or EvaluationError when non-finite stages forced
     it there.
     """
+    import numpy as np
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 <= t0:
         raise ValueError("need t1 > t0")
@@ -483,6 +487,7 @@ class ConvergenceReport:
 
 def fit_order(ladder: Sequence[float], errors: Sequence[float]) -> float:
     """Least-squares slope of log(err) vs log(eps) over the lower ladder half."""
+    import numpy as np
     pairs = [(e, v) for e, v in zip(ladder, errors) if v > 0]
     if len(pairs) < 2:
         return float("nan")
@@ -511,6 +516,7 @@ def convergence_study(
     grid inside [t1, t2], away from the initial layer, in every reduced state
     that is also a state of the full system.
     """
+    import numpy as np
     ladder = list(ladder) if ladder is not None else default_ladder()
     if any(a <= b for a, b in zip(ladder, ladder[1:])):
         raise ValueError("ladder must be strictly decreasing")
@@ -606,6 +612,7 @@ def iv_inconsistency_demo(
     linearly in eps to its limit, to be compared with -(b*y0/c)*exp(a*tau) in
     the inconsistent case and 0 in the consistent one.
     """
+    import numpy as np
     if a > 0 or c >= 0:
         raise ValueError("need a <= 0 and c < 0")
     ladder = list(ladder) if ladder is not None else default_ladder(1e-1, 1e-3)

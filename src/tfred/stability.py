@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 
 def is_hurwitz_stable(coeffs: Sequence[int]) -> bool:
     """Every root strictly in the left half plane (monic integer coefficient list).
@@ -50,4 +48,5 @@ def max_real_part(matrices: Sequence[Sequence[Sequence[float]]]) -> list[float]:
     LAPACK routine on each matrix as a call on that matrix alone, so every
     value is bit-identical to the per-matrix result.
     """
+    import numpy as np
     return np.linalg.eigvals(np.array(matrices, dtype=float)).real.max(axis=1).tolist()

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .matrices import fraction_nullspace
+from .matrices import cleared_row, fraction_nullspace, fraction_solve
 from .rational import (
     Context,
     Polynomial,
@@ -417,16 +418,11 @@ def linear_change_of_states(
     Bq = [[Q(v) for v in row] for row in B]  # type: ignore[arg-type]
     if len(Bq) != n or any(len(r) != n for r in Bq):
         raise ModelError("B must be square of the state dimension")
-    from .matrices import fraction_solve
-
-    cols = []
-    for j in range(n):
-        unit = [Fraction(1) if i == j else Fraction(0) for i in range(n)]
-        x = fraction_solve(Bq, unit)
-        if x is None:
-            raise ModelError("B is singular")
-        cols.append(x)
-    Binv = [[cols[j][i] for j in range(n)] for i in range(n)]
+    # column j of B^-1 solves B x = e_j; a singular B leaves some e_j outside its range
+    cols = [fraction_solve(Bq, [int(i == j) for i in range(n)]) for j in range(n)]
+    if any(x is None for x in cols):
+        raise ModelError("B is singular")
+    Binv = list(zip(*cols))
     new_ctx = Context(list(new_names), [p.name for p in sys.ctx.params], eps=sys.ctx.eps.name)
     # old state i = sum_j Binv[i][j] * zhat_j
     subs_map: dict[str, Polynomial] = {}
@@ -481,39 +477,22 @@ def linear_change_of_states(
 def linear_first_integrals(sys: GradedSystem) -> list[list[Fraction]]:
     """Basis of constant row vectors w with w . h_g identically zero per grade."""
     n = sys.n
-    constraints: list[list[Fraction]] = []
+    # one row per monomial of a grade; the zero row keeps the width n
+    constraints = [[0] * n]
     for g in sys.grades:
         views = [p.monomials() for p in g]
-        monomials: set[tuple[int, ...]] = set()
-        for v in views:
-            monomials.update(v)
-        for e in monomials:
-            constraints.append([v.get(e, Fraction(0)) for v in views])
-    if not constraints:
-        constraints = [[Fraction(0)] * n]
+        constraints += [[v.get(e, 0) for v in views] for e in set().union(*views)]
     basis = fraction_nullspace(constraints)
     return [_primitive(v) for v in basis]
 
 
 def _primitive(vec: list[Fraction]) -> list[Fraction]:
     """Scale to a primitive integer vector with positive first nonzero entry."""
-    from math import gcd
-
-    denom = 1
-    for v in vec:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g:
-        ints = [v // g for v in ints]
-    for v in ints:
-        if v != 0:
-            if v < 0:
-                ints = [-x for x in ints]
-            break
-    return [Fraction(v) for v in ints]
+    ints, _ = cleared_row(vec)
+    g = gcd(*ints) or 1
+    if next((v for v in ints if v), 0) < 0:
+        g = -g
+    return [Fraction(v // g) for v in ints]
 
 
 def is_first_integral(sys: GradedSystem, weights: Sequence[object]) -> bool:

@@ -3,9 +3,13 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tfred
 from tfred.builtin_models import BUILTINS, load_builtin
 from tfred.cli import InputError, main, parse_ladder
 from tfred.modelfile import load_model, model_from_dict
@@ -39,6 +43,20 @@ def test_check_consistent_exit_zero(capsys):
     assert code == 0
     assert payload["consistency"] == "fullLTC"
     assert payload["initial_value_consistent"] is True
+
+
+def test_check_never_imports_numpy():
+    # numpy is most of a bare import's time; only the numeric commands need it
+    code = (
+        "import sys\n"
+        "import tfred.cli\n"
+        "assert 'numpy' not in sys.modules, 'imported by tfred.cli'\n"
+        "assert tfred.cli.main(['check', '--builtin', 'mm2d']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'imported by check'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(tfred.__file__).parent.parent)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_check_inconsistent_partition_exit_two(capsys):

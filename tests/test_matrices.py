@@ -5,7 +5,10 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tfred.builtin_models import BUILTINS, transport_binding
 from tfred.rational import Context, RationalFunction, SymbolicError
 from tfred.stability import is_hurwitz_stable
 from tfred.matrices import (
@@ -14,11 +17,13 @@ from tfred.matrices import (
     NoSolution,
     RFMatrix,
     char_poly,
+    cleared_row,
     determinant,
     fraction_nullspace,
     fraction_rank,
     fraction_solve,
     hadamard_factor,
+    integer_gauss_jordan,
     invert,
     jacobian,
     linear_solve,
@@ -29,6 +34,7 @@ from tfred.matrices import (
     _fraction_free_back_substitute,
 )
 from tfred.reduction import ReductionError, default_sample, find_decomposition
+from tfred.systems import Partition, apply_scaling, linear_first_integrals
 
 
 @pytest.fixture
@@ -745,6 +751,162 @@ def test_fraction_kernels_on_random_matrices():
         assert all(x[c] == 0 for c in free)
         assert fraction_solve(m + [[Fraction(0)] * cols], b + [Fraction(1)]) is None
         assert m == before
+
+
+# -- the integer kernel against the Fraction elimination it replaced -----------------
+
+
+def _oracle_echelon(a, ncols):
+    """Forward Gaussian elimination of a Fraction matrix, in place: the pivot column of each echelon row."""
+    rows, width = len(a), len(a[0]) if a else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == rows:
+            break
+        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        for i in range(r + 1, rows):
+            if a[i][c] != 0:
+                f = a[i][c] / a[r][c]
+                for j in range(c, width):
+                    a[i][j] -= f * a[r][j]
+        pivots.append(c)
+    return pivots
+
+
+def _oracle_back_substitute(a, pivots, x):
+    """Fill the pivot entries of x so that every echelon row has a . x = 0."""
+    for r in range(len(pivots) - 1, -1, -1):
+        pc = pivots[r]
+        x[pc] = -sum((a[r][j] * x[j] for j in range(pc + 1, len(x))), Fraction(0)) / a[r][pc]
+    return x
+
+
+def _oracle(m, b=None):
+    """(pivot columns, nullspace basis, one solution of m x = b or None) by Fraction elimination."""
+    cols = len(m[0]) if m else 0
+    a = [[Fraction(v) for v in row] for row in m]
+    pivots = _oracle_echelon(a, cols)
+    null = [
+        _oracle_back_substitute(a, pivots, [Fraction(int(j == fc)) for j in range(cols)])
+        for fc in range(cols)
+        if fc not in pivots
+    ]
+    if b is None:
+        return pivots, null, None
+    a = [[Fraction(v) for v in row] + [Fraction(bi)] for row, bi in zip(m, b)]
+    _oracle_echelon(a, cols)
+    if any(row[cols] != 0 for row in a[len(pivots):]):
+        return pivots, null, None
+    return pivots, null, _oracle_back_substitute(a, pivots, [Fraction(0)] * cols + [Fraction(-1)])[:cols]
+
+
+def assert_kernel_matches_oracle(m, b):
+    """Rank, pivot columns, nullspace and the solve of m x = b equal the oracle's, exactly."""
+    cols = len(m[0]) if m else 0
+    pivots, null, x = _oracle(m, b)
+    a = [cleared_row(row)[0] for row in m]
+    assert integer_gauss_jordan(a, cols) == pivots
+    # Gauss-Jordan form: row k is nonzero in pivot column k only, the rows below vanish
+    r = len(pivots)
+    assert all([row[p] != 0 for p in pivots] == [j == k for j in range(r)] for k, row in enumerate(a[:r]))
+    assert not any(v for row in a[r:] for v in row[:cols])
+    assert fraction_rank(m) == r
+    got, sol = fraction_nullspace(m), fraction_solve(m, b)
+    assert got == null and sol == x
+    # exact results: an int where integral, never an integral Fraction
+    assert all(type(v) is int or v.denominator != 1 for v in [*(v for vec in got for v in vec), *(sol or [])])
+
+
+def test_cleared_row_is_integral_over_the_lcm():
+    row = [Fraction(1, 6), 3, Fraction(-5, 4), 0, Fraction(4)]
+    ints, d = cleared_row(row)
+    assert d == 12 and ints == [2, 36, -15, 0, 48]
+    assert all(type(v) is int for v in ints)
+    assert cleared_row([2, -7, 0]) == ([2, -7, 0], 1)
+    assert cleared_row([]) == ([], 1)
+
+
+_RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@st.composite
+def rational_systems(draw):
+    """(m, b): a low-rank rational matrix with zeroed rows and columns, and a right-hand side.
+
+    Integral entries are ints or integral Fractions, as the callers pass them.
+    b is m times an integer vector (consistent) or drawn at random (mostly
+    inconsistent when m is rank-deficient).
+    """
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    k = draw(st.integers(0, min(rows, cols)))
+    left = [[draw(_RATIONALS) for _ in range(k)] for _ in range(rows)]
+    right = [[draw(st.sampled_from([0, 0, 1, -2, Fraction(3, 2)])) for _ in range(cols)] for _ in range(k)]
+    zero_rows = draw(st.sets(st.integers(0, rows - 1), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, cols - 1), max_size=2))
+    as_int = draw(st.booleans())
+    m = []
+    for i in range(rows):
+        row = []
+        for j in range(cols):
+            v = Fraction(0) if i in zero_rows or j in zero_cols else sum((left[i][t] * right[t][j] for t in range(k)), Fraction(0))
+            row.append(v.numerator if as_int and v.denominator == 1 else v)
+        m.append(row)
+    if draw(st.booleans()):
+        x0 = [draw(st.integers(-2, 2)) for _ in range(cols)]
+        b = [sum((v * xj for v, xj in zip(row, x0)), Fraction(0)) for row in m]
+    else:
+        b = [draw(_RATIONALS) for _ in range(rows)]
+    return m, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_systems())
+def test_integer_kernel_matches_fraction_elimination(system):
+    m, b = system
+    before = [row[:] for row in m]
+    assert_kernel_matches_oracle(m, b)
+    assert m == before
+    # a zero row with a nonzero right-hand side is inconsistent whatever m is
+    assert fraction_solve(m + [[0] * len(m[0])], b + [Fraction(1, 3)]) is None
+
+
+def test_integer_kernel_on_rank_zero():
+    for m in ([[0]], [[0, 0, 0]], [[Fraction(0)] * 3] * 4):
+        assert_kernel_matches_oracle(m, [0] * len(m))
+        assert_kernel_matches_oracle(m, [1] + [0] * (len(m) - 1))
+
+
+def _constraint_matrix(grades):
+    """``linear_first_integrals``' constraint matrix: a row per monomial of a grade, a column per state."""
+    rows = []
+    for g in grades:
+        views = [p.monomials() for p in g]
+        rows += [[v.get(e, 0) for v in views] for e in sorted(set().union(*views))]
+    return rows
+
+
+FIRST_INTEGRAL_MODELS = sorted(BUILTINS) + [f"transport_binding({N})" for N in range(2, 9)]
+
+
+@pytest.mark.parametrize("name", FIRST_INTEGRAL_MODELS)
+def test_integer_kernel_matches_fraction_elimination_on_model_constraints(name):
+    spec = transport_binding(int(name[18:-1])) if name.endswith(")") else BUILTINS[name]()
+    scaled = apply_scaling(spec.system, Partition.from_fast(spec.system, spec.fast)).system
+    for grades in (spec.system.grades, [scaled.grade(0)]):
+        m = _constraint_matrix(grades)
+        assert_kernel_matches_oracle(m, [sum(row) for row in m])
+    # each first integral is the oracle's basis vector scaled to a primitive integer one
+    _, null, _ = _oracle(_constraint_matrix(spec.system.grades))
+    got = linear_first_integrals(spec.system)
+    assert len(got) == len(null)
+    for w, v in zip(got, null):
+        c = next(wi / vi for wi, vi in zip(w, v) if vi)
+        assert w == [c * vi for vi in v]
+        assert all(type(wi) is Fraction and wi.denominator == 1 for wi in w)
 
 
 def _hurwitz_minors_oracle(coeffs):

@@ -1,4 +1,4 @@
-"""Print the output of 232 CLI cases, for comparing two checkouts byte for byte.
+"""Print the output of 232 CLI cases and 18 library cases, for comparing two checkouts byte for byte.
 
 Usage: python tools/output_check.py <src-dir>
 
@@ -20,8 +20,14 @@ raw model whose rows cancel quotients and negative powers back to
 polynomials, and three bad inputs:
 ``--builtin`` together with ``--model`` (a missing file), ``converge
 --mode`` and ``reduce`` without a model.  Each case prints its argv,
-exit code, stdout and stderr.  Compare
-two checkouts with
+exit code, stdout and stderr.
+
+The library cases print what the exact constant-matrix kernel decides and
+no CLI output shows whole: ``linear_first_integrals`` of every builtin and of
+``transport_binding(N)`` for N = 2..8, each with the linear integrals of its
+scaled fast flow (``fast_linear_integrals``), and the (P, mu) that
+``find_decomposition`` gives for mm3d scaled with e, c fast at
+``default_sample(ctx, seed=1)``.  Compare two checkouts with
 
     diff <(python tools/output_check.py OLD/src) <(python tools/output_check.py src)
 """
@@ -36,8 +42,10 @@ from pathlib import Path
 
 sys.path.insert(0, sys.argv[1])
 
-from tfred.builtin_models import BUILTINS  # noqa: E402
+from tfred.builtin_models import BUILTINS, mm3d, transport_binding  # noqa: E402
 from tfred.cli import main  # noqa: E402
+from tfred.reduction import default_sample, fast_linear_integrals, find_decomposition  # noqa: E402
+from tfred.systems import Partition, apply_scaling, linear_first_integrals  # noqa: E402
 
 CMDS = [["check"], ["ltc"], ["conditions"], ["reduce"],
         ["converge", "--ladder", "1e-1,5e-2,2.5e-2", "--t2", "1.0"]]
@@ -115,3 +123,18 @@ for argv in cases:
     print(out.getvalue().replace(tmp.name, "<tmp>"), end="")
     print("stderr:", err.getvalue().replace(tmp.name, "<tmp>"))
 tmp.cleanup()
+
+specs = [(b, BUILTINS[b]()) for b in sorted(BUILTINS)]
+specs += [(f"transport_binding({N})", transport_binding(N)) for N in range(2, 9)]
+for name, spec in specs:
+    print("### linear_first_integrals", name)
+    for w in linear_first_integrals(spec.system):
+        print(" ".join(map(str, w)))
+    scaled = apply_scaling(spec.system, Partition.from_fast(spec.system, spec.fast)).system
+    print("fast flow:", ", ".join(phi.render() for phi in fast_linear_integrals(scaled)))
+# acceptance criterion 02's decomposition h0 = P*mu
+scaled = apply_scaling(mm3d().system, Partition.from_fast(mm3d().system, ["e", "c"])).system
+dec = find_decomposition(scaled.grade(0), default_sample(scaled.ctx, seed=1))
+print("### find_decomposition mm3d fast e, c")
+print("P:", "; ".join(", ".join(v.render() for v in row) for row in dec.P.entries))
+print("mu:", ", ".join(v.render() for v in dec.mu))
