@@ -218,8 +218,6 @@ def cmd_conditions(args) -> int:
         lines.append(
             "solved: " + ", ".join(f"{k} = {v}" for k, v in sorted(out.solved.items()))
         )
-    elif out.solved is not None and out.conditions == ():
-        pass
     elif out.solved is None and out.conditions:
         lines.append("no explicit solution attempted (conditions left symbolic)")
     if not out.feasible:

@@ -17,13 +17,18 @@ writing a vector field that vanishes on a coordinate subspace as a matrix
 times the vanishing variables.  Constant matrices take the integer kernel
 beside ``_bareiss``: rows cleared to integers (``cleared_row``), then one
 fraction-free Gauss-Jordan elimination on ints (``integer_gauss_jordan``).
+Beside both sits the one characteristic-polynomial kernel, division-free
+Berkowitz (``berkowitz``) over ints or polynomials: ``char_poly`` runs it on
+a matrix of rational functions cleared to one polynomial matrix, and the
+certificate on integer-cleared sample matrices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Callable, Iterable, Mapping, Sequence
+from math import gcd
+from operator import mul
+from typing import Mapping, Sequence
 
 from .rational import (
     Context,
@@ -32,6 +37,7 @@ from .rational import (
     RationalFunction,
     SymbolicError,
     cancel_common_factors,
+    cleared_row,
 )
 
 
@@ -101,15 +107,9 @@ class RFMatrix:
 
     # -- arithmetic ------------------------------------------------------------
 
-    def __add__(self, other: "RFMatrix") -> "RFMatrix":
-        self._check_shape(other, same=True)
-        return RFMatrix(
-            self.ctx,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-        )
-
     def __sub__(self, other: "RFMatrix") -> "RFMatrix":
-        self._check_shape(other, same=True)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
         return RFMatrix(
             self.ctx,
             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
@@ -137,9 +137,6 @@ class RFMatrix:
         col = RFMatrix.column(self.ctx, vec)
         return (self @ col).col(0)
 
-    def map(self, fn: Callable[[RationalFunction], RationalFunction]) -> "RFMatrix":
-        return RFMatrix(self.ctx, [[fn(v) for v in row] for row in self.entries])
-
     def __eq__(self, other):
         if not isinstance(other, RFMatrix):
             return NotImplemented
@@ -148,10 +145,6 @@ class RFMatrix:
         return all(
             a == b for r1, r2 in zip(self.entries, other.entries) for a, b in zip(r1, r2)
         )
-
-    def _check_shape(self, other: "RFMatrix", same: bool):
-        if same and (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
 
     # -- evaluation --------------------------------------------------------------
 
@@ -169,15 +162,6 @@ class RFMatrix:
 # ---------------------------------------------------------------------------
 # Integer elimination of constant matrices
 # ---------------------------------------------------------------------------
-
-
-def cleared_row(values: Iterable[int | Fraction]) -> tuple[list[int], int]:
-    """The values as integers over one denominator: ([d*v for v in values], d), d the lcm of theirs."""
-    values = list(values)
-    d = lcm(*[v.denominator for v in values if v.__class__ is not int])
-    if d == 1:
-        return [v if v.__class__ is int else v.numerator for v in values], 1
-    return [v * d if v.__class__ is int else v.numerator * (d // v.denominator) for v in values], d
 
 
 def integer_gauss_jordan(a: list[list[int]], ncols: int) -> list[int]:
@@ -788,28 +772,73 @@ def rank_and_factor(
     return Elimination(M, RFMatrix.column(M.ctx, b), right_first=True).factor()
 
 
+def berkowitz(b: list[list]) -> list:
+    """Characteristic polynomial [1, p1, ..., pn] of a square matrix over ints or Polynomials, division-free.
+
+    Berkowitz (1984): bordering the leading block B_k with column c, row r
+    and corner a multiplies the coefficient vector of its characteristic
+    polynomial by the lower triangular Toeplitz matrix with first column
+    (1, -a, -r c, -r B_k c, ..., -r B_k^(k-1) c).  O(n^4) ring products, less
+    those with a zero entry of b (a falsy one), which are skipped.
+    """
+    n = len(b)
+    if not n:
+        return [1]
+    a = b[0][0]
+    p = [1, -a]
+    # cols[i], vals[i]: the nonzero entries of row i of the leading block B_k
+    cols = [[0] if a else []]
+    vals = [[a] if a else []]
+    for k in range(1, n):
+        bk = b[k]
+        a = bk[k]
+        rc = [j for j in range(k) if bk[j]]
+        c = [b[i][k] for i in range(k)]
+        if rc and any(c):
+            rv = [bk[j] for j in rc]
+            q = [1, -a]
+            v = c
+            for t in range(k):
+                q.append(-sum(map(mul, rv, map(v.__getitem__, rc))))
+                if t < k - 1:
+                    get = v.__getitem__
+                    v = [sum(map(mul, vi, map(get, ci))) for ci, vi in zip(cols, vals)]
+            rq = q[::-1]
+            p = [sum(map(mul, rq[k + 1 - i:], p)) for i in range(k + 2)]
+        else:
+            # r B_k^t c = 0 for every t: p times (x - a)
+            p = [x - a * y for x, y in zip(p + [0], [0] + p)]
+        if k + 1 < n:
+            for i in range(k):
+                if c[i]:
+                    cols[i].append(k)
+                    vals[i].append(c[i])
+            if a:
+                rc.append(k)
+            cols.append(rc)
+            vals.append([bk[j] for j in rc])
+    return p
+
+
 def char_poly(M: RFMatrix) -> list[RationalFunction]:
     """Monic characteristic polynomial coefficients [1, c1, ..., cn].
 
-    Uses the Faddeev-LeVerrier recursion, so no fresh indeterminate is needed;
-    coefficient k multiplies lambda^(n-k).
+    Coefficient k multiplies lambda^(n-k).  M is cleared to one polynomial
+    matrix B = d*M, d the product of the distinct entry denominators that
+    ``_clear_row_denominators`` keeps on M's entries as one row; ``berkowitz``
+    gives B's coefficients b_k = d^k c_k, and c_k is b_k / d^k with the entry
+    denominators that divide both cancelled.
     """
     if M.rows != M.cols:
         raise ValueError("characteristic polynomial of non-square matrix")
-    n = M.rows
-    ctx = M.ctx
-    coeffs = [RationalFunction.of(ctx.one())]
-    Mk = M
-    ident = RFMatrix.identity(ctx, n)
-    for k in range(1, n + 1):
-        tr = RationalFunction.of(ctx.zero())
-        for i in range(n):
-            tr = tr + Mk.entries[i][i]
-        ck = tr * Fraction(-1, k)
-        coeffs.append(ck)
-        if k < n:
-            Mk = M @ (Mk + ident.map(lambda v, c=ck: v * c))
-    return coeffs
+    n, ctx = M.rows, M.ctx
+    entries = [v for row in M.entries for v in row]
+    flat, d = _clear_row_denominators(ctx, entries, 0)
+    coeffs = berkowitz([flat[i * n:i * n + n] for i in range(n)])
+    dens = list({v.den: None for v in entries})
+    return [RationalFunction.of(ctx.one())] + [
+        RationalFunction(*cancel_common_factors((b, d**k), dens)) for k, b in enumerate(coeffs[1:], 1)
+    ]
 
 
 def jacobian(v: Sequence[Polynomial | RationalFunction], names: Sequence[str]) -> RFMatrix:

@@ -41,7 +41,7 @@ from functools import reduce
 from itertools import compress
 from math import gcd, lcm
 from operator import add, mul, or_, sub
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Coefficient = Union[int, Fraction, str]
 
@@ -82,6 +82,15 @@ def _div(a: "int | Fraction", b: "int | Fraction") -> "int | Fraction":
         return Fraction(a, b) if r else q
     q = a / b
     return q.numerator if q.denominator == 1 else q
+
+
+def cleared_row(values: Iterable[int | Fraction]) -> tuple[list[int], int]:
+    """The values as integers over one denominator: ([d*v for v in values], d), d the lcm of theirs."""
+    values = list(values)
+    d = lcm(*[v.denominator for v in values if v.__class__ is not int])
+    if d == 1:
+        return [v if v.__class__ is int else v.numerator for v in values], 1
+    return [v * d if v.__class__ is int else v.numerator * (d // v.denominator) for v in values], d
 
 
 def _clean(terms: dict) -> dict:
@@ -224,11 +233,11 @@ class Context:
         Clear a point once and evaluate any number of polynomials at it with
         :meth:`Polynomial.eval_at`; :meth:`Point.bind` extends it in place.
         """
-        vals: list = [None] * len(self.symbols)
-        for name, v in point.items():
-            vals[self.index[name]] = Q(v)
-        den = lcm(*[v.denominator for v in vals if v is not None])
-        return Point(self, [None if v is None else v.numerator * (den // v.denominator) for v in vals], den)
+        ints, den = cleared_row([Q(v) for v in point.values()])
+        nums: list = [None] * len(self.symbols)
+        for name, v in zip(point, ints):
+            nums[self.index[name]] = v
+        return Point(self, nums, den)
 
     def parse(self, text: str) -> "RationalFunction":
         return _Parser(self, text).parse()
@@ -319,6 +328,9 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def is_one(self) -> bool:
         return self.terms == self.ctx._one.terms
 
@@ -377,6 +389,9 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         return self._merge((e, -c) for e, c in other.terms.items())
+
+    def __rsub__(self, other):
+        return -self + other
 
     def __mul__(self, other):
         if isinstance(other, RationalFunction):
@@ -544,12 +559,11 @@ class Polynomial:
         terms = self.terms
         if not terms:
             return 1, 0, []
-        q = lcm(*[c.denominator for c in terms.values() if c.__class__ is not int])
+        ints, q = cleared_row(terms.values())
         dshift, unpack = self.ctx.dshift, self.ctx.unpack
         top = max(terms) >> dshift
         groups: dict[int, list] = {}
-        for e, c in terms.items():
-            n = c * q if c.__class__ is int else c.numerator * (q // c.denominator)
+        for e, n in zip(terms, ints):
             factors = tuple((i, k) for i, k in enumerate(unpack(e)) if k)
             groups.setdefault(top - (e >> dshift), []).append((n, factors))
         return q, top, list(groups.items())

@@ -29,14 +29,13 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isfinite, lcm
-from operator import mul
 from typing import Mapping, Sequence
 
 from .matrices import (
     Elimination,
     NoSolution,
     RFMatrix,
-    cleared_row,
+    berkowitz,
     fraction_solve,
     hadamard_factor,
     integer_gauss_jordan,
@@ -52,6 +51,7 @@ from .rational import (
     RationalFunction,
     SymbolicError,
     cancel_common_factors,
+    cleared_row,
     substitute,
 )
 from .stability import is_hurwitz_stable, max_real_part
@@ -682,58 +682,16 @@ def _on_manifold(mu: Sequence[RationalFunction], point: Point) -> bool:
 
 
 def _fraction_char_poly(m: list[list[Fraction]]) -> list[int]:
-    """Characteristic polynomial [1, d*c1, ..., d^n*cn] of d*m, on integers.
+    """Characteristic polynomial [1, d*c1, ..., d^n*cn] of d*m, on integers, by ``matrices.berkowitz``.
 
     m is an exact numeric matrix, d the lcm of its denominators and
     [1, c1, ..., cn] its monic characteristic polynomial.  B = d*m has
     integer entries and d times m's roots, with d > 0, so
     :func:`is_hurwitz_stable` gives B's polynomial the verdict of m's.
-    Division-free, after Berkowitz (1984), on integers.  Bordering the leading
-    block B_k with column c, row r and corner a multiplies the coefficient
-    vector of its characteristic polynomial by the lower triangular Toeplitz
-    matrix with first column (1, -a, -r c, -r B_k c, ..., -r B_k^(k-1) c).
-    That is O(n^4) integer products, less those with a zero entry of B, which
-    are skipped.
     """
     n = len(m)
-    if not n:
-        return [1]
     flat, _ = cleared_row([v for row in m for v in row])
-    b = [flat[i:i + n] for i in range(0, n * n, n)]
-    a = b[0][0]
-    p = [1, -a]
-    # cols[i], vals[i]: the nonzero entries of row i of the leading block B_k
-    cols = [[0] if a else []]
-    vals = [[a] if a else []]
-    for k in range(1, n):
-        bk = b[k]
-        a = bk[k]
-        rc = [j for j in range(k) if bk[j]]
-        c = [b[i][k] for i in range(k)]
-        if rc and any(c):
-            rv = [bk[j] for j in rc]
-            q = [1, -a]
-            v = c
-            for t in range(k):
-                q.append(-sum(map(mul, rv, map(v.__getitem__, rc))))
-                if t < k - 1:
-                    get = v.__getitem__
-                    v = [sum(map(mul, vi, map(get, ci))) for ci, vi in zip(cols, vals)]
-            rq = q[::-1]
-            p = [sum(map(mul, rq[k + 1 - i:], p)) for i in range(k + 2)]
-        else:
-            # r B_k^t c = 0 for every t: p times (x - a)
-            p = [x - a * y for x, y in zip(p + [0], [0] + p)]
-        if k + 1 < n:
-            for i in range(k):
-                if c[i]:
-                    cols[i].append(k)
-                    vals[i].append(c[i])
-            if a:
-                rc.append(k)
-            cols.append(rc)
-            vals.append([bk[j] for j in rc])
-    return p
+    return berkowitz([flat[i * n:i * n + n] for i in range(n)])
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,14 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .matrices import cleared_row, fraction_nullspace, fraction_solve
+from .matrices import fraction_nullspace, fraction_solve
 from .rational import (
     Context,
     Polynomial,
     Q,
     RationalFunction,
     SymbolicError,
+    cleared_row,
     substitute,
 )
 

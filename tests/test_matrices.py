@@ -9,15 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tfred.builtin_models import BUILTINS, transport_binding
-from tfred.rational import Context, RationalFunction, SymbolicError
+from tfred import reduction
+from tfred.rational import Context, RationalFunction, SymbolicError, cleared_row
 from tfred.stability import is_hurwitz_stable
 from tfred.matrices import (
     ConsistencyError,
     EliminationError,
     NoSolution,
     RFMatrix,
+    berkowitz,
     char_poly,
-    cleared_row,
     determinant,
     fraction_nullspace,
     fraction_rank,
@@ -33,7 +34,7 @@ from tfred.matrices import (
     solve_matrix,
     _fraction_free_back_substitute,
 )
-from tfred.reduction import ReductionError, default_sample, find_decomposition
+from tfred.reduction import ReductionError, default_sample, find_decomposition, reduce_model
 from tfred.systems import Partition, apply_scaling, linear_first_integrals
 
 
@@ -681,6 +682,112 @@ def test_char_poly_chain_matrix_against_cofactor_oracle():
     det = _cofactor_det(M.entries, ctx)
     assert coeffs[3] == -det
     assert determinant(M) == det
+
+
+def _oracle_char_poly(M):
+    """Faddeev-LeVerrier over RationalFunction: [1, c1, ..., cn] from n - 1 products and a trace each.
+
+    M_1 = M, c_k = -tr(M_k) / k and M_(k+1) = M (M_k + c_k I).
+    """
+    n, ctx = M.rows, M.ctx
+    coeffs = [RationalFunction.of(ctx.one())]
+    Mk = M
+    for k in range(1, n + 1):
+        tr = RationalFunction.of(ctx.zero())
+        for i in range(n):
+            tr = tr + Mk.entries[i][i]
+        ck = tr * Fraction(-1, k)
+        coeffs.append(ck)
+        if k < n:
+            shifted = [[v + ck if i == j else v for j, v in enumerate(row)] for i, row in enumerate(Mk.entries)]
+            Mk = M @ RFMatrix(ctx, shifted)
+    return coeffs
+
+
+_CP = Context(["s", "e_star", "c_star"], ["k1", "km1", "k2"])
+# one-symbol denominators and two-symbol ones
+_CP_DENOMINATORS = [_CP.parse_poly(t) for t in ("k1", "k2 + 2", "k1 + k2", "s*km1 + 1")]
+
+
+@st.composite
+def rf_square_matrices(draw):
+    """A square RFMatrix over _CP of size 0-4: affine entries, some over a denominator, with zero rows and columns.
+
+    At most two distinct denominators per matrix: the oracle's rational-function
+    sums swell with more (one 4x4 with four took 52 s, its Berkowitz 0.1 s).
+    """
+    dens = [_CP.one()] + draw(st.lists(st.sampled_from(_CP_DENOMINATORS), max_size=2))
+    n = draw(st.integers(0, 4))
+    zero_rows = draw(st.sets(st.integers(0, 3), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, 3), max_size=2))
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            num = _CP.const(draw(st.integers(-3, 3)))
+            for name in draw(st.lists(st.sampled_from(["s", "c_star", "k1", "km1"]), max_size=2)):
+                num = num + _CP.sym(name) * draw(st.integers(-2, 2))
+            if i in zero_rows or j in zero_cols:
+                num = _CP.zero()
+            row.append(RationalFunction(num, draw(st.sampled_from(dens))))
+        rows.append(row)
+    return RFMatrix(_CP, rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rf_square_matrices())
+def test_char_poly_matches_faddeev_leverrier_on_random_matrices(M):
+    got, want = char_poly(M), _oracle_char_poly(M)
+    assert len(got) == len(want) == M.rows + 1
+    # cross-multiplied equality: the two need not share a representation
+    assert all(g.num * w.den == w.num * g.den for g, w in zip(got, want))
+    assert got[0].num.is_one() and got[0].den.is_one()
+
+
+def test_char_poly_edge_cases_and_a_shared_denominator():
+    assert char_poly(RFMatrix(_CP, [])) == [1]
+    zero = RFMatrix(_CP, [[_CP.zero()] * 3] * 3)
+    assert [c.render() for c in char_poly(zero)] == ["1", "0", "0", "0"]
+    with pytest.raises(ValueError):
+        char_poly(RFMatrix(_CP, [[_CP.one(), _CP.zero()]]))
+    # d = k1 + k2 and b_2 = s (k1 + k2): the shared entry denominator cancels
+    diagonal = RFMatrix(_CP, [[_CP.parse("1/(k1 + k2)"), _CP.zero()], [_CP.zero(), _CP.sym("s")]])
+    assert char_poly(diagonal)[2].render() == "s / (k1 + k2)"
+
+
+# every builtin but transport_binding, whose Dmu*P is 7x7
+SMALL_DMUP_MODELS = [name for name in sorted(BUILTINS) if name != "transport_binding"]
+
+
+@pytest.mark.parametrize("name", SMALL_DMUP_MODELS)
+def test_char_poly_of_builtin_dmup_matches_sympy(name):
+    sympy = pytest.importorskip("sympy")
+    from test_kernel_oracle import same, to_sympy
+
+    spec = BUILTINS[name]()
+    M = reduce_model(spec.system, spec.fast).decomposition.dmup()
+    assert 1 <= M.rows <= 4
+    lam = sympy.Symbol("lam")
+    want = sympy.Matrix([[to_sympy(v) for v in row] for row in M.entries]).charpoly(lam).all_coeffs()
+    got = char_poly(M)
+    assert len(got) == len(want)
+    assert all(same(g, w) for g, w in zip(got, want))
+
+
+def test_berkowitz_on_ints_and_constant_polynomials_equals_the_certificate_char_poly():
+    rng = random.Random(41)
+    for case in range(200):
+        n = case % 9
+        m = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(n)] for _ in range(n)]
+        if case % 3 == 0:
+            m = [[Fraction(v, rng.randint(1, 4)) for v in row] for row in m]
+        got = reduction._fraction_char_poly(m)
+        d = lcm(*[Fraction(v).denominator for row in m for v in row])
+        ints = [[int(v * d) for v in row] for row in m]
+        assert berkowitz(ints) == got
+        assert all(type(c) is int for c in got)
+        polys = berkowitz([[_CP.const(v) for v in row] for row in ints])
+        assert len(polys) == n + 1 and all(p == c for p, c in zip(polys, got))
 
 
 def test_determinant_matches_cofactor_on_random(mm):

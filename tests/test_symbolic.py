@@ -181,6 +181,25 @@ def test_exact_divide(mm):
     assert a.exact_divide(mm.parse_poly("s + c")) is None
 
 
+def test_only_the_zero_polynomial_is_falsy(mm):
+    assert not mm.zero()
+    assert not mm.parse_poly("s - s")
+    assert mm.one() and mm.const(Fraction(-1, 2)) and mm.parse_poly("s - e")
+    assert [bool(p) for p in (mm.zero(), mm.sym("s"), mm.zero() * mm.sym("s"))] == [False, True, False]
+    assert any([mm.zero(), mm.sym("c")]) and not any([mm.zero(), mm.const(0)])
+
+
+def test_reflected_subtraction(mm):
+    p = mm.parse_poly("s + 2*e - 1")
+    assert 1 - p == mm.parse_poly("2 - s - 2*e")
+    assert Fraction(1, 3) - p == mm.const(Fraction(1, 3)) - p
+    assert 0 - p == -p
+    assert (1 - mm.zero()).is_one()
+    assert isinstance(1 - p, Polynomial) and isinstance(0 - mm.zero(), Polynomial)
+    with pytest.raises(TypeError):
+        "1" - p
+
+
 def test_eps_coefficients(mm):
     p = mm.parse_poly("s + eps*(e + c) + eps^2*k1")
     parts = p.eps_coefficients()

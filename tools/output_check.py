@@ -1,4 +1,4 @@
-"""Print the output of 232 CLI cases and 18 library cases, for comparing two checkouts byte for byte.
+"""Print the output of 232 CLI cases and 32 library cases, for comparing two checkouts byte for byte.
 
 Usage: python tools/output_check.py <src-dir>
 
@@ -25,9 +25,11 @@ exit code, stdout and stderr.
 The library cases print what the exact constant-matrix kernel decides and
 no CLI output shows whole: ``linear_first_integrals`` of every builtin and of
 ``transport_binding(N)`` for N = 2..8, each with the linear integrals of its
-scaled fast flow (``fast_linear_integrals``), and the (P, mu) that
+scaled fast flow (``fast_linear_integrals``), the (P, mu) that
 ``find_decomposition`` gives for mm3d scaled with e, c fast at
-``default_sample(ctx, seed=1)``.  Compare two checkouts with
+``default_sample(ctx, seed=1)``, and the symbolic ``char_poly`` of the
+Dmu*P that ``reduce_model`` gives for every builtin and for
+``transport_binding(N)``, N = 2..5.  Compare two checkouts with
 
     diff <(python tools/output_check.py OLD/src) <(python tools/output_check.py src)
 """
@@ -44,7 +46,8 @@ sys.path.insert(0, sys.argv[1])
 
 from tfred.builtin_models import BUILTINS, mm3d, transport_binding  # noqa: E402
 from tfred.cli import main  # noqa: E402
-from tfred.reduction import default_sample, fast_linear_integrals, find_decomposition  # noqa: E402
+from tfred.matrices import char_poly  # noqa: E402
+from tfred.reduction import default_sample, fast_linear_integrals, find_decomposition, reduce_model  # noqa: E402
 from tfred.systems import Partition, apply_scaling, linear_first_integrals  # noqa: E402
 
 CMDS = [["check"], ["ltc"], ["conditions"], ["reduce"],
@@ -138,3 +141,8 @@ dec = find_decomposition(scaled.grade(0), default_sample(scaled.ctx, seed=1))
 print("### find_decomposition mm3d fast e, c")
 print("P:", "; ".join(", ".join(v.render() for v in row) for row in dec.P.entries))
 print("mu:", ", ".join(v.render() for v in dec.mu))
+# the builtins and transport_binding(2..5): Dmu*P up to 9x9
+for name, spec in specs[:len(BUILTINS) + 4]:
+    M = reduce_model(spec.system, spec.fast).decomposition.dmup()
+    print("### char_poly of Dmu*P", name)
+    print("; ".join(c.render() for c in char_poly(M)))
