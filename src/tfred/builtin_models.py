@@ -11,10 +11,10 @@ transport rates, and <name>_star states are the rescaled fast variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+from .modelfile import ModelSpec
 from .networks import (
     LAPLACIAN,
     Reaction,
@@ -26,20 +26,11 @@ from .networks import (
 )
 from .rational import Context
 from .systems import (
-    GradedSystem,
     InitialValue,
     eliminate_with_integral,
     linear_change_of_states,
     raw_system,
 )
-
-
-@dataclass
-class ModelSpec:
-    name: str
-    system: GradedSystem
-    fast: tuple[str, ...]
-    description: str
 
 
 def mm3d() -> ModelSpec:

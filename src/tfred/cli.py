@@ -27,10 +27,8 @@ from fractions import Fraction
 from functools import cache, partial
 from typing import Sequence
 
-from .builtin_models import BUILTINS, ModelSpec, load_builtin
-from .ltc import minimal_ltc_sets, preassigned_conditions
 from .matrices import ConsistencyError
-from .modelfile import load_model
+from .modelfile import ModelSpec, load_model
 from .rational import SymbolicError
 from .reduction import (
     MAX_SAMPLES,
@@ -39,13 +37,6 @@ from .reduction import (
     eigen_certificate,
     reduce_extras,
     reduce_model,
-)
-from .sim import (
-    MAX_RUNGS,
-    IntegrationError,
-    convergence_study,
-    default_ladder,
-    iv_inconsistency_demo,
 )
 from .systems import FULL_LTC, ModelError, Partition, apply_scaling, check_ltc
 
@@ -70,7 +61,10 @@ class _Parser(argparse.ArgumentParser):
 def load_spec(args) -> ModelSpec:
     """The model of --builtin or --model; the parser requires exactly one of them."""
     try:
-        return load_builtin(args.builtin) if args.builtin is not None else load_model(args.model)
+        if args.builtin is None:
+            return load_model(args.model)
+        from .builtin_models import load_builtin
+        return load_builtin(args.builtin)
     except (SymbolicError, ValueError, KeyError, OSError) as exc:
         raise InputError(exc) from exc
 
@@ -112,6 +106,7 @@ def parse_assignments(text: str, params: Sequence[str]) -> dict[str, Fraction]:
 
 def parse_ladder(text: str) -> list[float]:
     """A comma list, or start:stop[:law] with law half, dec(ade) or a factor > 1."""
+    from .sim import MAX_RUNGS, default_ladder
     try:
         if ":" in text:
             start_s, stop_s, law = (text.split(":") + ["half"])[:3]
@@ -176,6 +171,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_ltc(args) -> int:
+    from .ltc import minimal_ltc_sets
     spec = load_spec(args)
     sys = spec.system
     report = minimal_ltc_sets(sys.grade(0))
@@ -196,6 +192,7 @@ def cmd_ltc(args) -> int:
 
 
 def cmd_conditions(args) -> int:
+    from .ltc import preassigned_conditions
     spec = load_spec(args)
     sys = spec.system
     fast = pick_fast(spec, args)
@@ -323,6 +320,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_converge(args) -> int:
+    from .sim import IntegrationError, convergence_study, default_ladder
     spec = load_spec(args)
     fast = pick_fast(spec, args)
     params = {p.name: Fraction(1) for p in spec.system.ctx.params}
@@ -379,6 +377,7 @@ def cmd_converge(args) -> int:
 
 
 def cmd_demo_linex(args) -> int:
+    from .sim import IntegrationError, default_ladder, iv_inconsistency_demo
     ladder = parse_ladder(args.ladder) if args.ladder else default_ladder(1e-1, 1e-3)
     if not (args.a <= 0 and args.c < 0 and args.tau > 0):
         raise InputError("need --a <= 0, --c < 0 and --tau > 0")
@@ -411,6 +410,7 @@ def cmd_demo_linex(args) -> int:
 
 
 def cmd_list(args) -> int:
+    from .builtin_models import BUILTINS
     lines = []
     for name in sorted(BUILTINS):
         spec = BUILTINS[name]()

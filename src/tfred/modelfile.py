@@ -11,10 +11,10 @@ lost to floating point.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .builtin_models import ModelSpec
 from .networks import (
     Reaction,
     ReactionNetwork,
@@ -24,7 +24,17 @@ from .networks import (
     compile_network,
 )
 from .rational import Context
-from .systems import InitialValue, ModelError, raw_system
+from .systems import GradedSystem, InitialValue, ModelError, raw_system
+
+
+@dataclass
+class ModelSpec:
+    """A named graded system with its default fast set, as a model file or builtin gives it."""
+
+    name: str
+    system: GradedSystem
+    fast: tuple[str, ...]
+    description: str
 
 
 def _parse_base(text: str | int) -> "Fraction | str":

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ from tfred.systems import Partition, apply_scaling
 
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+WORKLOADS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
 
 
 def run_json(capsys, *argv):
@@ -45,18 +47,43 @@ def test_check_consistent_exit_zero(capsys):
     assert payload["initial_value_consistent"] is True
 
 
-def test_check_never_imports_numpy():
-    # numpy is most of a bare import's time; only the numeric commands need it
-    code = (
-        "import sys\n"
-        "import tfred.cli\n"
-        "assert 'numpy' not in sys.modules, 'imported by tfred.cli'\n"
-        "assert tfred.cli.main(['check', '--builtin', 'mm2d']) == 0\n"
-        "assert 'numpy' not in sys.modules, 'imported by check'\n"
-    )
+# only the commands that run them load the integrator, the fast-set search,
+# the builtin models and numpy (most of a bare import's time)
+ON_DEMAND = {"tfred.sim", "tfred.ltc", "tfred.builtin_models", "numpy"}
+
+
+def loaded_modules(code: str) -> set[str]:
+    """The tfred submodules and numpy a fresh interpreter holds after running ``code``."""
+    code += "\nimport sys\nprint(*sorted(m for m in sys.modules if m.startswith('tfred.') or m == 'numpy'))\n"
     env = {**os.environ, "PYTHONPATH": str(Path(tfred.__file__).parent.parent)}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def test_import_tfred_loads_a_submodule_on_first_use():
+    assert loaded_modules("import tfred") == set()
+    loaded = loaded_modules("import tfred\nassert tfred.reduce_model is tfred.reduction.reduce_model")
+    assert "tfred.reduction" in loaded
+    assert not loaded & ON_DEMAND
+
+
+def test_check_never_imports_numpy():
+    assert not loaded_modules("import tfred.cli") & ON_DEMAND
+    loaded = loaded_modules("import tfred.cli\nassert tfred.cli.main(['check', '--builtin', 'mm2d']) == 0")
+    assert loaded & ON_DEMAND == {"tfred.builtin_models"}
+
+
+def test_reduce_from_a_model_file_loads_no_integrator_search_or_builtin(tmp_path):
+    path = tmp_path / "transport2.json"
+    path.write_text(json.dumps(runpy.run_path(WORKLOADS)["transport_model"](2)))
+    loaded = loaded_modules(f"import tfred.cli\nassert tfred.cli.main(['reduce', '--model', {str(path)!r}]) == 0")
+    assert not loaded & {"tfred.sim", "tfred.ltc", "tfred.builtin_models"}
+
+
+def test_converge_loads_the_integrator():
+    argv = ["converge", "--builtin", "mm2d", "--ladder", "1e-1,5e-2", "--t2", "1.0"]
+    assert "tfred.sim" in loaded_modules(f"import tfred.cli\nassert tfred.cli.main({argv!r}) == 0")
 
 
 def test_check_inconsistent_partition_exit_two(capsys):
@@ -184,6 +211,12 @@ def test_converge_at_an_equilibrium_is_stationary(capsys):
 def test_unknown_builtin_is_an_error(capsys):
     code = main(["check", "--builtin", "nope"])
     assert code != 0
+
+
+def test_list_names_every_builtin_in_order_with_its_description(capsys):
+    assert main(["list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"{name:24s} {load_builtin(name).description}" for name in sorted(BUILTINS)]
 
 
 def test_internal_fault_exits_five(tmp_path, capsys, monkeypatch):
