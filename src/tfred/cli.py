@@ -12,19 +12,20 @@ Commands
 Models come from exactly one of --builtin NAME and --model FILE (JSON).
 Certificate samples are seeded (--seed) for reproducible reports.  Exit 2 is
 also a bad input: an unreadable or malformed model, an unknown builtin, an
-unknown option (options are never abbreviated), a bad option value.  Exit 5
-is tfred's own fault.
+unknown option (options are never abbreviated), a bad option value.  Exit 1
+is a stdout its reader closed, with nothing on stderr.  Exit 5 is tfred's
+own fault.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys as _sys
 from fractions import Fraction
 from functools import cache, partial
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Sequence
 
 from .matrices import ConsistencyError
@@ -41,6 +42,7 @@ from .reduction import (
 from .systems import FULL_LTC, ModelError, Partition, apply_scaling, check_ltc
 
 EXIT_OK = 0
+EXIT_CLOSED_PIPE = 1
 EXIT_INCONSISTENT = 2
 EXIT_REFUSED = 3
 EXIT_NUMERIC = 4
@@ -123,9 +125,54 @@ def parse_ladder(text: str) -> list[float]:
     return ladder
 
 
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def json_text(payload) -> str:
+    """``json.dumps(payload, indent=2, default=str)``, byte for byte.
+
+    json.dumps runs its pure-Python encoder whenever ``indent`` is set; this
+    writer keeps json's C string escape and joins the rest directly.
+    """
+    return _json(payload, "\n")
+
+
+def _json(o, pad: str) -> str:
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        text = float.__repr__(o)
+        return _NONFINITE.get(text, text)
+    inner = pad + "  "
+    if isinstance(o, (list, tuple)):
+        items = [_json(v, inner) for v in o]
+        return f"[{inner}{(',' + inner).join(items)}{pad}]" if items else "[]"
+    if isinstance(o, dict):
+        items = [f"{_quote(_json_key(k))}: {_json(v, inner)}" for k, v in o.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{pad}}}" if items else "{}"
+    return _quote(str(o))
+
+
+def _json_key(k) -> str:
+    """A dict key as json writes it: bool, None, int and float keys by their JSON text."""
+    if isinstance(k, str):
+        return k
+    if k is None or isinstance(k, (int, float)):
+        return _json(k, "")
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
 def emit(args, payload: dict, text: str):
     out_dir = getattr(args, "out", None)
-    data = json.dumps(payload, indent=2, default=str) if args.format == "json" or out_dir else None
+    data = json_text(payload) if args.format == "json" or out_dir else None
     print(data if args.format == "json" else text)
     if out_dir:
         base = os.path.join(out_dir, payload.get("command", "report"))
@@ -490,16 +537,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; bad input exits 2, any other fault once it is loaded exits 5."""
+    """Run one command; bad input exits 2, a closed stdout 1, any other fault once it is loaded exits 5."""
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        code = args.fn(args)
+        _sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's last flush
+        return code
     except (InputError, ModelError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INCONSISTENT
+    except BrokenPipeError:
+        _stdout_to_devnull()
+        return EXIT_CLOSED_PIPE
     except (SymbolicError, ValueError, KeyError, OSError) as exc:
         print(f"internal error: {exc}", file=_sys.stderr)
         return EXIT_INTERNAL
+
+
+def _stdout_to_devnull() -> None:
+    """Point stdout's descriptor at os.devnull, so the interpreter's last flush writes nowhere."""
+    try:
+        fd = _sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # no descriptor, as for a StringIO
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -84,8 +84,8 @@ class RFMatrix:
 
     @staticmethod
     def identity(ctx: Context, n: int) -> "RFMatrix":
-        one = ctx.one()
-        zero = ctx.zero()
+        one = RationalFunction.of(ctx.one())
+        zero = RationalFunction.of(ctx.zero())
         return RFMatrix(ctx, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @staticmethod
@@ -595,9 +595,16 @@ def solve_matrix(M: RFMatrix, B: RFMatrix) -> "RFMatrix | NoSolution":
 
 
 def minus_product(
-    C: Sequence[Sequence[RationalFunction]], A: RFMatrix, solved: Sequence[SolvedBlock]
+    C: Sequence[Sequence[RationalFunction]],
+    A: RFMatrix,
+    solved: Sequence[SolvedBlock],
+    rows: "Sequence[int] | None" = None,
 ) -> list[list[RationalFunction]]:
     """C - A X for the X that ``solve_blocks`` gives as solved blocks.
+
+    With ``rows``, only those rows of C - A X are formed, in that order.
+    Each is the row the whole product gives: the candidate factors below
+    come from every row of A.
 
     Each row of A meets each block (unknowns, d, Y) once.  With polynomial
     entries a_k on the block's unknowns, every column j takes the single
@@ -618,7 +625,9 @@ def minus_product(
     """
     ctx = A.ctx
     one = ctx.one()
-    out = [list(row) for row in C]
+    if rows is None:
+        rows = range(len(C))
+    out = [list(C[i]) for i in rows]
     for unknowns, d, Y in solved:
         quotients: dict[Polynomial, "Polynomial | None"] = {}
 
@@ -640,7 +649,8 @@ def minus_product(
         reciprocal = {
             (k, j) for k, y in enumerate(Y) for j, v in enumerate(y) if not v.is_zero() and d.exact_divide(v) is not None
         }
-        for arow, orow in zip(A.entries, out):
+        for i, orow in zip(rows, out):
+            arow = A.entries[i]
             terms = [(k, arow[unknowns[k]]) for k in order if not arow[unknowns[k]].is_zero()]
             if not terms:
                 continue

@@ -139,23 +139,40 @@ class Decomposition:
             self._dmu = jacobian(self.mu, list(self.states))
         return self._dmu
 
+    def _fast_rows(self) -> list[int]:
+        """The standard route's state index of each mu = y: where Dmu's row has its one 1."""
+        return [[v.is_zero() for v in row].index(False) for row in self.dmu().entries]
+
     def dmup(self) -> RFMatrix:
+        """Dmu P; on the standard route, Dmu selects the fast coordinates, so P's fast rows."""
         if self._dmup is None:
-            self._dmup = self.dmu() @ self.P
+            if self.mode == "standard":
+                self._dmup = RFMatrix(self.ctx, [self.P.entries[i] for i in self._fast_rows()])
+            else:
+                self._dmup = self.dmu() @ self.P
         return self._dmup
 
     def projection(self) -> RFMatrix:
         """Q = Id - P (Dmu P)^(-1) Dmu, the projection along im P onto ker Dmu.
 
         P Y comes from the solved blocks of (Dmu P) Y = Dmu, one rational
-        function per entry of Q and block.
+        function per entry of Q and block.  On the standard route Dmu Q = 0
+        says that Q's fast rows are zero, so only the slow rows are formed.
         """
         if self._q is None:
             solved = solve_blocks(self.dmup(), self.dmu())
             if isinstance(solved, NoSolution):
                 raise ReductionError("Dmu*P is singular over the rational-function field")
-            ident = RFMatrix.identity(self.ctx, self.n)
-            self._q = RFMatrix(self.ctx, minus_product(ident.entries, self.P, solved))
+            ident = RFMatrix.identity(self.ctx, self.n).entries
+            if self.mode == "standard":
+                fast = set(self._fast_rows())
+                slow = [i for i in range(self.n) if i not in fast]
+                q = [[RationalFunction.of(self.ctx.zero())] * self.n] * self.n
+                for i, row in zip(slow, minus_product(ident, self.P, solved, slow)):
+                    q[i] = row
+            else:
+                q = minus_product(ident, self.P, solved)
+            self._q = RFMatrix(self.ctx, q)
         return self._q
 
     def manifold(self) -> "CriticalManifold":

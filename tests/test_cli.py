@@ -1,18 +1,23 @@
 """CLI wiring: exit codes, JSON reports, golden-file math, model file round trip."""
 
 import hashlib
+import io
 import json
+import math
 import os
 import runpy
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tfred
 from tfred.builtin_models import BUILTINS, load_builtin
-from tfred.cli import InputError, main, parse_ladder
+from tfred.cli import InputError, json_text, main, parse_ladder
 from tfred.modelfile import load_model, model_from_dict
 from tfred.systems import Partition, apply_scaling
 
@@ -791,9 +796,10 @@ def test_out_directory_serializes_the_report_once(tmp_path, capsys, monkeypatch,
     assert main(argv + ["json"]) == 0
     want = capsys.readouterr().out
     calls = []
-    dumps = cli.json.dumps
-    monkeypatch.setattr(cli.json, "dumps", lambda *a, **k: calls.append(a) or dumps(*a, **k))
-    monkeypatch.setattr(cli.json, "dump", lambda *a, **k: pytest.fail("json.dump called"))
+    write = cli.json_text
+    monkeypatch.setattr(cli, "json_text", lambda payload: calls.append(payload) or write(payload))
+    monkeypatch.setattr(json, "dumps", lambda *a, **k: pytest.fail("json.dumps called"))
+    monkeypatch.setattr(json, "dump", lambda *a, **k: pytest.fail("json.dump called"))
     assert main(argv + [fmt, "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert len(calls) == 1
@@ -803,6 +809,70 @@ def test_out_directory_serializes_the_report_once(tmp_path, capsys, monkeypatch,
         assert out == want
     else:
         assert (tmp_path / "reduce.txt").read_text() == out
+
+
+# leaves json writes with care: escapes, huge ints, non-finite and signed
+# floats, and a Fraction, which default=str writes as its text
+JSON_LEAVES = st.one_of(
+    st.text(),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u00e9 \u2028 \U0001f600", "\ud800"]),
+    st.integers(),
+    st.integers(min_value=-(10**4000), max_value=10**4000),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300]),
+    st.booleans(),
+    st.none(),
+    st.fractions(),
+)
+# json writes bool, None, int and float keys by their JSON text
+JSON_KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(JSON_KEYS, inner),
+    max_leaves=40,
+))
+def test_json_text_is_json_dumps_with_indent_two(obj):
+    assert json_text(obj) == json.dumps(obj, indent=2, default=str)
+
+
+@pytest.mark.parametrize("key", [(1, 2), Fraction(1, 2), b"k"])
+def test_json_text_refuses_the_keys_json_refuses(key):
+    with pytest.raises(TypeError) as want:
+        json.dumps({key: 0}, indent=2, default=str)
+    with pytest.raises(TypeError) as got:
+        json_text({"a": [{key: 0}]})
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_exits_one_without_a_message(unbuffered):
+    # the reader closed the pipe before tfred wrote a byte; buffered output
+    # meets it in main's own flush, unbuffered output in print
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(Path(tfred.__file__).parent.parent), PYTHONUNBUFFERED=unbuffered)
+    argv = [sys.executable, "-m", "tfred.cli", "reduce", "--builtin", "mm2d", "--format", "json"]
+    try:
+        done = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")
+
+
+def test_closed_stdout_without_a_descriptor_exits_one_in_process(capsys, monkeypatch):
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    assert main(["check", "--builtin", "mm2d"]) == 1
+    monkeypatch.undo()
+    assert capsys.readouterr().err == ""
+    assert main(["check", "--builtin", "mm2d"]) == 0
 
 
 @pytest.mark.parametrize("samples", ["10001", str(10**12)])

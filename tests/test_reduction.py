@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from tfred.builtin_models import (
+    BUILTINS,
     chain3,
     chain3_slowk4,
     inhibitor,
@@ -18,7 +19,7 @@ from tfred.builtin_models import (
     mm3d_deg,
 )
 from tfred.modelfile import model_from_dict
-from tfred.matrices import RFMatrix, jacobian, fraction_nullspace
+from tfred.matrices import RFMatrix, fraction_nullspace, jacobian, minus_product, solve_blocks
 from tfred.rational import Context, RationalFunction
 from tfred.reduction import (
     NonstandardError,
@@ -145,6 +146,46 @@ def test_reduce_mm3d_gives_displayed_limit_system(mm3d_scaled):
     # every factor entry is a first integral of the reduced field (Dmu q = 0)
     dq = dec.dmu().mul_vector(red.field)
     assert all(v.is_zero() for v in dq)
+
+
+def _terms(M):
+    return [[(list(v.num.terms.items()), list(v.den.terms.items())) for v in row] for row in M.entries]
+
+
+def _survey_raw_models(seeds):
+    """The benchmark's survey-shaped raw systems, each also with its states in reverse order."""
+    raw_model = runpy.run_path(WORKLOADS)["raw_model"]
+    for seed in seeds:
+        model = raw_model(random.Random(seed), seed)[0]
+        yield f"raw seed {seed}", model_from_dict(model)
+        model.update(states=model["states"][::-1], raw_system=model["raw_system"][::-1])
+        yield f"raw seed {seed} reversed", model_from_dict(model)
+
+
+def test_standard_route_reads_dmup_and_q_off_the_fast_coordinates():
+    # every standard-route builtin and survey-shaped raw systems, fast states
+    # last and first; at seed 262 a factor met only in a fast row of P cancels
+    # in a slow row of Q
+    specs = [(name, BUILTINS[name]()) for name in sorted(BUILTINS)]
+    specs += _survey_raw_models((*range(60), 262))
+    checked = []
+    for name, spec in specs:
+        try:
+            dec = reduce_model(spec.system, list(spec.fast)).decomposition
+        except ReductionError:
+            continue
+        if dec.mode != "standard":
+            continue
+        checked.append(name)
+        dmu = dec.dmu()
+        assert _terms(dec.dmup()) == _terms(dmu @ dec.P), name
+        ident = RFMatrix.identity(dec.ctx, dec.n).entries
+        want = minus_product(ident, dec.P, solve_blocks(dmu @ dec.P, dmu))
+        got = dec.projection().entries
+        assert [[v.render() for v in row] for row in got] == [[v.render() for v in row] for row in want], name
+        assert dec.verify(spec.system.grade(0)), name
+    assert [n for n in checked if not n.startswith("raw")] == ["chain3", "linex", "mm2d"]
+    assert sum(n.startswith("raw") for n in checked) >= 100
 
 
 def test_reduce_with_zero_h1_gives_zero(mm3d_scaled):

@@ -1,11 +1,13 @@
-"""Print the output of 232 CLI cases and 32 library cases, for comparing two checkouts byte for byte.
+"""Print the output of 250 CLI cases and 32 library cases, for comparing two checkouts byte for byte.
 
 Usage: python tools/output_check.py <src-dir>
 
 <src-dir> is the ``src`` directory of a checkout.  The cases are every builtin
 x {check, ltc, conditions, reduce, converge on a short ladder} x {text, json}
 x --seed {0, 7}, plus ``reduce --mode standard|nonstandard`` on mm2d and mm3d
-and the inconsistent partition ``--fast s`` of mm3d, plus ``reduce --model
+and the inconsistent partition ``--fast s`` of mm3d, plus ``reduce`` and
+``ltc --model ... --format json`` on nine survey-shaped raw systems (built by
+``bench/workloads.py``'s ``raw_model``), plus ``reduce --model
 ... --format json`` on transport_binding(N) model files for N = 2, 3, 5, 7, 8, 10, 16 (built
 by ``bench/workloads.py``'s ``transport_model``, written to a temporary
 directory that is printed as ``<tmp>``), plus ``reduce --model ... --seed 7
@@ -37,6 +39,7 @@ Dmu*P that ``reduce_model`` gives for every builtin and for
 import contextlib
 import io
 import json
+import random
 import runpy
 import sys
 import tempfile
@@ -73,8 +76,16 @@ cases += [["demo-linex", "--format", "json", *flag] for flag in ([], ["--consist
 cases += [["converge", "--builtin", "mm2d", "--set", s] for s in ("zz=1", "k1=1e400")]
 
 
-transport_model = runpy.run_path(str(Path(__file__).parent.parent / "bench" / "workloads.py"))["transport_model"]
+workloads = runpy.run_path(str(Path(__file__).parent.parent / "bench" / "workloads.py"))
+transport_model, raw_model = workloads["transport_model"], workloads["raw_model"]
 tmp = tempfile.TemporaryDirectory()
+# the survey's raw systems: eight from one seeded stream, and one in which a
+# factor met only in a fast row of P cancels in a slow row of Q
+rng = random.Random(0)
+for model in [raw_model(rng, index)[0] for index in range(8)] + [raw_model(random.Random(262), 262)[0]]:
+    path = Path(tmp.name) / f"{model['name']}.json"
+    path.write_text(json.dumps(model))
+    cases += [[c, "--model", str(path), "--format", "json"] for c in ("reduce", "ltc")]
 for N in (2, 3, 5, 7, 8, 10, 16):
     path = Path(tmp.name) / f"transport_binding_N{N}.json"
     path.write_text(json.dumps(transport_model(N)))
