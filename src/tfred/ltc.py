@@ -72,8 +72,7 @@ def is_ltc_set(rows: Sequence[Polynomial], J: Iterable[str]) -> bool:
     state_names = {s.name for s in ctx.states}
     if not names or not set(names) < state_names:
         raise ModelError("J must be a nonempty proper subset of the states")
-    binding = {n: 0 for n in names}
-    return all(p.subs(binding).is_zero() for p in rows)
+    return not any(p.by_degree(names)[0] for p in rows)
 
 
 def candidate_slow_set(rows: Sequence[Polynomial]) -> tuple[str, ...]:
@@ -89,16 +88,6 @@ def candidate_slow_set(rows: Sequence[Polynomial]) -> tuple[str, ...]:
             if len(on) == 1:
                 excluded.add(ctx.states[on[0]].name)
     return tuple(s.name for s in ctx.states if s.name not in excluded)
-
-
-def _has_state_free_terms(rows: Sequence[Polynomial]) -> bool:
-    """Any constant (in the states) term precludes admissible sets entirely."""
-    ctx = rows[0].ctx
-    for p in rows:
-        for e in p.monomials():
-            if sum(_state_part(ctx, e)) == 0:
-                return True
-    return False
 
 
 def _conflict_pairs(rows: Sequence[Polynomial], S: Sequence[str]) -> set[frozenset[str]]:
@@ -159,11 +148,13 @@ def minimal_ltc_sets(rows: Sequence[Polynomial]) -> LtcReport:
         raise ModelError("empty system")
     ctx = rows[0].ctx
     state_names = [s.name for s in ctx.states]
-    if _has_state_free_terms(rows):
+    graded = [p.by_degree(state_names) for p in rows]
+    if any(groups[0] for groups in graded):
+        # a term free of the states vanishes on no fast set
         return LtcReport((), (), 0, True)
     S = candidate_slow_set(rows)
     checked = 0
-    degree = max((p.state_degree() for p in rows), default=0)
+    degree = max(len(groups) for groups in graded) - 1
 
     if degree <= 2:
         edges = _conflict_pairs(rows, S)
@@ -234,14 +225,11 @@ def preassigned_conditions(
         take = [state_names.index(n) for n in names]
     else:
         take = list(range(len(rows)))
-    jpos = {ctx.index[n] for n in names}
 
     grouped: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
     for i in take:
-        p = rows[i]
-        for e, c in p.monomials().items():
-            if any(e[j] > 0 for j in jpos):
-                continue
+        # the monomials free of the J-variables: the row on the J-subspace
+        for e, c in rows[i].by_degree(names)[0].monomials().items():
             spart = _state_part(ctx, e)
             ppart = tuple(
                 e[ctx.index[q.name]] for q in ctx.params

@@ -36,6 +36,7 @@ from .rational import (
     Polynomial,
     RationalFunction,
     SymbolicError,
+    _div,
     cancel_common_factors,
     cleared_row,
 )
@@ -204,12 +205,6 @@ def integer_gauss_jordan(a: list[list[int]], ncols: int) -> list[int]:
     return pivots
 
 
-def _ratio(n: int, d: int) -> int | Fraction:
-    """n/d: an int when d divides n, a Fraction otherwise."""
-    q, rem = divmod(n, d)
-    return Fraction(n, d) if rem else q
-
-
 def fraction_rank(m: list[list[int | Fraction]]) -> int:
     """Rank of an exact numeric matrix."""
     return len(integer_gauss_jordan([cleared_row(row)[0] for row in m], len(m[0]) if m else 0))
@@ -225,7 +220,7 @@ def fraction_nullspace(m: list[list[int | Fraction]]) -> list[list[int | Fractio
         vec = [0] * cols
         vec[fc] = 1
         for row, pc in zip(a, pivots):
-            vec[pc] = _ratio(-row[fc], row[pc])
+            vec[pc] = _div(-row[fc], row[pc])
         basis.append(vec)
     return basis
 
@@ -239,7 +234,7 @@ def fraction_solve(m: list[list[int | Fraction]], b: list[int | Fraction]) -> li
         return None
     x: list[int | Fraction] = [0] * cols
     for row, pc in zip(a, pivots):
-        x[pc] = _ratio(row[cols], row[pc])
+        x[pc] = _div(row[cols], row[pc])
     return x
 
 
@@ -248,25 +243,17 @@ def fraction_solve(m: list[list[int | Fraction]], b: list[int | Fraction]) -> li
 # ---------------------------------------------------------------------------
 
 
-def _clear_row_denominators(
-    ctx: Context, row: list[RationalFunction], ncols: int
-) -> tuple[list[Polynomial], Polynomial]:
+def _clear_row_denominators(ctx: Context, row: list[RationalFunction]) -> tuple[list[Polynomial], Polynomial]:
     """Scale a row by a common multiple of its denominators.
 
-    The multiplier is the product of the denominators of the first ``ncols``
-    entries times that of the right-hand entries after them, where a
-    right-hand denominator already dividing the right-hand product so far is
-    skipped.  Returns the polynomial row and the multiplier.
+    The multiplier is the product of the row's denominators in order, where
+    a denominator that already divides the product so far is skipped.
+    Returns the polynomial row and the multiplier.
     """
     mult = ctx.one()
-    for v in row[:ncols]:
-        if not v.den.is_one():
+    for v in row:
+        if not v.den.is_one() and mult.exact_divide(v.den) is None:
             mult = mult * v.den
-    rhs = ctx.one()
-    for v in row[ncols:]:
-        if not v.den.is_one() and rhs.exact_divide(v.den) is None:
-            rhs = rhs * v.den
-    mult = mult * rhs
     out = []
     for v in row:
         q = mult.exact_divide(v.den)
@@ -463,7 +450,7 @@ class Elimination:
                 rows.sort(key=lambda i: (nnz_row[i], i))
                 cols.sort(key=lambda j: (nnz_col[j], j))
             w = len(cols)
-            aug = [_clear_row_denominators(M.ctx, [M.entries[i][j] for j in cols] + B.entries[i], w)[0] for i in rows]
+            aug = [_clear_row_denominators(M.ctx, [M.entries[i][j] for j in cols] + B.entries[i])[0] for i in rows]
             ech, pivots, perm, _ = _bareiss(aug, w)
             self.bad += [
                 (j, rows[perm[rr]])
@@ -709,7 +696,7 @@ def determinant(M: RFMatrix) -> RationalFunction:
     rows = []
     scale = M.ctx.one()
     for i in range(n):
-        cleared, mult = _clear_row_denominators(M.ctx, M.row(i), n)
+        cleared, mult = _clear_row_denominators(M.ctx, M.row(i))
         scale = scale * mult
         rows.append(cleared)
     ech, pivots, _, sign = _bareiss(rows, n)
@@ -737,10 +724,9 @@ def hadamard_factor(v: Sequence[Polynomial], yvars: Sequence[str]) -> RFMatrix:
     ctx = v[0].ctx
     ynames = list(yvars)
     yidx = [ctx.index[n] for n in ynames]
-    zero_binding = {n: 0 for n in ynames}
     for i, entry in enumerate(v):
-        residual = entry.subs(zero_binding)
-        if not residual.is_zero():
+        residual = entry.by_degree(ynames)[0]
+        if residual:
             raise ConsistencyError(
                 f"entry {i} does not vanish at {{{', '.join(ynames)}}} = 0; residual: {residual.render()}"
             )
@@ -834,8 +820,8 @@ def char_poly(M: RFMatrix) -> list[RationalFunction]:
     """Monic characteristic polynomial coefficients [1, c1, ..., cn].
 
     Coefficient k multiplies lambda^(n-k).  M is cleared to one polynomial
-    matrix B = d*M, d the product of the distinct entry denominators that
-    ``_clear_row_denominators`` keeps on M's entries as one row; ``berkowitz``
+    matrix B = d*M, d the multiplier that ``_clear_row_denominators`` gives
+    M's entries taken as one row; ``berkowitz``
     gives B's coefficients b_k = d^k c_k, and c_k is b_k / d^k with the entry
     denominators that divide both cancelled.
     """
@@ -843,7 +829,7 @@ def char_poly(M: RFMatrix) -> list[RationalFunction]:
         raise ValueError("characteristic polynomial of non-square matrix")
     n, ctx = M.rows, M.ctx
     entries = [v for row in M.entries for v in row]
-    flat, d = _clear_row_denominators(ctx, entries, 0)
+    flat, d = _clear_row_denominators(ctx, entries)
     coeffs = berkowitz([flat[i * n:i * n + n] for i in range(n)])
     dens = list({v.den: None for v in entries})
     return [RationalFunction.of(ctx.one())] + [

@@ -136,11 +136,7 @@ def compartment_name(species: str, alpha: int) -> str:
     return f"{species}{alpha}"
 
 
-def build_transport_system(
-    net: ReactionNetwork,
-    tspec: TransportSpec,
-    initial_values: Mapping[str, InitialValue] | None = None,
-) -> GradedSystem:
+def build_transport_system(net: ReactionNetwork, tspec: TransportSpec) -> GradedSystem:
     """Replicate the network over N compartments and add transport terms.
 
     State order is species-major: all compartments of the first species, then
@@ -191,4 +187,4 @@ def build_transport_system(
                     acc = acc + ctx.sym(compartment_name(sp, b + 1)) * theta[a][b]
             rows[i] = rows[i] + weight * scale * acc
 
-    return raw_system(ctx, rows, initial_values)
+    return raw_system(ctx, rows)

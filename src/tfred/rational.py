@@ -22,13 +22,19 @@ cancelled, exact polynomial division is attempted in both directions, and the
 denominator is normalised to leading coefficient one.  Equality is decided by
 cross-multiplication, never by representation.
 
-Every substitution goes through :func:`substitute`, which rebuilds a polynomial
-over a target context (the same one or another) with the named symbols replaced
-by images there, and returns a (num, den) pair: the terms, in the polynomial's
-own order, over one common denominator (each distinct image denominator to the
-highest power any term needs), with the powers of those denominators that the
-numerator shares divided out.  :meth:`Polynomial.subs`,
-:meth:`Polynomial.subs_rf` and :meth:`RationalFunction.subs` wrap it.
+Setting symbols to zero and scaling them by eps are gradings, not
+substitutions: :meth:`Polynomial.by_degree` splits the terms by their total
+degree in the named symbols, so group 0 is the polynomial with those symbols
+at 0 and y = eps*y_star moves group k up k powers of eps, and
+:meth:`Polynomial.relabel` carries the packed terms over to a context that
+renames this one in place.  Every other substitution goes through
+:func:`substitute`, which rebuilds a polynomial over a target context (the
+same one or another) with the named symbols replaced by images there, and
+returns a (num, den) pair: the terms, in the polynomial's own order, over one
+common denominator (each distinct image denominator to the highest power any
+term needs), with the powers of those denominators that the numerator shares
+divided out.  :meth:`Polynomial.subs`, :meth:`Polynomial.subs_rf` and
+:meth:`RationalFunction.subs` wrap it.
 """
 
 from __future__ import annotations
@@ -476,13 +482,6 @@ class Polynomial:
         s = self.ctx.shifts[self.ctx.index[name]]
         return max((e >> s) & _FIELD for e in self.terms)
 
-    def state_degree(self) -> int:
-        """Total degree counting state symbols only (they come first)."""
-        if self.is_zero():
-            return -1
-        n, unpack = len(self.ctx.states), self.ctx.unpack
-        return max(sum(unpack(e)[:n]) for e in self.terms)
-
     def symbols_used(self) -> set[str]:
         # ctx.index lists the names in symbol order, one per unpacked field
         return set(compress(self.ctx.index, self.ctx.unpack(reduce(or_, self.terms, 0))))
@@ -567,6 +566,39 @@ class Polynomial:
             factors = tuple((i, k) for i, k in enumerate(unpack(e)) if k)
             groups.setdefault(top - (e >> dshift), []).append((n, factors))
         return q, top, list(groups.items())
+
+    # -- grading -------------------------------------------------------------
+
+    def by_degree(self, names: Iterable[str]) -> list["Polynomial"]:
+        """The terms grouped by their total degree in the named symbols, each group in term order.
+
+        Group k holds the terms of degree k (a zero polynomial when there are
+        none), up to the highest degree; group 0 is the polynomial with the
+        named symbols at 0, and there is always one.
+        """
+        ctx = self.ctx
+        shifts = [ctx.shifts[ctx.index[n]] for n in names]
+        groups: list[dict] = [{}]
+        for e, c in self.terms.items():
+            k = sum((e >> s) & _FIELD for s in shifts)
+            while len(groups) <= k:
+                groups.append({})
+            groups[k][e] = c
+        return [Polynomial._of(ctx, t) for t in groups]
+
+    def relabel(self, ctx: Context) -> "Polynomial":
+        """The same packed terms over ctx, a context that renames this one's symbols in place.
+
+        Contexts list states, then parameters, then eps, so one with as many
+        symbols and states has the same kind at every position; any other is
+        refused with SymbolicError.
+        """
+        own = self.ctx
+        if ctx is own:
+            return self
+        if len(ctx.symbols) != len(own.symbols) or len(ctx.states) != len(own.states):
+            raise SymbolicError(f"{ctx} does not rename {own} in place")
+        return Polynomial._of(ctx, self.terms)
 
     # -- epsilon grading -----------------------------------------------------
 
@@ -881,24 +913,6 @@ class RationalFunction:
             raise ZeroDivisionError(f"denominator {self.den.render()} vanishes at sample point")
         nn, nd = self.num.cleared_at(point)
         return _div(nn * dd, nd * dn)
-
-    # -- epsilon structure ------------------------------------------------------
-
-    def eps_expansion(self) -> tuple[int, "RationalFunction"]:
-        """(valuation k, leading coefficient) of the expansion in the small parameter.
-
-        Requires the denominator to have nonzero epsilon-order-zero part after
-        removing common eps powers; holds for every quotient formed from
-        eps-free denominators.
-        """
-        if self.is_zero():
-            return (0, self)
-        num_parts = self.num.eps_coefficients()
-        den_parts = self.den.eps_coefficients()
-        vn = min(num_parts)
-        vd = min(den_parts)
-        lead = RationalFunction(num_parts[vn], den_parts[vd])
-        return (vn - vd, lead)
 
     # -- rendering ---------------------------------------------------------------
 

@@ -52,7 +52,6 @@ from .rational import (
     SymbolicError,
     cancel_common_factors,
     cleared_row,
-    substitute,
 )
 from .stability import is_hurwitz_stable, max_real_part
 from .systems import (
@@ -64,7 +63,6 @@ from .systems import (
     apply_scaling,
     check_ltc,
     linear_first_integrals,
-    star_name,
 )
 
 
@@ -405,12 +403,11 @@ def fast_block_elimination(scaled: ScaledSystem) -> Elimination:
         raise ReductionError("slow block of the lowest grade does not vanish (not fully consistent)")
     fast_names = list(scaled.fast_star)
     fast0 = scaled.fast_block(0)
+    graded = [p.by_degree(fast_names) for p in fast0]
+    if any(len(groups) > 2 for groups in graded):
+        raise ReductionError("fast block is not affine in the scaled variables")
     A0 = jacobian(fast0, fast_names)
-    for row in A0.entries:
-        for v in row:
-            if not set(v.num.symbols_used()).isdisjoint(fast_names) or not v.den.is_one():
-                raise ReductionError("fast block is not affine in the scaled variables")
-    g1 = [p.subs({n: 0 for n in fast_names}) for p in fast0]
+    g1 = [groups[0] for groups in graded]
     return Elimination(A0, RFMatrix.column(scaled.system.ctx, g1), right_first=True)
 
 
@@ -532,21 +529,16 @@ def standard_reduce(sys: GradedSystem, part: Partition, elimination: Elimination
         raise StandardCaseError(STANDARD_REFUSAL)
     # the elimination lives in the scaled context, free of the scaled fast
     # variables: carry its polynomials over to this one
-    back = {star_name(n): ctx.sym(n) for n in part.fast}
-
-    def unscaled(p: Polynomial) -> Polynomial:
-        return substitute(p, ctx, back)[0]
-
-    solved = [(u, unscaled(d), [[unscaled(v) for v in y] for y in Y]) for u, d, Y in solved]
+    solved = [(u, d.relabel(ctx), [[v.relabel(ctx) for v in y] for y in Y]) for u, d, Y in solved]
     fast = list(part.fast)
-    at_zero = {n: 0 for n in fast}
+    # P is the polynomial Hadamard factor of h0; F0 and f1 are at fast = 0
     M = dec.P
     F0 = RFMatrix(ctx, [
-        [M.entries[sys.state_index(x)][j].subs(at_zero) for j in range(len(fast))]
+        [M.entries[sys.state_index(x)][j].num.by_degree(fast)[0] for j in range(len(fast))]
         for x in part.slow
     ])
     h1 = sys.grade(1)
-    f1 = [RationalFunction.of(h1[sys.state_index(x)].subs(at_zero)) for x in part.slow]
+    f1 = [RationalFunction.of(h1[sys.state_index(x)].by_degree(fast)[0]) for x in part.slow]
     reduced = [row[0] for row in minus_product([[f] for f in f1], F0, solved)]
     # first-order manifold: y*_j = -(G0^-1 g1)_j
     qss = [RationalFunction.of(ctx.zero())] * len(fast)
@@ -833,12 +825,18 @@ def lie_derivative(phi: RationalFunction, field_rows: Sequence[RationalFunction]
 def transform_first_integral(
     phi: RationalFunction, sys: GradedSystem, scaled: ScaledSystem
 ) -> TransportedIntegral:
-    """Carry a first integral of the unscaled system through the scaling.
+    """Carry an eps-free first integral of the unscaled system through the scaling.
 
     Verifies the Lie derivative vanishes identically (grade by grade, eps
-    formal), substitutes y = eps*y_star, and returns the lowest nonvanishing
-    eps-coefficient with its order.
+    formal).  Under y = eps*y_star the terms of degree k in the fast
+    variables carry eps^k, so the lowest nonvanishing eps-coefficient is the
+    lowest nonzero group of the numerator over that of the denominator
+    (``Polynomial.by_degree``), relabelled over the scaled context, and its
+    order is their difference.  phi must be eps-free (ReductionError
+    otherwise); phi = 0 comes back with order 0.
     """
+    if not (phi.num.eps_free() and phi.den.eps_free()):
+        raise ReductionError(f"first integral {phi.render()} carries eps; it must be eps-free")
     rows = sys.flatten_rf()
     lie = lie_derivative(phi, rows, sys.states)
     if not lie.is_zero():
@@ -846,11 +844,13 @@ def transform_first_integral(
             f"not a first integral; Lie derivative residue: {lie.render()}"
         )
     sctx = scaled.system.ctx
-    eps = sctx.sym(sctx.eps.name)
-    images = {n: eps * sctx.sym(star_name(n)) for n in scaled.partition.fast}
-    num, den = (substitute(q, sctx, images)[0] for q in (phi.num, phi.den))
-    order, lead = RationalFunction(num, den).eps_expansion()
-    return TransportedIntegral(order, lead)
+    if phi.is_zero():
+        return TransportedIntegral(0, RationalFunction.of(phi.num.relabel(sctx)))
+    fast = scaled.partition.fast
+    (vn, num), (vd, den) = (
+        next((k, g) for k, g in enumerate(q.by_degree(fast)) if g) for q in (phi.num, phi.den)
+    )
+    return TransportedIntegral(vn - vd, RationalFunction(num.relabel(sctx), den.relabel(sctx)))
 
 
 def linear_integral_forms(sys: GradedSystem) -> list[RationalFunction]:

@@ -1,12 +1,15 @@
 """Graded ODE systems and the scaling transformations acting on them.
 
 A system is stored as a finite list of grade vectors h = h0 + eps*h1 + ...,
-each grade a vector of eps-free polynomials over a shared context.  Degenerate
-scalings replace designated fast variables y by eps*y_star, divide their rows
-by eps and re-collect grades; a Laurent flag records scalings that produce an
-eps^(-1) block (locally inconsistent ones), which are allowed for
-demonstration purposes.  Initial values carry a symbolic base and an eps-order
-so that smallness of initial data is a structural property.
+each grade a vector of eps-free polynomials over a shared context.  A
+degenerate scaling y = eps*y_star of designated fast variables is a regrading:
+a term of degree k in the fast variables moves up k powers of eps
+(:meth:`Polynomial.by_degree`), the fast rows are divided by eps, and the terms
+are relabelled over the context that renames each y to y_star.  A Laurent flag
+records scalings that produce an eps^(-1) block (locally inconsistent ones),
+which are allowed for demonstration purposes.  Initial values carry a
+symbolic base and an eps-order so that smallness of initial data is a
+structural property.
 """
 
 from __future__ import annotations
@@ -218,9 +221,7 @@ def check_ltc(sys: GradedSystem, part: Partition) -> LtcVerdict:
     fast block vanishes; otherwise inconsistent with the first surviving fast
     row as witness.
     """
-    h0 = sys.grade(0)
-    zero_fast = {n: 0 for n in part.fast}
-    residuals = [p.subs(zero_fast) for p in h0]
+    residuals = [p.by_degree(part.fast)[0] for p in sys.grade(0)]
     for name in part.fast:
         res = residuals[sys.state_index(name)]
         if not res.is_zero():
@@ -271,27 +272,26 @@ class ScaledSystem:
 
 
 def apply_scaling(sys: GradedSystem, part: Partition) -> ScaledSystem:
-    """Substitute y = eps*y_star for the fast block and divide its rows by eps.
+    """Scale the fast block y = eps*y_star and divide its rows by eps.
 
+    The terms of degree k in the fast variables of a grade-g entry go to
+    grade g + k, less 1 on fast rows, relabelled over the renamed context.
     Inconsistent scalings are allowed; they come back with laurent_flag = -1.
     """
     if sys.is_laurent():
         raise ModelError("cannot scale a Laurent system")
     new_states = [star_name(n) if n in part.fast else n for n in sys.states]
     new_ctx = Context(new_states, [p.name for p in sys.ctx.params], eps=sys.ctx.eps.name)
-    eps = new_ctx.sym(new_ctx.eps.name)
-    images = {n: eps * new_ctx.sym(star_name(n)) for n in part.fast}
 
     per_order: dict[int, list[Polynomial]] = {}
     fast_idx = {sys.state_index(n) for n in part.fast}
     for order, g in zip(sys.orders(), sys.grades):
         for i, p in enumerate(g):
-            q = substitute(p, new_ctx, images)[0]
-            shift = -1 if i in fast_idx else 0
-            for k, coeff in q.eps_coefficients().items():
-                tgt = order + k + shift
-                row = per_order.setdefault(tgt, [new_ctx.zero()] * sys.n)
-                row[i] = row[i] + coeff
+            base = order - 1 if i in fast_idx else order
+            for k, group in enumerate(p.by_degree(part.fast)):
+                if group:
+                    row = per_order.setdefault(base + k, [new_ctx.zero()] * sys.n)
+                    row[i] = row[i] + group.relabel(new_ctx)
     if not per_order:
         per_order = {0: [new_ctx.zero()] * sys.n}
     lo = min(per_order)

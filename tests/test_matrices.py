@@ -32,6 +32,7 @@ from tfred.matrices import (
     rank_and_factor,
     solve_blocks,
     solve_matrix,
+    _clear_row_denominators,
     _fraction_free_back_substitute,
 )
 from tfred.reduction import ReductionError, default_sample, find_decomposition, reduce_model
@@ -753,6 +754,20 @@ def test_char_poly_edge_cases_and_a_shared_denominator():
     # d = k1 + k2 and b_2 = s (k1 + k2): the shared entry denominator cancels
     diagonal = RFMatrix(_CP, [[_CP.parse("1/(k1 + k2)"), _CP.zero()], [_CP.zero(), _CP.sym("s")]])
     assert char_poly(diagonal)[2].render() == "s / (k1 + k2)"
+
+
+def test_a_row_is_cleared_by_each_denominator_that_does_not_divide_the_multiplier_so_far():
+    def multiplier(*entries):
+        row = [_CP.parse(v) for v in entries]
+        cleared, mult = _clear_row_denominators(_CP, row)
+        assert all(c == v * mult for c, v in zip(cleared, row))
+        return mult.render()
+
+    assert multiplier("1/k1", "s/k1", "1/k1") == "k1"
+    assert multiplier("1/(k1*k2)", "1/k1", "s") == "k1*k2"
+    assert multiplier("1/k1", "1/(k1 + k2)", "1") == "k1^2 + k1*k2"
+    # a denominator that the multiplier holds only in part is multiplied in whole
+    assert multiplier("1/k1", "1/(k1*k2)") == "k1^2*k2"
 
 
 # every builtin but transport_binding, whose Dmu*P is 7x7

@@ -8,6 +8,8 @@ from pathlib import Path
 from sys import executable
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tfred
 from tfred.rational import Context, RationalFunction, substitute
@@ -262,6 +264,83 @@ def test_scaling_roundtrip_identity(mm3d):
         if name in part.fast:
             restored = restored * eps
         assert restored == flat_orig[i]
+
+
+def substitution_scaling(sys, part):
+    """The scaling as a substitution y -> eps*y_star, its grades then split back out by eps."""
+    new_states = [star_name(n) if n in part.fast else n for n in sys.states]
+    new_ctx = Context(new_states, [p.name for p in sys.ctx.params], eps=sys.ctx.eps.name)
+    eps = new_ctx.sym(new_ctx.eps.name)
+    images = {n: eps * new_ctx.sym(star_name(n)) for n in part.fast}
+    per_order = {}
+    fast_idx = {sys.state_index(n) for n in part.fast}
+    for order, g in zip(sys.orders(), sys.grades):
+        for i, p in enumerate(g):
+            q = substitute(p, new_ctx, images)[0]
+            shift = -1 if i in fast_idx else 0
+            for k, coeff in q.eps_coefficients().items():
+                row = per_order.setdefault(order + k + shift, [new_ctx.zero()] * sys.n)
+                row[i] = row[i] + coeff
+    if not per_order:
+        per_order = {0: [new_ctx.zero()] * sys.n}
+    lo, hi = min(per_order), max(per_order)
+    return lo, [per_order.get(k, [new_ctx.zero()] * sys.n) for k in range(lo, hi + 1)]
+
+
+SCALING_CTX = Context(["u", "v", "w"], ["a", "b"])
+
+
+@st.composite
+def scaling_cases(draw):
+    """A raw system over SCALING_CTX, a partition and the LTC verdict the system was built to have."""
+    ctx = SCALING_CTX
+    states = [s.name for s in ctx.states]
+    fast = draw(st.lists(st.sampled_from(states), min_size=1, max_size=2, unique=True))
+    slow = [n for n in states if n not in fast]
+    kind = draw(st.sampled_from([FULL_LTC, CONSISTENT_ONLY, INCONSISTENT]))
+
+    def term(names):
+        t = ctx.const(Fraction(draw(st.integers(-3, 3).filter(bool)), draw(st.integers(1, 2))))
+        for n in draw(st.lists(st.sampled_from(names), max_size=3)):
+            t = t * ctx.sym(n)
+        return t
+
+    eps = ctx.sym("eps")
+    rows = []
+    for _ in states:
+        row = ctx.zero()
+        for _ in range(draw(st.integers(0, 3))):
+            # grade 0 vanishes at fast = 0: each of its terms carries a fast state
+            row = row + term(states + ["a", "b"]) * ctx.sym(draw(st.sampled_from(fast)))
+        for g in (1, 2):
+            for _ in range(draw(st.integers(0, 2))):
+                row = row + term(states + ["a", "b"]) * eps**g
+        rows.append(row)
+    # a term free of the fast states at grade 0: on a slow row, or on a fast one
+    if kind != FULL_LTC:
+        owner = draw(st.sampled_from(slow if kind == CONSISTENT_ONLY else fast))
+        rows[states.index(owner)] = rows[states.index(owner)] + term(slow + ["a", "b"])
+    bases = st.sampled_from([0, 1, Fraction(1, 2), "a"])
+    ivs = {n: InitialValue(draw(bases), draw(st.integers(0, 2))) for n in states}
+    sys = raw_system(ctx, rows, ivs)
+    return sys, Partition.from_fast(sys, fast), kind
+
+
+@settings(max_examples=150, deadline=None)
+@given(scaling_cases())
+def test_scaling_by_degree_equals_the_substitution(case):
+    sys, part, kind = case
+    assert check_ltc(sys, part).status == kind
+    scaled = apply_scaling(sys, part)
+    lo, grades = substitution_scaling(sys, part)
+    got = scaled.system
+    renamed = [star_name(n) if n in part.fast else n for n in sys.states]
+    assert [s.name for s in got.ctx.symbols] == renamed + ["a", "b", "eps"]
+    assert got.lowest_order == lo
+    assert [[list(p.terms.items()) for p in g] for g in got.grades] == [[list(p.terms.items()) for p in g] for g in grades]
+    assert scaled.laurent_flag == min(lo, 0) == (-1 if kind == INCONSISTENT else 0)
+    assert scaled.iv_consistent == all(
+        sys.initial_values[n].order >= 1 or sys.initial_values[n].is_zero() for n in part.fast)
 
 
 def test_ltc_iff_scaled_grade0_slow_block_zero(mm3d):

@@ -533,6 +533,37 @@ def test_transform_first_integral_constant():
     assert ti.rf == Fraction(7, 2)
 
 
+def test_transform_first_integral_refuses_an_eps_carrying_integral(mm3d_scaled):
+    spec = mm3d()
+    ctx = spec.system.ctx
+    # eps*(e + c) is a first integral too, but its eps would mix with the scaling's
+    phi = RationalFunction.of(ctx.parse_poly("eps*(e + c)"))
+    assert lie_derivative(phi, spec.system.flatten_rf(), spec.system.states).is_zero()
+    with pytest.raises(ReductionError, match="eps-free"):
+        transform_first_integral(phi, spec.system, mm3d_scaled)
+
+
+def test_transform_first_integral_of_zero_is_zero_of_order_zero(mm3d_scaled):
+    spec = mm3d()
+    ti = transform_first_integral(RationalFunction.of(spec.system.ctx.zero()), spec.system, mm3d_scaled)
+    assert ti.order == 0
+    assert ti.rf.is_zero() and ti.rf.ctx is mm3d_scaled.system.ctx
+    assert integral_level(ti, mm3d_scaled).is_zero()
+
+
+@pytest.mark.parametrize(
+    "num, den, order, lead",
+    [("(e + c)^2", "e + c + 1", 2, "(e_star + c_star)^2"), ("2", "e + c", -1, "2/(e_star + c_star)")],
+)
+def test_transform_first_integral_takes_the_lowest_groups_of_a_quotient(mm3d_scaled, num, den, order, lead):
+    # functions of the enzyme total e + c are first integrals of mm3d
+    spec = mm3d()
+    ctx = spec.system.ctx
+    ti = transform_first_integral(RationalFunction(ctx.parse_poly(num), ctx.parse_poly(den)), spec.system, mm3d_scaled)
+    assert ti.order == order
+    assert ti.rf == mm3d_scaled.system.ctx.parse(lead)
+
+
 def test_transform_first_integral_rejects_non_integral(mm3d_scaled):
     spec = mm3d()
     ctx = spec.system.ctx

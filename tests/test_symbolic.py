@@ -273,6 +273,61 @@ def test_subs_over_a_denominator_of_one_equals_the_quotient_of_both_substitution
     assert list(got.den.terms.items()) == list(want.den.terms.items())
 
 
+# -- grading -----------------------------------------------------------------
+
+# polys.ctx with e renamed in place, as apply_scaling renames a fast state
+SCALED = Context(["s", "e_star", "c"], ["k1", "km1", "k2"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys(), st.lists(st.sampled_from(["s", "e", "c", "k1"]), unique=True))
+def test_the_degree_zero_group_is_the_polynomial_at_zero(p, names):
+    groups = p.by_degree(names)
+    assert list(groups[0].terms.items()) == list(p.subs({n: 0 for n in names}).terms.items())
+    # every term sits in the group of its degree, in term order
+    for k, g in enumerate(groups):
+        assert list(g.terms.items()) == [
+            (e, c) for e, c in p.terms.items() if sum(p.ctx.unpack(e)[p.ctx.index[n]] for n in names) == k
+        ]
+    assert len(groups) == 1 or groups[-1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys())
+def test_relabelled_groups_times_eps_powers_are_the_scaling_substitution(p):
+    eps = SCALED.sym("eps")
+    scaled = substitute(p, SCALED, {"e": eps * SCALED.sym("e_star")})[0]
+    groups = p.by_degree(["e"])
+    for k, g in enumerate(groups):
+        moved = g.relabel(SCALED) * eps**k
+        assert list(moved.terms.items()) == [
+            (e, c) for e, c in scaled.terms.items() if SCALED.unpack(e)[SCALED.index["eps"]] == k
+        ]
+    assert sum((g.relabel(SCALED) * eps**k for k, g in enumerate(groups)), SCALED.zero()) == scaled
+
+
+def test_relabel_keeps_the_terms_and_refuses_a_context_that_does_not_rename_in_place(mm):
+    p = mm.parse_poly("k1*e*s - km1*c + 2")
+    q = p.relabel(SCALED)
+    assert q.ctx is SCALED and list(q.terms.items()) == list(p.terms.items())
+    assert q == SCALED.parse_poly("k1*e_star*s - km1*c + 2")
+    assert p.relabel(mm) is p
+    for other in (
+        Context(["s", "e", "c"], ["k1", "km1"]),  # another symbol count
+        Context(["s", "e", "c", "x"], ["k1", "km1", "k2"]),
+        Context(["s", "e"], ["k1", "km1", "k2", "x"]),  # same count, another kind order
+    ):
+        with pytest.raises(SymbolicError, match="does not rename"):
+            p.relabel(other)
+
+
+def test_by_degree_of_zero_and_of_no_names(mm):
+    assert [g.is_zero() for g in mm.zero().by_degree(["s"])] == [True]
+    p = mm.parse_poly("s^2*e + c")
+    assert list(p.by_degree([])[0].terms.items()) == list(p.terms.items())
+    assert [g.render() for g in p.by_degree(["s", "e"])] == ["c", "0", "0", "s^2*e"]
+
+
 # -- parser ------------------------------------------------------------------
 
 

@@ -1,11 +1,13 @@
-"""Print the output of 250 CLI cases and 32 library cases, for comparing two checkouts byte for byte.
+"""Print the output of 258 CLI cases and 32 library cases, for comparing two checkouts byte for byte.
 
 Usage: python tools/output_check.py <src-dir>
 
 <src-dir> is the ``src`` directory of a checkout.  The cases are every builtin
 x {check, ltc, conditions, reduce, converge on a short ladder} x {text, json}
 x --seed {0, 7}, plus ``reduce --mode standard|nonstandard`` on mm2d and mm3d
-and the inconsistent partition ``--fast s`` of mm3d, plus ``reduce`` and
+and the inconsistent partition ``--fast s`` of mm3d, plus ``check`` (text and
+json) on the non-default partitions ``--fast s`` and ``--fast e`` of mm3d,
+``--fast c1`` of chain3 and ``--fast y`` of inhibitor, plus ``reduce`` and
 ``ltc --model ... --format json`` on nine survey-shaped raw systems (built by
 ``bench/workloads.py``'s ``raw_model``), plus ``reduce --model
 ... --format json`` on transport_binding(N) model files for N = 2, 3, 5, 7, 8, 10, 16 (built
@@ -60,6 +62,9 @@ cases = [[*c, "--builtin", b, "--format", f, "--seed", s]
 cases += [["reduce", "--builtin", b, "--mode", m, "--format", f]
           for b in ("mm2d", "mm3d") for m in ("standard", "nonstandard") for f in ("text", "json")]
 cases += [[c, "--builtin", "mm3d", "--fast", "s"] for c in ("reduce", "converge")]
+# Laurent grades and fast = 0 witnesses of partitions other than the default
+cases += [["check", "--builtin", b, "--fast", f, "--format", fmt]
+          for b, f in (("mm3d", "s"), ("mm3d", "e"), ("chain3", "c1"), ("inhibitor", "y")) for fmt in ("text", "json")]
 # Deep ladders: the explicit stepper takes thousands of steps per rung here.
 # Unequal rates and initial levels keep the transport study off its
 # homogeneous equilibrium, so its sup errors are not all 0.
