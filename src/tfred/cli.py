@@ -218,7 +218,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_ltc(args) -> int:
-    from .ltc import minimal_ltc_sets
+    from .ltc import SUBSET_GUARD, minimal_ltc_sets
     spec = load_spec(args)
     sys = spec.system
     report = minimal_ltc_sets(sys.grade(0))
@@ -233,7 +233,10 @@ def cmd_ltc(args) -> int:
     if not report.minimal_sets:
         lines.append("no admissible fast sets")
     if not report.complete:
-        lines.append(f"warning: search truncated after {report.checked_count} subset tests")
+        lines.append(
+            f"warning: search stopped after {SUBSET_GUARD} nodes; the {report.checked_count}"
+            " sets above are minimal, but others may be missing"
+        )
     emit(args, payload, "\n".join(lines))
     return EXIT_OK
 
@@ -549,7 +552,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         _stdout_to_devnull()
         return EXIT_CLOSED_PIPE
-    except (SymbolicError, ValueError, KeyError, OSError) as exc:
+    except Exception as exc:
         print(f"internal error: {exc}", file=_sys.stderr)
         return EXIT_INTERNAL
 

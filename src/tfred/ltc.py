@@ -1,10 +1,12 @@
 """Search for index sets of fast variables whose vanishing kills the fast part.
 
 An index set J is admissible when setting the J-variables to zero makes the
-whole lowest-order field vanish identically; supersets of admissible sets stay
-admissible, so the interesting output is the minimal ones.  For fields of
-state-degree at most two the search runs on a conflict graph (quadratic in
-practice); beyond that a guarded pruned enumeration takes over.
+whole lowest-order field vanish identically, that is when every monomial
+holds a state of J; supersets of admissible sets stay admissible, so the
+interesting output is the minimal ones.  Their complements are the maximal
+sets of candidate slow states that hold no monomial's state support, and one
+depth-first search over the states finds them for a field of any degree,
+within ``SUBSET_GUARD`` nodes.
 
 The pre-assigned variant goes the other way: fix the candidate fast variables
 and derive the polynomial conditions on parameters that make their own
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .rational import Context, Polynomial, SymbolicError
@@ -26,6 +27,13 @@ SUBSET_GUARD = 1 << 20
 
 @dataclass(frozen=True)
 class LtcReport:
+    """The minimal admissible fast sets, in the search's order.
+
+    ``checked_count`` is the number of sets verified with :func:`is_ltc_set`;
+    ``complete`` says the search ended within ``SUBSET_GUARD`` nodes, so that
+    no minimal set is missing.
+    """
+
     candidate_slow: tuple[str, ...]
     minimal_sets: tuple[tuple[str, ...], ...]
     checked_count: int
@@ -75,128 +83,92 @@ def is_ltc_set(rows: Sequence[Polynomial], J: Iterable[str]) -> bool:
     return not any(p.by_degree(names)[0] for p in rows)
 
 
+def _supports(rows: Sequence[Polynomial]) -> set[int]:
+    """The state supports of the field's monomials, as bit masks over the context's states."""
+    ctx = rows[0].ctx
+    n = len(ctx.states)
+    unpack = ctx.unpack
+    return {sum(1 << i for i, k in enumerate(unpack(e)[:n]) if k) for p in rows for e in p.terms}
+
+
+def _slow(n: int, supports: set[int]) -> list[int]:
+    """Indices of the states that are no monomial's whole state support."""
+    return [i for i in range(n) if 1 << i not in supports]
+
+
 def candidate_slow_set(rows: Sequence[Polynomial]) -> tuple[str, ...]:
     """States that never occur as a pure power (so they may stay slow)."""
     if not rows:
         return ()
-    ctx = rows[0].ctx
-    excluded: set[str] = set()
-    for p in rows:
-        for e in p.monomials():
-            sp = _state_part(ctx, e)
-            on = [i for i, k in enumerate(sp) if k > 0]
-            if len(on) == 1:
-                excluded.add(ctx.states[on[0]].name)
-    return tuple(s.name for s in ctx.states if s.name not in excluded)
+    states = rows[0].ctx.states
+    return tuple(states[i].name for i in _slow(len(states), _supports(rows)))
 
 
-def _conflict_pairs(rows: Sequence[Polynomial], S: Sequence[str]) -> set[frozenset[str]]:
-    ctx = rows[0].ctx
-    sset = set(S)
-    pairs: set[frozenset[str]] = set()
-    for p in rows:
-        for e in p.monomials():
-            sp = _state_part(ctx, e)
-            on = [ctx.states[i].name for i, k in enumerate(sp) if k > 0]
-            if len(on) == 2 and set(on) <= sset:
-                pairs.add(frozenset(on))
-    return pairs
+def _maximal_free_sets(order: Sequence[int], edges: Sequence[int]) -> tuple[list[int], bool]:
+    """The maximal sets of the states in ``order`` that hold no edge, as masks.
 
-
-def _maximal_independent_sets(vertices: Sequence[str], edges: set[frozenset[str]]) -> list[tuple[str, ...]]:
-    """All maximal independent sets, by DFS in ascending vertex order."""
-    order = list(vertices)
-    neighbours = {v: set() for v in order}
-    for e in edges:
-        a, b = tuple(e)
-        neighbours[a].add(b)
-        neighbours[b].add(a)
-    results: list[tuple[str, ...]] = []
-    seen: set[frozenset[str]] = set()
-
-    def extend(current: set[str], start: int):
-        grew = False
-        for i in range(start, len(order)):
-            v = order[i]
-            if v in current or neighbours[v] & current:
-                continue
-            grew = True
-            extend(current | {v}, i + 1)
-        if not grew:
-            # check true maximality against earlier vertices too
-            for v in order:
-                if v not in current and not (neighbours[v] & current):
-                    return
-            key = frozenset(current)
-            if key not in seen:
-                seen.add(key)
-                results.append(tuple(n for n in order if n in current))
-
-    extend(set(), 0)
-    return results
+    A depth-first search takes the states in order: it takes a state when that
+    completes no edge, and leaves it out only when some edge through it can
+    still be completed by the states taken or to come; a leaf counts when
+    every state left out completes an edge with the states taken.  Taking
+    comes first, so the sets come out in lexicographic order.  Returns them
+    and whether the search ended within ``SUBSET_GUARD`` nodes.
+    """
+    through = {i: [e for e in edges if e >> i & 1] for i in order}
+    found: list[int] = []
+    stack = [(0, 0)]
+    nodes = 0
+    while stack:
+        k, taken = stack.pop()
+        nodes += 1
+        if nodes > SUBSET_GUARD:
+            return found, False
+        if k == len(order):
+            if all(any(e & ~taken == 1 << i for e in through[i]) for i in order if not taken >> i & 1):
+                found.append(taken)
+            continue
+        i = order[k]
+        below = (1 << i) - 1
+        if any(not e & below & ~taken for e in through[i]):
+            stack.append((k + 1, taken))
+        if not any(e & ~taken == 1 << i for e in through[i]):
+            stack.append((k + 1, taken | 1 << i))
+    return found, True
 
 
 def minimal_ltc_sets(rows: Sequence[Polynomial]) -> LtcReport:
     """All minimal admissible fast sets of the given lowest-order field.
 
-    Fields of state-degree <= 2 use the maximal complement extension inside
-    the candidate slow set; otherwise subsets of the candidate slow set are
-    enumerated largest first, pruned by the superset monotonicity, and
-    guarded by ``SUBSET_GUARD`` predicate calls.
+    J is admissible when every monomial holds a state of J.  A monomial free
+    of the states rules every J out; one whose state support is a single
+    state puts that state in every J, so the complements of the minimal J are
+    the maximal subsets of the candidate slow set that hold no other support
+    (:func:`_maximal_free_sets`).  Each J found is verified with
+    :func:`is_ltc_set`; ``SUBSET_GUARD`` bounds the search for every degree.
     """
     if not rows:
         raise ModelError("empty system")
-    ctx = rows[0].ctx
-    state_names = [s.name for s in ctx.states]
-    graded = [p.by_degree(state_names) for p in rows]
-    if any(groups[0] for groups in graded):
+    names = [s.name for s in rows[0].ctx.states]
+    supports = _supports(rows)
+    if 0 in supports:
         # a term free of the states vanishes on no fast set
         return LtcReport((), (), 0, True)
-    S = candidate_slow_set(rows)
-    checked = 0
-    degree = max(len(groups) for groups in graded) - 1
-
-    if degree <= 2:
-        edges = _conflict_pairs(rows, S)
-        complements = _maximal_independent_sets(S, edges)
-        minimal = []
-        for comp in complements:
-            if len(comp) == len(state_names):
-                # field is identically zero: every singleton is admissible
-                minimal.extend((n,) for n in state_names)
-                continue
-            J = tuple(n for n in state_names if n not in comp)
-            if J and len(J) < len(state_names):
-                checked += 1
-                if not is_ltc_set(rows, J):
-                    raise SymbolicError(f"degree-2 search produced a bad set {J}")
-                minimal.append(J)
-        return LtcReport(S, tuple(minimal), checked, True)
-
-    # general-degree fallback: subsets of S, largest first
-    maximal_comps: list[set[str]] = []
-    complete = True
-    sizes = range(len(S), 0, -1)
-    for size in sizes:
-        for comp in combinations(S, size):
-            cset = set(comp)
-            if any(cset <= m for m in maximal_comps):
-                continue
-            J = tuple(n for n in state_names if n not in cset)
-            if not J or len(J) == len(state_names):
-                continue
-            checked += 1
-            if checked > SUBSET_GUARD:
-                complete = False
-                break
-            if is_ltc_set(rows, J):
-                maximal_comps.append(cset)
-        if not complete:
-            break
-    minimal = [
-        tuple(n for n in state_names if n not in comp) for comp in maximal_comps
-    ]
-    return LtcReport(S, tuple(minimal), checked, complete)
+    order = _slow(len(names), supports)
+    S = tuple(names[i] for i in order)
+    if not supports:
+        # the field is identically zero: every singleton is admissible
+        return LtcReport(S, tuple((n,) for n in names), 0, True)
+    slow = sum(1 << i for i in order)
+    edges = [m for m in supports if m & (m - 1) and not m & ~slow]
+    complements, complete = _maximal_free_sets(order, edges)
+    minimal = []
+    for comp in complements:
+        J = tuple(n for i, n in enumerate(names) if not comp >> i & 1)
+        if len(J) < len(names):
+            if not is_ltc_set(rows, J):
+                raise SymbolicError(f"the fast-set search produced a bad set {J}")
+            minimal.append(J)
+    return LtcReport(S, tuple(minimal), len(minimal), complete)
 
 
 def preassigned_conditions(

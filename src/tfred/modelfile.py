@@ -44,6 +44,8 @@ def _parse_base(text: str | int) -> "Fraction | str":
         return Fraction(text)
     except ValueError:
         return text  # parameter name
+    except ZeroDivisionError:
+        raise ModelError(f"initial value base {text!r} divides by zero") from None
 
 
 def _parse_initial_values(data: Mapping, states) -> dict[str, InitialValue]:

@@ -58,10 +58,15 @@ EPS = "epsilon"
 FIELD_BITS = 16
 EXPONENT_MAX = (1 << (FIELD_BITS - 1)) - 1
 _FIELD = (1 << FIELD_BITS) - 1
+MAX_NESTING = 100
 
 
 class SymbolicError(Exception):
     """Base class for errors raised by the symbolic layer."""
+
+
+class ZeroDivisorError(SymbolicError, ZeroDivisionError):
+    """A rational function's denominator is identically zero."""
 
 
 class SubstitutionError(SymbolicError):
@@ -760,7 +765,7 @@ class RationalFunction:
 
     def __init__(self, num: Polynomial, den: Polynomial):
         if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
+            raise ZeroDivisorError("rational function with zero denominator")
         if num.ctx is not den.ctx:
             raise SymbolicError("numerator and denominator from different contexts")
         num, den = _reduce_pair(num, den)
@@ -859,7 +864,7 @@ class RationalFunction:
         if other is NotImplemented:
             return NotImplemented
         if other.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
+            raise ZeroDivisorError("division by zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
 
     def __pow__(self, n: int):
@@ -1099,13 +1104,16 @@ class _Parser:
     Numbers are integers or p/q handled through division; names must exist in
     the context.  Each rule returns a Polynomial until a '/', a negative power
     or an operand that is already rational promotes it to a RationalFunction;
-    :meth:`parse` wraps the result in one.
+    :meth:`parse` wraps the result in one.  A zero divisor raises
+    ZeroDivisorError, and parentheses nested deeper than ``MAX_NESTING``
+    raise SymbolicError.
     """
 
     def __init__(self, ctx: Context, text: str):
         self.ctx = ctx
         self.tokens = self._lex(text)
         self.pos = 0
+        self.depth = 0
 
     @staticmethod
     def _lex(text: str) -> list[str]:
@@ -1170,9 +1178,10 @@ class _Parser:
         return total
 
     def factor(self) -> "Polynomial | RationalFunction":
-        if self.peek() == "-":
+        negate = False
+        while self.peek() == "-":  # a loop, so a run of signs does not recurse
             self.take()
-            return -self.factor()
+            negate = not negate
         base = self.atom()
         if self.peek() == "^":
             self.take()
@@ -1184,15 +1193,19 @@ class _Parser:
             if not tok.isdigit():
                 raise ValueError(f"expected integer exponent, got {tok!r}")
             n = int(tok)
-            return _rational(base) ** -n if neg else base ** n
-        return base
+            base = _rational(base) ** -n if neg else base ** n
+        return -base if negate else base
 
     def atom(self) -> "Polynomial | RationalFunction":
         tok = self.take()
         if tok == "(":
+            if self.depth == MAX_NESTING:
+                raise SymbolicError(f"expression nested deeper than {MAX_NESTING} parentheses")
+            self.depth += 1
             inner = self.expr()
             if self.take() != ")":
                 raise ValueError("unbalanced parentheses")
+            self.depth -= 1
             return inner
         if tok.isdigit():
             return self.ctx.const(int(tok))

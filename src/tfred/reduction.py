@@ -815,13 +815,6 @@ def eliminate_on_manifold(
 # ---------------------------------------------------------------------------
 
 
-def lie_derivative(phi: RationalFunction, field_rows: Sequence[RationalFunction], states: Sequence[str]) -> RationalFunction:
-    acc = RationalFunction.of(phi.ctx.zero())
-    for n, f in zip(states, field_rows):
-        acc = acc + phi.diff(n) * f
-    return acc
-
-
 def transform_first_integral(
     phi: RationalFunction, sys: GradedSystem, scaled: ScaledSystem
 ) -> TransportedIntegral:
@@ -837,12 +830,16 @@ def transform_first_integral(
     """
     if not (phi.num.eps_free() and phi.den.eps_free()):
         raise ReductionError(f"first integral {phi.render()} carries eps; it must be eps-free")
-    rows = sys.flatten_rf()
-    lie = lie_derivative(phi, rows, sys.states)
-    if not lie.is_zero():
-        raise ReductionError(
-            f"not a first integral; Lie derivative residue: {lie.render()}"
-        )
+    # phi is eps-free, so its Lie derivative vanishes when that along each
+    # grade h_g does; over den^2, that has numerator sum_i grad_i * h_g[i]
+    num, den = phi.num, phi.den
+    grad = [num.diff(n) * den - num * den.diff(n) for n in sys.states]
+    for grade in sys.grades:
+        residue = sum((d * p for d, p in zip(grad, grade) if d and p), phi.ctx.zero())
+        if residue:
+            raise ReductionError(
+                f"not a first integral; Lie derivative residue: {RationalFunction(residue, den * den).render()}"
+            )
     sctx = scaled.system.ctx
     if phi.is_zero():
         return TransportedIntegral(0, RationalFunction.of(phi.num.relabel(sctx)))

@@ -24,7 +24,6 @@ from .rational import (
     Context,
     Polynomial,
     Q,
-    RationalFunction,
     SymbolicError,
     cleared_row,
     substitute,
@@ -118,22 +117,13 @@ class GradedSystem:
     def flatten(self) -> list[Polynomial]:
         """h as eps-carrying polynomials; requires lowest_order >= 0."""
         if self.lowest_order < 0:
-            raise ModelError("Laurent system; use flatten_rf")
+            raise ModelError("Laurent system has no polynomial flattening")
         eps = self.ctx.sym(self.ctx.eps.name)
         out = [self.ctx.zero() for _ in range(self.n)]
         for order, g in zip(self.orders(), self.grades):
             w = eps ** order
             for i, p in enumerate(g):
                 out[i] = out[i] + p * w
-        return out
-
-    def flatten_rf(self) -> list[RationalFunction]:
-        eps = RationalFunction.of(self.ctx.sym(self.ctx.eps.name))
-        out = [RationalFunction.of(self.ctx.zero()) for _ in range(self.n)]
-        for order, g in zip(self.orders(), self.grades):
-            w = eps ** order
-            for i, p in enumerate(g):
-                out[i] = out[i] + w * p
         return out
 
     def with_initial_values(self, ivs: Mapping[str, InitialValue]) -> "GradedSystem":

@@ -721,6 +721,50 @@ def test_exponent_above_the_limit_is_bad_input(tmp_path, capsys):
     assert captured.out == ""
 
 
+BAD_MODEL = {
+    "name": "bad",
+    "states": ["x", "y"],
+    "parameters": ["k"],
+    "raw_system": ["eps*x*y", "-y + eps*x"],
+    "initial_values": {"x": {"base": "1"}, "y": {"base": "0"}},
+    "fast": ["y"],
+}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"raw_system": ["eps*x*y", "k/0 - y"]}, "division by zero rational function"),
+        ({"raw_system": ["eps*x*y", "1/(x-x)*y - y"]}, "division by zero rational function"),
+        ({"initial_values": {"x": {"base": "1/0"}}}, "initial value base '1/0' divides by zero"),
+        (
+            {"raw_system": ["eps*x*y", "(" * 3000 + "y" + ")" * 3000 + " - 2*y"]},
+            "expression nested deeper than 100 parentheses",
+        ),
+    ],
+    ids=["constant-divisor", "zero-polynomial-divisor", "initial-value-divisor", "deep-nesting"],
+)
+def test_bad_expression_is_bad_input(tmp_path, capsys, change, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(BAD_MODEL, **change)))
+    assert main(["check", "--model", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_any_other_exception_is_an_internal_error(capsys, monkeypatch):
+    from tfred import cli
+
+    def broken_check(*args, **kwargs):
+        raise RuntimeError("an unforeseen fault")
+
+    monkeypatch.setattr(cli, "check_ltc", broken_check)
+    assert main(["check", "--builtin", "mm2d"]) == 5
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: an unforeseen fault\n" and captured.out == ""
+
+
 def test_converge_quick(capsys):
     code, payload = run_json(
         capsys,

@@ -16,6 +16,7 @@ from tfred.ltc import (
     minimal_ltc_sets,
     preassigned_conditions,
 )
+from tfred.builtin_models import transport_binding
 from tfred.networks import Reaction, ReactionNetwork, compile_network
 from tfred.systems import Partition, check_ltc, raw_system, FULL_LTC
 
@@ -121,7 +122,7 @@ def chain_network():
     )
 
 
-def test_minimal_sets_cubic_field_uses_fallback():
+def test_minimal_sets_cubic_field_match_brute_force():
     ctx = Context(["x", "y", "z"], ["a"])
     rows = [
         ctx.parse_poly("a*x*y*z"),
@@ -132,14 +133,46 @@ def test_minimal_sets_cubic_field_uses_fallback():
     got = sorted(tuple(sorted(J)) for J in report.minimal_sets)
     assert got == brute_force_minimal(rows, ["x", "y", "z"])
     assert report.complete
+    # checked_count counts the sets verified, one per minimal set
+    assert report.checked_count == len(report.minimal_sets) == 2
 
 
-def test_fallback_guard_reports_incomplete(monkeypatch):
+def test_guard_reports_incomplete_on_a_quartic_field(monkeypatch):
     monkeypatch.setattr(ltc, "SUBSET_GUARD", 1)
     ctx = Context(["x", "y", "z", "w"])
     rows = [ctx.parse_poly("x*y*z*w")] * 4
     report = minimal_ltc_sets(rows)
     assert not report.complete
+
+
+def test_guard_bounds_the_degree_two_search(monkeypatch):
+    # z is a pure power, so S = {x, y}: the search needs more than one node
+    ctx = Context(["x", "y", "z"])
+    rows = [ctx.parse_poly("x*z"), ctx.parse_poly("y*z"), ctx.parse_poly("-z + x*y")]
+    assert candidate_slow_set(rows) == ("x", "y")
+    assert minimal_ltc_sets(rows).complete
+    monkeypatch.setattr(ltc, "SUBSET_GUARD", 1)
+    assert not minimal_ltc_sets(rows).complete
+
+
+def cubic_field(n):
+    """x_i' = -y*x_i for i < n, y' = -y - y*x1*x2: n states, one minimal set {y}."""
+    xs = [f"x{i}" for i in range(1, n)]
+    ctx = Context(xs + ["y"])
+    return [ctx.parse_poly(f"-y*{x}") for x in xs] + [ctx.parse_poly("-y - y*x1*x2")]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [transport_binding(20).system.grade(0), cubic_field(22)],
+    ids=["transport_binding(20)", "cubic(22)"],
+)
+def test_search_is_linear_in_the_slow_states_without_edges(monkeypatch, rows):
+    S = candidate_slow_set(rows)
+    monkeypatch.setattr(ltc, "SUBSET_GUARD", 4 * len(S) + 4)
+    report = minimal_ltc_sets(rows)
+    assert report.complete and len(report.minimal_sets) == 1
+    assert report.minimal_sets == ((*(s.name for s in rows[0].ctx.states if s.name not in S),),)
 
 
 def test_brute_force_agreement_random_degree2():
@@ -162,6 +195,94 @@ def test_brute_force_agreement_random_degree2():
         report = minimal_ltc_sets(rows)
         got = sorted(tuple(sorted(J)) for J in report.minimal_sets)
         assert got == brute_force_minimal(rows, names)
+
+
+def fields(max_degree):
+    """Fields over 2 to 5 states: rows of up to four terms, each a product of two to
+    ``max_degree`` states (a square is a pure power) with a coefficient in a;
+    rows may be zero, and about one field in eight gets a state-free term."""
+    names = [f"z{i}" for i in range(1, 6)]
+
+    def build(n, rows, free_term):
+        ctx = Context(names[:n], ["a"])
+        out = []
+        for terms in rows:
+            p = ctx.zero()
+            for c, with_a, factors in terms:
+                t = ctx.const(c) * (ctx.sym("a") if with_a else ctx.one())
+                for i in factors:
+                    t = t * ctx.sym(names[i % n])
+                p = p + t
+            out.append(p)
+        if free_term == 0:
+            out[0] = out[0] + ctx.sym("a")
+        return out
+
+    term = st.tuples(
+        st.sampled_from([-2, -1, 1, 3]), st.booleans(), st.lists(st.integers(0, 4), min_size=2, max_size=max_degree)
+    )
+    return st.integers(2, 5).flatmap(
+        lambda n: st.builds(build, st.just(n), st.lists(st.lists(term, max_size=4), min_size=n, max_size=n), st.integers(0, 7))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(fields(4))
+def test_minimal_sets_equal_brute_force_up_to_degree_four(rows):
+    report = minimal_ltc_sets(rows)
+    names = [s.name for s in rows[0].ctx.states]
+    got = sorted(tuple(sorted(J)) for J in report.minimal_sets)
+    assert report.complete
+    assert got == brute_force_minimal(rows, names)
+
+
+def conflict_graph_report(rows):
+    """The degree <= 2 search by maximal independent sets of the conflict graph,
+    kept as the reference for order and checked_count."""
+    ctx = rows[0].ctx
+    names = [s.name for s in ctx.states]
+    supports = [[n for n, k in zip(names, e) if k] for p in rows for e in p.monomials()]
+    if any(not on for on in supports):
+        return ltc.LtcReport((), (), 0, True)
+    singles = {on[0] for on in supports if len(on) == 1}
+    S = [n for n in names if n not in singles]
+    neighbours = {v: set() for v in S}
+    for on in supports:
+        if len(on) == 2 and set(on) <= set(S):
+            a, b = on
+            neighbours[a].add(b)
+            neighbours[b].add(a)
+    complements = []
+
+    def extend(current, start):
+        grew = False
+        for i in range(start, len(S)):
+            v = S[i]
+            if v in current or neighbours[v] & current:
+                continue
+            grew = True
+            extend(current | {v}, i + 1)
+        if not grew and all(v in current or neighbours[v] & current for v in S):
+            if current not in complements:
+                complements.append(current)
+
+    extend(set(), 0)
+    minimal, checked = [], 0
+    for comp in complements:
+        if len(comp) == len(names):
+            minimal.extend((n,) for n in names)
+            continue
+        J = tuple(n for n in names if n not in comp)
+        if J and len(J) < len(names):
+            checked += 1
+            minimal.append(J)
+    return ltc.LtcReport(tuple(S), tuple(minimal), checked, True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fields(2))
+def test_degree_two_report_equals_the_conflict_graph_search(rows):
+    assert minimal_ltc_sets(rows) == conflict_graph_report(rows)
 
 
 @settings(max_examples=40, deadline=None)

@@ -253,14 +253,11 @@ def test_scaling_roundtrip_identity(mm3d):
     octx = mm3d.ctx
     eps = RationalFunction.of(octx.sym("eps"))
     back = {star_name(n): octx.sym(n) / eps for n in part.fast}
-    flat_scaled = scaled.system.flatten_rf()
-    flat_orig = mm3d.flatten_rf()
+    flat_scaled = scaled.system.flatten()
+    flat_orig = mm3d.flatten()
     for i, name in enumerate(mm3d.states):
         # undo the substitution: y_star -> y/eps, back over the original symbols
-        row = flat_scaled[i]
-        restored = RationalFunction(*substitute(row.num, octx, back)) / RationalFunction(
-            *substitute(row.den, octx, back)
-        )
+        restored = RationalFunction(*substitute(flat_scaled[i], octx, back))
         if name in part.fast:
             restored = restored * eps
         assert restored == flat_orig[i]

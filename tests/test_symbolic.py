@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tfred.rational import (
+    MAX_NESTING,
     Context,
     Polynomial,
     RationalFunction,
@@ -449,3 +450,18 @@ def test_parse_errors(mm, text, error, message):
     with pytest.raises(error) as info:
         mm.parse(text)
     assert str(info.value) == message
+
+
+def test_parse_nests_parentheses_up_to_the_bound(mm):
+    assert mm.parse("(" * MAX_NESTING + "s" + ")" * MAX_NESTING) == mm.parse("s")
+    with pytest.raises(SymbolicError, match=f"^expression nested deeper than {MAX_NESTING} parentheses$"):
+        mm.parse("(" * (MAX_NESTING + 1) + "s" + ")" * (MAX_NESTING + 1))
+
+
+def test_parse_reads_a_run_of_signs_without_recursion(mm):
+    assert mm.parse("s*" + "-" * 3001 + "e") == mm.parse("-s*e")
+
+
+def test_zero_divisor_is_a_symbolic_error(mm):
+    with pytest.raises(SymbolicError):
+        mm.parse("1/(s - s)")

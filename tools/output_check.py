@@ -1,4 +1,4 @@
-"""Print the output of 258 CLI cases and 32 library cases, for comparing two checkouts byte for byte.
+"""Print the output of 262 CLI cases and 32 library cases, for comparing two checkouts byte for byte.
 
 Usage: python tools/output_check.py <src-dir>
 
@@ -21,7 +21,9 @@ value outside float range), ``reduce`` on a raw model whose fast block
 overflows a float at every certificate sample, ``reduce`` on a raw model
 with an exponent above the exact kernel's limit, ``reduce`` and ``ltc`` on a
 raw model whose rows cancel quotients and negative powers back to
-polynomials, and three bad inputs:
+polynomials, plus ``ltc --model ... --format json`` on transport_binding(N)
+for N = 12, 16, on a 16-state cubic field and on the cubic field ``a*x*y*z``,
+``x^2*y``, 0, and three bad inputs:
 ``--builtin`` together with ``--model`` (a missing file), ``converge
 --mode`` and ``reduce`` without a model.  Each case prints its argv,
 exit code, stdout and stderr.
@@ -126,6 +128,21 @@ path.write_text(json.dumps({
     "initial_values": {"s": {"base": "s0"}, "e": {"base": "e0"}, "c": {"base": "0"}}, "fast": ["e", "c"],
 }))
 cases += [["reduce", "--model", str(path), "--format", "json"], ["ltc", "--model", str(path)]]
+# the fast-set search on transport_binding(12) and (16), whose candidate slow
+# states hold no edge, on a 16-state cubic field, and on a cubic field with
+# two minimal sets
+for N in (12, 16):
+    path = Path(tmp.name) / f"transport_binding_N{N}.json"
+    path.write_text(json.dumps(transport_model(N)))
+    cases.append(["ltc", "--model", str(path), "--format", "json"])
+xs = [f"x{i}" for i in range(1, 16)]
+for name, states, params, rows in (
+    ("cubic16", xs + ["y"], [], [f"-y*{x}" for x in xs] + ["-y - y*x1*x2"]),
+    ("cubic3", ["x", "y", "z"], ["a"], ["a*x*y*z", "x^2*y", "0"]),
+):
+    path = Path(tmp.name) / f"{name}.json"
+    path.write_text(json.dumps({"name": name, "states": states, "parameters": params, "raw_system": rows}))
+    cases.append(["ltc", "--model", str(path), "--format", "json"])
 cases += [
     ["check", "--builtin", "mm2d", "--model", str(Path(tmp.name) / "missing.json")],
     ["converge", "--builtin", "mm2d", "--mode", "standard"],
