@@ -19,10 +19,8 @@ _EXPORTS = {
         "ScaledSystem",
         "apply_scaling",
         "check_ltc",
-        "epsilon_grade",
         "linear_first_integrals",
         "raw_system",
-        "time_rescale",
     ),
     "networks": ("Reaction", "ReactionNetwork", "TransportSpec", "build_transport_system", "compile_network"),
     "ltc": ("candidate_slow_set", "is_ltc_set", "minimal_ltc_sets", "preassigned_conditions"),

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .rational import Context, Polynomial, SymbolicError
-from .systems import ModelError
+from .rational import Polynomial, SymbolicError
+from .systems import ModelError, Partition
 
 SUBSET_GUARD = 1 << 20
 
@@ -65,10 +65,6 @@ class ParameterConditions:
     conditions: tuple[Polynomial, ...]
     solved: "dict[str, Fraction] | None"
     feasible: bool = True
-
-
-def _state_part(ctx: Context, expo: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(expo[ctx.index[s.name]] for s in ctx.states)
 
 
 def is_ltc_set(rows: Sequence[Polynomial], J: Iterable[str]) -> bool:
@@ -156,8 +152,8 @@ def minimal_ltc_sets(rows: Sequence[Polynomial]) -> LtcReport:
     order = _slow(len(names), supports)
     S = tuple(names[i] for i in order)
     if not supports:
-        # the field is identically zero: every singleton is admissible
-        return LtcReport(S, tuple((n,) for n in names), 0, True)
+        # the field is identically zero: every singleton that leaves a slow state is admissible
+        return LtcReport(S, tuple((n,) for n in names) if len(names) > 1 else (), 0, True)
     slow = sum(1 << i for i in order)
     edges = [m for m in supports if m & (m - 1) and not m & ~slow]
     complements, complete = _maximal_free_sets(order, edges)
@@ -184,44 +180,37 @@ def preassigned_conditions(
     Conditions are the coefficient polynomials, grouped per state-monomial, of
     the monomials free of J-variables.  An explicit solution is attempted only
     when each condition is a power of a single parameter or, assuming
-    nonnegative parameters, a positively weighted sum of them.
+    nonnegative parameters, a positively weighted sum of them.  J must name
+    distinct states and leave at least one out; anything else raises
+    ModelError.
     """
-    names = list(J)
     if not rows:
         raise ModelError("empty system")
     ctx = rows[0].ctx
     if scope not in ("local", "full"):
         raise ValueError("scope must be 'local' or 'full'")
     state_names = [s.name for s in ctx.states]
+    names = list(Partition.of_states(state_names, J).fast)
     if scope == "local":
         take = [state_names.index(n) for n in names]
     else:
         take = list(range(len(rows)))
 
+    n = len(state_names)
     grouped: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
     for i in take:
-        # the monomials free of the J-variables: the row on the J-subspace
+        # the monomials free of the J-variables (the row on the J-subspace), per
+        # state monomial: its coefficient, a polynomial in the parameters
         for e, c in rows[i].by_degree(names)[0].monomials().items():
-            spart = _state_part(ctx, e)
-            ppart = tuple(
-                e[ctx.index[q.name]] for q in ctx.params
-            )
-            key = (i,) + spart
-            grouped.setdefault(key, {})[ppart] = grouped.get(key, {}).get(ppart, Fraction(0)) + c
+            coef = grouped.setdefault((i, *e[:n]), {})
+            params = (0,) * n + e[n:-1] + (0,)
+            coef[params] = coef.get(params, 0) + c
 
     conditions: list[Polynomial] = []
     seen: set[frozenset] = set()
     feasible = True
-    for key, coef in grouped.items():
-        terms = {}
-        for ppart, c in coef.items():
-            if c == 0:
-                continue
-            e = [0] * ctx.nvars
-            for k, q in enumerate(ctx.params):
-                e[ctx.index[q.name]] = ppart[k]
-            terms[tuple(e)] = c
-        poly = Polynomial(ctx, terms)
+    for coef in grouped.values():
+        poly = Polynomial(ctx, coef)
         if poly.is_zero():
             continue
         if poly.is_constant():

@@ -37,9 +37,29 @@ class ModelSpec:
     description: str
 
 
+_KIND = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
+
+
+def _typed(value, key: str, *kinds: type):
+    """value, or ModelError naming key unless it is of one of the JSON kinds (true is no integer)."""
+    if isinstance(value, kinds) and not isinstance(value, bool):
+        return value
+    raise ModelError(f"{key!r} must be {' or '.join(_KIND[k] for k in kinds)}")
+
+
+def _names(data: Mapping, key: str) -> list[str]:
+    """data[key], empty when absent; ModelError naming key unless it is an array of strings."""
+    value = data.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ModelError(f"{key!r} must be an array of strings")
+    return value
+
+
+def _stoichiometry(r: Mapping, key: str) -> dict[str, int]:
+    return {k: int(_typed(v, f"{key}.{k}", int, str)) for k, v in _typed(r.get(key, {}), key, dict).items()}
+
+
 def _parse_base(text: str | int) -> "Fraction | str":
-    if isinstance(text, int):
-        return Fraction(text)
     try:
         return Fraction(text)
     except ValueError:
@@ -50,65 +70,72 @@ def _parse_base(text: str | int) -> "Fraction | str":
 
 def _parse_initial_values(data: Mapping, states) -> dict[str, InitialValue]:
     out = {}
-    for name, entry in (data or {}).items():
+    for name, entry in _typed(data.get("initial_values", {}), "initial_values", dict).items():
         if name not in states:
             raise ModelError(f"initial value for unknown state {name}")
-        base = _parse_base(entry.get("base", "0"))
-        out[name] = InitialValue(base, int(entry.get("eps_order", 0)))
+        entry = _typed(entry, f"initial_values.{name}", dict)
+        base = _parse_base(_typed(entry.get("base", "0"), "base", str, int))
+        out[name] = InitialValue(base, int(_typed(entry.get("eps_order", 0), "eps_order", int, str)))
     return out
 
 
 def load_model(path: str) -> ModelSpec:
     with open(path) as fh:
-        data = json.load(fh)
-    return model_from_dict(data, name=data.get("name", path))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ModelError("model file nested too deeply") from None
+    if not isinstance(data, dict):
+        raise ModelError("a model file must hold a JSON object")
+    return model_from_dict(data, name=_typed(data.get("name", path), "name", str))
 
 
 def model_from_dict(data: Mapping, name: str = "model") -> ModelSpec:
-    params = list(data.get("parameters", []))
-    fast = tuple(data.get("fast", ()))
+    """The model a parsed model file describes; ModelError for a section of the wrong JSON type."""
+    params = _names(data, "parameters")
+    fast = tuple(_names(data, "fast"))
+    description = _typed(data.get("description", ""), "description", str)
     if "reactions" in data:
-        species = list(data["species"])
-        reactions = [
-            Reaction(
-                {k: int(v) for k, v in r.get("reactants", {}).items()},
-                {k: int(v) for k, v in r.get("products", {}).items()},
-                r["rate"],
-                int(r.get("eps_order", 0)),
-            )
-            for r in data["reactions"]
-        ]
+        species = _names(data, "species")
+        reactions = []
+        for k, r in enumerate(_typed(data["reactions"], "reactions", list)):
+            r = _typed(r, f"reactions[{k}]", dict)
+            reactions.append(Reaction(
+                _stoichiometry(r, "reactants"),
+                _stoichiometry(r, "products"),
+                _typed(r["rate"], "rate", str),
+                int(_typed(r.get("eps_order", 0), "eps_order", int, str)),
+            ))
         rates = [r.rate for r in reactions]
         extra = [p for p in params if p not in rates]
         net = ReactionNetwork(species=species, reactions=reactions, extra_params=extra)
         if "transport" in data:
-            t = data["transport"]
+            t = _typed(data["transport"], "transport", dict)
             laws = {}
-            for sp, law in t.get("species", {}).items():
-                kind = law.get("kind", "laplacian")
+            for sp, law in _typed(t.get("species", {}), "transport.species", dict).items():
+                law = _typed(law, f"transport.species.{sp}", dict)
                 matrix = None
                 if law.get("matrix") is not None:
                     matrix = tuple(
-                        tuple(Fraction(str(v)) for v in row) for row in law["matrix"]
+                        tuple(Fraction(str(v)) for v in _typed(row, "matrix row", list))
+                        for row in _typed(law["matrix"], "matrix", list)
                     )
                 laws[sp] = SpeciesTransport(
-                    kind,
-                    int(law.get("eps_order", 1)),
-                    rate=law.get("rate"),
+                    _typed(law.get("kind", "laplacian"), "kind", str),
+                    int(_typed(law.get("eps_order", 1), "eps_order", int, str)),
+                    rate=None if law.get("rate") is None else _typed(law["rate"], "rate", str),
                     matrix=matrix,
                 )
-            tspec = TransportSpec(int(t["N"]), laws)
+            tspec = TransportSpec(int(_typed(t["N"], "N", int, str)), laws)
             sys = build_transport_system(net, tspec)
         else:
             sys = compile_network(net)
-        ivs = _parse_initial_values(data.get("initial_values", {}), sys.states)
-        sys = sys.with_initial_values(ivs)
-        return ModelSpec(name, sys, fast, data.get("description", ""))
+        sys = sys.with_initial_values(_parse_initial_values(data, sys.states))
+        return ModelSpec(name, sys, fast, description)
     if "raw_system" in data:
-        states = list(data["states"])
+        states = _names(data, "states")
         ctx = Context(states, params)
-        rows = [ctx.parse_poly(expr) for expr in data["raw_system"]]
-        ivs = _parse_initial_values(data.get("initial_values", {}), states)
-        sys = raw_system(ctx, rows, ivs)
-        return ModelSpec(name, sys, fast, data.get("description", ""))
+        rows = [ctx.parse_poly(expr) for expr in _names(data, "raw_system")]
+        sys = raw_system(ctx, rows, _parse_initial_values(data, states))
+        return ModelSpec(name, sys, fast, description)
     raise ModelError("model file needs either 'reactions' or 'raw_system'")

@@ -1,21 +1,22 @@
 """Mass-action reaction networks and compartmental reaction-transport systems.
 
-Networks compile into graded systems: each reaction contributes
-rate * product(concentrations^stoichiometry) * (products - reactants) to the
-grade given by the eps-order of its rate constant.  The transport builder
-replicates a network over N compartments and adds linear exchange terms, either
-through the built-in 1-D Neumann Laplacian or an explicit constant matrix per
-species; the transport eps-order distinguishes fast from slow transport.
+Networks compile straight into grades: each reaction writes
+rate * product(concentrations^stoichiometry) * (products - reactants) into the
+grade given by the eps-order of its rate constant, and no eps-carrying field is
+built.  The transport builder replicates a network over N compartments and
+writes linear exchange terms, either through the built-in 1-D Neumann Laplacian
+or an explicit constant matrix per species, into the grade of the species'
+transport eps-order, which distinguishes fast from slow transport.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .rational import Context, Q
-from .systems import GradedSystem, InitialValue, ModelError, raw_system
+from .rational import Context, Polynomial, Q
+from .systems import GradedSystem, InitialValue, ModelError
 
 MAX_COMPARTMENTS = 64
 
@@ -60,21 +61,32 @@ class ReactionNetwork:
         return [r.rate for r in self.reactions] + list(self.extra_params)
 
 
+def _write_reactions(
+    grades: list[list[Polynomial]], ctx: Context, net: ReactionNetwork, state: Callable[[str], str] = str
+) -> None:
+    """Add each reaction's flux times its net stoichiometry into the grade of its rate's eps-order.
+
+    ``state`` names the state of ctx that holds a species (by default the
+    species' own name).
+    """
+    for r in net.reactions:
+        flux = ctx.sym(r.rate)
+        for sp, k in r.reactants.items():
+            flux = flux * ctx.sym(state(sp)) ** k
+        grade = grades[r.eps_order]
+        for sp in net.species:
+            delta = r.products.get(sp, 0) - r.reactants.get(sp, 0)
+            if delta:
+                i = ctx.index[state(sp)]
+                grade[i] = grade[i] + flux * delta
+
+
 def compile_network(net: ReactionNetwork, ctx: Context | None = None) -> GradedSystem:
     """Mass-action right-hand side, grade = eps-order of each rate constant."""
     if ctx is None:
         ctx = Context(list(net.species), net.params())
-    n = len(net.species)
-    max_order = max((r.eps_order for r in net.reactions), default=0)
-    grades = [[ctx.zero() for _ in range(n)] for _ in range(max_order + 1)]
-    for r in net.reactions:
-        flux = ctx.sym(r.rate)
-        for sp, k in r.reactants.items():
-            flux = flux * ctx.sym(sp) ** k
-        for i, sp in enumerate(net.species):
-            delta = r.products.get(sp, 0) - r.reactants.get(sp, 0)
-            if delta:
-                grades[r.eps_order][i] = grades[r.eps_order][i] + flux * delta
+    grades = [[ctx.zero()] * len(net.species) for _ in range(2)]
+    _write_reactions(grades, ctx, net)
     return GradedSystem(ctx, grades, dict(net.initial_values))
 
 
@@ -152,23 +164,10 @@ def build_transport_system(net: ReactionNetwork, tspec: TransportSpec) -> Graded
         if law.kind == LAPLACIAN and law.rate not in params:
             params.append(law.rate)  # type: ignore[arg-type]
     ctx = Context(states, params)
-    n = len(states)
-    rows = [ctx.zero() for _ in range(n)]
-    eps = ctx.sym(ctx.eps.name)
-
-    # reaction part, per compartment
+    grades = [[ctx.zero()] * len(states) for _ in range(2)]
     for a in range(1, N + 1):
-        for r in net.reactions:
-            flux = ctx.sym(r.rate) * eps ** r.eps_order
-            for sp, k in r.reactants.items():
-                flux = flux * ctx.sym(compartment_name(sp, a)) ** k
-            for sp in net.species:
-                delta = r.products.get(sp, 0) - r.reactants.get(sp, 0)
-                if delta:
-                    i = ctx.index[compartment_name(sp, a)]
-                    rows[i] = rows[i] + flux * delta
+        _write_reactions(grades, ctx, net, lambda sp: compartment_name(sp, a))
 
-    # transport part
     for sp, law in tspec.species.items():
         if law.kind == LAPLACIAN:
             theta = neumann_laplacian(N)
@@ -178,13 +177,13 @@ def build_transport_system(net: ReactionNetwork, tspec: TransportSpec) -> Graded
             if len(theta) != N or any(len(row) != N for row in theta):
                 raise ModelError(f"transport matrix for {sp} must be {N}x{N}")
             scale = ctx.one()
-        weight = eps ** law.eps_order
+        grade = grades[law.eps_order]
         for a in range(N):
             i = ctx.index[compartment_name(sp, a + 1)]
             acc = ctx.zero()
             for b in range(N):
                 if theta[a][b]:
                     acc = acc + ctx.sym(compartment_name(sp, b + 1)) * theta[a][b]
-            rows[i] = rows[i] + weight * scale * acc
+            grade[i] = grade[i] + scale * acc
 
-    return raw_system(ctx, rows)
+    return GradedSystem(ctx, grades)

@@ -45,8 +45,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import compress
-from math import gcd, lcm
+from math import gcd, lcm, log10
 from operator import add, mul, or_, sub
+from sys import get_int_max_str_digits
 from typing import Iterable, Mapping, Sequence, Union
 
 Coefficient = Union[int, Fraction, str]
@@ -1105,8 +1106,8 @@ class _Parser:
     the context.  Each rule returns a Polynomial until a '/', a negative power
     or an operand that is already rational promotes it to a RationalFunction;
     :meth:`parse` wraps the result in one.  A zero divisor raises
-    ZeroDivisorError, and parentheses nested deeper than ``MAX_NESTING``
-    raise SymbolicError.
+    ZeroDivisorError; parentheses nested deeper than ``MAX_NESTING`` and a
+    constant power with more digits than an int may print raise SymbolicError.
     """
 
     def __init__(self, ctx: Context, text: str):
@@ -1193,6 +1194,7 @@ class _Parser:
             if not tok.isdigit():
                 raise ValueError(f"expected integer exponent, got {tok!r}")
             n = int(tok)
+            _refuse_long_constant(base, n)
             base = _rational(base) ** -n if neg else base ** n
         return -base if negate else base
 
@@ -1212,6 +1214,18 @@ class _Parser:
         if tok in self.ctx.index:
             return self.ctx.sym(tok)
         raise ValueError(f"unknown symbol {tok!r}")
+
+
+def _refuse_long_constant(base: "Polynomial | RationalFunction", n: int) -> None:
+    """Raise SymbolicError, before computing it, when a constant base^n has more
+    digits than ``sys.get_int_max_str_digits()`` lets an int print."""
+    limit = get_int_max_str_digits()
+    num, den = (base.num, base.den) if base.__class__ is RationalFunction else (base, base.ctx.one())
+    # a constant denominator is 1, as every denominator has leading coefficient one
+    if limit and num and num.is_constant() and den.is_constant():
+        c = Fraction(num.constant_value())
+        if n * max(log10(abs(c.numerator)), log10(c.denominator)) >= limit:
+            raise SymbolicError(f"a constant to the power {n} has more than {limit} digits")
 
 
 def _rational(v: "Polynomial | RationalFunction") -> RationalFunction:

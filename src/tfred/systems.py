@@ -1,15 +1,17 @@
 """Graded ODE systems and the scaling transformations acting on them.
 
 A system is stored as a finite list of grade vectors h = h0 + eps*h1 + ...,
-each grade a vector of eps-free polynomials over a shared context.  A
-degenerate scaling y = eps*y_star of designated fast variables is a regrading:
-a term of degree k in the fast variables moves up k powers of eps
-(:meth:`Polynomial.by_degree`), the fast rows are divided by eps, and the terms
-are relabelled over the context that renames each y to y_star.  A Laurent flag
-records scalings that produce an eps^(-1) block (locally inconsistent ones),
-which are allowed for demonstration purposes.  Initial values carry a
-symbolic base and an eps-order so that smallness of initial data is a
-structural property.
+each grade a vector of eps-free polynomials over a shared context.  The
+transforms write grades, never an eps-carrying field: a degenerate scaling
+y = eps*y_star of designated fast variables moves a term of degree k in them up
+k grades (:meth:`Polynomial.by_degree`) and its fast rows down one, and moving
+a parameter to eps-order m moves a term of degree k in it up m*k grades; the
+elimination of a conserved state and a linear change of states substitute
+eps-free images grade by grade.  Only :func:`raw_system` reads eps powers, to
+grade parsed input.  A Laurent flag records scalings that produce an eps^(-1)
+block (locally inconsistent ones), which are allowed for demonstration
+purposes.  Initial values carry a symbolic base and an eps-order so that
+smallness of initial data is a structural property.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .matrices import fraction_nullspace, fraction_solve
 from .rational import (
@@ -52,7 +54,7 @@ class GradedSystem:
 
     ``grades[k]`` is the coefficient of eps^(lowest_order + k); every grade
     entry is eps-free.  ``lowest_order`` is 0 for ordinary systems and -1 for
-    Laurent fields produced by inconsistent scalings or slow-time rescaling.
+    Laurent fields produced by inconsistent scalings.
     Instances are immutable by convention.
     """
 
@@ -114,18 +116,6 @@ class GradedSystem:
     def state_index(self, name: str) -> int:
         return self.states.index(name)
 
-    def flatten(self) -> list[Polynomial]:
-        """h as eps-carrying polynomials; requires lowest_order >= 0."""
-        if self.lowest_order < 0:
-            raise ModelError("Laurent system has no polynomial flattening")
-        eps = self.ctx.sym(self.ctx.eps.name)
-        out = [self.ctx.zero() for _ in range(self.n)]
-        for order, g in zip(self.orders(), self.grades):
-            w = eps ** order
-            for i, p in enumerate(g):
-                out[i] = out[i] + p * w
-        return out
-
     def with_initial_values(self, ivs: Mapping[str, InitialValue]) -> "GradedSystem":
         merged = dict(self.initial_values)
         merged.update(ivs)
@@ -140,20 +130,15 @@ def raw_system(
     rows: Sequence[Polynomial],
     initial_values: Mapping[str, InitialValue] | None = None,
 ) -> GradedSystem:
-    """Build a graded system from eps-carrying polynomial right-hand sides."""
-    if len(rows) != len(ctx.states):
+    """Grade parsed eps-carrying polynomial right-hand sides by their eps powers."""
+    n = len(ctx.states)
+    if len(rows) != n:
         raise ModelError("row count does not match state count")
     per_order: dict[int, list[Polynomial]] = {}
     for i, p in enumerate(rows):
         for k, coeff in p.eps_coefficients().items():
-            per_order.setdefault(k, [ctx.zero()] * len(ctx.states))[i] = coeff
-    if not per_order:
-        per_order = {0: [ctx.zero()] * len(ctx.states)}
-    lo = min(per_order)
-    hi = max(per_order)
-    if lo < 0:
-        raise ModelError("raw systems must not carry negative eps powers")
-    grades = [per_order.get(k, [ctx.zero()] * len(ctx.states)) for k in range(0, hi + 1)]
+            per_order.setdefault(k, [ctx.zero()] * n)[i] = coeff
+    grades = [per_order.get(k, [ctx.zero()] * n) for k in range(max(per_order, default=0) + 1)]
     return GradedSystem(ctx, grades, initial_values, 0)
 
 
@@ -171,13 +156,18 @@ class Partition:
 
     @staticmethod
     def from_fast(sys: GradedSystem, fast: Iterable[str]) -> "Partition":
+        return Partition.of_states(sys.states, fast)
+
+    @staticmethod
+    def of_states(states: Sequence[str], fast: Iterable[str]) -> "Partition":
+        """The split of ``states`` that makes ``fast`` fast; ModelError for a bad fast set."""
         fast = tuple(fast)
         for name in fast:
-            if name not in sys.states:
+            if name not in states:
                 raise ModelError(f"unknown state {name} in partition")
         if len(set(fast)) != len(fast):
             raise ModelError("duplicate fast state")
-        slow = tuple(n for n in sys.states if n not in fast)
+        slow = tuple(n for n in states if n not in fast)
         if not slow or not fast:
             raise ModelError("partition needs at least one slow and one fast state")
         return Partition(slow, fast)
@@ -273,21 +263,6 @@ def apply_scaling(sys: GradedSystem, part: Partition) -> ScaledSystem:
     new_states = [star_name(n) if n in part.fast else n for n in sys.states]
     new_ctx = Context(new_states, [p.name for p in sys.ctx.params], eps=sys.ctx.eps.name)
 
-    per_order: dict[int, list[Polynomial]] = {}
-    fast_idx = {sys.state_index(n) for n in part.fast}
-    for order, g in zip(sys.orders(), sys.grades):
-        for i, p in enumerate(g):
-            base = order - 1 if i in fast_idx else order
-            for k, group in enumerate(p.by_degree(part.fast)):
-                if group:
-                    row = per_order.setdefault(base + k, [new_ctx.zero()] * sys.n)
-                    row[i] = row[i] + group.relabel(new_ctx)
-    if not per_order:
-        per_order = {0: [new_ctx.zero()] * sys.n}
-    lo = min(per_order)
-    hi = max(per_order)
-    grades = [per_order.get(k, [new_ctx.zero()] * sys.n) for k in range(lo, hi + 1)]
-
     new_ivs: dict[str, InitialValue] = {}
     iv_ok = True
     for name in sys.states:
@@ -300,24 +275,37 @@ def apply_scaling(sys: GradedSystem, part: Partition) -> ScaledSystem:
         else:
             new_ivs[name] = iv
 
-    scaled_sys = GradedSystem(new_ctx, grades, new_ivs, lo)
-    flag = scaled_sys.lowest_order
-    if flag >= 0:
-        flag = 0
-    return ScaledSystem(scaled_sys, part, flag, iv_ok)
+    lowered = {sys.state_index(n) for n in part.fast}
+    scaled_sys = _regrade(sys, new_ctx, part.fast, 1, new_ivs, lowered)
+    return ScaledSystem(scaled_sys, part, min(scaled_sys.lowest_order, 0), iv_ok)
 
 
-TO_SLOW = "toSlow"
-TO_FAST = "toFast"
+def _regrade(
+    sys: GradedSystem,
+    ctx: Context,
+    names: Sequence[str],
+    step: int,
+    initial_values: Mapping[str, InitialValue],
+    lowered: Collection[int] = (),
+) -> GradedSystem:
+    """sys with each term of degree k in ``names`` moved up step*k grades, over ctx.
 
-
-def time_rescale(sys: GradedSystem, direction: str) -> GradedSystem:
-    """Shift the grading by one: slow time divides the field by eps."""
-    if direction == TO_SLOW:
-        return GradedSystem(sys.ctx, sys.grades, sys.initial_values, sys.lowest_order - 1)
-    if direction == TO_FAST:
-        return GradedSystem(sys.ctx, sys.grades, sys.initial_values, sys.lowest_order + 1)
-    raise ValueError(f"unknown direction {direction!r}")
+    The rows in ``lowered`` move down one grade besides.  ctx is sys's context
+    or one that renames it in place (:meth:`Polynomial.relabel`).  Each new
+    grade holds its terms in original-grade-then-term order, the order that
+    splitting the eps-carrying field by eps powers gives.
+    """
+    per_order: dict[int, list[Polynomial]] = {}
+    for order, g in zip(sys.orders(), sys.grades):
+        for i, p in enumerate(g):
+            base = order - 1 if i in lowered else order
+            for k, group in enumerate(p.by_degree(names)):
+                if group:
+                    row = per_order.setdefault(base + step * k, [ctx.zero()] * sys.n)
+                    row[i] = row[i] + group.relabel(ctx)
+    lo = min(per_order, default=0)
+    grades = [per_order.get(k, [ctx.zero()] * sys.n) for k in range(lo, max(per_order, default=0) + 1)]
+    return GradedSystem(ctx, grades, initial_values, lo)
 
 
 # ---------------------------------------------------------------------------
@@ -325,41 +313,35 @@ def time_rescale(sys: GradedSystem, direction: str) -> GradedSystem:
 # ---------------------------------------------------------------------------
 
 
-def epsilon_grade(
-    ctx: Context,
-    rows: Sequence[Polynomial],
-    pivot: Mapping[str, object],
-    direction: Mapping[str, object],
-    initial_values: Mapping[str, InitialValue] | None = None,
-) -> GradedSystem:
-    """Expand h(z, pivot + eps*direction) into grades, exactly.
-
-    ``pivot`` assigns rationals to parameters; ``direction`` maps parameters to
-    rationals or to parameter names (typically the same name, reusing it for
-    the order-one coefficient).
-    """
-    eps = ctx.sym(ctx.eps.name)
-    bindings: dict[str, Polynomial] = {}
-    for name in dict.fromkeys([*pivot, *direction]):
-        base = Q(pivot.get(name, 0))  # type: ignore[arg-type]
-        rho = direction.get(name, 0)
-        if isinstance(rho, str):
-            rho_poly = ctx.sym(rho)
-        else:
-            rho_poly = ctx.const(Q(rho))  # type: ignore[arg-type]
-        bindings[name] = ctx.const(base) + eps * rho_poly
-    new_rows = [p.subs(bindings) for p in rows]
-    return raw_system(ctx, new_rows, initial_values)
-
-
 def grade_parameter(sys: GradedSystem, name: str, order: int = 1) -> GradedSystem:
-    """Move a parameter to the given eps-order (substitute p -> eps^order * p)."""
+    """Move a parameter to the given eps-order (p -> eps^order * p), as a regrading.
+
+    A term of degree k in p moves up order*k grades; order 0 leaves the
+    grades as they are.
+    """
     if sys.ctx.symbol(name).kind != "parameter":
         raise ModelError(f"{name} is not a parameter")
-    eps = sys.ctx.sym(sys.ctx.eps.name)
-    binding = {name: (eps ** order) * sys.ctx.sym(name)}
-    rows = [p.subs(binding) for p in sys.flatten()]
-    return raw_system(sys.ctx, rows, sys.initial_values)
+    if order < 0:
+        raise ValueError("parameter eps-orders must be nonnegative")
+    if order == 0:
+        return sys
+    return _regrade(sys, sys.ctx, [name], order, sys.initial_values)
+
+
+def _combination(ctx: Context, coeffs: Sequence, polys: Sequence[Polynomial]) -> Polynomial:
+    """sum_j coeffs[j] * polys[j] over ctx, summed in j order past the zero coefficients."""
+    acc = ctx.zero()
+    for c, p in zip(coeffs, polys):
+        if c:
+            acc = acc + p * c
+    return acc
+
+
+def _substituted(
+    sys: GradedSystem, ctx: Context, images: Mapping[str, Polynomial], rows: Sequence[int]
+) -> list[list[Polynomial]]:
+    """Each grade's listed rows with the eps-free images substituted, over ctx."""
+    return [[substitute(g[i], ctx, images)[0] for i in rows] for g in sys.grades]
 
 
 def eliminate_with_integral(
@@ -392,13 +374,9 @@ def eliminate_with_integral(
         if n != state:
             repl = repl - new_ctx.sym(n) * wi
     repl = repl.exact_divide(new_ctx.const(w[state]))
-    rows = sys.flatten()
-    keep_rows = [substitute(rows[sys.state_index(name)], new_ctx, {state: repl})[0] for name in new_states]
+    grades = _substituted(sys, new_ctx, {state: repl}, [sys.state_index(n) for n in new_states])
     new_ivs = {name: sys.initial_values[name] for name in new_states}
-    out = raw_system(new_ctx, keep_rows, new_ivs)
-    if level_order:
-        out = grade_parameter(out, level, level_order)
-    return out
+    return grade_parameter(GradedSystem(new_ctx, grades, new_ivs, sys.lowest_order), level, level_order)
 
 
 def linear_change_of_states(
@@ -416,22 +394,12 @@ def linear_change_of_states(
     Binv = list(zip(*cols))
     new_ctx = Context(list(new_names), [p.name for p in sys.ctx.params], eps=sys.ctx.eps.name)
     # old state i = sum_j Binv[i][j] * zhat_j
-    subs_map: dict[str, Polynomial] = {}
-    for i, old_name in enumerate(sys.states):
-        expr = new_ctx.zero()
-        for j, nn in enumerate(new_names):
-            if Binv[i][j]:
-                expr = expr + new_ctx.sym(nn) * Binv[i][j]
-        subs_map[old_name] = expr
-    rows_old = sys.flatten()
-    substituted = [substitute(p, new_ctx, subs_map)[0] for p in rows_old]
-    new_rows = []
-    for i in range(n):
-        acc = new_ctx.zero()
-        for j in range(n):
-            if Bq[i][j]:
-                acc = acc + substituted[j] * Bq[i][j]
-        new_rows.append(acc)
+    syms = [new_ctx.sym(nn) for nn in new_names]
+    subs_map = {old: _combination(new_ctx, Binv[i], syms) for i, old in enumerate(sys.states)}
+    grades = [
+        [_combination(new_ctx, Bq[i], substituted) for i in range(n)]
+        for substituted in _substituted(sys, new_ctx, subs_map, range(n))
+    ]
     new_ivs = {}
     for i, nn in enumerate(new_names):
         contribs = [
@@ -457,7 +425,7 @@ def linear_change_of_states(
                 raise ModelError("cannot combine initial values of different eps-order")
             total = sum(coeff * iv.base for coeff, iv in contribs)
             new_ivs[nn] = InitialValue(total, orders.pop())
-    return raw_system(new_ctx, new_rows, new_ivs)
+    return GradedSystem(new_ctx, grades, new_ivs, sys.lowest_order)
 
 
 # ---------------------------------------------------------------------------
@@ -488,10 +456,4 @@ def _primitive(vec: list[Fraction]) -> list[Fraction]:
 
 def is_first_integral(sys: GradedSystem, weights: Sequence[object]) -> bool:
     w = [Q(v) for v in weights]  # type: ignore[arg-type]
-    for g in sys.grades:
-        acc = sys.ctx.zero()
-        for wi, p in zip(w, g):
-            acc = acc + p * wi
-        if not acc.is_zero():
-            return False
-    return True
+    return all(_combination(sys.ctx, w, g).is_zero() for g in sys.grades)

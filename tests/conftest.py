@@ -28,6 +28,16 @@ def mm_network(extra_params=("e0", "s0")):
     )
 
 
+def flattened(sys):
+    """The eps-carrying rows sum_g eps^g * h_g of a graded system of nonnegative orders."""
+    eps = sys.ctx.sym(sys.ctx.eps.name)
+    rows = [sys.ctx.zero()] * sys.n
+    for order, g in zip(sys.orders(), sys.grades):
+        w = eps ** order
+        rows = [r + p * w for r, p in zip(rows, g)]
+    return rows
+
+
 def first_order_psi(dec, h1):
     """Psi0 of the first-order manifold mu + eps*Psi0 = 0: (Dmu P) Psi0 = Dmu h1.
 

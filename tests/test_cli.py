@@ -753,6 +753,46 @@ def test_bad_expression_is_bad_input(tmp_path, capsys, change, message):
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"initial_values": {"x": {"base": [1]}}}, "'base' must be a string or an integer"),
+        ({"raw_system": [5, "-y"]}, "'raw_system' must be an array of strings"),
+        ({"states": "xy"}, "'states' must be an array of strings"),
+        (
+            {"raw_system": ["2^100000*x*y", "-y + eps*x"]},
+            f"a constant to the power 100000 has more than {sys.get_int_max_str_digits()} digits",
+        ),
+    ],
+    ids=["list-base", "number-row", "string-states", "long-constant-power"],
+)
+@pytest.mark.parametrize("command", ["check", "reduce"])
+def test_bad_model_section_is_bad_input(tmp_path, capsys, change, message, command):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(BAD_MODEL, **change)))
+    assert main([command, "--model", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def test_deeply_nested_model_file_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["check", "--model", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: model file nested too deeply\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("fast", ["zz", "k1", "s,s", "s,e,c"])
+def test_conditions_refuses_a_bad_fast_set_as_check_does(capsys, fast):
+    assert main(["conditions", "--builtin", "mm3d", "--fast", fast]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert main(["check", "--builtin", "mm3d", "--fast", fast]) == 2
+    assert capsys.readouterr().err == captured.err
+
+
 def test_any_other_exception_is_an_internal_error(capsys, monkeypatch):
     from tfred import cli
 

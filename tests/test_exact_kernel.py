@@ -17,6 +17,8 @@ from tfred.reduction import ReductionError, reduce_extras, reduce_model
 from tfred.stability import is_hurwitz_stable
 from tfred.systems import InitialValue, eliminate_with_integral
 
+from conftest import flattened
+
 
 def exact(c) -> bool:
     """An int, or a Fraction that is not integral (never a float, never an integral Fraction)."""
@@ -122,7 +124,7 @@ def test_eliminate_with_integral_integer_weights_stay_exact():
     sys = compile_network(net)
     # 2e + 2c is conserved; eliminating e divides by its weight 2
     out = eliminate_with_integral(sys, {"e": 2, "c": 2}, "e", "e0")
-    rows = out.flatten()
+    rows = flattened(out)
     assert all(poly_exact(p) for p in rows)
     want = out.ctx.parse_poly("-k1*s*(1/2*e0 - c) + km1*c")
     assert rows[out.states.index("s")] == want

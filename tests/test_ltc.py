@@ -18,7 +18,7 @@ from tfred.ltc import (
 )
 from tfred.builtin_models import transport_binding
 from tfred.networks import Reaction, ReactionNetwork, compile_network
-from tfred.systems import Partition, check_ltc, raw_system, FULL_LTC
+from tfred.systems import ModelError, Partition, check_ltc, raw_system, FULL_LTC
 
 
 def brute_force_minimal(rows, state_names):
@@ -83,6 +83,17 @@ def test_minimal_sets_zero_field_all_singletons():
     report = minimal_ltc_sets(rows)
     got = sorted(report.minimal_sets)
     assert got == [("x",), ("y",), ("z",)]
+
+
+@pytest.mark.parametrize("states", [["x"], ["x", "y"]])
+def test_minimal_sets_of_a_zero_field_leave_a_slow_state(states):
+    # every set found must pass is_ltc_set, which refuses the whole state set
+    rows = [Context(states).zero()] * len(states)
+    report = minimal_ltc_sets(rows)
+    assert report.minimal_sets == (() if len(states) == 1 else (("x",), ("y",)))
+    assert report.minimal_sets == tuple(tuple(J) for J in brute_force_minimal(rows, states))
+    for J in report.minimal_sets:
+        assert is_ltc_set(rows, J)
 
 
 def test_minimal_sets_constant_term_blocks_everything():
@@ -365,6 +376,21 @@ def test_preassigned_full_scope_forces_full_ltc(mm3d):
     new_rows = [p.subs(binding) for p in rows]
     sys2 = raw_system(mm3d.ctx, new_rows, mm3d.initial_values)
     assert check_ltc(sys2, Partition.from_fast(sys2, ["s"])).status == FULL_LTC
+
+
+@pytest.mark.parametrize(
+    "J, message",
+    [
+        ([], "at least one slow and one fast state"),
+        (["zz"], "unknown state zz"),
+        (["k1"], "unknown state k1"),
+        (["s", "s"], "duplicate fast state"),
+        (["s", "e", "c"], "at least one slow and one fast state"),
+    ],
+)
+def test_preassigned_refuses_a_bad_fast_set(mm_rows, J, message):
+    with pytest.raises(ModelError, match=message):
+        preassigned_conditions(mm_rows, J)
 
 
 def test_preassigned_unsolvable_condition_reported():

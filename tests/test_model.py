@@ -1,4 +1,4 @@
-"""Graded systems: network compilation, scalings, rescaling, first integrals, transport."""
+"""Graded systems: network compilation, scalings, regradings, first integrals, transport."""
 
 import os
 import random
@@ -8,18 +8,21 @@ from pathlib import Path
 from sys import executable
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tfred
-from tfred.rational import Context, RationalFunction, substitute
+from tfred.matrices import fraction_solve
+from tfred.rational import Context, Polynomial, RationalFunction, substitute
 from tfred.networks import (
     LAPLACIAN,
+    MATRIX,
     Reaction,
     ReactionNetwork,
     SpeciesTransport,
     TransportSpec,
     build_transport_system,
+    compartment_name,
     compile_network,
     neumann_laplacian,
 )
@@ -31,21 +34,17 @@ from tfred.systems import (
     InitialValue,
     ModelError,
     Partition,
-    TO_FAST,
-    TO_SLOW,
     apply_scaling,
     check_ltc,
     eliminate_with_integral,
-    epsilon_grade,
     grade_parameter,
     is_first_integral,
     linear_change_of_states,
     linear_first_integrals,
     raw_system,
     star_name,
-    time_rescale,
 )
-from conftest import mm_network
+from conftest import flattened, mm_network
 
 
 def reaction_flux_at(net: ReactionNetwork, point) -> dict[str, Fraction]:
@@ -120,12 +119,25 @@ def test_compile_flux_oracle_random_points(mm3d):
             assert h0[i].eval(pt) == fluxes[sp]
 
 
-# -- epsilon_grade ----------------------------------------------------------------
+# -- grade_parameter ---------------------------------------------------------------
+
+
+def layout(sys):
+    """A graded system's symbol names, lowest order and grades, each entry's terms in dict order."""
+    grades = [[list(p.terms.items()) for p in g] for g in sys.grades]
+    return [s.name for s in sys.ctx.symbols], sys.lowest_order, grades
+
+
+def substitution_grade_parameter(sys, name, order):
+    """p -> eps^order * p substituted into the eps-carrying rows, their grades then split back out."""
+    eps = sys.ctx.sym(sys.ctx.eps.name)
+    rows = [p.subs({name: eps ** order * sys.ctx.sym(name)}) for p in flattened(sys)]
+    return raw_system(sys.ctx, rows, sys.initial_values)
 
 
 def test_epsilon_grade_linear_direction(mm3d):
     ctx = mm3d.ctx
-    sys = epsilon_grade(ctx, mm3d.grade(0), pivot={"km1": 0}, direction={"km1": "km1"})
+    sys = grade_parameter(mm3d, "km1", 1)
     # km1-terms move to grade 1, the rest stays in grade 0
     assert sys.grade(0)[0] == ctx.parse_poly("-k1*e*s")
     assert sys.grade(1)[0] == ctx.parse_poly("km1*c")
@@ -136,23 +148,25 @@ def test_epsilon_grade_linear_direction(mm3d):
 def test_epsilon_grade_quadratic_dependence_substitution_oracle():
     ctx = Context(["x"], ["a"])
     rows = [ctx.parse_poly("a^2*x + a*x + x")]
-    sys = epsilon_grade(ctx, rows, pivot={"a": 1}, direction={"a": "a"})
-    # oracle: direct substitution a -> 1 + eps*a
-    direct = rows[0].subs({"a": ctx.const(1) + ctx.sym("eps") * ctx.sym("a")})
-    assert direct == sys.flatten()[0]
-    assert not sys.grade(2)[0].is_zero()
+    sys = grade_parameter(raw_system(ctx, rows), "a", 1)
+    # oracle: direct substitution a -> eps*a
+    direct = rows[0].subs({"a": ctx.sym("eps") * ctx.sym("a")})
+    assert direct == flattened(sys)[0]
+    assert sys.grade(2)[0] == ctx.parse_poly("a^2*x")
 
 
 def test_epsilon_grade_term_order_does_not_follow_string_hashing():
     # compiled float fields sum a row's terms in dict order, so that order must
     # be the same in every interpreter, whatever its hash seed
     code = (
+        "from tfred.builtin_models import chain3, mm2d, mm_diffusion\n"
         "from tfred.rational import Context\n"
-        "from tfred.systems import epsilon_grade\n"
+        "from tfred.systems import raw_system, grade_parameter\n"
         "ctx = Context(['x', 'y'], ['a', 'b'])\n"
-        "rows = [ctx.parse_poly('a*b*x*y + a^2*x'), ctx.parse_poly('b*y')]\n"
-        "sys = epsilon_grade(ctx, rows, {'a': 1, 'b': 2}, {'a': 'a', 'b': 'b'})\n"
-        "print([list(p.terms) for g in sys.grades for p in g])\n"
+        "rows = [ctx.parse_poly('a*b*x*y + a^2*x + eps*b*x'), ctx.parse_poly('b*y + a*y')]\n"
+        "sys = grade_parameter(raw_system(ctx, rows), 'a', 2)\n"
+        "for s in (sys, chain3().system, mm2d().system, mm_diffusion().system):\n"
+        "    print([list(p.terms) for g in s.grades for p in g])\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(tfred.__file__).parent.parent)}
     orders = {
@@ -169,7 +183,42 @@ def test_grade_parameter_roundtrip(mm3d):
     sys = grade_parameter(mm3d, "k2", 1)
     eps = mm3d.ctx.sym("eps")
     for i in range(3):
-        assert sys.flatten()[i] == mm3d.grade(0)[i].subs({"k2": eps * mm3d.ctx.sym("k2")})
+        assert flattened(sys)[i] == mm3d.grade(0)[i].subs({"k2": eps * mm3d.ctx.sym("k2")})
+
+
+def test_grade_parameter_refuses_a_state_and_a_negative_order(mm3d):
+    with pytest.raises(ModelError, match="s is not a parameter"):
+        grade_parameter(mm3d, "s", 1)
+    with pytest.raises(ValueError):
+        grade_parameter(mm3d, "k2", -1)
+
+
+GRADING_CTXS = [Context(["x", "y"], ["a", "b"]), Context(["x", "y", "z"], ["a", "b"])]
+
+
+@st.composite
+def graded_systems(draw, ctx):
+    """A system over ctx of up to three grades, each term of degree at most 3 in each parameter."""
+    n = len(ctx.states)
+
+    def term():
+        c = Fraction(draw(st.integers(-3, 3).filter(bool)), draw(st.integers(1, 2)))
+        e = [draw(st.integers(0, 2)) for _ in range(n)] + [draw(st.integers(0, 3)) for _ in ctx.params]
+        return Polynomial(ctx, {(*e, 0): c})
+
+    def row():
+        acc = ctx.zero()
+        for _ in range(draw(st.integers(0, 3))):
+            acc = acc + term()
+        return acc
+
+    return GradedSystem(ctx, [[row() for _ in range(n)] for _ in range(draw(st.integers(1, 3)))])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(GRADING_CTXS).flatmap(graded_systems), st.sampled_from(["a", "b"]), st.integers(0, 3))
+def test_grade_parameter_equals_the_substitution(sys, name, order):
+    assert layout(grade_parameter(sys, name, order)) == layout(substitution_grade_parameter(sys, name, order))
 
 
 # -- check_ltc ------------------------------------------------------------------
@@ -253,8 +302,8 @@ def test_scaling_roundtrip_identity(mm3d):
     octx = mm3d.ctx
     eps = RationalFunction.of(octx.sym("eps"))
     back = {star_name(n): octx.sym(n) / eps for n in part.fast}
-    flat_scaled = scaled.system.flatten()
-    flat_orig = mm3d.flatten()
+    flat_scaled = flattened(scaled.system)
+    flat_orig = flattened(mm3d)
     for i, name in enumerate(mm3d.states):
         # undo the substitution: y_star -> y/eps, back over the original symbols
         restored = RationalFunction(*substitute(flat_scaled[i], octx, back))
@@ -349,35 +398,6 @@ def test_ltc_iff_scaled_grade0_slow_block_zero(mm3d):
         is_full = verdict.status == FULL_LTC
         flag_and_zero = scaled.laurent_flag == 0 and all(p.is_zero() for p in slow0)
         assert is_full == flag_and_zero
-
-
-# -- time_rescale -------------------------------------------------------------------
-
-
-def test_time_rescale_standard_form_to_slow_time(mm2d):
-    scaled = apply_scaling(mm2d, Partition.from_fast(mm2d, ["c"]))
-    slow = time_rescale(scaled.system, TO_SLOW)
-    # x row lands at order 0, fast row at order -1
-    assert slow.lowest_order == -1
-    idx_s = slow.state_index("s")
-    assert slow.grade(0)[idx_s] == slow.ctx.parse_poly("-k1*e0*s + (k1*s + km1)*c_star")
-    assert not slow.grade(-1)[slow.state_index("c_star")].is_zero()
-
-
-def test_time_rescale_roundtrip(mm3d):
-    back = time_rescale(time_rescale(mm3d, TO_SLOW), TO_FAST)
-    assert back.grades == mm3d.grades and back.lowest_order == mm3d.lowest_order
-
-
-def test_time_rescale_linex_example():
-    ctx = Context(["x", "y"], ["a", "b", "c"])
-    sys = raw_system(ctx, [ctx.parse_poly("eps*a*x + b*y"), ctx.parse_poly("c*y")])
-    scaled = apply_scaling(sys, Partition.from_fast(sys, ["y"]))
-    slow = time_rescale(scaled.system, TO_SLOW)
-    assert slow.lowest_order == -1
-    assert slow.grade(0)[0] == slow.ctx.parse_poly("a*x + b*y_star")
-    assert slow.grade(-1)[1] == slow.ctx.parse_poly("c*y_star")
-    assert slow.grade(-1)[0].is_zero()
 
 
 # -- linear first integrals -----------------------------------------------------------
@@ -505,6 +525,78 @@ def test_transport_all_ones_is_integral_of_transport_part():
     assert is_first_integral(sys, [1] * 5)
 
 
+def eps_multiplying_transport(net, tspec):
+    """build_transport_system writing eps^order times each flux and law into one field, graded at the end."""
+    N = tspec.N
+    states = [compartment_name(sp, a) for sp in net.species for a in range(1, N + 1)]
+    params = net.params()
+    for law in tspec.species.values():
+        if law.kind == LAPLACIAN and law.rate not in params:
+            params.append(law.rate)
+    ctx = Context(states, params)
+    rows = [ctx.zero() for _ in states]
+    eps = ctx.sym("eps")
+    for a in range(1, N + 1):
+        for r in net.reactions:
+            flux = ctx.sym(r.rate) * eps ** r.eps_order
+            for sp, k in r.reactants.items():
+                flux = flux * ctx.sym(compartment_name(sp, a)) ** k
+            for sp in net.species:
+                delta = r.products.get(sp, 0) - r.reactants.get(sp, 0)
+                if delta:
+                    i = ctx.index[compartment_name(sp, a)]
+                    rows[i] = rows[i] + flux * delta
+    for sp, law in tspec.species.items():
+        if law.kind == LAPLACIAN:
+            theta, scale = neumann_laplacian(N), ctx.sym(law.rate)
+        else:
+            theta, scale = law.matrix, ctx.one()
+        for a in range(N):
+            i = ctx.index[compartment_name(sp, a + 1)]
+            acc = ctx.zero()
+            for b in range(N):
+                if theta[a][b]:
+                    acc = acc + ctx.sym(compartment_name(sp, b + 1)) * theta[a][b]
+            rows[i] = rows[i] + eps ** law.eps_order * scale * acc
+    return raw_system(ctx, rows)
+
+
+@st.composite
+def transport_cases(draw):
+    """A random network of eps-orders 0 and 1 and Laplacian, matrix or absent laws over N = 1..4."""
+    species = ["u", "v", "w"][: draw(st.integers(1, 3))]
+
+    def stoichiometry():
+        return {sp: k for sp in species if (k := draw(st.integers(0, 2)))}
+
+    reactions = [
+        Reaction(stoichiometry(), stoichiometry(), f"k{r}", draw(st.integers(0, 1)))
+        for r in range(draw(st.integers(0, 4)))
+    ]
+    N = draw(st.integers(1, 4))
+    laws = {}
+    for sp in species:
+        kind, order = draw(st.sampled_from([None, LAPLACIAN, MATRIX])), draw(st.integers(0, 1))
+        if kind == LAPLACIAN:
+            laws[sp] = SpeciesTransport(LAPLACIAN, order, rate=f"d_{sp}")
+        elif kind == MATRIX:
+            row = st.tuples(*[st.integers(-2, 2).map(Fraction)] * N)
+            laws[sp] = SpeciesTransport(MATRIX, order, matrix=draw(st.tuples(*[row] * N)))
+    return ReactionNetwork(species, reactions), TransportSpec(N, laws)
+
+
+@settings(max_examples=100, deadline=None)
+@given(transport_cases())
+def test_network_compilers_equal_the_eps_multiplying_builder(case):
+    net, tspec = case
+    assert layout(build_transport_system(net, tspec)) == layout(eps_multiplying_transport(net, tspec))
+    # one compartment without transport is the plain network, its states renamed
+    plain = eps_multiplying_transport(net, TransportSpec(1, {}))
+    names, lowest, grades = layout(compile_network(net))
+    renamed = [compartment_name(n, 1) if n in net.species else n for n in names]
+    assert (renamed, lowest, grades) == layout(plain)
+
+
 # -- linear change of states ----------------------------------------------------------
 
 
@@ -552,3 +644,83 @@ def test_elimination_refuses_weights_that_are_no_first_integral(mm3d):
     # a weight on a name that is no state is refused as well
     with pytest.raises(ModelError, match="unknown states"):
         eliminate_with_integral(mm3d, {"e": 1, "c": 1, "q": 1}, "e", "e0")
+
+
+def substitution_elimination(sys, weights, state, level, level_order):
+    """eliminate_with_integral through the eps-carrying rows, their grades then split back out."""
+    new_states = [n for n in sys.states if n != state]
+    new_ctx = Context(new_states, [p.name for p in sys.ctx.params])
+    repl = new_ctx.sym(level)
+    for n, wi in weights.items():
+        if n != state:
+            repl = repl - new_ctx.sym(n) * wi
+    repl = repl.exact_divide(new_ctx.const(weights[state]))
+    rows = flattened(sys)
+    keep = [substitute(rows[sys.state_index(n)], new_ctx, {state: repl})[0] for n in new_states]
+    out = raw_system(new_ctx, keep, {n: sys.initial_values[n] for n in new_states})
+    return substitution_grade_parameter(out, level, level_order) if level_order else out
+
+
+def substitution_change_of_states(sys, B, new_names):
+    """linear_change_of_states through the eps-carrying rows, their grades then split back out."""
+    n = sys.n
+    cols = [fraction_solve(B, [int(i == j) for i in range(n)]) for j in range(n)]
+    new_ctx = Context(list(new_names), [p.name for p in sys.ctx.params])
+    images = {}
+    for i, old in enumerate(sys.states):
+        expr = new_ctx.zero()
+        for j, nn in enumerate(new_names):
+            if cols[j][i]:
+                expr = expr + new_ctx.sym(nn) * cols[j][i]
+        images[old] = expr
+    substituted = [substitute(p, new_ctx, images)[0] for p in flattened(sys)]
+    rows = []
+    for i in range(n):
+        acc = new_ctx.zero()
+        for j in range(n):
+            if B[i][j]:
+                acc = acc + substituted[j] * B[i][j]
+        rows.append(acc)
+    return raw_system(new_ctx, rows)
+
+
+TRANSFORM_CTXS = [Context(["x", "y"], ["a", "b", "L"]), Context(["x", "y", "z"], ["a", "b", "L"])]
+
+
+@st.composite
+def conserving_cases(draw):
+    """A system with the linear first integral w, the state it eliminates and the level's eps-order."""
+    sys = draw(st.sampled_from(TRANSFORM_CTXS).flatmap(graded_systems))
+    state = draw(st.sampled_from(sys.states))
+    w = {n: Fraction(draw(st.integers(-2, 2))) for n in sys.states}
+    w[state] = Fraction(draw(st.integers(-2, 2).filter(bool)), draw(st.integers(1, 3)))
+    i = sys.state_index(state)
+    grades = []
+    for g in sys.grades:
+        # the eliminated state's row makes w . h vanish in every grade
+        rest = sys.ctx.zero()
+        for n, p in zip(sys.states, g):
+            if n != state and w[n]:
+                rest = rest + p * w[n]
+        grades.append([p if k != i else rest * (-1 / w[state]) for k, p in enumerate(g)])
+    sys = GradedSystem(sys.ctx, grades)
+    assert is_first_integral(sys, [w[n] for n in sys.states])
+    return sys, w, state, draw(st.integers(0, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(conserving_cases())
+def test_eliminate_with_integral_equals_the_substitution(case):
+    sys, w, state, level_order = case
+    got = eliminate_with_integral(sys, w, state, "L", level_order)
+    assert layout(got) == layout(substitution_elimination(sys, w, state, "L", level_order))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(TRANSFORM_CTXS).flatmap(graded_systems), st.data())
+def test_linear_change_of_states_equals_the_substitution(sys, data):
+    n = sys.n
+    B = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n))
+    assume(all(fraction_solve(B, [int(i == j) for i in range(n)]) is not None for j in range(n)))
+    names = [f"z{i}" for i in range(n)]
+    assert layout(linear_change_of_states(sys, B, names)) == layout(substitution_change_of_states(sys, B, names))

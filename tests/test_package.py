@@ -11,8 +11,8 @@ PUBLIC = {
     "rational": "Context Polynomial RationalFunction Symbol",
     "matrices": "RFMatrix hadamard_factor",
     "systems": (
-        "GradedSystem InitialValue Partition ScaledSystem apply_scaling check_ltc epsilon_grade"
-        " linear_first_integrals raw_system time_rescale"
+        "GradedSystem InitialValue Partition ScaledSystem apply_scaling check_ltc linear_first_integrals"
+        " raw_system"
     ),
     "networks": "Reaction ReactionNetwork TransportSpec build_transport_system compile_network",
     "ltc": "candidate_slow_set is_ltc_set minimal_ltc_sets preassigned_conditions",

@@ -45,7 +45,7 @@ from tfred.reduction import (
 )
 from tfred.systems import Partition, apply_scaling, raw_system
 
-from conftest import first_order_psi
+from conftest import first_order_psi, flattened
 
 
 def lie_derivative(phi, field_rows, states):
@@ -545,7 +545,7 @@ def test_transform_first_integral_refuses_an_eps_carrying_integral(mm3d_scaled):
     ctx = spec.system.ctx
     # eps*(e + c) is a first integral too, but its eps would mix with the scaling's
     phi = RationalFunction.of(ctx.parse_poly("eps*(e + c)"))
-    assert lie_derivative(phi, spec.system.flatten(), spec.system.states).is_zero()
+    assert lie_derivative(phi, flattened(spec.system), spec.system.states).is_zero()
     with pytest.raises(ReductionError, match="eps-free"):
         transform_first_integral(phi, spec.system, mm3d_scaled)
 

@@ -1,4 +1,4 @@
-"""Print the output of 262 CLI cases and 32 library cases, for comparing two checkouts byte for byte.
+"""Print the output of 288 CLI cases and 37 library cases, for comparing two checkouts byte for byte.
 
 Usage: python tools/output_check.py <src-dir>
 
@@ -25,8 +25,13 @@ polynomials, plus ``ltc --model ... --format json`` on transport_binding(N)
 for N = 12, 16, on a 16-state cubic field and on the cubic field ``a*x*y*z``,
 ``x^2*y``, 0, and three bad inputs:
 ``--builtin`` together with ``--model`` (a missing file), ``converge
---mode`` and ``reduce`` without a model.  Each case prints its argv,
-exit code, stdout and stderr.
+--mode`` and ``reduce`` without a model, plus ``conditions`` (text and json)
+on mm3d's six pre-assigned fast sets of acceptance criterion 09 and on four
+bad ones (a name that is no symbol, a parameter, a repeated state, every
+state), plus ``check`` on raw models with a list as an initial-value base, a
+number as a row, a string as the states, and on a file nested 100 000 arrays
+deep, and ``check`` and ``reduce`` on a row with the constant power
+``2^100000``.  Each case prints its argv, exit code, stdout and stderr.
 
 The library cases print what the exact constant-matrix kernel decides and
 no CLI output shows whole: ``linear_first_integrals`` of every builtin and of
@@ -35,7 +40,10 @@ scaled fast flow (``fast_linear_integrals``), the (P, mu) that
 ``find_decomposition`` gives for mm3d scaled with e, c fast at
 ``default_sample(ctx, seed=1)``, and the symbolic ``char_poly`` of the
 Dmu*P that ``reduce_model`` gives for every builtin and for
-``transport_binding(N)``, N = 2..5.  Compare two checkouts with
+``transport_binding(N)``, N = 2..5, and each grade's terms, in dict order
+(which no rendering shows), of ``grade_parameter`` moving k2 of mm3d to
+eps-orders 0, 1 and 2 and moving a parameter of degree 3 across two grades of
+a raw system to eps-orders 1 and 2.  Compare two checkouts with
 
     diff <(python tools/output_check.py OLD/src) <(python tools/output_check.py src)
 """
@@ -55,7 +63,8 @@ from tfred.builtin_models import BUILTINS, mm3d, transport_binding  # noqa: E402
 from tfred.cli import main  # noqa: E402
 from tfred.matrices import char_poly  # noqa: E402
 from tfred.reduction import default_sample, fast_linear_integrals, find_decomposition, reduce_model  # noqa: E402
-from tfred.systems import Partition, apply_scaling, linear_first_integrals  # noqa: E402
+from tfred.rational import Context  # noqa: E402
+from tfred.systems import Partition, apply_scaling, grade_parameter, linear_first_integrals, raw_system  # noqa: E402
 
 CMDS = [["check"], ["ltc"], ["conditions"], ["reduce"],
         ["converge", "--ladder", "1e-1,5e-2,2.5e-2", "--t2", "1.0"]]
@@ -148,6 +157,25 @@ cases += [
     ["converge", "--builtin", "mm2d", "--mode", "standard"],
     ["reduce"],
 ]
+# acceptance criterion 09's pre-assigned fast sets, then four bad ones
+cases += [["conditions", "--builtin", "mm3d", "--fast", f, "--format", fmt]
+          for f in ("s", "e", "c", "s,e", "s,c", "e,c", "zz", "k1", "s,s", "s,e,c") for fmt in ("text", "json")]
+# model files with a section of the wrong JSON type, nested too deeply, or
+# with a constant power too long to print
+base_model = {"name": "bad", "states": ["x", "y"], "parameters": ["k"], "raw_system": ["eps*x*y", "-y + eps*x"],
+              "initial_values": {"x": {"base": "1"}, "y": {"base": "0"}}, "fast": ["y"]}
+for name, change, commands in (
+    ("list_base", {"initial_values": {"x": {"base": [1]}}}, ("check",)),
+    ("number_row", {"raw_system": [5, "-y"]}, ("check",)),
+    ("string_states", {"states": "xy"}, ("check",)),
+    ("long_power", {"raw_system": ["2^100000*x*y", "-y + eps*x"]}, ("check", "reduce")),
+):
+    path = Path(tmp.name) / f"{name}.json"
+    path.write_text(json.dumps(dict(base_model, **change)))
+    cases += [[c, "--model", str(path)] for c in commands]
+path = Path(tmp.name) / "deep.json"
+path.write_text("[" * 100_000 + "]" * 100_000)
+cases.append(["check", "--model", str(path)])
 for argv in cases:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -179,3 +207,13 @@ for name, spec in specs[:len(BUILTINS) + 4]:
     M = reduce_model(spec.system, spec.fast).decomposition.dmup()
     print("### char_poly of Dmu*P", name)
     print("; ".join(c.render() for c in char_poly(M)))
+# term order, which compiled float fields sum in and no rendering shows
+ctx = Context(["x", "y"], ["a", "b"])
+rows = [ctx.parse_poly("a^3*x*y + b*x - a*x^2 + eps*(a^2*b*y - a*x + 3*a^3)"),
+        ctx.parse_poly("-a*b*y + a^2*x + eps*(a^3*x*y + b)")]
+for name, sys, param, order in [("mm3d", mm3d().system, "k2", k) for k in range(3)] + [
+        ("raw", raw_system(ctx, rows), "a", k) for k in (1, 2)]:
+    graded = grade_parameter(sys, param, order)
+    print(f"### grade_parameter {name} {param} to eps-order {order}")
+    for k, g in zip(graded.orders(), graded.grades):
+        print(f"grade {k}:", "; ".join(str(list(p.monomials())) for p in g))
