@@ -47,6 +47,14 @@ def _typed(value, key: str, *kinds: type):
     raise ModelError(f"{key!r} must be {' or '.join(_KIND[k] for k in kinds)}")
 
 
+def _required(section: Mapping, key: str, where: str):
+    """section[key], or ModelError naming key and the section where it is missing."""
+    try:
+        return section[key]
+    except KeyError:
+        raise ModelError(f"{where} has no {key!r}") from None
+
+
 def _names(data: Mapping, key: str) -> list[str]:
     """data[key], empty when absent; ModelError naming key unless it is an array of strings."""
     value = data.get(key, [])
@@ -91,7 +99,7 @@ def load_model(path: str) -> ModelSpec:
 
 
 def model_from_dict(data: Mapping, name: str = "model") -> ModelSpec:
-    """The model a parsed model file describes; ModelError for a section of the wrong JSON type."""
+    """The model a parsed model file describes; ModelError for a section of the wrong JSON type or a missing required key."""
     params = _names(data, "parameters")
     fast = tuple(_names(data, "fast"))
     description = _typed(data.get("description", ""), "description", str)
@@ -103,7 +111,7 @@ def model_from_dict(data: Mapping, name: str = "model") -> ModelSpec:
             reactions.append(Reaction(
                 _stoichiometry(r, "reactants"),
                 _stoichiometry(r, "products"),
-                _typed(r["rate"], "rate", str),
+                _typed(_required(r, "rate", f"reactions[{k}]"), "rate", str),
                 int(_typed(r.get("eps_order", 0), "eps_order", int, str)),
             ))
         rates = [r.rate for r in reactions]
@@ -126,7 +134,7 @@ def model_from_dict(data: Mapping, name: str = "model") -> ModelSpec:
                     rate=None if law.get("rate") is None else _typed(law["rate"], "rate", str),
                     matrix=matrix,
                 )
-            tspec = TransportSpec(int(_typed(t["N"], "N", int, str)), laws)
+            tspec = TransportSpec(int(_typed(_required(t, "N", "transport"), "N", int, str)), laws)
             sys = build_transport_system(net, tspec)
         else:
             sys = compile_network(net)

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import compress
-from math import gcd, lcm, log10
+from math import gcd, lcm, log2, log10
 from operator import add, mul, or_, sub
 from sys import get_int_max_str_digits
 from typing import Iterable, Mapping, Sequence, Union
@@ -1106,8 +1106,9 @@ class _Parser:
     the context.  Each rule returns a Polynomial until a '/', a negative power
     or an operand that is already rational promotes it to a RationalFunction;
     :meth:`parse` wraps the result in one.  A zero divisor raises
-    ZeroDivisorError; parentheses nested deeper than ``MAX_NESTING`` and a
-    constant power with more digits than an int may print raise SymbolicError.
+    ZeroDivisorError; parentheses nested deeper than ``MAX_NESTING``, the
+    power of a single term whose coefficient would have more digits than an
+    int may print, and a result with such a coefficient raise SymbolicError.
     """
 
     def __init__(self, ctx: Context, text: str):
@@ -1157,7 +1158,9 @@ class _Parser:
         value = self.expr()
         if self.peek() is not None:
             raise ValueError(f"trailing input at token {self.peek()!r}")
-        return value if value.__class__ is RationalFunction else RationalFunction.of(value)
+        value = _rational(value)
+        _refuse_long_coefficients(value)
+        return value
 
     def expr(self) -> "Polynomial | RationalFunction":
         sign = 1
@@ -1194,7 +1197,7 @@ class _Parser:
             if not tok.isdigit():
                 raise ValueError(f"expected integer exponent, got {tok!r}")
             n = int(tok)
-            _refuse_long_constant(base, n)
+            _refuse_long_power(base, n)
             base = _rational(base) ** -n if neg else base ** n
         return -base if negate else base
 
@@ -1216,16 +1219,35 @@ class _Parser:
         raise ValueError(f"unknown symbol {tok!r}")
 
 
-def _refuse_long_constant(base: "Polynomial | RationalFunction", n: int) -> None:
-    """Raise SymbolicError, before computing it, when a constant base^n has more
-    digits than ``sys.get_int_max_str_digits()`` lets an int print."""
+def _refuse_long_power(base: "Polynomial | RationalFunction", n: int) -> None:
+    """Raise SymbolicError, before computing it, when the numerator of base is
+    a single term whose coefficient to the power n has more digits than
+    ``sys.get_int_max_str_digits()`` lets an int print.
+
+    A single-term denominator needs no test: its coefficient is 1, as every
+    denominator has leading coefficient one.
+    """
     limit = get_int_max_str_digits()
-    num, den = (base.num, base.den) if base.__class__ is RationalFunction else (base, base.ctx.one())
-    # a constant denominator is 1, as every denominator has leading coefficient one
-    if limit and num and num.is_constant() and den.is_constant():
-        c = Fraction(num.constant_value())
+    num = base.num if base.__class__ is RationalFunction else base
+    if limit and len(num.terms) == 1:
+        c = Fraction(next(iter(num.terms.values())))
         if n * max(log10(abs(c.numerator)), log10(c.denominator)) >= limit:
             raise SymbolicError(f"a constant to the power {n} has more than {limit} digits")
+
+
+def _refuse_long_coefficients(value: RationalFunction) -> None:
+    """Raise SymbolicError when a coefficient of value's numerator or
+    denominator has more digits than ``sys.get_int_max_str_digits()`` lets an
+    int print, judged from its bit length."""
+    limit = get_int_max_str_digits()
+    if not limit:
+        return
+    bits = limit * log2(10)  # an int of at most this many bits has at most limit digits
+    for p in (value.num, value.den):
+        for c in p.terms.values():
+            for k in (c,) if c.__class__ is int else (c.numerator, c.denominator):
+                if k.bit_length() > bits and abs(k) >= 10**limit:
+                    raise SymbolicError(f"a coefficient has more than {limit} digits")
 
 
 def _rational(v: "Polynomial | RationalFunction") -> RationalFunction:

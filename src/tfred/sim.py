@@ -9,9 +9,10 @@ the ladder bottoms out where that stays feasible.
 
 A field is a callable ``f(t, z)`` that takes a sequence of python floats and
 returns a list of them, one per state.  The stepper works on python floats
-throughout and builds numpy arrays only for the finished ``Trajectory``.  A
-compiled field returns a row of ``nan`` at a pole or where a power overflows,
-so the stepper rejects the step just as it does any other non-finite stage.
+throughout and builds numpy arrays only for the finished ``Trajectory``, in
+one pass over the accepted rows.  A compiled field returns a row of ``nan``
+at a pole or where a power overflows, so the stepper rejects the step just
+as it does any other non-finite stage.
 
 The Dormand-Prince step is python source generated once per state count and
 cached: the state and the stage derivatives live in locals, each stage input
@@ -19,7 +20,15 @@ and the error norm are straight-line float expressions, and the field is
 called through the same ``f(t, z)`` contract as any other.  The generated
 code keeps the numpy stepper's operation order (stage sums left to right,
 the norm's sum in numpy's pairwise order), so every float of a trajectory is
-bit for bit the one that stepper computed.
+bit for bit the one that stepper computed.  The accept/reject loop around it
+keeps its counts in locals and clamps with comparisons that pick what
+``min`` and ``max`` would.
+
+Dense output computes the four Hermite weights of each grid point as python
+floats (python's power, never numpy's, which rounds some cubes differently)
+and combines them with the end points' states and derivatives as whole-array
+numpy products, summed in the per-point order: each sample is bit for bit
+the python float sum.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .rational import Polynomial, Q, RationalFunction
@@ -328,26 +338,39 @@ class Trajectory:
     stats: IntegratorStats
 
     def sample(self, grid: Sequence[float]) -> numpy.ndarray:
-        """Cubic Hermite interpolation on the accepted intervals."""
+        """Cubic Hermite interpolation on the accepted intervals.
+
+        The four weights of each grid point are python floats, with ``th**2``
+        and ``th**3`` taken once each by python's power: numpy's ``**``
+        rounds some cubes differently.  Their combination with the end
+        points' states and derivatives is whole-array numpy arithmetic summed
+        left to right, so each value is bit for bit the python float sum
+        ``h00*y0 + h10*h*f0 + h01*y1 + h11*h*f1``.
+        """
         import numpy as np
         grid = np.asarray(grid, dtype=float)
         idx = np.searchsorted(self.taus, grid, side="right") - 1
         idx = np.clip(idx, 0, len(self.taus) - 2)
-        taus, states, derivs = self.taus, self.states, self.derivs
-        rows = []
+        taus = self.taus.tolist()
+        w00, w10, w01, w11 = [], [], [], []
         for g, i in zip(grid.tolist(), idx.tolist()):
-            t0, t1 = float(taus[i]), float(taus[i + 1])
-            h = t1 - t0
+            t0 = taus[i]
+            h = taus[i + 1] - t0
             th = (g - t0) / h if h > 0 else 0.0
-            h00 = 2 * th**3 - 3 * th**2 + 1
-            h10 = th**3 - 2 * th**2 + th
-            h01 = -2 * th**3 + 3 * th**2
-            h11 = th**3 - th**2
-            x10, x11 = h10 * h, h11 * h
-            y0, f0 = states[i].tolist(), derivs[i].tolist()
-            y1, f1 = states[i + 1].tolist(), derivs[i + 1].tolist()
-            rows.append([h00 * a + x10 * b + h01 * c + x11 * d for a, b, c, d in zip(y0, f0, y1, f1)])
-        return np.array(rows, dtype=float).reshape(len(rows), states.shape[1])
+            th2, th3 = th**2, th**3
+            w00.append(2 * th3 - 3 * th2 + 1)
+            w10.append((th3 - 2 * th2 + th) * h)
+            w01.append(-2 * th3 + 3 * th2)
+            w11.append((th3 - th2) * h)
+        nxt = idx + 1
+        # python float arithmetic overflows to inf and nan without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (
+                np.array(w00)[:, None] * self.states[idx]
+                + np.array(w10)[:, None] * self.derivs[idx]
+                + np.array(w01)[:, None] * self.states[nxt]
+                + np.array(w11)[:, None] * self.derivs[nxt]
+            )
 
     def final(self) -> numpy.ndarray:
         return self.states[-1]
@@ -389,20 +412,25 @@ def integrate(
     taus = [t0]
     states = [y]
     derivs = [fcur]
-    stats = IntegratorStats()
+    add_tau, add_state, add_deriv = taus.append, states.append, derivs.append
+    steps = rejected = 0
+    min_step = math.inf
     step = _dp_stepper(len(y))
     t = t0
+    # each comparison below picks what min or max would pick, as the step
+    # factor is never nan
     while t < t1:
-        if stats.steps + stats.rejected > MAX_STEPS:
+        if steps + rejected > MAX_STEPS:
             raise IntegrationError("step budget exhausted")
         if t1 - t <= STEP_FLOOR:
             break  # endpoint reached up to float residue
         if h < STEP_FLOOR:
             raise StiffnessError(t)
-        h = min(h, t1 - t)
+        if t1 - t < h:
+            h = t1 - t
         out = step(f, t, h, y, fcur, atol, rtol)
         if out is None:
-            stats.rejected += 1
+            rejected += 1
             h *= 0.25
             if h < STEP_FLOOR:
                 raise EvaluationError(t)
@@ -412,21 +440,26 @@ def integrate(
             t = t + h
             y = ynew
             fcur = k7
-            taus.append(t)
-            states.append(y)
-            derivs.append(fcur)
-            stats.steps += 1
-            stats.min_step = min(stats.min_step, h)
+            add_tau(t)
+            add_state(y)
+            add_deriv(fcur)
+            steps += 1
+            if h < min_step:
+                min_step = h
         else:
-            stats.rejected += 1
+            rejected += 1
         factor = 0.9 * err_norm ** (-0.2) if err_norm > 0 else 5.0
-        h = h * min(5.0, max(0.2, factor))
-    state_arr = np.array(states, dtype=float)
+        if factor > 5.0:
+            factor = 5.0
+        elif factor < 0.2:
+            factor = 0.2
+        h = h * factor
+    rows, n = len(states), len(y)
+    state_arr = np.fromiter(chain.from_iterable(states), float, rows * n).reshape(rows, n)
     if not np.all(np.isfinite(state_arr)):
         raise EvaluationError(t)
-    return Trajectory(
-        np.array(taus), state_arr, np.array(derivs, dtype=float), tuple(names), stats
-    )
+    deriv_arr = np.fromiter(chain.from_iterable(derivs), float, rows * n).reshape(rows, n)
+    return Trajectory(np.array(taus), state_arr, deriv_arr, tuple(names), IntegratorStats(steps, rejected, min_step))
 
 
 # -- convergence studies ---------------------------------------------------------

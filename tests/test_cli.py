@@ -763,14 +763,40 @@ def test_bad_expression_is_bad_input(tmp_path, capsys, change, message):
             {"raw_system": ["2^100000*x*y", "-y + eps*x"]},
             f"a constant to the power 100000 has more than {sys.get_int_max_str_digits()} digits",
         ),
+        (
+            {"raw_system": ["2^14000*2^14000*x*y", "-y + eps*x"]},
+            f"a coefficient has more than {sys.get_int_max_str_digits()} digits",
+        ),
+        (
+            {"raw_system": ["(2*x)^15000*y", "-y + eps*x"]},
+            f"a constant to the power 15000 has more than {sys.get_int_max_str_digits()} digits",
+        ),
     ],
-    ids=["list-base", "number-row", "string-states", "long-constant-power"],
+    ids=["list-base", "number-row", "string-states", "long-constant-power", "long-product", "long-monomial-power"],
 )
 @pytest.mark.parametrize("command", ["check", "reduce"])
 def test_bad_model_section_is_bad_input(tmp_path, capsys, change, message, command):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(dict(BAD_MODEL, **change)))
     assert main([command, "--model", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "remove, message",
+    [
+        (lambda m: m["reactions"][0].pop("rate"), "reactions[0] has no 'rate'"),
+        (lambda m: m["transport"].pop("N"), "transport has no 'N'"),
+    ],
+    ids=["reaction-rate", "transport-N"],
+)
+def test_missing_required_key_is_named_with_its_section(tmp_path, capsys, remove, message):
+    model = runpy.run_path(WORKLOADS)["transport_model"](2)
+    remove(model)
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(model))
+    assert main(["check", "--model", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n" and captured.out == ""
 

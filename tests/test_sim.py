@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tfred import sim
 from tfred.builtin_models import linex, mm2d, mm3d
@@ -19,7 +21,9 @@ from tfred.reduction import (
 from tfred.rational import RationalFunction
 from tfred.sim import (
     EvaluationError,
+    IntegratorStats,
     StiffnessError,
+    Trajectory,
     compile_rows,
     compile_system,
     convergence_study,
@@ -236,3 +240,84 @@ def test_default_ladder_counts_its_rungs_before_building_them():
     assert len(default_ladder(1.0, 2.0 ** -(sim.MAX_RUNGS - 1))) == sim.MAX_RUNGS
     with pytest.raises(ValueError, match="more than"):
         default_ladder(1.0, 2.0**-sim.MAX_RUNGS)
+
+
+def hermite_per_point(traj, grid):
+    """``Trajectory.sample`` as a loop over grid points in python floats, the reference."""
+    grid = np.asarray(grid, dtype=float)
+    idx = np.searchsorted(traj.taus, grid, side="right") - 1
+    idx = np.clip(idx, 0, len(traj.taus) - 2)
+    taus, states, derivs = traj.taus, traj.states, traj.derivs
+    rows = []
+    for g, i in zip(grid.tolist(), idx.tolist()):
+        t0, t1 = float(taus[i]), float(taus[i + 1])
+        h = t1 - t0
+        th = (g - t0) / h if h > 0 else 0.0
+        h00 = 2 * th**3 - 3 * th**2 + 1
+        h10 = th**3 - 2 * th**2 + th
+        h01 = -2 * th**3 + 3 * th**2
+        h11 = th**3 - th**2
+        x10, x11 = h10 * h, h11 * h
+        y0, f0 = states[i].tolist(), derivs[i].tolist()
+        y1, f1 = states[i + 1].tolist(), derivs[i + 1].tolist()
+        rows.append([h00 * a + x10 * b + h01 * c + x11 * d for a, b, c, d in zip(y0, f0, y1, f1)])
+    return np.array(rows, dtype=float).reshape(len(rows), states.shape[1])
+
+
+values = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def trajectories_and_grids(draw):
+    """A trajectory of 2 (one interval) to 7 accepted times, some repeated
+    (a zero step), and a grid at, just before, just after and between them."""
+    n = draw(st.integers(1, 3))
+    gaps = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-9, 5.0)), min_size=1, max_size=6))
+    taus = [draw(st.floats(-10.0, 10.0))]
+    for gap in gaps:
+        taus.append(taus[-1] + gap)
+    rows = len(taus)
+    states = np.array(draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=rows, max_size=rows)))
+    derivs = np.array(draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=rows, max_size=rows)))
+    near = st.builds(
+        lambda t, side: math.nextafter(t, side * math.inf) if side else t,
+        st.sampled_from(taus),
+        st.sampled_from((-1, 0, 1)),
+    )
+    grid = draw(st.lists(st.one_of(near, st.floats(taus[0] - 1.0, taus[-1] + 1.0)), max_size=40))
+    return Trajectory(np.array(taus), states, derivs, (), IntegratorStats()), grid
+
+
+@settings(max_examples=300, deadline=None)
+@given(trajectories_and_grids())
+def test_sample_equals_the_per_point_loop_bit_for_bit(case):
+    traj, grid = case
+    got, want = traj.sample(grid), hermite_per_point(traj, grid)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def rhs(t, z):
+    return [-z[0] + 0.5 * z[0] * z[1], -3.0 * z[1] + math.sin(t)]
+
+
+@pytest.mark.parametrize("kind", [list, tuple, np.array])
+@pytest.mark.parametrize("t1", [2.0, 1e-13], ids=["steps", "zero-steps"])
+def test_trajectory_arrays_are_the_rows_for_any_sequence_field(kind, t1):
+    seen = set()
+
+    def field(t, z):
+        seen.add(tuple(z))
+        return kind(rhs(t, z))
+
+    traj = integrate(field, [1.0, 0.5], (0.0, t1))
+    assert (traj.stats.steps == 0) == (t1 < 1.0)
+    rows = len(traj.taus)
+    for arr in (traj.states, traj.derivs):
+        assert arr.dtype == np.float64 and arr.shape == (rows, 2) and arr.flags.c_contiguous
+    # every state is one the field was called at, each derivative the field's row there
+    assert all(tuple(row) in seen for row in traj.states.tolist())
+    want = np.array([rhs(t, z) for t, z in zip(traj.taus.tolist(), traj.states.tolist())], dtype=float)
+    assert traj.derivs.tobytes() == want.tobytes()
+    reference = integrate(lambda t, z: rhs(t, z), [1.0, 0.5], (0.0, t1))
+    assert traj.states.tobytes() == reference.states.tobytes()

@@ -1,6 +1,8 @@
 """Polynomial and rational-function arithmetic: exactness, canonical form, calculus."""
 
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -456,6 +458,22 @@ def test_parse_nests_parentheses_up_to_the_bound(mm):
     assert mm.parse("(" * MAX_NESTING + "s" + ")" * MAX_NESTING) == mm.parse("s")
     with pytest.raises(SymbolicError, match=f"^expression nested deeper than {MAX_NESTING} parentheses$"):
         mm.parse("(" * (MAX_NESTING + 1) + "s" + ")" * (MAX_NESTING + 1))
+
+
+def test_parse_keeps_a_coefficient_up_to_the_print_limit(mm):
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("ints print without a digit limit")
+    # 2^top has limit digits and 2^(top + 1) has limit + 1 (14284 for 4300)
+    top = math.ceil(limit * math.log2(10)) - 1
+    assert len(str(2**top)) == limit
+    half = top // 2
+    for text in (f"2^{half}*2^{top - half}*s", f"s/(2^{half}*2^{top - half}*e + 1)"):
+        mm.parse(text)
+    for text in (f"2^{half}*2^{top + 1 - half}*s", f"s/(2^{half}*2^{top + 1 - half}*e + 1)",
+                 f"(s + 2^{top + 1 - half}*e)*2^{half}"):
+        with pytest.raises(SymbolicError, match=f"^a coefficient has more than {limit} digits$"):
+            mm.parse(text)
 
 
 def test_parse_reads_a_run_of_signs_without_recursion(mm):

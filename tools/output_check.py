@@ -1,4 +1,4 @@
-"""Print the output of 288 CLI cases and 37 library cases, for comparing two checkouts byte for byte.
+"""Print the output of 295 CLI cases and 37 library cases, for comparing two checkouts byte for byte.
 
 Usage: python tools/output_check.py <src-dir>
 
@@ -31,7 +31,12 @@ bad ones (a name that is no symbol, a parameter, a repeated state, every
 state), plus ``check`` on raw models with a list as an initial-value base, a
 number as a row, a string as the states, and on a file nested 100 000 arrays
 deep, and ``check`` and ``reduce`` on a row with the constant power
-``2^100000``.  Each case prints its argv, exit code, stdout and stderr.
+``2^100000``, on a row whose coefficient grows too long through a product
+(``2^14000*2^14000``) and on one through the power of a monomial
+(``(2*x)^15000``), plus ``check`` on a network model with a reaction that has
+no rate, plus ``converge --model`` (text and json) on a raw model whose full
+field overflows a float inside the step loop.  Each case prints its argv,
+exit code, stdout and stderr.
 
 The library cases print what the exact constant-matrix kernel decides and
 no CLI output shows whole: ``linear_first_integrals`` of every builtin and of
@@ -176,6 +181,28 @@ for name, change, commands in (
 path = Path(tmp.name) / "deep.json"
 path.write_text("[" * 100_000 + "]" * 100_000)
 cases.append(["check", "--model", str(path)])
+# coefficients too long to print, grown by a product and by the power of a
+# monomial
+for name, row in (("long_product", "2^14000*2^14000*x*y"), ("long_monomial_power", "(2*x)^15000*y")):
+    path = Path(tmp.name) / f"{name}.json"
+    path.write_text(json.dumps(dict(base_model, raw_system=[row, "-y + eps*x"])))
+    cases += [[c, "--model", str(path)] for c in ("check", "reduce")]
+# a reaction without its required rate
+path = Path(tmp.name) / "missing_rate.json"
+model = transport_model(2)
+del model["reactions"][0]["rate"]
+path.write_text(json.dumps(model))
+cases.append(["check", "--model", str(path)])
+# a full field whose power x^300 overflows a float past x = 10.65, a row of
+# nan as at a pole, while the reduced field x' = 1 does not: the first rung
+# fails inside the step loop
+path = Path(tmp.name) / "overflow_field.json"
+path.write_text(json.dumps({
+    "name": "overflow_field", "states": ["x", "y"], "parameters": [],
+    "raw_system": ["eps*(1 + y*x^300/10^300)", "-y"],
+    "initial_values": {"x": {"base": "9"}, "y": {"base": "1"}}, "fast": ["y"],
+}))
+cases += [["converge", "--model", str(path), "--format", f] for f in ("text", "json")]
 for argv in cases:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
