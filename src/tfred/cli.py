@@ -420,6 +420,7 @@ def cmd_converge(args) -> int:
         lines.append(f"eps = {eps:<10.3g} sup error = {err:.6e}")
     lines.append(f"fitted order: {report.fitted_order:.3f}")
     lines.append(f"verdict: {report.verdict}")
+    lines += [f"failure: {f}" for f in report.failures]
     emit(args, payload, "\n".join(lines))
     if report.failures:
         return EXIT_NUMERIC

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import compress
-from math import gcd, lcm, log2, log10
+from math import comb, gcd, lcm, log2, log10, prod
 from operator import add, mul, or_, sub
 from sys import get_int_max_str_digits
 from typing import Iterable, Mapping, Sequence, Union
@@ -60,6 +60,7 @@ FIELD_BITS = 16
 EXPONENT_MAX = (1 << (FIELD_BITS - 1)) - 1
 _FIELD = (1 << FIELD_BITS) - 1
 MAX_NESTING = 100
+MAX_POWER_TERMS = 2000  # most terms the parser lets the power of a multi-term expression have
 
 
 class SymbolicError(Exception):
@@ -1108,7 +1109,9 @@ class _Parser:
     :meth:`parse` wraps the result in one.  A zero divisor raises
     ZeroDivisorError; parentheses nested deeper than ``MAX_NESTING``, the
     power of a single term whose coefficient would have more digits than an
-    int may print, and a result with such a coefficient raise SymbolicError.
+    int may print, the power of a multi-term expression that may have more
+    than ``MAX_POWER_TERMS`` terms, and a result with such a coefficient raise
+    SymbolicError.
     """
 
     def __init__(self, ctx: Context, text: str):
@@ -1198,6 +1201,7 @@ class _Parser:
                 raise ValueError(f"expected integer exponent, got {tok!r}")
             n = int(tok)
             _refuse_long_power(base, n)
+            _refuse_large_power(base, n)
             base = _rational(base) ** -n if neg else base ** n
         return -base if negate else base
 
@@ -1233,6 +1237,26 @@ def _refuse_long_power(base: "Polynomial | RationalFunction", n: int) -> None:
         c = Fraction(next(iter(num.terms.values())))
         if n * max(log10(abs(c.numerator)), log10(c.denominator)) >= limit:
             raise SymbolicError(f"a constant to the power {n} has more than {limit} digits")
+
+
+def _refuse_large_power(base: "Polynomial | RationalFunction", n: int) -> None:
+    """Raise SymbolicError, before computing it, when the power n of the
+    numerator or the denominator of base may have more than
+    ``MAX_POWER_TERMS`` terms.
+
+    The bound on the terms of p^n, for p of t terms, is the smaller of the
+    multinomial count C(n + t - 1, t - 1) and the count of exponent vectors
+    within n times p's degree in each symbol.
+    """
+    if n < 2:
+        return
+    for p in (base.num, base.den) if base.__class__ is RationalFunction else (base,):
+        t = len(p.terms)
+        if t < 2 or comb(n + t - 1, min(n, t - 1)) <= MAX_POWER_TERMS:
+            continue
+        degrees = map(max, zip(*map(p.ctx.unpack, p.terms)))
+        if prod(n * d + 1 for d in degrees) > MAX_POWER_TERMS:
+            raise SymbolicError(f"a {t}-term expression to the power {n} may have more than {MAX_POWER_TERMS} terms")
 
 
 def _refuse_long_coefficients(value: RationalFunction) -> None:

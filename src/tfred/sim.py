@@ -14,15 +14,27 @@ one pass over the accepted rows.  A compiled field returns a row of ``nan``
 at a pole or where a power overflows, so the stepper rejects the step just
 as it does any other non-finite stage.
 
-The Dormand-Prince step is python source generated once per state count and
-cached: the state and the stage derivatives live in locals, each stage input
-and the error norm are straight-line float expressions, and the field is
-called through the same ``f(t, z)`` contract as any other.  The generated
-code keeps the numpy stepper's operation order (stage sums left to right,
-the norm's sum in numpy's pairwise order), so every float of a trajectory is
-bit for bit the one that stepper computed.  The accept/reject loop around it
-keeps its counts in locals and clamps with comparisons that pick what
-``min`` and ``max`` would.
+The Dormand-Prince step is straight-line python source from one generator,
+in two stage forms.  The state and the stage derivatives live in locals,
+and each stage input and the error norm are float expressions.  The generic
+step, generated once per state count and cached, calls the field through
+the ``f(t, z)`` contract on each stage input; it runs any callable field.  A
+full system's field comes with a step whose stages evaluate the field's
+rows inline on locals, with no call.  Both keep the numpy stepper's
+operation order (stage sums left to right, the norm's sum in numpy's
+pairwise order), so every float of a trajectory is bit for bit the one that
+stepper computed.  The accept/reject loop around the step keeps its counts
+in locals and clamps with comparisons that pick what ``min`` and ``max``
+would.
+
+A full system is compiled once per study.  The first ``compile_system`` call
+for a graded system, its parameter values and the zero pattern of the folded
+coefficients execs one generated module: the field and its inlined step,
+with every coefficient a name (``c0, c1, ...``).  Each rung of the eps-ladder
+then only folds its coefficients (``float(c) * float(eps) ** (order - 1)``
+times each parameter's power, in symbol order) and binds them into that
+module; no later rung compiles any source.  The modules are kept per system
+object, weakly, and go with it.
 
 Dense output computes the four Hermite weights of each grid point as python
 floats (python's power, never numpy's, which rounds some cubes differently)
@@ -36,6 +48,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -74,12 +87,17 @@ class EvaluationError(IntegrationError):
 Field = Callable[[float, Sequence[float]], Sequence[float]]
 
 
-def _poly_expr(p: Polynomial, state_pos: Mapping[str, int], env: Mapping[str, float], weight: float) -> list[str]:
-    """Terms of a polynomial as python expressions in the state locals _z0, _z1, ..., constants folded."""
+def _poly_terms(
+    p: Polynomial, state_pos: Mapping[str, int], env: Mapping[str, float]
+) -> list[tuple[float, tuple[float, ...], str]]:
+    """Each term of a polynomial as (its coefficient as a float, the powers of
+    its parameters' values in symbol order, its state factors as a product of
+    the locals _z0, _z1, ...)."""
     ctx = p.ctx
-    parts: list[str] = []
+    out: list[tuple[float, tuple[float, ...], str]] = []
     for e, c in p.monomials().items():
-        coeff = float(c) * weight
+        coeff = float(c)
+        powers: list[float] = []
         factors: list[str] = []
         for i, k in enumerate(e):
             if k == 0:
@@ -91,39 +109,61 @@ def _poly_expr(p: Polynomial, state_pos: Mapping[str, int], env: Mapping[str, fl
             else:
                 if name not in env:
                     raise IntegrationError(f"unbound parameter {name} in numeric field")
-                coeff *= env[name] ** k
-        if coeff == 0.0:
-            continue
-        expr = repr(coeff)
-        if factors:
-            expr += "*" + "*".join(factors)
-        parts.append(expr)
-    return parts
+                powers.append(env[name] ** k)
+        out.append((coeff, tuple(powers), "*".join(factors)))
+    return out
+
+
+def _fold(coeff: float, powers: Sequence[float]) -> float:
+    """A term's coefficient with its parameter powers multiplied in, in order."""
+    for v in powers:
+        coeff *= v
+    return coeff
+
+
+def _term(coeff: str, factors: str) -> str:
+    return f"{coeff}*{factors}" if factors else coeff
+
+
+def _poly_expr(p: Polynomial, state_pos: Mapping[str, int], env: Mapping[str, float]) -> str:
+    """A polynomial as a python sum in the state locals, its folded coefficients
+    written as literals and the zero ones dropped."""
+    parts = []
+    for coeff, powers, factors in _poly_terms(p, state_pos, env):
+        coeff = _fold(coeff, powers)
+        if coeff != 0.0:
+            parts.append(_term(repr(coeff), factors))
+    return " + ".join(parts) if parts else "0.0"
 
 
 def _float_env(params: Mapping[str, object]) -> dict[str, float]:
     return {k: float(Fraction(str(v))) if not isinstance(v, (int, float, Fraction)) else float(v) for k, v in params.items()}
 
 
-def _compile_field(exprs: Sequence[str], n_states: int) -> Field:
-    """Compile one python expression per row into a vector field (t, z) -> dz.
+def _field_source(exprs: Sequence[str], n_states: int) -> list[str]:
+    """Lines of ``_field(t, z)``, which returns one float per row expression.
 
     The state is unpacked into the locals _z0, _z1, ... once per call.  Python
     floats raise where numpy would return inf or nan, so a division by zero or
     an overflowing power returns a row of nan instead.
     """
     unpack = "".join(f"_z{i}, " for i in range(n_states))
-    src = (
-        "def _field(t, z):\n"
-        + (f"    {unpack}= z\n" if n_states else "")
-        + "    try:\n"
-        + "        return [" + ", ".join(exprs) + "]\n"
-        + "    except (ZeroDivisionError, OverflowError):\n"
-        + "        return [" + ", ".join(["nan"] * len(exprs)) + "]\n"
-    )
+    return [
+        "def _field(t, z):",
+        *([f"    {unpack}= z"] if n_states else []),
+        "    try:",
+        "        return [" + ", ".join(exprs) + "]",
+        "    except (ZeroDivisionError, OverflowError):",
+        "        return [" + ", ".join(["nan"] * len(exprs)) + "]",
+    ]
+
+
+def _compile_field(exprs: Sequence[str], n_states: int) -> Field:
+    """Compile one python expression per row into a vector field (t, z) -> dz."""
     namespace: dict = {"nan": math.nan}
-    exec(src, namespace)
-    return namespace["_field"]
+    exec("\n".join(_field_source(exprs, n_states)) + "\n", namespace)
+    # popped, so that no reference cycle through the namespace outlives the field
+    return namespace.pop("_field")
 
 
 def compile_rows(
@@ -133,39 +173,72 @@ def compile_rows(
 ) -> Field:
     """Compile rational-function rows into a float vector field z -> dz.
 
-    Parameter values are folded into the coefficients.
+    Parameter values are folded into the coefficients.  The field is a plain
+    callable: ``integrate`` runs it through the generic step.
     """
     env = _float_env(params)
     pos = {n: i for i, n in enumerate(state_names)}
     exprs: list[str] = []
     for row in rows:
         rf = row if isinstance(row, RationalFunction) else RationalFunction.of(row)
-        num_parts = _poly_expr(rf.num, pos, env, 1.0)
-        num = " + ".join(num_parts) if num_parts else "0.0"
-        if rf.den.is_one():
-            exprs.append(f"({num})")
-        else:
-            den_parts = _poly_expr(rf.den, pos, env, 1.0)
-            den = " + ".join(den_parts) if den_parts else "0.0"
-            exprs.append(f"({num})/({den})")
+        num = _poly_expr(rf.num, pos, env)
+        exprs.append(f"({num})" if rf.den.is_one() else f"({num})/({_poly_expr(rf.den, pos, env)})")
     return _compile_field(exprs, len(state_names))
+
+
+class _SystemCode:
+    """A graded system's terms, with the parameters' values folded in, and the
+    generated module of each zero pattern of its folded coefficients."""
+
+    def __init__(self, sys: GradedSystem, env: Mapping[str, float]):
+        pos = {n: i for i, n in enumerate(sys.states)}
+        # (grade index, float coefficient, parameter powers) of every term, grade by grade
+        self.terms: list[tuple[int, float, tuple[float, ...]]] = []
+        # per row: (index into terms, state factors), in the order the row sums them
+        self.rows: list[list[tuple[int, str]]] = [[] for _ in sys.states]
+        for g, grade in enumerate(sys.grades):
+            for row, p in zip(self.rows, grade):
+                for coeff, powers, factors in _poly_terms(p, pos, env):
+                    row.append((len(self.terms), factors))
+                    self.terms.append((g, coeff, powers))
+        self.modules: dict[bytes, Callable[[Sequence[float]], Field]] = {}
+
+
+# each system's float code, keyed by its parameters' values; built by the
+# system's first compile_system call and dropped with the system
+_SYSTEM_CODE: weakref.WeakKeyDictionary[GradedSystem, dict[tuple, _SystemCode]] = weakref.WeakKeyDictionary()
 
 
 def compile_system(sys: GradedSystem, params: Mapping[str, object], eps: float) -> Field:
     """Numeric slow-time field of a graded system at a concrete eps value.
 
     The field is divided by eps, the frame in which the full and the reduced
-    flow are compared.
+    flow are compared.  Each term's coefficient is folded as the float
+    ``float(c) * float(eps) ** (order - 1)`` times each parameter's power in
+    symbol order, and a term whose coefficient folds to 0.0 is dropped.  The
+    first call for a system, its parameter values and the zero pattern of the
+    folded coefficients execs one generated module; every other call only
+    folds the coefficients and binds them into that module.  The field
+    carries the module's Dormand-Prince step with its rows inlined as its
+    ``dp_step`` attribute, which ``integrate`` runs.
     """
     env = _float_env(params)
-    pos = {n: i for i, n in enumerate(sys.states)}
-    row_parts: list[list[str]] = [[] for _ in sys.states]
-    for order, g in zip(sys.orders(), sys.grades):
-        weight = float(eps) ** (order - 1)
-        for i, p in enumerate(g):
-            row_parts[i].extend(_poly_expr(p, pos, env, weight))
-    exprs = ["(" + (" + ".join(parts) if parts else "0.0") + ")" for parts in row_parts]
-    return _compile_field(exprs, len(sys.states))
+    weights = [float(eps) ** (order - 1) for order in sys.orders()]
+    by_params = _SYSTEM_CODE.setdefault(sys, {})
+    key = tuple(env.items())
+    code = by_params.get(key)
+    if code is None:
+        code = by_params[key] = _SystemCode(sys, env)
+    coeffs = [_fold(coeff * weights[g], powers) for g, coeff, powers in code.terms]
+    pattern = bytes(map(bool, coeffs))
+    bind = code.modules.get(pattern)
+    if bind is None:
+        exprs = [
+            "(" + (" + ".join(_term(f"c{j}", factors) for j, factors in row if coeffs[j]) or "0.0") + ")"
+            for row in code.rows
+        ]
+        bind = code.modules[pattern] = _system_module(exprs, len(coeffs))
+    return bind(coeffs)
 
 
 def numeric_initial_state(
@@ -249,14 +322,21 @@ def _rms(q: Sequence[float]) -> float:
     return math.sqrt(_pairwise_sum([v * v for v in q]) / len(q))
 
 
-def _dp_source(n: int) -> str:
-    """Source of the Dormand-Prince step for ``n`` states, as straight-line code.
+def _dp_source(n: int, rows: Sequence[str] | None = None) -> list[str]:
+    """Lines of the Dormand-Prince step for ``n`` states, as straight-line code.
 
-    The state, ynew and each stage derivative are unpacked into the locals
-    y_i, n_i and k<s>_i.  Each stage input is y + (h*a1)*k1 + (h*a2)*k2 + ...,
-    summed left to right with the zero weights skipped; the error starts from
-    0.0 and its norm is summed in ``_pairwise_sum``'s order, so every float is
-    the one the numpy stepper computed.
+    The state and each stage derivative are unpacked into the locals y_i and
+    k<s>_i.  Each stage input is y + (h*a1)*k1 + (h*a2)*k2 + ..., summed left
+    to right with the zero weights skipped; the error starts from 0.0 and its
+    norm is summed in ``_pairwise_sum``'s order, so every float is the one the
+    numpy stepper computed.
+
+    Without ``rows`` each stage calls the field ``f`` on its input as a list,
+    and ynew is unpacked into n_i.  With ``rows``, one expression per state in
+    the locals _z0, _z1, ..., each stage assigns its input to those locals and
+    evaluates the rows inline; ``f`` is then unused, and a division by zero or
+    an overflowing power in any stage returns None, as the field's row of nan
+    would.
     """
     def unpack(prefix: str) -> str:
         return "".join(f"{prefix}{i}, " for i in range(n))
@@ -264,35 +344,49 @@ def _dp_source(n: int) -> str:
     def combine(start: str, weights: Sequence[float]) -> tuple[list[str], list[str]]:
         """The lines x_j = h*a_j, and start + x_1*k1_i + ... per component i."""
         used = [(j, a) for j, a in enumerate(weights, 1) if a]
-        xs = [f"    x{j} = h * {a!r}" for j, a in used]
+        xs = [f"x{j} = h * {a!r}" for j, a in used]
         return xs, [" + ".join([start.format(i)] + [f"x{j} * k{j}_{i}" for j, _ in used]) for i in range(n)]
 
-    def finite(s: int) -> list[str]:
-        return ["    if not (" + " and ".join(f"isfinite(k{s}_{i})" for i in range(n)) + "):", "        return None"]
-
     last = len(_DP_ROWS) + 1
-    lines = ["def _dp_step(f, t, h, y, k1, atol, rtol):", f"    {unpack('y_')}= y", f"    {unpack('k1_')}= k1"]
+    stages: list[str] = []
     for s, (c, *weights) in enumerate(_DP_ROWS, 2):
-        xs, rows = combine("y_{}", weights)
-        at = "t + h" if c == 1.0 else f"t + {c!r} * h"
-        lines += xs
-        if s < last:
-            lines.append(f"    {unpack(f'k{s}_')}= f({at}, [{', '.join(rows)}])")
+        xs, ins = combine("y_{}", weights)
+        stages += xs
+        if rows is None:
+            at = "t + h" if c == 1.0 else f"t + {c!r} * h"
+            if s < last:
+                stages.append(f"{unpack(f'k{s}_')}= f({at}, [{', '.join(ins)}])")
+            else:
+                stages += [f"ynew = [{', '.join(ins)}]", f"k{s} = f({at}, ynew)", f"{unpack(f'k{s}_')}= k{s}"]
         else:
-            lines += [f"    ynew = [{', '.join(rows)}]", f"    k{s} = f({at}, ynew)", f"    {unpack(f'k{s}_')}= k{s}"]
-        lines += finite(s)
+            stages += [f"_z{i} = {v}" for i, v in enumerate(ins)]
+            if s == last:
+                stages.append(f"ynew = [{', '.join(f'_z{i}' for i in range(n))}]")
+            stages += [f"k{s}_{i} = {r}" for i, r in enumerate(rows)]
+        stages += ["if not (" + " and ".join(f"isfinite(k{s}_{i})" for i in range(n)) + "):", "    return None"]
+    lines = ["def _dp_step(f, t, h, y, k1, atol, rtol):", f"    {unpack('y_')}= y", f"    {unpack('k1_')}= k1"]
     xs, errors = combine("0.0", _DP_ERR)
-    lines += xs + [f"    {unpack('n_')}= ynew"]
+    if rows is None:
+        lines += [f"    {line}" for line in stages + xs] + [f"    {unpack('n_')}= ynew"]
+        new, k_last = "n_{}", f"k{last}"
+    else:
+        # python floats raise only at a power or a quotient, both in the rows
+        lines += ["    try:", *(f"        {line}" for line in stages)]
+        lines += ["    except (ZeroDivisionError, OverflowError):", "        return None", *(f"    {x}" for x in xs)]
+        new, k_last = "_z{}", "[" + ", ".join(f"k{last}_{i}" for i in range(n)) + "]"
     # the scale's max(a, b) by max's own rule: a unless b is larger
     for i, e in enumerate(errors):
         lines += [
             f"    a = abs(y_{i})",
-            f"    b = abs(n_{i})",
+            f"    b = abs({new.format(i)})",
             f"    q_{i} = ({e}) / (atol + rtol * (b if b > a else a))",
         ]
     total = _pairwise([f"q_{i} * q_{i}" for i in range(n)], "({} + {})".format, "0.0")
-    lines.append(f"    return ynew, k{last}, sqrt({total} / {n})")
-    return "\n".join(lines) + "\n"
+    lines.append(f"    return ynew, {k_last}, sqrt({total} / {n})")
+    return lines
+
+
+_STEP_GLOBALS = {"isfinite": math.isfinite, "sqrt": math.sqrt, "nan": math.nan}
 
 
 @functools.cache
@@ -303,9 +397,31 @@ def _dp_stepper(n: int) -> Callable:
     None at a non-finite stage; k7 is f's value at (t+h, ynew), reused as the
     next step's k1 (FSAL).
     """
-    namespace: dict = {"isfinite": math.isfinite, "sqrt": math.sqrt}
-    exec(_dp_source(n), namespace)
+    namespace = dict(_STEP_GLOBALS)
+    exec("\n".join(_dp_source(n)) + "\n", namespace)
     return namespace["_dp_step"]
+
+
+def _system_module(exprs: Sequence[str], n_coeffs: int) -> Callable[[Sequence[float]], Field]:
+    """Exec the module of one system's row expressions, in the coefficient
+    names c0, c1, ... and the state locals _z0, _z1, ...
+
+    The module's ``bind(c)`` unpacks the ``n_coeffs`` floats ``c`` into those
+    names and returns the field of ``_field_source`` over the rows, carrying
+    as ``dp_step`` the step of ``_dp_source`` with the rows inlined.
+    """
+    body = _field_source(exprs, len(exprs)) + _dp_source(len(exprs), exprs)
+    src = "\n".join([
+        "def bind(c):",
+        *([f"    {''.join(f'c{k}, ' for k in range(n_coeffs))}= c"] if n_coeffs else []),
+        *(f"    {line}" for line in body),
+        "    _field.dp_step = _dp_step",
+        "    return _field",
+    ]) + "\n"
+    namespace = dict(_STEP_GLOBALS)
+    exec(src, namespace)
+    # popped, so that no reference cycle keeps a module past its system
+    return namespace.pop("bind")
 
 
 MAX_STEPS = 5_000_000  # accepted plus rejected steps before integrate gives up
@@ -389,9 +505,11 @@ def integrate(
     ``f(t, z)`` takes the state as a list of floats and returns the derivative
     as a sequence of floats, one per state; a non-finite entry (a compiled
     field gives nan at a pole or an overflow) rejects the step and quarters
-    it.  Each step runs the generated step for ``len(z0)`` states, built on
-    the first call for that count and cached; trajectories are bit for bit
-    those of the numpy stepper it replaced.  ``atol`` must be
+    it.  Each step runs the field's own inlined step when it carries one as
+    its ``dp_step`` attribute (a ``compile_system`` field does), and otherwise
+    the generic step for ``len(z0)`` states, built on the first call for that
+    count and cached; trajectories are bit for bit those of the numpy
+    stepper it replaced, whichever step runs.  ``atol`` must be
     positive wherever a component can be zero.  A step below ``STEP_FLOOR``
     raises StiffnessError, or EvaluationError when non-finite stages forced
     it there.
@@ -415,7 +533,7 @@ def integrate(
     add_tau, add_state, add_deriv = taus.append, states.append, derivs.append
     steps = rejected = 0
     min_step = math.inf
-    step = _dp_stepper(len(y))
+    step = getattr(f, "dp_step", None) or _dp_stepper(len(y))
     t = t0
     # each comparison below picks what min or max would pick, as the step
     # factor is never nan

@@ -8,6 +8,7 @@ import os
 import runpy
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +20,7 @@ import tfred
 from tfred.builtin_models import BUILTINS, load_builtin
 from tfred.cli import InputError, json_text, main, parse_ladder
 from tfred.modelfile import load_model, model_from_dict
+from tfred.rational import MAX_POWER_TERMS
 from tfred.systems import Partition, apply_scaling
 
 
@@ -783,6 +785,18 @@ def test_bad_model_section_is_bad_input(tmp_path, capsys, change, message, comma
     assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["check", "reduce"])
+def test_power_past_the_term_budget_is_refused_before_it_is_expanded(tmp_path, capsys, command):
+    path = tmp_path / "power.json"
+    path.write_text(json.dumps(dict(BAD_MODEL, raw_system=["eps*x*y + eps*(x+y+1)^400 - eps*(x+y+1)^400", "-y + eps*x"])))
+    start = time.perf_counter()
+    assert main([command, "--model", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.err == f"error: a 3-term expression to the power 400 may have more than {MAX_POWER_TERMS} terms\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "remove, message",
     [
@@ -870,6 +884,13 @@ def test_ladder_below_the_floor_compares_nothing(capsys):
     assert code == 4
     assert (payload["verdict"], payload["ladder"], payload["sup_errors"]) == ("nothing compared", [], [])
     assert payload["failures"] == ["eps=1e-05: below the eps floor 0.0001", "eps=1e-06: below the eps floor 0.0001"]
+
+
+def test_converge_text_prints_each_failure_after_the_verdict(capsys):
+    code = main(["converge", "--builtin", "mm2d", "--ladder", "2e-4,5e-5"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 4
+    assert lines[-2:] == ["verdict: partial: inconclusive", "failure: eps=5e-05: below the eps floor 0.0001"]
 
 
 def test_failed_first_rung_compares_nothing(capsys, monkeypatch):

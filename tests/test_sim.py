@@ -2,10 +2,12 @@
 
 import json
 import math
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tfred import sim
@@ -18,7 +20,7 @@ from tfred.reduction import (
     reduced_initial_value,
     scaled_initial_symbolic,
 )
-from tfred.rational import RationalFunction
+from tfred.rational import Context, RationalFunction
 from tfred.sim import (
     EvaluationError,
     IntegratorStats,
@@ -33,7 +35,7 @@ from tfred.sim import (
     iv_inconsistency_demo,
     numeric_initial_state,
 )
-from tfred.systems import Partition, apply_scaling
+from tfred.systems import GradedSystem, Partition, apply_scaling
 
 
 def test_exponential_decay_accuracy():
@@ -321,3 +323,126 @@ def test_trajectory_arrays_are_the_rows_for_any_sequence_field(kind, t1):
     assert traj.derivs.tobytes() == want.tobytes()
     reference = integrate(lambda t, z: rhs(t, z), [1.0, 0.5], (0.0, t1))
     assert traj.states.tobytes() == reference.states.tobytes()
+
+
+# -- the inlined step ---------------------------------------------------------------
+
+# x^300 overflows a float past |x| = 10.65, and an initial 11.0 starts past
+# it; a product of floats near 1e100 overflows to inf without raising
+exponents = st.sampled_from([0, 0, 1, 2, 3, 300])
+starts = st.lists(st.sampled_from([0.0, 0.5, -1.0, 2.0, 11.0, 1e100]), min_size=2, max_size=2)
+
+
+def run_bytes(field, z0, t1=0.5):
+    """A run's arrays as bytes and its stats, or its IntegrationError's type and tau.
+
+    A stiff random field would take millions of steps, so the step budget is cut.
+    """
+    try:
+        with mock.patch.object(sim, "MAX_STEPS", 5_000):
+            traj = integrate(field, z0, (0.0, t1))
+    except sim.IntegrationError as exc:
+        return type(exc), getattr(exc, "tau", None), str(exc)
+    return traj.taus.tobytes(), traj.states.tobytes(), traj.derivs.tobytes(), traj.stats
+
+
+def assert_inlined_step_is_the_called_one(field, z0):
+    assert field.dp_step
+    # the wrapper hides dp_step, so integrate calls the same rows through _dp_stepper(n)
+    assert run_bytes(field, z0) == run_bytes(lambda t, z: field(t, z), z0)
+
+
+def literal_field(system, params, eps):
+    """The full field compiled with every folded coefficient a literal, one source per rung."""
+    env = {k: float(v) for k, v in params.items()}
+    pos = {n: i for i, n in enumerate(system.states)}
+    rows = [[] for _ in system.states]
+    for order, grade in zip(system.orders(), system.grades):
+        weight = float(eps) ** (order - 1)
+        for row, p in zip(rows, grade):
+            for e, c in p.monomials().items():
+                coeff = float(c) * weight
+                factors = []
+                for i, k in enumerate(e):
+                    name = p.ctx.symbols[i].name
+                    if k and name in pos:
+                        factors.append(f"_z{pos[name]}" if k == 1 else f"_z{pos[name]}**{k}")
+                    elif k:
+                        coeff *= env[name] ** k
+                if coeff != 0.0:
+                    row.append("*".join([repr(coeff), *factors]))
+    return sim._compile_field(["(" + (" + ".join(row) or "0.0") + ")" for row in rows], len(rows))
+
+
+@st.composite
+def polynomials(draw, ctx):
+    terms = []
+    for _ in range(draw(st.integers(0, 3))):
+        c = draw(st.sampled_from(["1", "-1", "2", "-3/4", "1/3"]))
+        powers = [f"x^{draw(exponents)}", f"y^{draw(exponents)}", f"a^{draw(st.integers(0, 2))}", f"b^{draw(st.integers(0, 2))}"]
+        terms.append("*".join([c, *powers]))
+    return ctx.parse_poly(" + ".join(terms) or "0")
+
+
+@st.composite
+def graded_systems(draw):
+    """Two low grades, and a grade at an order whose eps-weight underflows to 0.0 at eps = 0.05 but not at 0.5."""
+    ctx = Context(["x", "y"], ["a", "b"])
+    low = [[draw(polynomials(ctx)) for _ in range(2)] for _ in range(2)]
+    top = [draw(polynomials(ctx)) + ctx.parse_poly("x*y"), draw(polynomials(ctx))]
+    zero = [ctx.zero(), ctx.zero()]
+    return GradedSystem(ctx, low + [zero] * draw(st.integers(248, 998)) + [top])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(graded_systems(), st.sampled_from([Fraction(0), Fraction(5, 4)]), starts)
+def test_inlined_step_equals_the_called_step_over_a_ladder(system, a, z0):
+    params = {"a": a, "b": Fraction(-3, 4)}
+    for eps in (0.5, 0.1, 0.05):
+        field = compile_system(system, params, eps)
+        assert_inlined_step_is_the_called_one(field, z0)
+        # the bound coefficients are the literals folded in the same float operations
+        assert run_bytes(field, z0) == run_bytes(literal_field(system, params, eps), z0)
+    # the top grade's x*y term is kept at eps = 0.5 and dropped at 0.05
+    (code,) = sim._SYSTEM_CODE[system].values()
+    assert len(code.modules) == 2
+
+
+@st.composite
+def rational_rows(draw):
+    """Two rows in the coefficient names c0, c1, ..., each a sum or a quotient of sums, and their coefficients."""
+    coeffs: list[float] = []
+
+    def poly(least, most):
+        terms = []
+        for _ in range(draw(st.integers(least, most))):
+            # a power raises where it overflows, a product of the same factors does not
+            power = draw(st.booleans())
+            factors = [f"_z{i}**{k}" if power and k > 1 else "*".join([f"_z{i}"] * k)
+                       for i, k in enumerate(draw(st.tuples(exponents, exponents))) if k]
+            terms.append("*".join([f"c{len(coeffs)}", *factors]))
+            coeffs.append(draw(st.sampled_from([0.0, 1.0, -1.0, 2.5, -0.5, 1e-3])))
+        return " + ".join(terms) or "0.0"
+
+    rows = []
+    for _ in range(2):
+        num = poly(0, 3)
+        rows.append(f"({num})/({poly(1, 2)})" if draw(st.booleans()) else f"({num})")
+    return rows, coeffs
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rational_rows(), st.floats(-4.0, 4.0), starts)
+@example((["(c0)/(c1*_z0 + c2)", "(0.0)"], [1.0, -1.0, 1.0]), 1.0, [0.0, 0.0])  # a pole at x = 1
+@example((["(c0*_z0**300)", "(c1*_z1)"], [1.0, -1.0]), 1.0, [10.0, 1.0])  # overflows inside the step loop
+@example((["(c0*_z0*_z0*_z0)", "(0.0)"], [1.0]), 1.0, [1e100, 0.0])  # a stage goes to inf without raising
+def test_inlined_step_equals_the_called_step_on_rational_rows(case, scale, z0):
+    rows, coeffs = case
+    bind = sim._system_module(rows, len(coeffs))
+    first = bind(coeffs)
+    want = run_bytes(first, z0)
+    second = bind([c * scale for c in coeffs])
+    # binding the second field leaves the first one's coefficients
+    assert run_bytes(first, z0) == want
+    for field in (first, second):
+        assert_inlined_step_is_the_called_one(field, z0)

@@ -10,6 +10,7 @@ must equal it bit for bit, with no tolerance.
 import math
 import random
 import re
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -151,15 +152,32 @@ def oracle_sample(taus, states, derivs, grid):
 
 
 def both_fields(monkeypatch, compile_fn, *args, **kwargs):
-    """A compiled field and the same rows compiled the numpy way."""
+    """A compiled field and the same rows compiled the numpy way.
+
+    compile_rows' literal rows are read where it compiles them.
+    compile_system's are read from the module it generates, each coefficient
+    name written as the literal of the float it binds; a fresh cache makes it
+    generate one.
+    """
     seen = []
-    real = sim._compile_field
+    real_field, real_module = sim._compile_field, sim._system_module
 
-    def spy(exprs, n_states):
+    def spy_field(exprs, n_states):
         seen.append(list(exprs))
-        return real(exprs, n_states)
+        return real_field(exprs, n_states)
 
-    monkeypatch.setattr(sim, "_compile_field", spy)
+    def spy_module(exprs, n_coeffs):
+        bind = real_module(exprs, n_coeffs)
+
+        def spy_bind(c):
+            seen.append([re.sub(r"\bc(\d+)\b", lambda m: repr(c[int(m[1])]), e) for e in exprs])
+            return bind(c)
+
+        return spy_bind
+
+    monkeypatch.setattr(sim, "_compile_field", spy_field)
+    monkeypatch.setattr(sim, "_system_module", spy_module)
+    monkeypatch.setattr(sim, "_SYSTEM_CODE", weakref.WeakKeyDictionary())
     field = compile_fn(*args, **kwargs)
     monkeypatch.undo()
     (exprs,) = seen
@@ -288,18 +306,37 @@ def test_linear_field_matches_numpy_stepper(monkeypatch, n):
     assert traj.stats.steps > 10
 
 
-def test_convergence_study_builds_one_step_per_state_count(reduced):
+def test_convergence_study_compiles_one_module_per_study(monkeypatch, reduced):
     red, params, z0 = reduced["mm2d"]
     system = red.scaled.system
     assert (len(red.states), len(system.states)) == (1, 2)
+    built = []
+    real = sim._system_module
+
+    def spy(exprs, n_coeffs):
+        built.append(n_coeffs)
+        return real(exprs, n_coeffs)
+
+    monkeypatch.setattr(sim, "_system_module", spy)
+    monkeypatch.setattr(sim, "_SYSTEM_CODE", weakref.WeakKeyDictionary())
     sim._dp_stepper.cache_clear()
-    report = sim.convergence_study(
-        system, red.field, list(red.states), dict(zip(red.states, z0)), params, ladder=[1e-1, 5e-2, 2.5e-2], t2=1.0
-    )
-    info = sim._dp_stepper.cache_info()
+
+    def study():
+        return sim.convergence_study(
+            system, red.field, list(red.states), dict(zip(red.states, z0)), params, ladder=[1e-1, 5e-2, 2.5e-2], t2=1.0
+        )
+
+    report = study()
     assert len(report.ladder) == 3
-    assert info.misses == 2
-    assert info.hits == 1 + len(report.ladder) - info.misses
+    # one module for the three rungs, and one generic step, for the reduced flow's one state
+    assert len(built) == 1
+    assert sim._dp_stepper.cache_info()[:2] == (0, 1)
+    # a second study of the same system binds the same module: none per rung
+    again = study()
+    assert again.errors == report.errors
+    assert len(built) == 1
+    assert sim._dp_stepper.cache_info()[:2] == (1, 1)
+    assert compile_system(system, params, 1e-2).dp_step
 
 
 # -- numpy's summation order ------------------------------------------------------

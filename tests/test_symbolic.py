@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from tfred.rational import (
     MAX_NESTING,
+    MAX_POWER_TERMS,
     Context,
     Polynomial,
     RationalFunction,
@@ -474,6 +475,18 @@ def test_parse_keeps_a_coefficient_up_to_the_print_limit(mm):
                  f"(s + 2^{top + 1 - half}*e)*2^{half}"):
         with pytest.raises(SymbolicError, match=f"^a coefficient has more than {limit} digits$"):
             mm.parse(text)
+
+
+def test_parse_keeps_a_multi_term_power_up_to_the_term_budget():
+    ctx = Context(["x", "y"], ["a"])
+    # (x + y + 1)^n has C(n + 2, 2) terms: 1953 at n = 61, 2016 at n = 62
+    assert len(ctx.parse_poly("(x + y + 1)^61").terms) == 1953 <= MAX_POWER_TERMS
+    # the multinomial bound C(102, 2) is past the budget, the degree bound 201 is not
+    assert len(ctx.parse_poly("(x^2 + 2*x + 1)^100").terms) == 201
+    for text, terms, n in [("(x + y + 1)^62", 3, 62), ("(x + y + 1)^-62", 3, 62), ("(1/(x + y + 1))^62", 3, 62),
+                           ("(x + 1)^2000", 2, 2000), ("((x + y + 1)^40)^2", 861, 2)]:
+        with pytest.raises(SymbolicError, match=f"^a {terms}-term expression to the power {n} may have more than"):
+            ctx.parse(text)
 
 
 def test_parse_reads_a_run_of_signs_without_recursion(mm):

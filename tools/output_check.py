@@ -1,4 +1,4 @@
-"""Print the output of 295 CLI cases and 37 library cases, for comparing two checkouts byte for byte.
+"""Print the output of 297 CLI cases and 37 library cases, for comparing two checkouts byte for byte.
 
 Usage: python tools/output_check.py <src-dir>
 
@@ -33,8 +33,9 @@ number as a row, a string as the states, and on a file nested 100 000 arrays
 deep, and ``check`` and ``reduce`` on a row with the constant power
 ``2^100000``, on a row whose coefficient grows too long through a product
 (``2^14000*2^14000``) and on one through the power of a monomial
-(``(2*x)^15000``), plus ``check`` on a network model with a reaction that has
-no rate, plus ``converge --model`` (text and json) on a raw model whose full
+(``(2*x)^15000``), plus ``check`` and ``reduce`` on a row with the power
+``(x+y+1)^400`` of a multi-term expression, plus ``check`` on a network model
+with a reaction that has no rate, plus ``converge --model`` (text and json) on a raw model whose full
 field overflows a float inside the step loop.  Each case prints its argv,
 exit code, stdout and stderr.
 
@@ -187,6 +188,11 @@ for name, row in (("long_product", "2^14000*2^14000*x*y"), ("long_monomial_power
     path = Path(tmp.name) / f"{name}.json"
     path.write_text(json.dumps(dict(base_model, raw_system=[row, "-y + eps*x"])))
     cases += [[c, "--model", str(path)] for c in ("check", "reduce")]
+# the power of a multi-term expression, expanded twice and cancelled, with a
+# bound on its terms past the parser's budget
+path = Path(tmp.name) / "multi_term_power.json"
+path.write_text(json.dumps(dict(base_model, raw_system=["eps*x*y + eps*(x+y+1)^400 - eps*(x+y+1)^400", "-y + eps*x"])))
+cases += [[c, "--model", str(path)] for c in ("check", "reduce")]
 # a reaction without its required rate
 path = Path(tmp.name) / "missing_rate.json"
 model = transport_model(2)
