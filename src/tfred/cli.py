@@ -378,6 +378,8 @@ def cmd_converge(args) -> int:
     ladder = parse_ladder(args.ladder) if args.ladder else default_ladder()
     if not 0 <= args.t1 < args.t2:
         raise InputError("need 0 <= --t1 < --t2")
+    if not math.isfinite(args.t2):
+        raise InputError("need a finite --t2")
     try:
         red = reduce_model(spec.system, fast)
         if "initial_value" in red.errors:
@@ -432,6 +434,8 @@ def cmd_demo_linex(args) -> int:
     ladder = parse_ladder(args.ladder) if args.ladder else default_ladder(1e-1, 1e-3)
     if not (args.a <= 0 and args.c < 0 and args.tau > 0):
         raise InputError("need --a <= 0, --c < 0 and --tau > 0")
+    if not math.isfinite(args.tau):
+        raise InputError("need a finite --tau")
     try:
         report = iv_inconsistency_demo(
             a=args.a,

@@ -81,10 +81,9 @@ def _write_reactions(
                 grade[i] = grade[i] + flux * delta
 
 
-def compile_network(net: ReactionNetwork, ctx: Context | None = None) -> GradedSystem:
+def compile_network(net: ReactionNetwork) -> GradedSystem:
     """Mass-action right-hand side, grade = eps-order of each rate constant."""
-    if ctx is None:
-        ctx = Context(list(net.species), net.params())
+    ctx = Context(list(net.species), net.params())
     grades = [[ctx.zero()] * len(net.species) for _ in range(2)]
     _write_reactions(grades, ctx, net)
     return GradedSystem(ctx, grades, dict(net.initial_values))

@@ -46,7 +46,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import compress
 from math import comb, gcd, lcm, log2, log10, prod
-from operator import add, mul, or_, sub
+from operator import add, mul, or_, sub, truediv
 from sys import get_int_max_str_digits
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -60,7 +60,7 @@ FIELD_BITS = 16
 EXPONENT_MAX = (1 << (FIELD_BITS - 1)) - 1
 _FIELD = (1 << FIELD_BITS) - 1
 MAX_NESTING = 100
-MAX_POWER_TERMS = 2000  # most terms the parser lets the power of a multi-term expression have
+MAX_POWER_TERMS = 2000  # most terms the parser lets a multi-term power or product have
 
 
 class SymbolicError(Exception):
@@ -136,8 +136,9 @@ class Context:
     """Shared symbol table.
 
     Holds the ordered list of symbols (states first, then parameters, then the
-    single epsilon symbol) and acts as a factory for polynomials over them.
-    Immutable after construction; polynomials from different contexts never mix.
+    single epsilon symbol, always named ``eps``) and acts as a factory for
+    polynomials over them.  Immutable after construction; polynomials from
+    different contexts never mix.
 
     It also holds the monomial layout: ``shifts[i]`` is the bit offset of
     symbol i's field, ``dshift`` that of the total degree, ``fields`` masks
@@ -149,10 +150,10 @@ class Context:
         "shifts", "dshift", "fields", "guard", "_struct", "_zero", "_one",
     )
 
-    def __init__(self, states: Sequence[str], params: Sequence[str] = (), eps: str = "eps"):
+    def __init__(self, states: Sequence[str], params: Sequence[str] = ()):
         syms = [Symbol(n, STATE) for n in states]
         syms += [Symbol(n, PARAM) for n in params]
-        syms.append(Symbol(eps, EPS))
+        syms.append(Symbol("eps", EPS))
         names = [s.name for s in syms]
         if len(set(names)) != len(names):
             raise ValueError("symbol names must be unique")
@@ -1109,9 +1110,10 @@ class _Parser:
     :meth:`parse` wraps the result in one.  A zero divisor raises
     ZeroDivisorError; parentheses nested deeper than ``MAX_NESTING``, the
     power of a single term whose coefficient would have more digits than an
-    int may print, the power of a multi-term expression that may have more
-    than ``MAX_POWER_TERMS`` terms, and a result with such a coefficient raise
-    SymbolicError.
+    int may print, the power of a multi-term expression or a product of two
+    (judged on the operands of each '*', '/' and sum over two denominators)
+    that may have more than ``MAX_POWER_TERMS`` terms, and a result with such
+    a coefficient raise SymbolicError.
     """
 
     def __init__(self, ctx: Context, text: str):
@@ -1179,9 +1181,8 @@ class _Parser:
     def term(self) -> "Polynomial | RationalFunction":
         total = self.factor()
         while self.peek() in ("*", "/"):
-            op = self.take()
-            rhs = self.factor()
-            total = _combine(mul, total, rhs) if op == "*" else _rational(total) / rhs
+            op = mul if self.take() == "*" else truediv
+            total = _combine(op, total, self.factor())
         return total
 
     def factor(self) -> "Polynomial | RationalFunction":
@@ -1250,13 +1251,39 @@ def _refuse_large_power(base: "Polynomial | RationalFunction", n: int) -> None:
     """
     if n < 2:
         return
-    for p in (base.num, base.den) if base.__class__ is RationalFunction else (base,):
+    for p in _num_den(base):
         t = len(p.terms)
         if t < 2 or comb(n + t - 1, min(n, t - 1)) <= MAX_POWER_TERMS:
             continue
-        degrees = map(max, zip(*map(p.ctx.unpack, p.terms)))
-        if prod(n * d + 1 for d in degrees) > MAX_POWER_TERMS:
+        if prod(n * d + 1 for d in _degrees(p)) > MAX_POWER_TERMS:
             raise SymbolicError(f"a {t}-term expression to the power {n} may have more than {MAX_POWER_TERMS} terms")
+
+
+def _refuse_large_product(p: Polynomial, q: Polynomial) -> None:
+    """Raise SymbolicError, before p*q is formed, when it may have more than
+    ``MAX_POWER_TERMS`` terms.
+
+    The bound on the terms of p*q, for p and q of two or more terms each, is
+    the smaller of the product of their term counts and the count of exponent
+    vectors within the sum of their degrees in each symbol.
+    """
+    tp, tq = len(p.terms), len(q.terms)
+    if tp < 2 or tq < 2 or tp * tq <= MAX_POWER_TERMS:
+        return
+    if prod(d + e + 1 for d, e in zip(_degrees(p), _degrees(q))) > MAX_POWER_TERMS:
+        raise SymbolicError(
+            f"a product of a {tp}-term and a {tq}-term expression may have more than {MAX_POWER_TERMS} terms"
+        )
+
+
+def _num_den(v: "Polynomial | RationalFunction") -> tuple[Polynomial, Polynomial]:
+    """The numerator and denominator of v; a Polynomial's is 1."""
+    return (v.num, v.den) if v.__class__ is RationalFunction else (v, v.ctx.one())
+
+
+def _degrees(p: Polynomial) -> Iterable[int]:
+    """p's largest exponent of each symbol, in symbol order."""
+    return map(max, zip(*map(p.ctx.unpack, p.terms)))
 
 
 def _refuse_long_coefficients(value: RationalFunction) -> None:
@@ -1280,12 +1307,30 @@ def _rational(v: "Polynomial | RationalFunction") -> RationalFunction:
 
 
 def _combine(op, a: "Polynomial | RationalFunction", b: "Polynomial | RationalFunction"):
-    """a op b, on Polynomials while both operands are, else on RationalFunctions.
+    """a op b, on Polynomials while both operands are, else on RationalFunctions,
+    once ``_refuse_large_product`` has judged each product it forms.
 
-    Both operands are promoted, so the left one stays on the left: with a
-    denominator of 1 the RationalFunction operations are the Polynomial ones,
-    and the terms come out in the same order.
+    The products are judged on the operands as written, before any
+    cancellation: a*b forms num*num and den*den, a/b num*den and den*num, and
+    a sum or difference over two different denominators num*den, den*num and
+    den*den.  Both operands are promoted, so the left one stays on the left:
+    with a denominator of 1 the RationalFunction operations are the
+    Polynomial ones, and the terms come out in the same order.  A Polynomial
+    quotient is a RationalFunction.
     """
-    if a.__class__ is b.__class__:
+    if a.__class__ is b.__class__ is Polynomial:
+        # of two Polynomials only a*b forms a product: a/b is a over b
+        if op is mul:
+            _refuse_large_product(a, b)
         return op(a, b)
+    an, ad = _num_den(a)
+    bn, bd = _num_den(b)
+    if op is mul:
+        pairs = ((an, bn), (ad, bd))
+    elif op is truediv:
+        pairs = ((an, bd), (ad, bn))
+    else:
+        pairs = () if ad == bd else ((an, bd), (bn, ad), (ad, bd))
+    for p, q in pairs:
+        _refuse_large_product(p, q)
     return op(_rational(a), _rational(b))

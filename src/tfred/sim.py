@@ -15,17 +15,21 @@ at a pole or where a power overflows, so the stepper rejects the step just
 as it does any other non-finite stage.
 
 The Dormand-Prince step is straight-line python source from one generator,
-in two stage forms.  The state and the stage derivatives live in locals,
-and each stage input and the error norm are float expressions.  The generic
-step, generated once per state count and cached, calls the field through
-the ``f(t, z)`` contract on each stage input; it runs any callable field.  A
-full system's field comes with a step whose stages evaluate the field's
-rows inline on locals, with no call.  Both keep the numpy stepper's
-operation order (stage sums left to right, the norm's sum in numpy's
-pairwise order), so every float of a trajectory is bit for bit the one that
-stepper computed.  The accept/reject loop around the step keeps its counts
-in locals and clamps with comparisons that pick what ``min`` and ``max``
-would.
+in one stage form.  The state, each stage's input and the stage derivatives
+live in locals, and each stage input and the error norm are float
+expressions.  A stage's derivatives are either the field's rows, evaluated
+inline on the input's locals, or one call of the field through the
+``f(t, z)`` contract; no other line differs.  The generic step, generated
+once per state count and cached, calls the field and runs any callable.  A
+full system's field comes with a step whose stages evaluate its rows inline.
+In either, a non-finite derivative, a division by zero or an overflowing
+power in a stage rejects the step.  Both keep the numpy stepper's operation
+order (stage sums left to right, the norm's sum in numpy's pairwise order),
+so every float of a trajectory is bit for bit the one that stepper computed.
+The accept/reject loop around the step keeps its counts in locals and clamps
+with comparisons that pick what ``min`` and ``max`` would.  Every generated
+source, a field, a generic step or a system's module, is exec'd by one
+helper, each in a namespace of its own.
 
 A full system is compiled once per study.  The first ``compile_system`` call
 for a graded system, its parameter values and the zero pattern of the folded
@@ -158,14 +162,6 @@ def _field_source(exprs: Sequence[str], n_states: int) -> list[str]:
     ]
 
 
-def _compile_field(exprs: Sequence[str], n_states: int) -> Field:
-    """Compile one python expression per row into a vector field (t, z) -> dz."""
-    namespace: dict = {"nan": math.nan}
-    exec("\n".join(_field_source(exprs, n_states)) + "\n", namespace)
-    # popped, so that no reference cycle through the namespace outlives the field
-    return namespace.pop("_field")
-
-
 def compile_rows(
     rows: Sequence[RationalFunction | Polynomial],
     state_names: Sequence[str],
@@ -183,7 +179,7 @@ def compile_rows(
         rf = row if isinstance(row, RationalFunction) else RationalFunction.of(row)
         num = _poly_expr(rf.num, pos, env)
         exprs.append(f"({num})" if rf.den.is_one() else f"({num})/({_poly_expr(rf.den, pos, env)})")
-    return _compile_field(exprs, len(state_names))
+    return _exec(_field_source(exprs, len(state_names)), "_field")
 
 
 class _SystemCode:
@@ -326,20 +322,19 @@ def _dp_source(n: int, rows: Sequence[str] | None = None) -> list[str]:
     """Lines of the Dormand-Prince step for ``n`` states, as straight-line code.
 
     The state and each stage derivative are unpacked into the locals y_i and
-    k<s>_i.  Each stage input is y + (h*a1)*k1 + (h*a2)*k2 + ..., summed left
-    to right with the zero weights skipped; the error starts from 0.0 and its
-    norm is summed in ``_pairwise_sum``'s order, so every float is the one the
-    numpy stepper computed.
-
-    Without ``rows`` each stage calls the field ``f`` on its input as a list,
-    and ynew is unpacked into n_i.  With ``rows``, one expression per state in
-    the locals _z0, _z1, ..., each stage assigns its input to those locals and
-    evaluates the rows inline; ``f`` is then unused, and a division by zero or
-    an overflowing power in any stage returns None, as the field's row of nan
-    would.
+    k<s>_i.  Each stage assigns its input y + (h*a1)*k1 + (h*a2)*k2 + ...,
+    summed left to right with the zero weights skipped, to the locals _z0,
+    _z1, ...; the 7th stage's input is ynew.  Its derivatives are then the
+    ``rows``, one expression per state in those locals, evaluated inline, or
+    without ``rows`` one call of the field ``f`` on them as a list.  That line
+    is the only one in which the two uses differ.  A non-finite derivative,
+    or a division by zero or an overflowing power in any stage, returns None.
+    The error starts from 0.0 and its norm is summed in ``_pairwise_sum``'s
+    order, so every float is the one the numpy stepper computed.
     """
-    def unpack(prefix: str) -> str:
-        return "".join(f"{prefix}{i}, " for i in range(n))
+    def listed(prefix: str) -> str:
+        """The list [prefix0, prefix1, ...] of n locals, to build or to unpack into."""
+        return "[" + ", ".join(f"{prefix}{i}" for i in range(n)) + "]"
 
     def combine(start: str, weights: Sequence[float]) -> tuple[list[str], list[str]]:
         """The lines x_j = h*a_j, and start + x_1*k1_i + ... per component i."""
@@ -347,81 +342,76 @@ def _dp_source(n: int, rows: Sequence[str] | None = None) -> list[str]:
         xs = [f"x{j} = h * {a!r}" for j, a in used]
         return xs, [" + ".join([start.format(i)] + [f"x{j} * k{j}_{i}" for j, _ in used]) for i in range(n)]
 
-    last = len(_DP_ROWS) + 1
-    stages: list[str] = []
+    lines = [
+        "def _dp_step(f, t, h, y, k1, atol, rtol):",
+        f"    {listed('y_')} = y",
+        f"    {listed('k1_')} = k1",
+        "    try:",
+    ]
     for s, (c, *weights) in enumerate(_DP_ROWS, 2):
         xs, ins = combine("y_{}", weights)
-        stages += xs
+        stage = xs + [f"_z{i} = {v}" for i, v in enumerate(ins)]
         if rows is None:
             at = "t + h" if c == 1.0 else f"t + {c!r} * h"
-            if s < last:
-                stages.append(f"{unpack(f'k{s}_')}= f({at}, [{', '.join(ins)}])")
-            else:
-                stages += [f"ynew = [{', '.join(ins)}]", f"k{s} = f({at}, ynew)", f"{unpack(f'k{s}_')}= k{s}"]
+            stage.append(f"{listed(f'k{s}_')} = f({at}, {listed('_z')})")
         else:
-            stages += [f"_z{i} = {v}" for i, v in enumerate(ins)]
-            if s == last:
-                stages.append(f"ynew = [{', '.join(f'_z{i}' for i in range(n))}]")
-            stages += [f"k{s}_{i} = {r}" for i, r in enumerate(rows)]
-        stages += ["if not (" + " and ".join(f"isfinite(k{s}_{i})" for i in range(n)) + "):", "    return None"]
-    lines = ["def _dp_step(f, t, h, y, k1, atol, rtol):", f"    {unpack('y_')}= y", f"    {unpack('k1_')}= k1"]
+            stage += [f"k{s}_{i} = {r}" for i, r in enumerate(rows)]
+        stage += ["if not (" + " and ".join(f"isfinite(k{s}_{i})" for i in range(n)) + "):", "    return None"]
+        lines += [f"        {line}" for line in stage]
     xs, errors = combine("0.0", _DP_ERR)
-    if rows is None:
-        lines += [f"    {line}" for line in stages + xs] + [f"    {unpack('n_')}= ynew"]
-        new, k_last = "n_{}", f"k{last}"
-    else:
-        # python floats raise only at a power or a quotient, both in the rows
-        lines += ["    try:", *(f"        {line}" for line in stages)]
-        lines += ["    except (ZeroDivisionError, OverflowError):", "        return None", *(f"    {x}" for x in xs)]
-        new, k_last = "_z{}", "[" + ", ".join(f"k{last}_{i}" for i in range(n)) + "]"
+    lines += ["    except (ZeroDivisionError, OverflowError):", "        return None", *(f"    {x}" for x in xs)]
     # the scale's max(a, b) by max's own rule: a unless b is larger
     for i, e in enumerate(errors):
         lines += [
             f"    a = abs(y_{i})",
-            f"    b = abs({new.format(i)})",
+            f"    b = abs(_z{i})",
             f"    q_{i} = ({e}) / (atol + rtol * (b if b > a else a))",
         ]
     total = _pairwise([f"q_{i} * q_{i}" for i in range(n)], "({} + {})".format, "0.0")
-    lines.append(f"    return ynew, {k_last}, sqrt({total} / {n})")
+    lines.append(f"    return {listed('_z')}, {listed(f'k{len(_DP_ROWS) + 1}_')}, sqrt({total} / {n})")
     return lines
 
 
-_STEP_GLOBALS = {"isfinite": math.isfinite, "sqrt": math.sqrt, "nan": math.nan}
+def _exec(lines: Sequence[str], name: str) -> Callable:
+    """Exec generated source and return the function it defines as ``name``.
+
+    Each source gets a namespace of its own, holding the few globals the
+    generated code reads.  The function is popped from it, so that no
+    reference cycle through the namespace outlives the function.
+    """
+    namespace = {"isfinite": math.isfinite, "sqrt": math.sqrt, "nan": math.nan}
+    exec("\n".join(lines) + "\n", namespace)
+    return namespace.pop(name)
 
 
 @functools.cache
 def _dp_stepper(n: int) -> Callable:
-    """The generated Dormand-Prince step for ``n`` states, built once per ``n``.
+    """The generic Dormand-Prince step for ``n`` states, built once per ``n``.
 
     ``step(f, t, h, y, k1, atol, rtol)`` returns (ynew, k7, error norm), or
-    None at a non-finite stage; k7 is f's value at (t+h, ynew), reused as the
-    next step's k1 (FSAL).
+    None at a stage that is not finite or that raises ZeroDivisionError or
+    OverflowError; k7 is f's value at (t+h, ynew), reused as the next step's
+    k1 (FSAL).
     """
-    namespace = dict(_STEP_GLOBALS)
-    exec("\n".join(_dp_source(n)) + "\n", namespace)
-    return namespace["_dp_step"]
+    return _exec(_dp_source(n), "_dp_step")
 
 
 def _system_module(exprs: Sequence[str], n_coeffs: int) -> Callable[[Sequence[float]], Field]:
-    """Exec the module of one system's row expressions, in the coefficient
-    names c0, c1, ... and the state locals _z0, _z1, ...
+    """The module of one system's row expressions, in the coefficient names
+    c0, c1, ... and the state locals _z0, _z1, ...
 
     The module's ``bind(c)`` unpacks the ``n_coeffs`` floats ``c`` into those
     names and returns the field of ``_field_source`` over the rows, carrying
     as ``dp_step`` the step of ``_dp_source`` with the rows inlined.
     """
     body = _field_source(exprs, len(exprs)) + _dp_source(len(exprs), exprs)
-    src = "\n".join([
+    return _exec([
         "def bind(c):",
         *([f"    {''.join(f'c{k}, ' for k in range(n_coeffs))}= c"] if n_coeffs else []),
         *(f"    {line}" for line in body),
         "    _field.dp_step = _dp_step",
         "    return _field",
-    ]) + "\n"
-    namespace = dict(_STEP_GLOBALS)
-    exec(src, namespace)
-    # popped, so that no reference cycle keeps a module past its system
-    return namespace.pop("bind")
+    ], "bind")
 
 
 MAX_STEPS = 5_000_000  # accepted plus rejected steps before integrate gives up
@@ -503,19 +493,23 @@ def integrate(
     """Adaptive embedded Runge-Kutta 5(4) with per-component error control.
 
     ``f(t, z)`` takes the state as a list of floats and returns the derivative
-    as a sequence of floats, one per state; a non-finite entry (a compiled
-    field gives nan at a pole or an overflow) rejects the step and quarters
-    it.  Each step runs the field's own inlined step when it carries one as
-    its ``dp_step`` attribute (a ``compile_system`` field does), and otherwise
-    the generic step for ``len(z0)`` states, built on the first call for that
-    count and cached; trajectories are bit for bit those of the numpy
-    stepper it replaced, whichever step runs.  ``atol`` must be
-    positive wherever a component can be zero.  A step below ``STEP_FLOOR``
-    raises StiffnessError, or EvaluationError when non-finite stages forced
-    it there.
+    as a sequence of floats, one per state.  A non-finite entry (a compiled
+    field gives nan at a pole or an overflow), or a ZeroDivisionError or
+    OverflowError raised in a stage, rejects the step and quarters it; at
+    ``t0``, the first evaluation's exceptions propagate.  Each step runs the
+    field's own inlined step when it carries one as its ``dp_step`` attribute
+    (a ``compile_system`` field does), and otherwise the generic step for
+    ``len(z0)`` states, built on the first call for that count and cached;
+    both come from one stage form, and trajectories are bit for bit those of
+    the numpy stepper it replaced, whichever step runs.  Both ends of
+    ``t_span`` must be finite.  ``atol`` must be positive wherever a
+    component can be zero.  A step below ``STEP_FLOOR`` raises
+    StiffnessError, or EvaluationError when rejected stages forced it there.
     """
     import numpy as np
     t0, t1 = float(t_span[0]), float(t_span[1])
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError("need a finite t_span")
     if t1 <= t0:
         raise ValueError("need t1 > t0")
     y = [float(v) for v in z0]

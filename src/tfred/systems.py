@@ -261,7 +261,7 @@ def apply_scaling(sys: GradedSystem, part: Partition) -> ScaledSystem:
     if sys.is_laurent():
         raise ModelError("cannot scale a Laurent system")
     new_states = [star_name(n) if n in part.fast else n for n in sys.states]
-    new_ctx = Context(new_states, [p.name for p in sys.ctx.params], eps=sys.ctx.eps.name)
+    new_ctx = Context(new_states, [p.name for p in sys.ctx.params])
 
     new_ivs: dict[str, InitialValue] = {}
     iv_ok = True
@@ -367,7 +367,7 @@ def eliminate_with_integral(
     if not is_first_integral(sys, [w.get(n, 0) for n in sys.states]):
         raise ModelError("weights are not a linear first integral of the system")
     new_states = [n for n in sys.states if n != state]
-    new_ctx = Context(new_states, [p.name for p in sys.ctx.params], eps=sys.ctx.eps.name)
+    new_ctx = Context(new_states, [p.name for p in sys.ctx.params])
     # state = (level - sum_{i != state} w_i z_i) / w_state
     repl = new_ctx.sym(level)
     for n, wi in w.items():
@@ -392,7 +392,7 @@ def linear_change_of_states(
     if any(x is None for x in cols):
         raise ModelError("B is singular")
     Binv = list(zip(*cols))
-    new_ctx = Context(list(new_names), [p.name for p in sys.ctx.params], eps=sys.ctx.eps.name)
+    new_ctx = Context(list(new_names), [p.name for p in sys.ctx.params])
     # old state i = sum_j Binv[i][j] * zhat_j
     syms = [new_ctx.sym(nn) for nn in new_names]
     subs_map = {old: _combination(new_ctx, Binv[i], syms) for i, old in enumerate(sys.states)}

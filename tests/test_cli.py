@@ -798,6 +798,49 @@ def test_power_past_the_term_budget_is_refused_before_it_is_expanded(tmp_path, c
 
 
 @pytest.mark.parametrize(
+    "row",
+    [
+        "(x+y+1)^61*(x+y+1)^61",
+        "(x+y+1)^61*(x+y+1)^61*(x+y+1)^61",
+        "(x+y+1)^61/(1/(x+y+1)^61)",
+        "(x+y+1)^61/(x+y+2)^61 + 1/(x+y+3)^61",
+    ],
+    ids=["product", "three-factors", "quotient", "rational-sum"],
+)
+@pytest.mark.parametrize("command", ["check", "reduce"])
+def test_product_past_the_term_budget_is_refused_before_it_is_formed(tmp_path, capsys, row, command):
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps(dict(BAD_MODEL, raw_system=[f"eps*x*y + eps*({row})", "-y + eps*x"])))
+    start = time.perf_counter()
+    assert main([command, "--model", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: a product of a 1953-term and a 1953-term expression may have more than {MAX_POWER_TERMS} terms\n"
+    )
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["converge", "--builtin", "mm2d", "--ladder", "1e-1,5e-2", "--t2", "inf"], "need a finite --t2"),
+        (["converge", "--builtin", "mm2d", "--ladder", "1e-1,5e-2", "--t1", "inf"], "need 0 <= --t1 < --t2"),
+        (["converge", "--builtin", "mm2d", "--ladder", "1e-1,5e-2", "--t2", "nan"], "need 0 <= --t1 < --t2"),
+        (["demo-linex", "--ladder", "1e-1,5e-2", "--tau", "inf"], "need a finite --tau"),
+        (["demo-linex", "--ladder", "1e-1,5e-2", "--tau", "nan"], "need --a <= 0, --c < 0 and --tau > 0"),
+    ],
+    ids=["t2-inf", "t1-inf", "t2-nan", "tau-inf", "tau-nan"],
+)
+def test_a_non_finite_window_is_refused_at_once(capsys, argv, message):
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize(
     "remove, message",
     [
         (lambda m: m["reactions"][0].pop("rate"), "reactions[0] has no 'rate'"),

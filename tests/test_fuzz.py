@@ -2,12 +2,12 @@
 
 The grammar builds the two rows of a raw system in the states x, y and the
 parameters k, a from numbers, names, long constants, zero divisors, nesting
-deeper than ``MAX_NESTING``, multi-term powers up to and past
-``MAX_POWER_TERMS`` and names the model does not declare.  ``check``, ``ltc``,
-``conditions`` and ``reduce`` run on each file through ``cli.main``; none may
-crash, print a traceback or an internal error, or take longer than the
-deadline.  An exit 2 without a report is one line: ``error: ...`` for bad
-input, or the verdict on an inconsistent scaling.
+deeper than ``MAX_NESTING``, multi-term powers and products of multi-term
+expressions up to and past ``MAX_POWER_TERMS`` and names the model does not
+declare.  ``check``, ``ltc``, ``conditions`` and ``reduce`` run on each file
+through ``cli.main``; none may crash, print a traceback or an internal error,
+or take longer than the deadline.  An exit 2 without a report is one line:
+``error: ...`` for bad input, or the verdict on an inconsistent scaling.
 """
 
 import contextlib
@@ -41,6 +41,8 @@ special = st.one_of(
     st.sampled_from([MAX_NESTING, MAX_NESTING + 1]).map(lambda d: "(" * d + "x" + ")" * d),
     # multi-term powers: expanded and cancelled under the budget, refused past it
     st.sampled_from([f"0*(x + y + k + a + 1)^{UNDER}", f"(x + y + k + a + 1)^{OVER}", "(x + y + 1)^400"]),
+    # products: 28 * 28 terms formed and cancelled under the budget, 210 * 210 refused past it
+    st.sampled_from(["(x + k + 1)^6*(y + a + 1)^6*0", "(x + y + k + a + 1)^6*(x + y + k + a + 1)^6"]),
 )
 # about one leaf in ten is special, so that most files get past the parser
 leaves = st.integers(0, 9).flatmap(lambda i: special if i == 0 else plain)
@@ -70,6 +72,7 @@ def run(argv):
 @given(st.one_of(rows, rows.map("eps*({})".format)), st.one_of(rows, rows.map("-y + eps*({})".format)))
 @example("eps*x*y + eps*(x+y+1)^400 - eps*(x+y+1)^400", "-y + eps*x")
 @example(f"eps*x*y + 0*(x + y + k + a + 1)^{UNDER}", "-y + eps*x")
+@example("eps*x*y + (x + k + 1)^6*(y + a + 1)^6*0", "-y + eps*x")
 @example("1/(x - x)", "-y")
 @example("(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1), "-y")
 def test_any_raw_model_keeps_the_exit_code_contract(slow, fast):

@@ -120,6 +120,25 @@ def test_compiled_pole_error_carries_location():
     assert err.value.tau == pytest.approx(0.5, abs=0.1)
 
 
+@pytest.mark.parametrize(
+    "rate",
+    [lambda t: 1.0 / (t <= 0.5), lambda t: 10.0 ** (400 if t > 0.5 else 0)],
+    ids=["ZeroDivisionError", "OverflowError"],
+)
+def test_a_plain_callable_that_raises_in_a_stage_rejects_the_step(rate):
+    # python floats raise where a compiled field returns its row of nan; the
+    # step is rejected all the same, down to the step floor at tau = 1/2
+    with pytest.raises(EvaluationError) as err:
+        integrate(lambda t, z: [-rate(t) * z[0]], [1.0], (0.0, 1.0))
+    assert err.value.tau == pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("t_span", [(0.0, math.inf), (0.0, math.nan), (-math.inf, 1.0)])
+def test_integrate_refuses_a_non_finite_window(t_span):
+    with pytest.raises(ValueError, match="need a finite t_span"):
+        integrate(lambda t, z: [-v for v in z], [1.0], t_span)
+
+
 def test_reduced_against_itself_is_exact():
     spec = mm2d()
     red = reduce_model(spec.system, ["c"], mode="standard")
@@ -371,7 +390,9 @@ def literal_field(system, params, eps):
                         coeff *= env[name] ** k
                 if coeff != 0.0:
                     row.append("*".join([repr(coeff), *factors]))
-    return sim._compile_field(["(" + (" + ".join(row) or "0.0") + ")" for row in rows], len(rows))
+    namespace = {"nan": math.nan}
+    exec("\n".join(sim._field_source(["(" + (" + ".join(row) or "0.0") + ")" for row in rows], len(rows))), namespace)
+    return namespace["_field"]
 
 
 @st.composite

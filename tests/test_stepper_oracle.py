@@ -1,12 +1,13 @@
 """The float stepper against the numpy stepper it replaced, bit for bit.
 
-The oracle below is the earlier numpy implementation of ``integrate``,
-``_compile_field`` and ``Trajectory.sample``: fields evaluated on numpy
+The oracle below is the earlier numpy implementation of ``integrate``, the
+field compiler and ``Trajectory.sample``: fields evaluated on numpy
 scalars into an array, whole-array stage updates, ``np.mean`` norms.  Every
 trajectory, derivative, statistic, sample and error location of the float code
 must equal it bit for bit, with no tolerance.
 """
 
+import ast
 import math
 import random
 import re
@@ -154,29 +155,32 @@ def oracle_sample(taus, states, derivs, grid):
 def both_fields(monkeypatch, compile_fn, *args, **kwargs):
     """A compiled field and the same rows compiled the numpy way.
 
-    compile_rows' literal rows are read where it compiles them.
-    compile_system's are read from the module it generates, each coefficient
-    name written as the literal of the float it binds; a fresh cache makes it
-    generate one.
+    The rows are read from the ``_field`` source that ``sim._exec`` runs.  In
+    compile_system's module each coefficient name is written as the literal
+    of the float it binds; a fresh cache makes it generate one.
     """
     seen = []
-    real_field, real_module = sim._compile_field, sim._system_module
+    real = sim._exec
 
-    def spy_field(exprs, n_states):
-        seen.append(list(exprs))
-        return real_field(exprs, n_states)
-
-    def spy_module(exprs, n_coeffs):
-        bind = real_module(exprs, n_coeffs)
+    def spy(lines, name):
+        fn = real(lines, name)
+        if name not in ("_field", "bind"):
+            return fn
+        src = "\n".join(lines)
+        (field_def,) = [d for d in ast.walk(ast.parse(src)) if isinstance(d, ast.FunctionDef) and d.name == "_field"]
+        (body,) = [d for d in field_def.body if isinstance(d, ast.Try)]
+        exprs = [ast.get_source_segment(src, e) for e in body.body[0].value.elts]
+        if name == "_field":
+            seen.append(exprs)
+            return fn
 
         def spy_bind(c):
             seen.append([re.sub(r"\bc(\d+)\b", lambda m: repr(c[int(m[1])]), e) for e in exprs])
-            return bind(c)
+            return fn(c)
 
         return spy_bind
 
-    monkeypatch.setattr(sim, "_compile_field", spy_field)
-    monkeypatch.setattr(sim, "_system_module", spy_module)
+    monkeypatch.setattr(sim, "_exec", spy)
     monkeypatch.setattr(sim, "_SYSTEM_CODE", weakref.WeakKeyDictionary())
     field = compile_fn(*args, **kwargs)
     monkeypatch.undo()

@@ -489,6 +489,23 @@ def test_parse_keeps_a_multi_term_power_up_to_the_term_budget():
             ctx.parse(text)
 
 
+def test_parse_keeps_a_product_up_to_the_term_budget():
+    ctx = Context(["x", "y"], ["a"])
+    # 40 * 50 terms is the budget itself
+    assert len(ctx.parse_poly("(x + 1)^39*(y + 1)^49").terms) == 2000 == MAX_POWER_TERMS
+    # 101 * 100 terms is past the budget, the degree bound 200 is not
+    assert len(ctx.parse_poly("(x^2 + 2*x + 1)^50*(x + 1)^99").terms) == 200
+    # a sum over two denominators of 231 terms each, within the degree bound 41 * 41
+    assert len(ctx.parse("1/(x + y + 1)^20 + 1/(x + y + 2)^20").den.terms) == 861
+    # a sum over one denominator forms no product
+    assert ctx.parse("x/(x + y + 1)^61 + y/(x + y + 1)^61") == ctx.parse("(x + y)/(x + y + 1)^61")
+    for text, terms in [("(x + 1)^40*(y + 1)^49", (41, 50)), ("(x + y + 1)^61*(x + y + 1)^61", (1953, 1953)),
+                        ("(x + y + 1)^61/(1/(x + y + 1)^61)", (1953, 1953)),
+                        ("1/(x + y + 1)^30 - 1/(x + y + 2)^30", (496, 496))]:
+        with pytest.raises(SymbolicError, match="^a product of a {}-term and a {}-term expression may have more than".format(*terms)):
+            ctx.parse(text)
+
+
 def test_parse_reads_a_run_of_signs_without_recursion(mm):
     assert mm.parse("s*" + "-" * 3001 + "e") == mm.parse("-s*e")
 

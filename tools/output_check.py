@@ -1,43 +1,56 @@
-"""Print the output of 297 CLI cases and 37 library cases, for comparing two checkouts byte for byte.
+"""Print the output of 307 CLI cases and 37 library cases, for comparing two checkouts byte for byte.
 
 Usage: python tools/output_check.py <src-dir>
 
-<src-dir> is the ``src`` directory of a checkout.  The cases are every builtin
-x {check, ltc, conditions, reduce, converge on a short ladder} x {text, json}
-x --seed {0, 7}, plus ``reduce --mode standard|nonstandard`` on mm2d and mm3d
-and the inconsistent partition ``--fast s`` of mm3d, plus ``check`` (text and
-json) on the non-default partitions ``--fast s`` and ``--fast e`` of mm3d,
-``--fast c1`` of chain3 and ``--fast y`` of inhibitor, plus ``reduce`` and
-``ltc --model ... --format json`` on nine survey-shaped raw systems (built by
-``bench/workloads.py``'s ``raw_model``), plus ``reduce --model
-... --format json`` on transport_binding(N) model files for N = 2, 3, 5, 7, 8, 10, 16 (built
-by ``bench/workloads.py``'s ``transport_model``, written to a temporary
-directory that is printed as ``<tmp>``), plus ``reduce --model ... --seed 7
---samples 60 --format json`` on transport_binding(4), plus the benchmark's ladder jobs: ``converge`` on mm2d and mm3d
-down to eps = 7.8e-4, on transport_binding with fixed heterogeneous
-parameters down to 3.125e-3, and ``demo-linex`` with and without
-``--consistent``, plus two bad ``converge --set`` values (an unknown name, a
-value outside float range), ``reduce`` on a raw model whose fast block
-overflows a float at every certificate sample, ``reduce`` on a raw model
-with an exponent above the exact kernel's limit, ``reduce`` and ``ltc`` on a
-raw model whose rows cancel quotients and negative powers back to
-polynomials, plus ``ltc --model ... --format json`` on transport_binding(N)
-for N = 12, 16, on a 16-state cubic field and on the cubic field ``a*x*y*z``,
-``x^2*y``, 0, and three bad inputs:
-``--builtin`` together with ``--model`` (a missing file), ``converge
---mode`` and ``reduce`` without a model, plus ``conditions`` (text and json)
-on mm3d's six pre-assigned fast sets of acceptance criterion 09 and on four
-bad ones (a name that is no symbol, a parameter, a repeated state, every
-state), plus ``check`` on raw models with a list as an initial-value base, a
-number as a row, a string as the states, and on a file nested 100 000 arrays
-deep, and ``check`` and ``reduce`` on a row with the constant power
-``2^100000``, on a row whose coefficient grows too long through a product
-(``2^14000*2^14000``) and on one through the power of a monomial
-(``(2*x)^15000``), plus ``check`` and ``reduce`` on a row with the power
-``(x+y+1)^400`` of a multi-term expression, plus ``check`` on a network model
-with a reaction that has no rate, plus ``converge --model`` (text and json) on a raw model whose full
-field overflows a float inside the step loop.  Each case prints its argv,
-exit code, stdout and stderr.
+<src-dir> is the ``src`` directory of a checkout.  Each CLI case prints its
+argv, exit code, stdout and stderr.  The CLI cases are:
+
+- every builtin x {check, ltc, conditions, reduce, converge on a short
+  ladder} x {text, json} x --seed {0, 7};
+- ``reduce --mode standard|nonstandard`` on mm2d and mm3d, and the
+  inconsistent partition ``--fast s`` of mm3d;
+- ``check`` (text and json) on the non-default partitions ``--fast s`` and
+  ``--fast e`` of mm3d, ``--fast c1`` of chain3 and ``--fast y`` of inhibitor;
+- the benchmark's ladder jobs: ``converge`` on mm2d and mm3d down to
+  eps = 7.8e-4, on transport_binding with fixed heterogeneous parameters down
+  to 3.125e-3, and ``demo-linex`` with and without ``--consistent``;
+- two bad ``converge --set`` values (an unknown name, a value outside float
+  range);
+- ``reduce`` and ``ltc --model ... --format json`` on nine survey-shaped raw
+  systems (built by ``bench/workloads.py``'s ``raw_model``);
+- ``reduce --model ... --format json`` on transport_binding(N) model files
+  for N = 2, 3, 5, 7, 8, 10, 16 (built by ``bench/workloads.py``'s
+  ``transport_model``, written to a temporary directory that is printed as
+  ``<tmp>``), and ``reduce --model ... --seed 7 --samples 60 --format json``
+  on transport_binding(4);
+- ``reduce`` on a raw model whose fast block overflows a float at every
+  certificate sample, and on one with an exponent above the exact kernel's
+  limit;
+- ``reduce`` and ``ltc`` on a raw model whose rows cancel quotients and
+  negative powers back to polynomials;
+- ``ltc --model ... --format json`` on transport_binding(N) for N = 12, 16,
+  on a 16-state cubic field and on the cubic field ``a*x*y*z``, ``x^2*y``, 0;
+- three bad inputs: ``--builtin`` together with ``--model`` (a missing
+  file), ``converge --mode`` and ``reduce`` without a model;
+- ``conditions`` (text and json) on mm3d's six pre-assigned fast sets of
+  acceptance criterion 09 and on four bad ones (a name that is no symbol, a
+  parameter, a repeated state, every state);
+- ``check`` on raw models with a list as an initial-value base, a number as a
+  row, a string as the states, and on a file nested 100 000 arrays deep;
+- ``check`` and ``reduce`` on a row with the constant power ``2^100000``, on
+  a row whose coefficient grows too long through a product
+  (``2^14000*2^14000``) and on one through the power of a monomial
+  (``(2*x)^15000``);
+- ``check`` and ``reduce`` on a row with the power ``(x+y+1)^400`` of a
+  multi-term expression;
+- ``check`` on a network model with a reaction that has no rate;
+- ``converge --model`` (text and json) on a raw model whose full field
+  overflows a float inside the step loop;
+- ``check`` and ``reduce`` on rows with a product of multi-term expressions
+  past the parser's term budget, formed by ``*`` (two and three factors), by
+  ``/`` and by a sum over two different denominators;
+- ``converge --t2 inf`` and ``demo-linex --tau inf``, a time window that never
+  ends.
 
 The library cases print what the exact constant-matrix kernel decides and
 no CLI output shows whole: ``linear_first_integrals`` of every builtin and of
@@ -209,6 +222,20 @@ path.write_text(json.dumps({
     "initial_values": {"x": {"base": "9"}, "y": {"base": "1"}}, "fast": ["y"],
 }))
 cases += [["converge", "--model", str(path), "--format", f] for f in ("text", "json")]
+# products of multi-term expressions whose bound on their terms is past the
+# parser's budget
+for name, row in (
+    ("product", "(x+y+1)^61*(x+y+1)^61"),
+    ("three_factors", "(x+y+1)^61*(x+y+1)^61*(x+y+1)^61"),
+    ("quotient", "(x+y+1)^61/(1/(x+y+1)^61)"),
+    ("rational_sum", "(x+y+1)^61/(x+y+2)^61 + 1/(x+y+3)^61"),
+):
+    path = Path(tmp.name) / f"{name}.json"
+    path.write_text(json.dumps(dict(base_model, raw_system=[f"eps*x*y + eps*({row})", "-y + eps*x"])))
+    cases += [[c, "--model", str(path)] for c in ("check", "reduce")]
+# a time window that never ends
+cases += [["converge", "--builtin", "mm2d", "--ladder", "1e-1,5e-2", "--t2", "inf"],
+          ["demo-linex", "--ladder", "1e-1,5e-2", "--tau", "inf"]]
 for argv in cases:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
